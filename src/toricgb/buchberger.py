@@ -173,11 +173,6 @@ def normal_form(u, G):
     return _Reducer(elements).reduce_monomial(u)
 
 
-def s_vector(f: Binomial, g: Binomial):
-    """Lattice vector of the S-pair of f and g (zero when f = g)."""
-    return tuple(c - d - a + b for a, b, c, d in zip(f.lead, f.trail, g.lead, g.trail))
-
-
 def s_binomial(f: Binomial, g: Binomial, ord: TermOrder):
     """Honest S-pair: both terms under lcm(lead f, lead g); None when zero."""
     L = tuple(max(a, c) for a, c in zip(f.lead, g.lead))
@@ -293,34 +288,6 @@ def _interreduce(elements, ord: TermOrder):
         trail = red.reduce_monomial(b.trail)
         out.append(Binomial(b.lead, trail))
     return out
-
-
-def autoreduce(elems, ord: TermOrder):
-    """Inter-reduce a list of oriented binomials, preserving the ideal.
-
-    Each element is fully reduced by the others (leading side first,
-    then the trailing side) until a fixpoint; elements reducing to zero
-    are dropped.  On a Groebner basis this produces the reduced basis.
-    """
-    key = ord.key
-    items = list(dict.fromkeys(_as_binomial(e, ord) for e in elems))
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(items)):
-            b = items[idx]
-            if b is None:
-                continue
-            others = [x for k, x in enumerate(items) if k != idx and x is not None]
-            red = _Reducer(others)
-            r = red.top_reduce(b.lead, b.trail, key)
-            if r is not None:
-                trail = red.reduce_monomial(r.trail)
-                r = Binomial(r.lead, trail)
-            if r != b:
-                items[idx] = r
-                changed = True
-    return list(_canonical([x for x in items if x is not None], ord))
 
 
 def passes_buchberger_criterion(G: GroebnerBasis) -> bool:

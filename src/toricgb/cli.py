@@ -21,8 +21,7 @@ Exit codes
 Resource limits: --max-fiber (feasibility search nodes, default
 200000), --max-graver-bits (Graver size cap for sign-pattern
 enumeration, default 22), --max-degree (largest admissible basis-element
-degree, default unlimited).  --threads is accepted for interface
-compatibility; execution is sequential and output does not depend on it.
+degree, default unlimited).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (
     ToricError,
 )
 from .exactmath import IntMatrix
-from .fan import enumerate_initial_ideals, groebner_cone, regular_triangulation
+from .fan import groebner_cone, regular_triangulation
 from .ip import IPInstance, solve_ip, solve_ip_elimination
 from .orders import term_order
 from .toric import (
@@ -374,7 +373,7 @@ def cmd_circuits(args) -> int:
 
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    ugb, ideals, _ = universal_gb(A, max_graver=args.max_graver_bits)
+    ugb, ideals, _, _ = universal_gb(A, max_graver=args.max_graver_bits)
     _degree_guard(A, ugb, args.max_degree)
     _emit_vectors(ugb, args)
     report = {
@@ -449,21 +448,15 @@ def cmd_fan(args) -> int:
     if args.mode == "cones" and args.weight is not None:
         # single cone at the given weight; enumeration would be wasteful
         w = _load_weight(args.weight, A.n)
-        G = buchberger(toric_generators(A), term_order(A.n, weight=w))
-        cone = groebner_cone(G)
-        witnesses = [(cone, tuple(w))]
+        order = term_order(A.n, weight=w, tiebreak=args.tiebreak)
+        G = buchberger(toric_generators(A), order)
+        witnesses = [(groebner_cone(G), tuple(w))]
     else:
-        gens = toric_generators(A)
-        witnesses = []
-        for _, witness in enumerate_initial_ideals(A, max_graver=args.max_graver_bits):
-            if args.mode == "count":
-                witnesses.append((None, witness))
-                continue
-            G = buchberger(gens, term_order(A.n, weight=witness))
-            witnesses.append((groebner_cone(G), witness))
-    if args.mode == "count":
-        _emit_report({"command": "fan", "initial_ideals": len(witnesses)}, args.json)
-        return 0
+        _, _, ws, bases = universal_gb(A, max_graver=args.max_graver_bits)
+        if args.mode == "count":
+            _emit_report({"command": "fan", "initial_ideals": len(ws)}, args.json)
+            return 0
+        witnesses = [(groebner_cone(G), w) for G, w in zip(bases, ws)]
     cones = [
         {"facets": cone.facet_count, "witness": ",".join(str(x) for x in w)}
         for cone, w in witnesses
@@ -528,12 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="largest admissible element degree (default: unlimited)",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; execution is sequential",
         )
 
     common(sub.add_parser("groebner", help="reduced Gröbner basis"), weight=True)

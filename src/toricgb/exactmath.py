@@ -5,6 +5,14 @@ Everything in this module is pure Python over ``int`` and
 Fourier-Motzkin elimination with back-substitution witnesses, which is
 exponential in the worst case but entirely adequate for the handful of
 variables this package works with.
+
+Constraints are normalized to primitive integer rows before
+elimination.  Rows that are already integral (all of them in the
+homogeneous systems of ``strict_feasible`` and ``is_irredundant``, and
+every row ``_eliminate`` builds) take an integer-only route; only rows
+with rational entries are cleared through ``Fraction``.  Both routes
+give the same primitive row, so the elimination levels and the
+back-substituted witness do not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -293,16 +301,18 @@ def _normalize_constraint(con, n):
     a, b, strict = con
     if len(a) != n:
         raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
-    fracs = [Fraction(x) for x in a] + [Fraction(b)]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
+    if type(b) is int and all(type(x) is int for x in a):
+        # the common case: nothing to clear, so skip Fraction entirely
+        ints = [*a, b]
+    else:
+        fracs = [Fraction(x) for x in a] + [Fraction(b)]
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
     if not any(ints[:-1]):
         # constant constraint; only the sign of the rhs matters
         c = ints[-1]
         return ((0,) * n, 0 if c == 0 else (1 if c > 0 else -1), bool(strict))
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     return (tuple(ints[:-1]), ints[-1], bool(strict))
 

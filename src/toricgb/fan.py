@@ -98,7 +98,6 @@ class Cone:
 
     inequalities: tuple
     lineality_dim: int
-    irredundant: bool
 
     @property
     def facet_count(self) -> int:
@@ -156,13 +155,13 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
             seen.add(v)
             normals.append(v)
     if not normals:
-        return Cone((), n, True)
+        return Cone((), n)
     lineality = n - rank(IntMatrix(tuple(normals)))
     keep = list(normals)
     for i in range(len(keep) - 1, -1, -1):
         if not is_irredundant(keep, i):
             del keep[i]
-    return Cone(tuple(sorted(keep)), lineality, True)
+    return Cone(tuple(sorted(keep)), lineality)
 
 
 def enumerate_initial_ideals(A: ConfigMatrix, max_graver: int = 22):
@@ -171,7 +170,7 @@ def enumerate_initial_ideals(A: ConfigMatrix, max_graver: int = 22):
     Returns (ideal, witness) pairs; the count equals the number of
     maximal cones in the Gröbner fan.
     """
-    _, ideals, witnesses = universal_gb(A, max_graver=max_graver)
+    _, ideals, witnesses, _ = universal_gb(A, max_graver=max_graver)
     return list(zip(ideals, witnesses))
 
 

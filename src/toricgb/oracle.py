@@ -3,18 +3,23 @@
 Everything here trades speed for obviousness: kernel vectors come from
 matching monomials with equal image fiber by fiber, Graver membership is
 checked against the definition, initial ideals come from grid sweeps of
-weight vectors, and monomial ideals are decomposed by recursive
-splitting.  The main algorithm modules never call into this one.
+weight vectors or from a Buchberger run in every Graver cell, and
+monomial ideals are decomposed by recursive splitting.  The main
+algorithm modules never call into this one.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
+from .buchberger import buchberger
 from .errors import LimitExceeded
+from .exactmath import dot, strict_feasible
 from .fan import MonomialIdeal
 from .orders import term_order
-from .toric import ConfigMatrix, normalize_sign
+from .toric import ConfigMatrix, graver, normalize_sign, toric_generators
 
 
 def _monomials_by_image(A: ConfigMatrix, degbound: int, max_monomials: int):
@@ -192,3 +197,50 @@ def irreducible_decomposition(I: MonomialIdeal):
 def _contains_ideal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Whether ideal a contains ideal b (every generator of b is in a)."""
     return all(a.contains(g) for g in b.gens)
+
+
+def universal_gb_every_cell(A: ConfigMatrix):
+    """(ugb, initial_ideals, witnesses) with no work shared between cells.
+
+    Walks the sign patterns of the Graver hyperplane arrangement as
+    universal_gb does, in the same order, but tests every sign prefix
+    with its own strict_feasible call, takes each cell's witness from a
+    strict_feasible call on its full pattern, and runs Buchberger in
+    every cell.  The first cell to reach an initial ideal supplies its
+    witness.
+    """
+    grv = graver(A)
+    base = toric_generators(A)
+    n = A.n
+    if not grv:
+        return [], [MonomialIdeal((), n)], [(0,) * n]
+    K = A.kernel_basis().entries
+    coords = [tuple(dot(row, g) for row in K) for g in grv]
+    ugb = set()
+    initial = {}
+
+    def visit(signed):
+        beta = strict_feasible(signed)
+        w = [sum(Fraction(b) * row[j] for b, row in zip(beta, K)) for j in range(n)]
+        scale = lcm(*(f.denominator for f in w))
+        omega = tuple(int(f * scale) for f in w)
+        gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"))
+        ugb.update(normalize_sign(v) for v in gb.vectors)
+        initial.setdefault(tuple(sorted(b.lead for b in gb.elements)), omega)
+
+    def descend(signed):
+        if len(signed) == len(coords):
+            visit(signed)
+            return
+        for s in (1, -1):
+            nxt = signed + [tuple(s * x for x in coords[len(signed)])]
+            if strict_feasible(nxt) is not None:
+                descend(nxt)
+
+    descend([])
+    ideals = sorted(initial)
+    return (
+        sorted(ugb),
+        [MonomialIdeal(gens, n) for gens in ideals],
+        [initial[gens] for gens in ideals],
+    )

@@ -337,10 +337,12 @@ def is_unimodular(A: ConfigMatrix) -> bool:
 def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     """Union of all reduced Groebner bases, with the distinct initial ideals.
 
-    Returns (ugb, initial_ideals, witnesses):
+    Returns (ugb, initial_ideals, witnesses, bases):
         ugb: sign-normalized lattice vectors, sorted;
         initial_ideals: deduplicated monomial initial ideals;
-        witnesses: one generic weight vector per initial ideal.
+        witnesses: one generic weight vector per initial ideal;
+        bases: the reduced Groebner basis of each initial ideal under
+            the order (witness, degrevlex), aligned with the ideals.
 
     The weight space is explored by sign patterns over the Graver
     vectors: each full-dimensional cell of the Graver hyperplane
@@ -348,6 +350,23 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     so one interior witness per cell reaches every reduced basis.
     Infeasible sign prefixes are pruned, which is the only difference
     from enumerating all 2^N patterns.
+
+    Each piece of work is done once:
+
+    * A strictly feasible point of the current sign prefix is passed
+      down the tree.  A child sign that this point already satisfies is
+      feasible with no further test; only the other sign costs a
+      ``strict_feasible`` call, and the point that call returns is
+      passed down its branch instead.
+    * A cell is skipped when a basis found earlier has every element
+      lead - trail positively oriented by the cell's signs.  The cell
+      then lies in that basis's open Groebner cone, where it is the
+      reduced basis for every weight, so Buchberger would only return
+      it again.  Every other cell gives a new basis.
+    * A new cell takes as its witness the point of the
+      ``strict_feasible`` call on its full sign pattern: reused when the
+      last level made that call, computed otherwise.  Either way it is
+      the same point, so witnesses do not depend on the reuse.
     """
     from .fan import MonomialIdeal
 
@@ -362,14 +381,17 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     base = toric_generators(A)
     n = A.n
     if not grv:
-        return [], [MonomialIdeal((), n)], [(0,) * n]
+        omega = (0,) * n
+        order = term_order(n, weight=omega, tiebreak="degrevlex")
+        return [], [MonomialIdeal((), n)], [omega], [GroebnerBasis(order, (), True)]
 
     K = A.kernel_basis()
     r = K.nrows
     coords = [tuple(dot(row, g) for row in K.entries) for g in grv]
+    graver_index = {g: k for k, g in enumerate(grv)}
 
     ugb = set()
-    seen_gbs = set()
+    patterns = []  # per basis found: (Graver index, sign) of each element
     initial = {}
 
     def lift_weight(beta):
@@ -381,30 +403,38 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     def visit(beta):
         omega = lift_weight(beta)
         gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"))
-        key = gb.vectors
-        if key in seen_gbs:
-            return
-        seen_gbs.add(key)
+        pattern = []
         for b in gb.elements:
-            ugb.add(normalize_sign(b.vector))
+            v = normalize_sign(b.vector)
+            ugb.add(v)
+            pattern.append((graver_index[v], 1 if v == b.vector else -1))
+        patterns.append(pattern)
         leads = tuple(sorted(b.lead for b in gb.elements))
-        if leads not in initial:
-            initial[leads] = omega
+        initial.setdefault(leads, (omega, gb))
 
-    def descend(k, signed):
+    def descend(signs, signed, point, point_is_witness):
+        # point is strictly feasible for signed; point_is_witness says it
+        # is strict_feasible(signed) itself
+        k = len(signs)
         if k == len(coords):
-            beta = strict_feasible(signed)
-            visit(beta)
+            if any(all(signs[i] == s for i, s in p) for p in patterns):
+                return
+            visit(point if point_is_witness else strict_feasible(signed))
             return
         for s in (1, -1):
             nxt = signed + [tuple(s * x for x in coords[k])]
-            if strict_feasible(nxt) is not None:
-                descend(k + 1, nxt)
+            if dot(nxt[-1], point) > 0:
+                descend(signs + [s], nxt, point, False)
+                continue
+            y = strict_feasible(nxt)
+            if y is not None:
+                descend(signs + [s], nxt, y, True)
 
-    descend(0, [])
+    descend([], [], (0,) * r, False)
     ideals = sorted(initial)
     return (
         sorted(ugb),
         [MonomialIdeal(gens, n) for gens in ideals],
-        [initial[gens] for gens in ideals],
+        [initial[gens][0] for gens in ideals],
+        [initial[gens][1] for gens in ideals],
     )

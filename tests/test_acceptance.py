@@ -72,7 +72,7 @@ def seg33():
     A = ConfigMatrix(generate("segre", (3, 3)).entries)
     cs = circuits(A)
     grv = graver(A)
-    ugb, ideals, _ = universal_gb(A)
+    ugb, ideals, _, _ = universal_gb(A)
     return A, cs, grv, ugb, ideals, time.time() - t0
 
 
@@ -426,7 +426,7 @@ def test_criterion_09_basis_inclusions_named(seg33, lawrenceB, seg333):
     assert signed_set(c.vector for c in cs) == signed_set(grv)
 
     LB, lgrv, lcs, _ = lawrenceB
-    lu, _, _ = universal_gb(LB, max_graver=22)
+    lu, _, _, _ = universal_gb(LB, max_graver=22)
     assert signed_set(c.vector for c in lcs) <= signed_set(lu) <= signed_set(lgrv)
     assert signed_set(lu) == signed_set(lgrv)
 
@@ -449,7 +449,7 @@ def test_criterion_09_basis_inclusions_sweep(homogeneous_sweep):
         assert sc <= sg, A.original.entries
         full += 1
         if A.pointed and A.n <= 5 and len(grv) <= 16:
-            ugb, _, _ = universal_gb(A, max_graver=22)
+            ugb, _, _, _ = universal_gb(A, max_graver=22)
             su = signed_set(ugb)
             assert sc <= su <= sg, A.original.entries
             with_universal += 1

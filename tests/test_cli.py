@@ -5,6 +5,7 @@ code, so the file formats, report rendering, and error mapping are all
 exercised exactly as a shell user would see them.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -18,9 +19,14 @@ from toricgb.cli import (
     write_vectors,
     ParseFailure,
 )
+from toricgb import toric
+from toricgb.buchberger import buchberger
 from toricgb.exactmath import IntMatrix
+from toricgb.fan import groebner_cone
+from toricgb.orders import term_order
 
 TWISTED_TEXT = "2 4\n1 1 1 1\n0 1 2 3\n"
+QUARTIC_TEXT = "2 5\n1 1 1 1 1\n0 1 2 3 4\n"
 LINE_TEXT = "1 2\n1 1\n"
 B_TEXT = "2 5\n1 3 4 6 0\n0 0 0 -5 1\n"
 
@@ -294,6 +300,43 @@ def test_fan_single_cone_at_weight(tmp_path, capsys):
     assert out == "facets 5 witness 111,0,341,1\n"
 
 
+def test_fan_single_cone_honours_tiebreak(tmp_path, capsys):
+    # the weight is not generic, so the tie-break decides the cone
+    m = tmp_path / "quartic.mat"
+    m.write_text(QUARTIC_TEXT)
+    w = (0, 1, 1, 0, 0)
+    A = toric.ConfigMatrix(((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)))
+    gens = toric.toric_generators(A)
+    facets = {}
+    for tie in ("degrevlex", "lex"):
+        G = buchberger(gens, term_order(5, weight=w, tiebreak=tie))
+        facets[tie] = groebner_cone(G).facet_count
+    assert facets["degrevlex"] != facets["lex"]
+    for tie in ("degrevlex", "lex"):
+        rc, out, _ = run(capsys, ["fan", "cones", str(m), "--weight", wfile(tmp_path, w),
+                                  "--tiebreak", tie])
+        assert rc == 0
+        assert out == f"facets {facets[tie]} witness 0,1,1,0,0\n"
+
+
+def test_fan_cones_reuses_the_enumerated_bases(twisted, capsys, monkeypatch):
+    calls = 0
+    original = toric.toric_generators
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "toric_generators", counting)
+    monkeypatch.setattr("toricgb.cli.toric_generators", counting)
+    toric.universal_gb(toric.ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3))))
+    by_universal, calls = calls, 0
+    rc, _, _ = run(capsys, ["fan", "cones", twisted])
+    assert rc == 0
+    assert 0 < calls <= by_universal
+
+
 def test_fan_triangulate(tmp_path, capsys):
     m = tmp_path / "seg.mat"
     m.write_text("2 3\n1 1 1\n0 1 2\n")
@@ -375,6 +418,31 @@ def test_gen_bad_parameters(capsys):
     assert "takes 2 parameter" in err
 
 
+# -- golden outputs ---------------------------------------------------------
+
+# SHA-256 of stdout on the matrix from `gen segre 3 3`, pinned on the
+# sign-pattern enumeration that ran Buchberger in every cell.
+SEGRE33_GOLDEN = {
+    ("fan", "cones", "--json"): "ad7d57fdb76d7242abd4c29ad7577fc30aff61a786c3265a7cce93dbe1471afa",
+    ("fan", "cones"): "2ae17aca8d3c12f4e20fc31286f147fe8d501fb7fa1c8571871a5bf1bb0e685c",
+    ("universal",): "27d3208abbe418a3f79d7dce61167f4a42af767182766b1433b38e7f78ed2fdd",
+}
+
+
+@pytest.fixture(scope="module")
+def segre33(tmp_path_factory):
+    p = tmp_path_factory.mktemp("golden") / "segre33.mat"
+    assert main(["gen", "segre", "3", "3", "--out", str(p)]) == 0
+    return str(p)
+
+
+@pytest.mark.parametrize("command", sorted(SEGRE33_GOLDEN))
+def test_segre33_output_is_pinned(segre33, capsys, command):
+    rc, out, _ = run(capsys, [*command, segre33])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == SEGRE33_GOLDEN[command]
+
+
 # -- dispatch ---------------------------------------------------------------
 
 
@@ -390,4 +458,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_unknown_generator_kind(capsys):
     assert main(["gen", "mystery", "3"]) == 1
+    capsys.readouterr()
+
+
+def test_threads_flag_is_gone(twisted, capsys):
+    assert main(["graver", twisted, "--threads", "2"]) == 1
     capsys.readouterr()

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricgb.errors import DimensionMismatch, LimitExceeded, RankDeficient
 from toricgb.exactmath import (
     IntMatrix,
+    _normalize_constraint,
     det_bareiss,
     dot,
     feasible_witness,
@@ -242,3 +244,34 @@ def test_is_irredundant_square_cone():
 
 def test_dot():
     assert dot((1, 2, 3), (4, -5, 6)) == 12
+
+
+# -- the integer route of constraint normalization ----------------------------
+
+small = st.integers(-30, 30)
+
+
+def constraints(n):
+    return st.tuples(st.lists(small, min_size=n, max_size=n), small, st.booleans())
+
+
+def as_fractions(con, q=1):
+    a, b, strict = con
+    return ([Fraction(x, q) for x in a], Fraction(b, q), strict)
+
+
+@given(st.integers(0, 4).flatmap(constraints), st.integers(1, 12))
+def test_integer_route_matches_fraction_route(con, q):
+    n = len(con[0])
+    expected = _normalize_constraint(as_fractions(con), n)
+    assert _normalize_constraint(con, n) == expected
+    # a constraint divided through by q normalizes to the same row
+    assert _normalize_constraint(as_fractions(con, q), n) == expected
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(constraints(n), min_size=1, max_size=6)))
+def test_feasible_witness_same_point_for_fraction_input(cons):
+    n = len(cons[0][0])
+    assert feasible_witness(cons, n) == feasible_witness(
+        [as_fractions(c) for c in cons], n)

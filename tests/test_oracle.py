@@ -5,17 +5,24 @@ import random
 import pytest
 
 from toricgb.buchberger import buchberger, normal_form
-from toricgb.errors import LimitExceeded
+from toricgb.errors import DimensionMismatch, LimitExceeded
 from toricgb.fan import MonomialIdeal, enumerate_initial_ideals
 from toricgb.oracle import (
     graver_bruteforce,
     irreducible_decomposition,
     kernel_vectors_up_to,
     single_step_normal_form,
+    universal_gb_every_cell,
     weight_grid_initial_ideals,
 )
 from toricgb.orders import term_order
-from toricgb.toric import ConfigMatrix, graver, normalize_sign, toric_generators
+from toricgb.toric import (
+    ConfigMatrix,
+    graver,
+    normalize_sign,
+    toric_generators,
+    universal_gb,
+)
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 
@@ -89,6 +96,47 @@ def test_weight_grid_radius_one_is_a_lower_bound():
     grid = weight_grid_initial_ideals(TWISTED, 1, degbound=4)
     full = {I for I, _ in enumerate_initial_ideals(TWISTED)}
     assert set(grid) <= full
+
+
+def pointed_configs(rng, count):
+    """Small pointed configurations with 2 to 14 Graver elements.
+
+    About two in five start with the all-ones row; the rest have entries
+    in [-1, 3], so their grading comes from the feasibility search.
+    """
+    while count:
+        ones_row = rng.random() < 0.4
+        d = rng.randint(2 if ones_row else 1, 3)
+        n = rng.randint(d + 1, 5)
+        lo = 0 if ones_row else -1
+        rows = [tuple(rng.randint(lo, 3) for _ in range(n)) for _ in range(d)]
+        if ones_row:
+            rows[0] = (1,) * n
+        try:
+            A = ConfigMatrix(rows)
+        except DimensionMismatch:
+            continue
+        if not A.pointed or A.n == A.d:
+            continue
+        try:
+            size = len(graver(A, max_degree=20))
+        except LimitExceeded:
+            continue
+        if 2 <= size <= 14:
+            count -= 1
+            yield A
+
+
+def test_universal_gb_matches_every_cell_enumeration():
+    other_first_row = 0
+    for A in pointed_configs(random.Random(7), 80):
+        ugb, ideals, witnesses, bases = universal_gb(A)
+        assert (ugb, ideals, witnesses) == universal_gb_every_cell(A), A.original
+        gens = toric_generators(A)
+        for w, G in zip(witnesses, bases):
+            assert G == buchberger(gens, term_order(A.n, weight=w)), A.original
+        other_first_row += A.original.row(0) != (1,) * A.n
+    assert other_first_row >= 10
 
 
 def test_irreducible_decomposition_of_monomial_ideal():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toricgb.cli import generate
 from toricgb.errors import (
     DimensionMismatch,
     LimitExceeded,
@@ -10,6 +11,7 @@ from toricgb.errors import (
     RankDeficient,
 )
 from toricgb.exactmath import IntMatrix
+from toricgb.fan import groebner_cone
 from toricgb.toric import (
     ConfigMatrix,
     circuits,
@@ -192,18 +194,59 @@ def test_unimodular_configurations():
 
 
 def test_universal_gb_twisted_cubic():
-    ugb, ideals, witnesses = universal_gb(TWISTED)
+    ugb, ideals, witnesses, bases = universal_gb(TWISTED)
     assert sorted(ugb) == sorted(graver(TWISTED))
     assert len(ideals) == 8
     assert len(witnesses) == 8
-    # each witness reproduces its initial ideal
+    # each witness reproduces its initial ideal and the returned basis
     from toricgb.buchberger import buchberger
     from toricgb.orders import term_order
 
     gens = toric_generators(TWISTED)
-    for ideal, w in zip(ideals, witnesses):
+    for ideal, w, B in zip(ideals, witnesses, bases):
         G = buchberger(gens, term_order(4, weight=w))
         assert sorted(g.lead for g in G) == sorted(ideal.gens)
+        assert B == G
+
+
+def test_universal_gb_without_graver_elements():
+    # a kernel of rank zero: one cell, the zero weight, an empty basis
+    ugb, ideals, witnesses, bases = universal_gb(ConfigMatrix(((1, 0), (0, 1))))
+    assert ugb == [] and witnesses == [(0, 0)]
+    assert [I.gens for I in ideals] == [()]
+    assert [G.elements for G in bases] == [()]
+    assert groebner_cone(bases[0]).facet_count == 0
+
+
+def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
+    # Buchberger runs made by universal_gb itself, not inside graver or
+    # toric_generators: one per distinct basis, none in repeated cells
+    import toricgb.toric as toric
+
+    own = nested = 0
+    real = toric.buchberger
+
+    def counting(*args, **kwargs):
+        nonlocal own
+        own += nested == 0
+        return real(*args, **kwargs)
+
+    def shielded(fn):
+        def run(*args, **kwargs):
+            nonlocal nested
+            nested += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                nested -= 1
+        return run
+
+    monkeypatch.setattr(toric, "buchberger", counting)
+    monkeypatch.setattr(toric, "graver", shielded(toric.graver))
+    monkeypatch.setattr(toric, "toric_generators", shielded(toric.toric_generators))
+    _, ideals, _, _ = universal_gb(ConfigMatrix(generate("segre", (3, 3))))
+    assert len(ideals) == 108
+    assert own == 108
 
 
 def test_universal_gb_guard():
@@ -228,7 +271,7 @@ def test_inclusion_chain_random_sweep():
         cs = {c.vector for c in circuits(A)}
         if len(grv) > 22:
             continue
-        ugb, _, _ = universal_gb(A)
+        ugb, _, _, _ = universal_gb(A)
         ugb = set(ugb)
         assert cs <= ugb <= grv
         checked += 1
