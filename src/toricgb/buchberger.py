@@ -13,6 +13,13 @@ divides the current monomial u, the whole chain u, u-(a-b), u-2(a-b),
 monomial divisible by x^a and the final one nonnegative.  This agrees
 with single-step reduction and saves long division chains on fibers
 with large entries.
+
+Pairs are pruned by the Gebauer-Moeller criteria (Gebauer and Moeller,
+"On an installation of Buchberger's algorithm", JSC 1988): the product
+criterion, the M and F criteria on the pairs a new element makes, and
+the B criterion on the pairs already queued.  Order keys are linear, so
+each element caches key(lead - trail) and the engine moves keys by
+subtraction instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -66,7 +73,6 @@ class Binomial:
 class GroebnerBasis:
     order: TermOrder
     elements: tuple
-    reduced: bool
 
     @property
     def vectors(self):
@@ -105,19 +111,31 @@ def _max_steps(u, lead, vec) -> int:
 
 
 class _Reducer:
-    """Precomputed reduction data for a fixed list of binomials."""
+    """Precomputed reduction data for a fixed list of binomials.
 
-    def __init__(self, elements):
-        self.elements = list(elements)
-        self.leads = [b.lead for b in self.elements]
-        self.vecs = [b.vector for b in self.elements]
-        self.masks = [_support_mask(b.lead) for b in self.elements]
+    With a key function, each element also carries key(lead - trail).
+    Order keys are linear, so one reduction step u -> u - k*(lead - trail)
+    moves the key of u by -k times that cached key, and top_reduce
+    follows the key of the side it reduces without calling key again.
+    """
+
+    def __init__(self, elements, key=None):
+        self.key = key
+        self.elements = []
+        self.leads = []
+        self.vecs = []
+        self.masks = []
+        self.kvecs = []
+        for b in elements:
+            self.append(b)
 
     def append(self, b: Binomial):
         self.elements.append(b)
         self.leads.append(b.lead)
         self.vecs.append(b.vector)
         self.masks.append(_support_mask(b.lead))
+        if self.key is not None:
+            self.kvecs.append(self.key(self.vecs[-1]))
 
     def reduce_monomial(self, u):
         u = tuple(u)
@@ -134,25 +152,28 @@ class _Reducer:
                     break
         return u
 
-    def top_reduce(self, lead, trail, key):
-        """Reduce the larger side until irreducible; None when it hits zero."""
-        klead, ktrail = key(lead), key(trail)
+    def top_reduce(self, lead, trail, klead, ktrail):
+        """Reduce the larger side until irreducible; None when it hits zero.
+
+        klead and ktrail are the order keys of lead and trail.
+        """
         if klead < ktrail:
             lead, trail, klead, ktrail = trail, lead, ktrail, klead
         lmask = _support_mask(lead)
         while True:
             hit = False
-            for elead, vec, mask in zip(self.leads, self.vecs, self.masks):
+            for elead, vec, kvec, mask in zip(self.leads, self.vecs, self.kvecs,
+                                              self.masks):
                 if mask & lmask == mask and _divides(elead, lead):
                     k = _max_steps(lead, elead, vec)
                     lead = tuple(x - k * w for x, w in zip(lead, vec))
+                    klead = tuple([x - k * w for x, w in zip(klead, kvec)])  # see _minus
                     hit = True
                     break
             if not hit:
                 return Binomial(lead, trail)
             if lead == trail:
                 return None
-            klead = key(lead)
             if klead < ktrail:
                 lead, trail, klead, ktrail = trail, lead, ktrail, klead
             lmask = _support_mask(lead)
@@ -173,14 +194,21 @@ def normal_form(u, G):
     return _Reducer(elements).reduce_monomial(u)
 
 
-def s_binomial(f: Binomial, g: Binomial, ord: TermOrder):
-    """Honest S-pair: both terms under lcm(lead f, lead g); None when zero."""
+def s_binomial(f: Binomial, g: Binomial, ord: TermOrder, kp=None, kq=None):
+    """Honest S-pair: both terms under lcm(lead f, lead g); None when zero.
+
+    The terms are p = L - (f.lead - f.trail) and q = L - (g.lead - g.trail)
+    for L the lcm.  kp and kq are their order keys when the caller already
+    has them; without them ord.key is called.
+    """
     L = tuple(max(a, c) for a, c in zip(f.lead, g.lead))
     p = tuple(l - a + b for l, a, b in zip(L, f.lead, f.trail))
     q = tuple(l - c + d for l, c, d in zip(L, g.lead, g.trail))
     if p == q:
         return None
-    if ord.key(p) > ord.key(q):
+    if kp is None or kq is None:
+        kp, kq = ord.key(p), ord.key(q)
+    if kp > kq:
         return Binomial(p, q)
     return Binomial(q, p)
 
@@ -195,22 +223,53 @@ def _as_binomial(v, ord: TermOrder):
     return orient(v, ord)
 
 
+def _lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def _minus(u, v):
+    # built from a list, so the tuple is made at its final size and taken
+    # from the free list of that size; tuple(genexpr) grows by resizing,
+    # and freed keys would then pile up in that free list unused
+    return tuple([x - y for x, y in zip(u, v)])
+
+
 def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
                max_degree=None, max_pairs=None) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by gens.
 
     gens may be lattice vectors or oriented binomials; zero vectors are
     ignored.  Pair selection follows the normal strategy (smallest lcm
-    under the order) with the coprime-lead skip, so the run is
-    deterministic.  max_elements caps intermediate basis growth;
-    max_degree caps the top-layer weight of any intermediate lead (the
-    grading degree for graded orders) and turns runaway instances into a
-    prompt LimitExceeded instead of a crawl.  max_pairs caps the number
-    of S-pairs processed, which catches runs whose basis stays small
-    while the pair queue churns (elimination orders do this).
+    under the order, ties in the order the pairs were made), so the run
+    is deterministic.
+
+    Each new element gets the Gebauer-Moeller update:
+
+    * B criterion: a queued pair (i, k) is dropped when the new lead
+      divides its lcm and differs from it in both lcm(lead i, new lead)
+      and lcm(lead k, new lead).  Dropped pairs stay in the heap and are
+      skipped when popped.
+    * Product criterion: no pair is made with an earlier lead that has
+      no variable in common with the new one.
+    * M and F criteria: of the other new pairs, taken by lcm degree,
+      only those whose lcm no kept lcm divides are queued, so one pair
+      is kept per minimal lcm.
+
+    Order keys are linear, so each element's key(lead - trail) is cached
+    and reductions update keys by subtraction; an S-pair's two term keys
+    are the lcm's key, computed once for the heap, minus the two cached
+    element keys.
+
+    max_elements caps intermediate basis growth; max_degree caps the
+    top-layer weight of any intermediate lead (the grading degree for
+    graded orders) and turns runaway instances into a prompt
+    LimitExceeded instead of a crawl.  max_pairs caps the number of
+    S-pairs processed, that is the pairs that survive the criteria and
+    reach s_binomial; it catches runs whose basis stays small while the
+    pair queue churns (elimination orders do this).
     """
     key = ord.key
-    red = _Reducer([])
+    red = _Reducer([], key)
     seeds = []
     seen = set()
     for g in gens:
@@ -221,18 +280,34 @@ def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
             seen.add((b.lead, b.trail))
             seeds.append(b)
 
-    queue = []  # (lcm key, tick, i, j)
+    # one entry [key of the lcm, tick, i, j] per queued pair; the tick
+    # breaks ties, and i becomes None when the pair is dropped
+    queue = []
     tick = 0
 
-    def push_pairs(j):
+    def update(j):
         nonlocal tick
-        bj = red.elements[j]
-        jmask = red.masks[j]
-        for i in range(j):
-            if red.masks[i] & jmask == 0:
-                continue  # coprime leads: S-pair reduces to zero
-            L = tuple(max(a, c) for a, c in zip(red.leads[i], bj.lead))
-            heapq.heappush(queue, (key(L), tick, i, j))
+        leads, masks = red.leads, red.masks
+        lead, mask = leads[j], masks[j]
+        for e in queue:
+            i, k = e[2], e[3]
+            if i is None or mask & (masks[i] | masks[k]) != mask:
+                continue
+            L = _lcm(leads[i], leads[k])
+            if (_divides(lead, L) and _lcm(leads[i], lead) != L
+                    and _lcm(leads[k], lead) != L):
+                e[2] = None
+        fresh = sorted(
+            (sum(L), i, L)
+            for i, L in ((i, _lcm(leads[i], lead)) for i in range(j) if masks[i] & mask)
+        )
+        kept = []
+        for _, i, L in fresh:
+            Lmask = masks[i] | mask
+            if any(km & Lmask == km and _divides(K, L) for K, km in kept):
+                continue
+            kept.append((L, Lmask))
+            heapq.heappush(queue, [key(L), tick, i, j])
             tick += 1
 
     def add(b: Binomial):
@@ -244,28 +319,33 @@ def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
         red.append(b)
         if len(red.elements) > max_elements:
             raise LimitExceeded(f"basis exceeded {max_elements} elements")
-        push_pairs(len(red.elements) - 1)
+        update(len(red.elements) - 1)
 
     for b in seeds:
-        r = red.top_reduce(b.lead, b.trail, key)
+        r = red.top_reduce(b.lead, b.trail, key(b.lead), key(b.trail))
         if r is not None:
             add(r)
 
     popped = 0
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        kL, _, i, j = heapq.heappop(queue)
+        if i is None:
+            continue
         popped += 1
         if max_pairs is not None and popped > max_pairs:
             raise LimitExceeded(f"pair queue exceeded {max_pairs} pairs")
-        s = s_binomial(red.elements[i], red.elements[j], ord)
+        kp, kq = _minus(kL, red.kvecs[i]), _minus(kL, red.kvecs[j])
+        s = s_binomial(red.elements[i], red.elements[j], ord, kp, kq)
         if s is None:
             continue
-        r = red.top_reduce(s.lead, s.trail, key)
+        if kp < kq:
+            kp, kq = kq, kp
+        r = red.top_reduce(s.lead, s.trail, kp, kq)
         if r is not None:
             add(r)
 
     elements = _interreduce(red.elements, ord)
-    return GroebnerBasis(ord, _canonical(elements, ord), True)
+    return GroebnerBasis(ord, _canonical(elements, ord))
 
 
 def _interreduce(elements, ord: TermOrder):
@@ -275,13 +355,14 @@ def _interreduce(elements, ord: TermOrder):
     # not be divisibility-compatible
     by_size = sorted(elements, key=lambda b: (sum(b.lead), b.lead, b.trail))
     minimal = []
+    kept_mask = []
     for b in by_size:
         bmask = _support_mask(b.lead)
-        kept_mask = [_support_mask(m.lead) for m in minimal]
         if any(km & bmask == km and _divides(m.lead, b.lead)
                for m, km in zip(minimal, kept_mask)):
             continue
         minimal.append(b)
+        kept_mask.append(bmask)
     red = _Reducer(minimal)
     out = []
     for b in minimal:
@@ -292,13 +373,13 @@ def _interreduce(elements, ord: TermOrder):
 
 def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
     """Every S-pair of G reduces to zero (post-check for tests)."""
-    red = _Reducer(list(G.elements))
     key = G.order.key
+    red = _Reducer(G.elements, key)
     for j in range(len(red.elements)):
         for i in range(j):
             s = s_binomial(red.elements[i], red.elements[j], G.order)
             if s is None:
                 continue
-            if red.top_reduce(s.lead, s.trail, key) is not None:
+            if red.top_reduce(s.lead, s.trail, key(s.lead), key(s.trail)) is not None:
                 return False
     return True

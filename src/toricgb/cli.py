@@ -18,10 +18,11 @@ Exit codes
     3  weight vector not generic
     4  resource limit hit
 
-Resource limits: --max-fiber (feasibility search nodes, default
-200000), --max-graver-bits (Graver size cap for sign-pattern
-enumeration, default 22), --max-degree (largest admissible basis-element
-degree, default unlimited).
+Resource limits: --max-degree (largest admissible degree of an output
+element, default unlimited, checked by groebner, graver, circuits and
+universal); --max-fiber (feasibility search nodes, default 200000) on
+solve only; --max-graver-bits (Graver size cap for sign-pattern
+enumeration, default 22) on universal and fan only.
 """
 
 from __future__ import annotations
@@ -432,6 +433,8 @@ def cmd_solve(args) -> int:
 
 def cmd_fan(args) -> int:
     A = _load_config(args)
+    if args.mode == "count" and args.weight is not None:
+        raise ParseFailure("count mode takes no --weight")
     if args.mode == "triangulate":
         if args.weight is None:
             raise ParseFailure("triangulate mode needs --weight")
@@ -505,32 +508,36 @@ def build_parser() -> argparse.ArgumentParser:
             "--pretty", action="store_true", help="binomial rendering"
         )
         p.add_argument(
-            "--max-fiber",
-            type=int,
-            default=200_000,
-            help="feasibility search node budget (default 200000)",
-        )
-        p.add_argument(
-            "--max-graver-bits",
-            type=int,
-            default=22,
-            help="Graver size cap for sign enumeration (default 22)",
-        )
-        p.add_argument(
             "--max-degree",
             type=int,
             default=None,
             help="largest admissible element degree (default: unlimited)",
         )
 
+    def graver_cap(p):
+        p.add_argument(
+            "--max-graver-bits",
+            type=int,
+            default=22,
+            help="Graver size cap for sign enumeration (default 22)",
+        )
+
     common(sub.add_parser("groebner", help="reduced Gröbner basis"), weight=True)
     common(sub.add_parser("graver", help="Graver basis"))
     common(sub.add_parser("circuits", help="circuits with true degrees"))
-    common(sub.add_parser("universal", help="universal Gröbner basis"))
+    p = sub.add_parser("universal", help="universal Gröbner basis")
+    common(p)
+    graver_cap(p)
 
     p = sub.add_parser("solve", help="integer program over a fiber")
     common(p, weight=True)
     p.add_argument("--rhs", required=True, help="right-hand side, comma separated")
+    p.add_argument(
+        "--max-fiber",
+        type=int,
+        default=200_000,
+        help="feasibility search node budget (default 200000)",
+    )
     p.add_argument(
         "--method",
         choices=("reduce", "eliminate"),
@@ -541,6 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fan", help="Gröbner fan and triangulations")
     p.add_argument("mode", choices=("count", "cones", "triangulate"))
     common(p, weight=True)
+    graver_cap(p)
 
     p = sub.add_parser("gen", help="write a generated configuration")
     p.add_argument(

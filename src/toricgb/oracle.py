@@ -3,22 +3,33 @@
 Everything here trades speed for obviousness: kernel vectors come from
 matching monomials with equal image fiber by fiber, Graver membership is
 checked against the definition, initial ideals come from grid sweeps of
-weight vectors or from a Buchberger run in every Graver cell, and
-monomial ideals are decomposed by recursive splitting.  The main
-algorithm modules never call into this one.
+weight vectors or from a Buchberger run in every Graver cell,
+monomial ideals are decomposed by recursive splitting, and Buchberger
+itself has a version with no pair criterion but the coprime-lead skip.
+The main algorithm modules never call into this one.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from .buchberger import buchberger
+from .buchberger import (
+    Binomial,
+    GroebnerBasis,
+    _canonical,
+    _divides,
+    _interreduce,
+    _max_steps,
+    buchberger,
+    s_binomial,
+)
 from .errors import LimitExceeded
 from .exactmath import dot, strict_feasible
 from .fan import MonomialIdeal
-from .orders import term_order
+from .orders import orient, term_order
 from .toric import ConfigMatrix, graver, normalize_sign, toric_generators
 
 
@@ -244,3 +255,55 @@ def universal_gb_every_cell(A: ConfigMatrix):
         [MonomialIdeal(gens, n) for gens in ideals],
         [initial[gens] for gens in ideals],
     )
+
+
+def buchberger_every_pair(gens, ord):
+    """Reduced Groebner basis with no pair criterion but the coprime-lead skip.
+
+    Every pair of elements whose leads share a variable is queued and
+    reduced, smallest lcm first, and every reduction step recomputes the
+    order keys of both sides.  The reduced basis is unique, so this
+    returns the same GroebnerBasis as buchberger.
+    """
+    key = ord.key
+    elements = []
+    queue = []  # (key of the lcm, tick, i, j)
+    tick = itertools.count()
+
+    def reduce(lead, trail):
+        while True:
+            if key(lead) < key(trail):
+                lead, trail = trail, lead
+            g = next((g for g in elements if _divides(g.lead, lead)), None)
+            if g is None:
+                return Binomial(lead, trail)
+            k = _max_steps(lead, g.lead, g.vector)
+            lead = tuple(x - k * w for x, w in zip(lead, g.vector))
+            if lead == trail:
+                return None
+
+    def add(b):
+        for i, f in enumerate(elements):
+            if any(x and y for x, y in zip(f.lead, b.lead)):
+                L = tuple(max(x, y) for x, y in zip(f.lead, b.lead))
+                heapq.heappush(queue, (key(L), next(tick), i, len(elements)))
+        elements.append(b)
+
+    seeds = []
+    for g in gens:
+        if isinstance(g, Binomial) or any(g):
+            b = g if isinstance(g, Binomial) else orient(g, ord)
+            if b not in seeds:
+                seeds.append(b)
+    for b in seeds:
+        r = reduce(b.lead, b.trail)
+        if r is not None:
+            add(r)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        s = s_binomial(elements[i], elements[j], ord)
+        if s is not None:
+            r = reduce(s.lead, s.trail)
+            if r is not None:
+                add(r)
+    return GroebnerBasis(ord, _canonical(_interreduce(elements, ord), ord))

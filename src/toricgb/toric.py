@@ -42,7 +42,7 @@ from .exactmath import (
     solve_affine,
     strict_feasible,
 )
-from .orders import TermOrder, degrevlex, term_order, weighted_revlex
+from .orders import TermOrder, degrevlex, orient, term_order, weighted_revlex
 
 
 def normalize_sign(v):
@@ -197,12 +197,19 @@ def _canonical_order(A: ConfigMatrix) -> TermOrder:
 
 
 def toric_groebner(A: ConfigMatrix, ord: TermOrder = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the toric ideal under ord (or the default)."""
+    """Reduced Groebner basis of the toric ideal under ord (or the default).
+
+    Under the canonical order, the default, toric_generators has already
+    computed this basis, so no further Buchberger run is made.  Its
+    vectors give back the binomials: the ideal is prime, so no element of
+    the reduced basis has a variable common to both terms, and orienting
+    the vector recovers the lead and the trail.
+    """
     gens = toric_generators(A)
-    order = ord if ord is not None else _canonical_order(A)
-    if not gens:
-        return GroebnerBasis(order, (), True)
-    return buchberger(gens, order)
+    canonical = _canonical_order(A)
+    if ord is None or ord == canonical:
+        return GroebnerBasis(canonical, tuple(orient(v, canonical) for v in gens))
+    return buchberger(gens, ord)
 
 
 def lawrence_lifting(M: IntMatrix) -> IntMatrix:
@@ -383,7 +390,7 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     if not grv:
         omega = (0,) * n
         order = term_order(n, weight=omega, tiebreak="degrevlex")
-        return [], [MonomialIdeal((), n)], [omega], [GroebnerBasis(order, (), True)]
+        return [], [MonomialIdeal((), n)], [omega], [GroebnerBasis(order, ())]
 
     K = A.kernel_basis()
     r = K.nrows

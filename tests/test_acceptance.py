@@ -7,6 +7,7 @@ implementation demonstrably refutes; see the assertions next to them
 for the computed facts.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -224,6 +225,18 @@ def test_criterion_02_segre_cube_flattening_counts(seg333):
     assert len(union) == 189
     assert len(basis - union) == 27
     assert len(union - basis) == 54
+
+
+# SHA-256 of the sorted basis vectors, one per line with entries separated
+# by spaces; the gb-segre333 benchmark workload pins the same digest
+SEGRE333_SHA256 = "5501130e3384b44855cd2feab715f45aec7a7fe7205e4753d79ed2e94e830096"
+
+
+@pytest.mark.extended
+def test_criterion_02_segre_cube_basis_is_pinned(seg333):
+    _, G, _ = seg333
+    text = "\n".join(" ".join(map(str, v)) for v in sorted(G.vectors))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SEGRE333_SHA256
 
 
 @pytest.mark.xfail(

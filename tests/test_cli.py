@@ -205,6 +205,19 @@ def test_universal_of_twisted_cubic(twisted, capsys):
     assert "initial_ideals: 8" in out
 
 
+def test_graver_size_cap_only_where_the_enumeration_runs(twisted, capsys):
+    # the twisted cubic has 5 Graver elements
+    for argv in (["universal", twisted], ["fan", "count", twisted]):
+        rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
+        assert rc == 4
+        assert "capped at 4" in err
+    for argv in (["groebner", twisted], ["graver", twisted],
+                 ["circuits", twisted], ["solve", twisted, "--rhs", "1,1"]):
+        rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
+        assert rc == 1
+        assert "unrecognized arguments: --max-graver-bits" in err
+
+
 # -- solve ------------------------------------------------------------------
 
 
@@ -265,6 +278,15 @@ def test_solve_fiber_budget_exit_code(tmp_path, capsys):
     assert "exceeded" in err
 
 
+def test_fiber_budget_only_on_solve(twisted, capsys):
+    for argv in (["groebner", twisted], ["graver", twisted],
+                 ["circuits", twisted], ["universal", twisted],
+                 ["fan", "count", twisted]):
+        rc, _, err = run(capsys, argv + ["--max-fiber", "5"])
+        assert rc == 1
+        assert "unrecognized arguments: --max-fiber" in err
+
+
 def test_solve_bad_rhs(tmp_path, capsys):
     p = tmp_path / "line.mat"
     p.write_text(LINE_TEXT)
@@ -281,6 +303,14 @@ def test_fan_count_twisted(twisted, capsys):
     rc, out, _ = run(capsys, ["fan", "count", twisted])
     assert rc == 0
     assert out == "command: fan\ninitial_ideals: 8\n"
+
+
+def test_fan_count_rejects_weight(twisted, tmp_path, capsys):
+    w = wfile(tmp_path, [1, 0, 0, 1])
+    rc, out, err = run(capsys, ["fan", "count", twisted, "--weight", w])
+    assert rc == 1
+    assert out == ""
+    assert "takes no --weight" in err
 
 
 def test_fan_cones_enumerates_all_cells(twisted, capsys):

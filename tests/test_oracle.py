@@ -1,13 +1,17 @@
 """Cross-checks of the brute-force reference implementations."""
 
+import contextlib
 import random
+import signal
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricgb.buchberger import buchberger, normal_form
 from toricgb.errors import DimensionMismatch, LimitExceeded
 from toricgb.fan import MonomialIdeal, enumerate_initial_ideals
 from toricgb.oracle import (
+    buchberger_every_pair,
     graver_bruteforce,
     irreducible_decomposition,
     kernel_vectors_up_to,
@@ -15,7 +19,7 @@ from toricgb.oracle import (
     universal_gb_every_cell,
     weight_grid_initial_ideals,
 )
-from toricgb.orders import term_order
+from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import (
     ConfigMatrix,
     graver,
@@ -157,3 +161,137 @@ def test_irreducible_decomposition_guards():
         irreducible_decomposition(MonomialIdeal([(1, 1, 1, 1, 1)], 5))
     with pytest.raises(LimitExceeded):
         irreducible_decomposition(MonomialIdeal([(9, 1)], 2))
+
+
+ORDER_KINDS = ("degrevlex", "lex", "weighted_revlex", "elimination")
+
+
+def order_of_kind(kind, weight, permutation, k, tiebreak, grading):
+    """One order of each kind the engine serves, from drawn parameters."""
+    n = len(weight)
+    if kind == "degrevlex":
+        return degrevlex(n, weight=weight)
+    if kind == "lex":
+        return lex(n, permutation)
+    if kind == "weighted_revlex":
+        return weighted_revlex(grading, cheapest=k)
+    return term_order(n, weight=weight, tiebreak=tiebreak,
+                      elimination_block=1 + k)
+
+
+def small_config(rows):
+    """ConfigMatrix of rows, or None unless it is pointed with a small kernel.
+
+    The kernel lattice basis must be nonzero with entries of at most 4:
+    the every-pair engine can take many seconds beyond that.
+    """
+    try:
+        A = ConfigMatrix(rows)
+    except DimensionMismatch:
+        return None
+    if not A.pointed or A.n == A.d:
+        return None
+    return A if max(abs(x) for v in A.kernel_basis().entries for x in v) <= 4 else None
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    # wrong order keys can make a reduction cycle inside a fiber; that
+    # must fail the test, not stall the suite
+    def expire(signum, frame):
+        raise AssertionError(f"no basis within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_same_basis(gens, order):
+    with time_limit(10):
+        G = buchberger(gens, order)
+        assert G.elements == buchberger_every_pair(gens, order).elements, (gens, order)
+
+
+@st.composite
+def orders(draw, n, grading, low):
+    """An order of any kind on n variables, weights drawn from [low, 5]."""
+    return order_of_kind(
+        draw(st.sampled_from(ORDER_KINDS)),
+        tuple(draw(st.lists(st.integers(low, 5), min_size=n, max_size=n))),
+        draw(st.permutations(range(n))),
+        draw(st.integers(0, n - 1)),
+        draw(st.sampled_from(("degrevlex", "lex"))),
+        grading,
+    )
+
+
+@st.composite
+def config_problems(draw):
+    """The kernel lattice basis of a small pointed configuration.
+
+    Every such basis is homogeneous for the grading, so weights may be
+    negative.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 5))
+    ones = draw(st.booleans())
+    entry = st.integers(0 if ones else -1, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=d, max_size=d))
+    if ones:
+        rows[0] = [1] * n
+    A = small_config(rows)
+    assume(A is not None)
+    return A.kernel_basis().entries, draw(orders(n, A.grading, -5))
+
+
+@st.composite
+def vector_problems(draw):
+    """A few small lattice vectors under a well-order.
+
+    These ideals need not be homogeneous, and their many small leads
+    share lcms far more often than toric ones do.
+    """
+    n = draw(st.integers(3, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    gens = draw(st.lists(vector, min_size=2, max_size=3))
+    return [tuple(v) for v in gens], draw(orders(n, (1,) * n, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(config_problems(), vector_problems()))
+def test_buchberger_matches_every_pair_engine(problem):
+    assert_same_basis(*problem)
+
+
+def test_buchberger_matches_every_pair_engine_seeded():
+    rng = random.Random(17)
+    for count in range(400):
+        kind = ORDER_KINDS[count // 2 % len(ORDER_KINDS)]
+        if count % 2:
+            n = rng.randint(3, 4)
+            gens = [tuple(rng.randint(-2, 2) for _ in range(n))
+                    for _ in range(rng.randint(2, 3))]
+            grading, low = (1,) * n, 0
+        else:
+            A = None
+            while A is None:
+                n = rng.randint(3, 5)
+                rows = [tuple(rng.randint(-1, 3) for _ in range(n))
+                        for _ in range(rng.randint(1, n - 1))]
+                if rng.random() < 0.5:
+                    rows[0] = (1,) * n
+                A = small_config(rows)
+            gens = A.kernel_basis().entries
+            if rng.random() < 0.3:
+                gens = toric_generators(A)
+            grading, low = A.grading, -5
+        order = order_of_kind(
+            kind, tuple(rng.randint(low, 5) for _ in range(n)),
+            rng.sample(range(n), n), rng.randrange(n),
+            rng.choice(("degrevlex", "lex")), grading)
+        assert_same_basis(gens, order)

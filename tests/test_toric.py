@@ -249,6 +249,49 @@ def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
     assert own == 108
 
 
+def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
+    # n saturations and the run under the canonical order; that order is
+    # the default, so toric_groebner needs no run of its own
+    import toricgb.toric as toric
+    from toricgb.orders import term_order
+
+    runs = 0
+    real = toric.buchberger
+
+    def counting(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "buchberger", counting)
+    A = ConfigMatrix(generate("segre", (3, 3)))
+    G = toric_groebner(A)
+    assert runs == A.n + 1
+    assert G == real(toric_generators(A), G.order)
+    runs = 0
+    other = toric_groebner(A, term_order(A.n, weight=(1, 0, 0, 0, 2, 0, 0, 0, 3)))
+    assert runs == A.n + 2
+    assert other.order != G.order
+
+
+def test_toric_generators_s_pair_count(monkeypatch):
+    # S-pairs that survive the Gebauer-Moeller criteria; processing every
+    # pair with non-coprime leads made 191 on this input
+    import toricgb.buchberger as engine
+
+    calls = 0
+    real = engine.s_binomial
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "s_binomial", counting)
+    toric_generators(ConfigMatrix(generate("segre", (3, 3))))
+    assert calls <= 168
+
+
 def test_universal_gb_guard():
     with pytest.raises(LimitExceeded):
         universal_gb(TWISTED, max_graver=2)
