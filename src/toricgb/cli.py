@@ -11,6 +11,15 @@ binomial x^u - x^v is stored as the single line u - v.  The --pretty
 flag switches to a human-readable binomial rendering (1-based variable
 names, no header).
 
+Flags
+    --out, --pretty and --max-degree belong to the subcommands that
+    print a vector block (groebner, graver, circuits, universal); gen
+    takes --out.  --weight is required by solve and fan triangulate,
+    optional on groebner and fan cones, and refused by fan count.
+    --tiebreak refines a weight order, so it is taken by groebner and
+    fan cones, and only together with --weight.  A flag given where it
+    would be ignored exits 1.
+
 Exit codes
     0  success
     1  usage or parse failure
@@ -19,8 +28,8 @@ Exit codes
     4  resource limit hit
 
 Resource limits: --max-degree (largest admissible degree of an output
-element, default unlimited, checked by groebner, graver, circuits and
-universal); --max-fiber (feasibility search nodes, default 200000) on
+element, default unlimited) on groebner, graver, circuits and
+universal; --max-fiber (feasibility search nodes, default 200000) on
 solve only; --max-graver-bits (Graver size cap for sign-pattern
 enumeration, default 22) on universal and fan only.
 """
@@ -327,7 +336,9 @@ def cmd_groebner(args) -> int:
     order = None
     if args.weight is not None:
         w = _load_weight(args.weight, A.n)
-        order = term_order(A.n, weight=w, tiebreak=args.tiebreak)
+        order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
+    elif args.tiebreak is not None:
+        raise ParseFailure("--tiebreak needs --weight")
     G = toric_groebner(A, order)
     vectors = list(G.vectors)
     _degree_guard(A, vectors, args.max_degree)
@@ -399,6 +410,8 @@ def _parse_rhs(text, d):
 
 def cmd_solve(args) -> int:
     A = _load_config(args)
+    if args.weight is None:
+        raise ParseFailure("solve needs --weight")
     w = _load_weight(args.weight, A.n)
     b = _parse_rhs(args.rhs, A.original.nrows)
     inst = IPInstance(A, w, b)
@@ -435,6 +448,11 @@ def cmd_fan(args) -> int:
     A = _load_config(args)
     if args.mode == "count" and args.weight is not None:
         raise ParseFailure("count mode takes no --weight")
+    if args.tiebreak is not None:
+        if args.mode != "cones":
+            raise ParseFailure(f"{args.mode} mode takes no --tiebreak")
+        if args.weight is None:
+            raise ParseFailure("--tiebreak needs --weight")
     if args.mode == "triangulate":
         if args.weight is None:
             raise ParseFailure("triangulate mode needs --weight")
@@ -451,7 +469,7 @@ def cmd_fan(args) -> int:
     if args.mode == "cones" and args.weight is not None:
         # single cone at the given weight; enumeration would be wasteful
         w = _load_weight(args.weight, A.n)
-        order = term_order(A.n, weight=w, tiebreak=args.tiebreak)
+        order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
         G = buchberger(toric_generators(A), order)
         witnesses = [(groebner_cone(G), tuple(w))]
     else:
@@ -496,14 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("matrix", help="configuration MatrixFile")
         if weight:
             p.add_argument("--weight", help="weight VectorListFile (one row)")
-            p.add_argument(
-                "--tiebreak",
-                choices=("degrevlex", "lex"),
-                default="degrevlex",
-                help="tie-break order refining the weight",
-            )
-        p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--json", action="store_true", help="JSON report")
+
+    def vector_block(p):
+        p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument(
             "--pretty", action="store_true", help="binomial rendering"
         )
@@ -514,6 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="largest admissible element degree (default: unlimited)",
         )
 
+    def tiebreak(p):
+        p.add_argument(
+            "--tiebreak",
+            choices=("degrevlex", "lex"),
+            default=None,
+            help="tie-break order refining --weight (default degrevlex)",
+        )
+
     def graver_cap(p):
         p.add_argument(
             "--max-graver-bits",
@@ -522,11 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="Graver size cap for sign enumeration (default 22)",
         )
 
-    common(sub.add_parser("groebner", help="reduced Gröbner basis"), weight=True)
-    common(sub.add_parser("graver", help="Graver basis"))
-    common(sub.add_parser("circuits", help="circuits with true degrees"))
+    p = sub.add_parser("groebner", help="reduced Gröbner basis")
+    common(p, weight=True)
+    tiebreak(p)
+    vector_block(p)
+    for name, text in (("graver", "Graver basis"),
+                       ("circuits", "circuits with true degrees")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        vector_block(p)
     p = sub.add_parser("universal", help="universal Gröbner basis")
     common(p)
+    vector_block(p)
     graver_cap(p)
 
     p = sub.add_parser("solve", help="integer program over a fiber")
@@ -548,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fan", help="Gröbner fan and triangulations")
     p.add_argument("mode", choices=("count", "cones", "triangulate"))
     common(p, weight=True)
+    tiebreak(p)
     graver_cap(p)
 
     p = sub.add_parser("gen", help="write a generated configuration")
@@ -564,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("params", nargs="*", help="generator parameters")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     return top
 
 

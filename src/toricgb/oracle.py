@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: kernel vectors come from
 matching monomials with equal image fiber by fiber, Graver membership is
 checked against the definition, initial ideals come from grid sweeps of
 weight vectors or from a Buchberger run in every Graver cell,
-monomial ideals are decomposed by recursive splitting, and Buchberger
-itself has a version with no pair criterion but the coprime-lead skip.
+monomial ideals are decomposed by recursive splitting, Buchberger
+itself has a version with no pair criterion but the coprime-lead skip,
+and the toric ideal has a version that saturates every variable.
 The main algorithm modules never call into this one.
 """
 
@@ -30,7 +31,14 @@ from .errors import LimitExceeded
 from .exactmath import dot, strict_feasible
 from .fan import MonomialIdeal
 from .orders import orient, term_order
-from .toric import ConfigMatrix, graver, normalize_sign, toric_generators
+from .toric import (
+    ConfigMatrix,
+    _canonical_order,
+    graver,
+    normalize_sign,
+    saturate_variable,
+    toric_generators,
+)
 
 
 def _monomials_by_image(A: ConfigMatrix, degbound: int, max_monomials: int):
@@ -307,3 +315,20 @@ def buchberger_every_pair(gens, ord):
             if r is not None:
                 add(r)
     return GroebnerBasis(ord, _canonical(_interreduce(elements, ord), ord))
+
+
+def toric_generators_every_variable(A: ConfigMatrix):
+    """toric_generators with one saturation per variable, in index order.
+
+    Saturating the kernel lattice ideal by every variable gives the
+    toric ideal by definition, with no appeal to the shape of the
+    kernel basis; the run under the canonical order then returns its
+    reduced basis, which is unique, so this agrees with toric_generators.
+    """
+    K = A.kernel_basis()
+    if K.nrows == 0:
+        return []
+    gens = [tuple(r) for r in K.entries]
+    for i in range(A.n):
+        gens = saturate_variable(gens, i, degrees=A.grading)
+    return [b.vector for b in buchberger(gens, _canonical_order(A)).elements]

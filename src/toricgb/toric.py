@@ -9,9 +9,12 @@ exactly when the configuration is pointed, which is what makes every
 term order in sight terminate.
 
 The toric ideal itself is obtained by the lattice-basis-plus-saturation
-route: start from a kernel lattice basis and saturate one variable at a
-time, each saturation being a single Groebner computation under a
-reverse lexicographic order in which that variable is cheapest.
+route: start from the Hermite normal form kernel lattice basis and
+saturate one variable at a time, each saturation being a single Groebner
+computation under a reverse lexicographic order in which that variable
+is cheapest.  A variable whose column carries a leading entry 1 of the
+basis is never saturated: it equals a Laurent monomial in the others
+once those are inverted (the argument is in toric_generators).
 """
 
 from __future__ import annotations
@@ -171,10 +174,36 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
                      max_degree=None):
     """Lattice vectors whose binomials generate the toric ideal of A.
 
-    Kernel lattice basis, then one saturation per variable in ascending
-    index order, then a final reduction pass under the grading-refined
-    reverse lexicographic order; the output is the reduced Groebner
-    basis for that order, canonically sorted.
+    Kernel lattice basis K, then one saturation per variable that K
+    leaves uninverted, then a final reduction pass under the
+    grading-refined reverse lexicographic order; the output is the
+    reduced Groebner basis for that order, canonically sorted.
+
+    Call a column a unit column when a row of K has its leading entry 1
+    there, and let S be every other column.  Saturating the ideal J_K of
+    the rows of K by the variables of S alone gives the toric ideal I_A:
+
+    * K is in Hermite normal form, so the entries above a pivot lie in
+      [0, pivot).  A row with pivot 1 at column t is therefore e_t + c,
+      where c is zero on every other unit column, and column t is zero
+      in every other row.
+    * Invert the variables of S.  The binomial of such a row then reads
+      x_t = a Laurent monomial in x_S.  The other rows are zero on every
+      unit column and span the vectors of the kernel lattice L that are
+      supported on S.  That lattice is saturated because L is, so its
+      Laurent binomial ideal is prime.
+    * So J_K : (prod of x_i for i in S)^infinity is the kernel of a
+      monomial map into a domain, which is I_A.
+    * The last column is never a pivot of a pointed configuration (a
+      pivot there would put a multiple of e_{n-1} in the kernel), so S
+      is never empty.
+
+    The variables of S are saturated in this order: the column that is
+    nonzero in the most rows of K first, ties by index.  The output does
+    not depend on the order, since the reduced basis is unique, but the
+    intermediate elements do.  A max_degree cap can therefore trip on
+    other instances than it did when every variable was saturated in
+    index order; every answer computed both ways is the same.
     """
     if not A.pointed:
         raise NotPointed("toric generators require a pointed configuration")
@@ -182,7 +211,10 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
     if K.nrows == 0:
         return []
     gens = [tuple(r) for r in K.entries]
-    for i in range(A.n):
+    pivots = [next(j for j, x in enumerate(row) if x) for row in gens]
+    unit = {t for t, row in zip(pivots, gens) if row[t] == 1}
+    support = [sum(1 for row in gens if row[i]) for i in range(A.n)]
+    for i in sorted(set(range(A.n)) - unit, key=lambda i: (-support[i], i)):
         gens = saturate_variable(gens, i, degrees=A.grading,
                                  max_elements=max_elements, max_degree=max_degree)
     gb = buchberger(gens, _canonical_order(A), max_elements=max_elements,
@@ -227,7 +259,10 @@ def graver(A: ConfigMatrix, max_elements: int = 100_000, max_degree=None):
 
     The toric ideal of [[A, 0], [I, I]] has a unique reduced Groebner
     basis whose elements all look like x^u y^v - x^v y^u; the vectors
-    u - v, one per +/- pair, form the Graver basis.
+    u - v, one per +/- pair, form the Graver basis.  The rows [I, I]
+    sum to the all-ones grading, so the canonical order of the lifting
+    is degrevlex on 2n variables and toric_generators already returns
+    the reduced basis for it.
 
     max_degree bounds the grading degree of intermediate elements in the
     lifted computation (LimitExceeded beyond it), which is the practical
@@ -237,13 +272,9 @@ def graver(A: ConfigMatrix, max_elements: int = 100_000, max_degree=None):
         raise NotPointed("Graver basis requires a pointed configuration")
     n = A.n
     lifted = ConfigMatrix(lawrence_lifting(A.matrix))
-    gens = toric_generators(lifted, max_elements=max_elements,
-                            max_degree=max_degree)
-    gb = buchberger(gens, degrevlex(2 * n), max_elements=max_elements,
-                    max_degree=max_degree)
     out = set()
-    for b in gb.elements:
-        w = b.vector
+    for w in toric_generators(lifted, max_elements=max_elements,
+                              max_degree=max_degree):
         u, v = w[:n], w[n:]
         if any(x + y for x, y in zip(u, v)):
             raise ToricError(

@@ -391,6 +391,68 @@ def test_fan_triangulate_needs_weight(twisted, capsys):
     assert "needs --weight" in err
 
 
+# -- flags taken only where they are read ----------------------------------
+
+
+def test_report_only_subcommands_refuse_vector_flags(twisted, tmp_path, capsys):
+    w = wfile(tmp_path, [1, 0, 0, 1])
+    sink = str(tmp_path / "sink.txt")
+    for argv in (["solve", twisted, "--weight", w, "--rhs", "4,5"],
+                 ["fan", "count", twisted],
+                 ["fan", "cones", twisted],
+                 ["fan", "triangulate", twisted, "--weight", w]):
+        for flag in (["--max-degree", "0"], ["--pretty"], ["--out", sink]):
+            rc, out, err = run(capsys, argv + flag)
+            assert rc == 1, argv + flag
+            assert out == ""
+            assert f"unrecognized arguments: {flag[0]}" in err
+    assert not (tmp_path / "sink.txt").exists()
+
+
+def test_solve_refuses_tiebreak_and_needs_weight(twisted, tmp_path, capsys):
+    w = wfile(tmp_path, [1, 0, 0, 1])
+    rc, out, err = run(capsys, ["solve", twisted, "--weight", w, "--rhs", "4,5",
+                                "--tiebreak", "lex"])
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --tiebreak" in err
+    rc, out, err = run(capsys, ["solve", twisted, "--rhs", "4,5"])
+    assert rc == 1 and out == ""
+    assert "solve needs --weight" in err
+
+
+def test_tiebreak_only_refines_a_weight(twisted, tmp_path, capsys):
+    w = wfile(tmp_path, [1, 0, 0, 1])
+    for argv, message in (
+        (["fan", "count", twisted], "count mode takes no --tiebreak"),
+        (["fan", "triangulate", twisted, "--weight", w],
+         "triangulate mode takes no --tiebreak"),
+        (["fan", "cones", twisted], "--tiebreak needs --weight"),
+        (["groebner", twisted], "--tiebreak needs --weight"),
+    ):
+        for tie in ("degrevlex", "lex"):
+            rc, out, err = run(capsys, argv + ["--tiebreak", tie])
+            assert rc == 1 and out == ""
+            assert message in err
+
+
+def test_groebner_honours_tiebreak(tmp_path, capsys):
+    # the weight is not generic, so the tie-break decides the basis
+    m = tmp_path / "quartic.mat"
+    m.write_text(QUARTIC_TEXT)
+    w = (0, 1, 1, 0, 0)
+    gens = toric.toric_generators(toric.ConfigMatrix(parse_matrix(QUARTIC_TEXT)))
+    blocks = {}
+    for tie in ("degrevlex", "lex"):
+        G = buchberger(gens, term_order(5, weight=w, tiebreak=tie))
+        blocks[tie] = write_vectors(G.vectors)
+    assert blocks["degrevlex"] != blocks["lex"]
+    for tie in ("degrevlex", "lex"):
+        rc, out, _ = run(capsys, ["groebner", str(m), "--weight", wfile(tmp_path, w),
+                                  "--tiebreak", tie])
+        assert rc == 0
+        assert out.startswith(blocks[tie])
+
+
 # -- gen --------------------------------------------------------------------
 
 
@@ -489,6 +551,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_unknown_generator_kind(capsys):
     assert main(["gen", "mystery", "3"]) == 1
     capsys.readouterr()
+
+
+def test_gen_refuses_json(capsys):
+    rc, out, err = run(capsys, ["gen", "segre", "2", "2", "--json"])
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --json" in err
 
 
 def test_threads_flag_is_gone(twisted, capsys):

@@ -5,7 +5,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toricgb.buchberger import buchberger, normal_form
 from toricgb.errors import DimensionMismatch, LimitExceeded
@@ -16,6 +16,7 @@ from toricgb.oracle import (
     irreducible_decomposition,
     kernel_vectors_up_to,
     single_step_normal_form,
+    toric_generators_every_variable,
     universal_gb_every_cell,
     weight_grid_initial_ideals,
 )
@@ -179,17 +180,23 @@ def order_of_kind(kind, weight, permutation, k, tiebreak, grading):
                       elimination_block=1 + k)
 
 
+def pointed_or_none(rows):
+    """ConfigMatrix of rows if it is pointed with a nonzero kernel, else None."""
+    try:
+        A = ConfigMatrix(rows)
+    except DimensionMismatch:
+        return None
+    return A if A.pointed and A.n > A.d else None
+
+
 def small_config(rows):
     """ConfigMatrix of rows, or None unless it is pointed with a small kernel.
 
     The kernel lattice basis must be nonzero with entries of at most 4:
     the every-pair engine can take many seconds beyond that.
     """
-    try:
-        A = ConfigMatrix(rows)
-    except DimensionMismatch:
-        return None
-    if not A.pointed or A.n == A.d:
+    A = pointed_or_none(rows)
+    if A is None:
         return None
     return A if max(abs(x) for v in A.kernel_basis().entries for x in v) <= 4 else None
 
@@ -295,3 +302,65 @@ def test_buchberger_matches_every_pair_engine_seeded():
             rng.sample(range(n), n), rng.randrange(n),
             rng.choice(("degrevlex", "lex")), grading)
         assert_same_basis(gens, order)
+
+
+# Kernel lattice basis (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5),
+# (0, 0, 3, -2, 0, 0): no leading entry is 1, and the grading is not
+# all-ones
+NO_UNIT_PIVOT = ((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0))
+
+
+def assert_same_toric_ideal(A):
+    with time_limit(10):
+        assert toric_generators(A) == toric_generators_every_variable(A), A.original
+
+
+@st.composite
+def small_pointed_configs(draw):
+    """A pointed configuration of 1 to 3 rows and at most 6 columns.
+
+    Entries lie in [-1, 3], or in [0, 3] under an all-ones first row:
+    saturating every variable takes seconds on some configurations with
+    entries of 4 or with 7 columns.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 6))
+    ones = d > 1 and draw(st.booleans())
+    entry = st.integers(0 if ones else -1, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=d, max_size=d))
+    if ones:
+        rows[0] = [1] * n
+    A = pointed_or_none(rows)
+    assume(A is not None)
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pointed_configs())
+@example(ConfigMatrix(NO_UNIT_PIVOT))
+def test_toric_generators_match_saturating_every_variable(A):
+    assert_same_toric_ideal(A)
+
+
+def test_toric_generators_match_saturating_every_variable_seeded():
+    rng = random.Random(29)
+    seen = {"pivot above 1": 0, "all-ones grading": 0, "other grading": 0}
+    checked = [ConfigMatrix(NO_UNIT_PIVOT)]
+    while len(checked) < 300:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, 6)
+        ones = d > 1 and rng.random() < 0.3
+        rows = [[rng.randint(0 if ones else -1, 3) for _ in range(n)]
+                for _ in range(d)]
+        if ones:
+            rows[0] = [1] * n
+        A = pointed_or_none(rows)
+        if A is not None:
+            checked.append(A)
+    for A in checked:
+        assert_same_toric_ideal(A)
+        K = A.kernel_basis().entries
+        seen["pivot above 1"] += any(next(x for x in row if x) > 1 for row in K)
+        seen["all-ones grading" if A.grading == (1,) * A.n else "other grading"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -250,7 +250,8 @@ def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
 
 
 def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
-    # n saturations and the run under the canonical order; that order is
+    # 5 saturations, since the kernel basis of Segre 3x3 inverts 4 of its
+    # 9 variables, and the run under the canonical order; that order is
     # the default, so toric_groebner needs no run of its own
     import toricgb.toric as toric
     from toricgb.orders import term_order
@@ -266,17 +267,18 @@ def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
     monkeypatch.setattr(toric, "buchberger", counting)
     A = ConfigMatrix(generate("segre", (3, 3)))
     G = toric_groebner(A)
-    assert runs == A.n + 1
+    assert runs == 6
     assert G == real(toric_generators(A), G.order)
     runs = 0
     other = toric_groebner(A, term_order(A.n, weight=(1, 0, 0, 0, 2, 0, 0, 0, 3)))
-    assert runs == A.n + 2
+    assert runs == 7
     assert other.order != G.order
 
 
 def test_toric_generators_s_pair_count(monkeypatch):
     # S-pairs that survive the Gebauer-Moeller criteria; processing every
-    # pair with non-coprime leads made 191 on this input
+    # pair with non-coprime leads made 191 on this input, and saturating
+    # every variable made 168
     import toricgb.buchberger as engine
 
     calls = 0
@@ -289,7 +291,61 @@ def test_toric_generators_s_pair_count(monkeypatch):
 
     monkeypatch.setattr(engine, "s_binomial", counting)
     toric_generators(ConfigMatrix(generate("segre", (3, 3))))
-    assert calls <= 168
+    assert calls <= 104
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; return the list of its positional args."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def saturated_columns(monkeypatch, A):
+    import toricgb.toric as toric
+
+    calls = record_calls(monkeypatch, toric, "saturate_variable")
+    toric_generators(A)
+    return [args[1] for args in calls]
+
+
+def test_toric_generators_saturates_the_uninverted_columns(monkeypatch):
+    # the kernel basis of Segre 3x3 has four rows, each with leading
+    # entry 1; the other five columns are saturated, the one nonzero in
+    # the most basis rows first
+    A = ConfigMatrix(generate("segre", (3, 3)))
+    K = A.kernel_basis().entries
+    unit = {next(j for j, x in enumerate(row) if x) for row in K}
+    assert len(unit) == 4
+    columns = saturated_columns(monkeypatch, A)
+    assert len(columns) == 5
+    assert sorted(columns) == sorted(set(range(9)) - unit)
+    support = [sum(1 for row in K if row[j]) for j in columns]
+    assert support == sorted(support, reverse=True)
+
+
+def test_toric_generators_saturates_every_column_without_unit_pivots(monkeypatch):
+    # kernel basis rows (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5) and
+    # (0, 0, 3, -2, 0, 0): no leading entry is 1, so no column is inverted
+    A = ConfigMatrix(((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0)))
+    assert A.grading != (1,) * A.n
+    assert saturated_columns(monkeypatch, A) == [3, 1, 2, 4, 5, 0]
+
+
+def test_graver_makes_no_repeated_run(monkeypatch):
+    # 14 saturations of the Lawrence lifting and its canonical run, whose
+    # output graver reads directly: that order is already degrevlex(18)
+    import toricgb.toric as toric
+
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    assert len(graver(ConfigMatrix(generate("segre", (3, 3))))) == 15
+    assert len(runs) == 15
 
 
 def test_universal_gb_guard():
