@@ -1,15 +1,22 @@
 """Exact integer and rational linear algebra.
 
 Everything in this module is pure Python over ``int`` and
-``fractions.Fraction``; no floats anywhere.  The polyhedral routines use
-Fourier-Motzkin elimination with back-substitution witnesses, which is
-exponential in the worst case but entirely adequate for the handful of
-variables this package works with.
+``fractions.Fraction``; no floats anywhere.
+
+Polyhedral questions come in two kinds.  A yes/no question (is c in
+the cone of these vectors? is this inequality redundant?) goes to
+cone_certificate, a phase-1 simplex on a fraction-free integer tableau
+that answers with a Farkas certificate.  A question whose answer is a
+point that gets printed or kept (a cell witness, a grading, a face of a
+regular subdivision) goes to feasible_witness: Fourier-Motzkin
+elimination with back-substitution, exponential in the worst case but
+adequate for the handful of variables this package works with, and the
+source of every witness the package has printed so far.
 
 Constraints are normalized to primitive integer rows before
 elimination.  Rows that are already integral (all of them in the
-homogeneous systems of ``strict_feasible`` and ``is_irredundant``, and
-every row ``_eliminate`` builds) take an integer-only route; only rows
+homogeneous systems of ``strict_feasible``, and every row
+``_eliminate`` builds) take an integer-only route; only rows
 with rational entries are cleared through ``Fraction``.  Both routes
 give the same primitive row, so the elimination levels and the
 back-substituted witness do not depend on which one ran.
@@ -397,21 +404,88 @@ def strict_feasible(vectors):
     return feasible_witness([(v, 0, True) for v in vectors], n)
 
 
+def cone_certificate(c, vectors):
+    """None when c is a nonnegative combination of vectors, else a witness.
+
+    The witness is a primitive integer z with v . z >= 0 for every v and
+    c . z < 0, the certificate of Farkas' lemma that c lies outside the
+    cone of the vectors.
+
+    Phase 1 of the simplex method on sum_j lam_j v_j = c, lam >= 0: rows
+    with c_i < 0 are negated, one artificial variable per row starts in
+    the basis, and Bland's rule (lowest entering column, ties in the
+    ratio test to the lowest basic column) rules out cycling.  The
+    tableau is fraction-free (Edmonds): each entry is its rational value
+    times the current basis determinant D > 0, and pivoting on p maps an
+    entry x to (x*p - f*y) // D, an exact division, after which D = p.
+    At an optimum with artificial sum w > 0 the simplex multipliers y
+    satisfy y . v' <= 0 for every sign-adjusted column v' and y . c' = w.
+    The reduced cost of artificial i is D*(1 - y_i), so undoing the row
+    sign gives z_i = sign_i * (reduced cost - D), and the reduced costs
+    of the vector columns are the products v . z.
+    """
+    c = tuple(c)
+    n = len(c)
+    vectors = [tuple(v) for v in vectors]
+    if any(len(v) != n for v in vectors):
+        raise DimensionMismatch(f"cone_certificate: vectors of width other than {n}")
+    m = len(vectors)
+    sign = [-1 if x < 0 else 1 for x in c]
+    rows = []
+    for i, s in enumerate(sign):
+        row = [s * v[i] for v in vectors] + [0] * n + [s * c[i]]
+        row[m + i] = 1
+        rows.append(row)
+    # phase-1 reduced costs with the artificial basis priced out
+    cost = [-sum(row[j] for row in rows) for j in range(m)] + [0] * n
+    cost.append(-sum(row[-1] for row in rows))
+    basis = list(range(m, m + n))
+    D = 1
+    while cost[-1]:
+        enter = next((j for j in range(m + n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # row[-1] / a against best[-1] / best[enter], cleared of fractions
+            best = rows[leave]
+            lhs, rhs = row[-1] * best[enter], best[-1] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        # the artificial sum is bounded below, so some row qualifies
+        prow = rows[leave]
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                f = row[enter]
+                rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+        f = cost[enter]
+        cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
+        basis[leave] = enter
+        D = p
+    if not cost[-1]:
+        return None
+    z = [s * (cost[m + i] - D) for i, s in enumerate(sign)]
+    return primitive(z)
+
+
 def is_irredundant(ineqs, index: int) -> bool:
     """Whether inequality `index` is essential for the cone {w : g.w >= 0}.
 
     True iff some w has ineqs[index].w < 0 while g.w >= 0 for every other
-    g.  Callers should deduplicate the vectors first: a duplicate row
-    masks its twin and both test as redundant.
+    g.  By Farkas' lemma that holds exactly when ineqs[index] is not a
+    nonnegative combination of the others, which cone_certificate
+    decides.  Callers should deduplicate the vectors first: a duplicate
+    row masks its twin and both test as redundant.
     """
     vectors = list(ineqs)
     if not vectors:
         raise DimensionMismatch("no inequalities given")
-    n = len(vectors[0])
-    system = []
-    for j, g in enumerate(vectors):
-        if j == index:
-            system.append((tuple(-x for x in g), 0, True))
-        else:
-            system.append((g, 0, False))
-    return feasible_witness(system, n) is not None
+    others = vectors[:index] + vectors[index + 1:]
+    return cone_certificate(vectors[index], others) is not None

@@ -12,9 +12,9 @@ The toric ideal itself is obtained by the lattice-basis-plus-saturation
 route: start from the Hermite normal form kernel lattice basis and
 saturate one variable at a time, each saturation being a single Groebner
 computation under a reverse lexicographic order in which that variable
-is cheapest.  A variable whose column carries a leading entry 1 of the
-basis is never saturated: it equals a Laurent monomial in the others
-once those are inverted (the argument is in toric_generators).
+is cheapest.  A variable whose column carries a leading entry of the
+basis is never saturated: it becomes a unit once the others are
+inverted (the argument is in toric_generators).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .exactmath import (
     IntMatrix,
+    cone_certificate,
     det_bareiss,
     dot,
     hnf,
@@ -179,19 +180,20 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
     grading-refined reverse lexicographic order; the output is the
     reduced Groebner basis for that order, canonically sorted.
 
-    Call a column a unit column when a row of K has its leading entry 1
+    Call a column a pivot column when a row of K has its leading entry
     there, and let S be every other column.  Saturating the ideal J_K of
     the rows of K by the variables of S alone gives the toric ideal I_A:
 
     * K is in Hermite normal form, so the entries above a pivot lie in
-      [0, pivot).  A row with pivot 1 at column t is therefore e_t + c,
-      where c is zero on every other unit column, and column t is zero
-      in every other row.
-    * Invert the variables of S.  The binomial of such a row then reads
-      x_t = a Laurent monomial in x_S.  The other rows are zero on every
-      unit column and span the vectors of the kernel lattice L that are
-      supported on S.  That lattice is saturated because L is, so its
-      Laurent binomial ideal is prime.
+      [0, pivot) and every row is nonnegative on the pivot columns.  The
+      negative part of a row therefore lies in S: with pivot p at column
+      t, the row's binomial makes x_t^p times a monomial equal to a
+      monomial in x_S.
+    * Invert the variables of S.  Then x_t^p times a monomial is a
+      unit, so x_t is a unit too, for every pivot column t.  Inverting
+      x_S therefore inverts every variable, and J_K becomes the Laurent
+      ideal of L, the kernel lattice.  L is saturated, so that ideal is
+      prime.
     * So J_K : (prod of x_i for i in S)^infinity is the kernel of a
       monomial map into a domain, which is I_A.
     * The last column is never a pivot of a pointed configuration (a
@@ -211,10 +213,9 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
     if K.nrows == 0:
         return []
     gens = [tuple(r) for r in K.entries]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in gens]
-    unit = {t for t, row in zip(pivots, gens) if row[t] == 1}
+    pivots = {next(j for j, x in enumerate(row) if x) for row in gens}
     support = [sum(1 for row in gens if row[i]) for i in range(A.n)]
-    for i in sorted(set(range(A.n)) - unit, key=lambda i: (-support[i], i)):
+    for i in sorted(set(range(A.n)) - pivots, key=lambda i: (-support[i], i)):
         gens = saturate_variable(gens, i, degrees=A.grading,
                                  max_elements=max_elements, max_degree=max_degree)
     gb = buchberger(gens, _canonical_order(A), max_elements=max_elements,
@@ -391,20 +392,22 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
 
     Each piece of work is done once:
 
-    * A strictly feasible point of the current sign prefix is passed
-      down the tree.  A child sign that this point already satisfies is
-      feasible with no further test; only the other sign costs a
-      ``strict_feasible`` call, and the point that call returns is
-      passed down its branch instead.
+    * An integer point strictly feasible for the current sign prefix is
+      passed down the tree.  A child sign c that this point satisfies
+      is feasible with no further test.  Otherwise, with the prefix
+      strictly feasible, the child is feasible exactly when -c is not a
+      nonnegative combination of the prefix, which ``cone_certificate``
+      decides.  Its certificate z has prefix . z >= 0 and c . z > 0, so
+      a * z + point with a = -(c . point) // (c . z) + 1 is strictly
+      feasible for the child and is passed down its branch.
     * A cell is skipped when a basis found earlier has every element
       lead - trail positively oriented by the cell's signs.  The cell
       then lies in that basis's open Groebner cone, where it is the
       reduced basis for every weight, so Buchberger would only return
       it again.  Every other cell gives a new basis.
-    * A new cell takes as its witness the point of the
-      ``strict_feasible`` call on its full sign pattern: reused when the
-      last level made that call, computed otherwise.  Either way it is
-      the same point, so witnesses do not depend on the reuse.
+    * A new cell takes as its witness the point of a ``strict_feasible``
+      call on its full sign pattern, the only Fourier-Motzkin run of
+      the walk.  The witness does not depend on the points passed down.
     """
     from .fan import MonomialIdeal
 
@@ -450,25 +453,28 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
         leads = tuple(sorted(b.lead for b in gb.elements))
         initial.setdefault(leads, (omega, gb))
 
-    def descend(signs, signed, point, point_is_witness):
-        # point is strictly feasible for signed; point_is_witness says it
-        # is strict_feasible(signed) itself
+    def descend(signs, signed, point):
+        # point is an integer point strictly feasible for signed
         k = len(signs)
         if k == len(coords):
             if any(all(signs[i] == s for i, s in p) for p in patterns):
                 return
-            visit(point if point_is_witness else strict_feasible(signed))
+            visit(strict_feasible(signed))
             return
         for s in (1, -1):
-            nxt = signed + [tuple(s * x for x in coords[k])]
-            if dot(nxt[-1], point) > 0:
-                descend(signs + [s], nxt, point, False)
-                continue
-            y = strict_feasible(nxt)
-            if y is not None:
-                descend(signs + [s], nxt, y, True)
+            c = tuple(s * x for x in coords[k])
+            cp = dot(c, point)
+            child = point
+            if cp <= 0:
+                z = cone_certificate(tuple(-x for x in c), signed)
+                if z is None:
+                    continue
+                # signed . z >= 0 and c . z > 0, so any a > -cp / (c . z)
+                a = -cp // dot(c, z) + 1
+                child = tuple(a * zi + pi for zi, pi in zip(z, point))
+            descend(signs + [s], signed + [c], child)
 
-    descend([], [], (0,) * r, False)
+    descend([], [], (0,) * r)
     ideals = sorted(initial)
     return (
         sorted(ugb),

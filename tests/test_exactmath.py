@@ -1,14 +1,17 @@
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toricgb.errors import DimensionMismatch, LimitExceeded, RankDeficient
 from toricgb.exactmath import (
     IntMatrix,
     _normalize_constraint,
+    cone_certificate,
     det_bareiss,
     dot,
     feasible_witness,
@@ -275,3 +278,138 @@ def test_feasible_witness_same_point_for_fraction_input(cons):
     n = len(cons[0][0])
     assert feasible_witness(cons, n) == feasible_witness(
         [as_fractions(c) for c in cons], n)
+
+
+# -- cone_certificate against Fourier-Motzkin ---------------------------------
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    # a simplex that cycles must fail the test, not stall the suite
+    def expire(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fm_in_cone(c, vectors):
+    # c is in the cone iff no y has v.y >= 0 for every v and c.y < 0
+    n = len(c)
+    system = [(v, 0, False) for v in vectors] + [(tuple(-x for x in c), 0, True)]
+    return feasible_witness(system, n) is None
+
+
+def check_against_fm(c, vectors):
+    """Compare cone_certificate and is_irredundant with the FM decisions."""
+    with time_limit(10):
+        z = cone_certificate(c, vectors)
+    assert (z is None) == fm_in_cone(c, vectors), (c, vectors, z)
+    if z is not None:
+        assert all(type(x) is int for x in z)
+        assert all(dot(v, z) >= 0 for v in vectors), (c, vectors, z)
+        assert dot(c, z) < 0, (c, vectors, z)
+    ineqs = [c, *vectors]
+    for i in range(len(ineqs)):
+        others = ineqs[:i] + ineqs[i + 1:]
+        with time_limit(10):
+            got = is_irredundant(ineqs, i)
+        assert got == (not fm_in_cone(ineqs[i], others)), (ineqs, i)
+    return z
+
+
+def cone_problem(rng, n, m):
+    """A target c and m vectors in Z^n, of one of several shapes.
+
+    The shapes cover cones that are not full-dimensional (all vectors
+    in a random subspace), not pointed (a vector with its negative),
+    duplicate and zero vectors, c = 0, and c drawn inside the cone.
+    """
+    def entry():
+        return rng.randint(-3, 3)
+
+    shape = rng.choice(["free", "flat", "line", "repeat", "zero"])
+    if shape == "flat":
+        span = [[entry() for _ in range(n)] for _ in range(rng.randint(1, max(1, n - 1)))]
+        vectors = [tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(n))
+                   for _ in range(m)]
+    else:
+        vectors = [tuple(entry() for _ in range(n)) for _ in range(m)]
+    if vectors and shape == "line":
+        vectors.append(tuple(-x for x in rng.choice(vectors)))
+    elif vectors and shape == "repeat":
+        vectors.append(rng.choice(vectors))
+    elif shape == "zero":
+        vectors.insert(rng.randint(0, len(vectors)), (0,) * n)
+    target = rng.choice(["free", "inside", "zero"])
+    if target == "zero":
+        c = (0,) * n
+    elif target == "inside" and vectors:
+        c = tuple(sum(rng.randint(0, 2) * v[i] for v in vectors) for i in range(n))
+    else:
+        c = tuple(entry() for _ in range(n))
+    return c, vectors
+
+
+def test_cone_certificate_small_cases():
+    assert cone_certificate((0, 0), []) is None
+    assert cone_certificate((1, -2), []) == (-1, 1)
+    assert cone_certificate((1, 1), [(1, 0), (0, 1)]) is None
+    assert cone_certificate((2, 3), [(1, 0), (1, 0), (0, 0), (0, 1)]) is None
+    z = cone_certificate((-1, 0), [(1, 0), (0, 1), (0, -1)])
+    assert z == (1, 0)
+    with pytest.raises(DimensionMismatch):
+        cone_certificate((1, 0), [(1, 0, 0)])
+
+
+def test_cone_certificate_does_not_cycle():
+    # degenerate: breaking ratio-test ties by the highest basic column
+    # instead of the lowest pivots through the same bases forever
+    c = (0, 1, 0, 0, 0)
+    vectors = [(0, 0, 0, 2, 1), (1, 0, 0, 2, 0), (0, 0, 1, 0, 0), (-1, 1, 1, 2, -1),
+               (-2, 1, 1, 0, 0), (1, 2, -2, -1, -2), (1, 0, 2, -2, 0)]
+    assert check_against_fm(c, vectors) is not None
+
+
+def test_cone_certificate_agrees_with_fm_seeded():
+    rng = random.Random(2026)
+    inside = outside = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        c, vectors = cone_problem(rng, n, rng.randint(0, 6 if n <= 4 else 4))
+        if check_against_fm(c, vectors) is None:
+            inside += 1
+        else:
+            outside += 1
+    assert inside >= 300 and outside >= 300
+
+
+@st.composite
+def cone_problems(draw):
+    n = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    vectors = draw(st.lists(vector, max_size=6 if n <= 4 else 4))
+    c = draw(vector)
+    extra = draw(st.sampled_from(["none", "line", "repeat", "zero", "inside"]))
+    if vectors and extra == "line":
+        vectors.append(tuple(-x for x in draw(st.sampled_from(vectors))))
+    elif vectors and extra == "repeat":
+        vectors.append(draw(st.sampled_from(vectors)))
+    elif extra == "zero":
+        vectors.append((0,) * n)
+    elif extra == "inside":
+        mult = draw(st.lists(st.integers(0, 2), min_size=len(vectors),
+                             max_size=len(vectors)))
+        c = tuple(sum(k * v[i] for k, v in zip(mult, vectors)) for i in range(n))
+    return c, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_problems())
+def test_cone_certificate_agrees_with_fm(problem):
+    check_against_fm(*problem)

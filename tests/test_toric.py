@@ -249,6 +249,34 @@ def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
     assert own == 108
 
 
+def test_universal_gb_makes_one_fm_call_per_basis(monkeypatch):
+    # sign prefixes are decided by cone_certificate; Fourier-Motzkin runs
+    # only for the witness of each new cell (1,446 calls when it decided
+    # every prefix the passed-down point left open)
+    import toricgb.toric as toric
+
+    calls = record_calls(monkeypatch, toric, "strict_feasible")
+    certificates = record_calls(monkeypatch, toric, "cone_certificate")
+    _, ideals, _, _ = universal_gb(ConfigMatrix(generate("segre", (3, 3))))
+    assert len(ideals) == 108
+    assert len(calls) == 108
+    # a child sign the passed-down point satisfies needs no certificate;
+    # testing both signs of every visited prefix makes 2,694
+    assert len(certificates) <= 1405
+
+
+def test_groebner_cone_makes_no_fm_call(monkeypatch):
+    # redundancy is decided by cone_certificate, not feasible_witness
+    import toricgb.exactmath as exactmath
+
+    calls = record_calls(monkeypatch, exactmath, "feasible_witness")
+    _, _, _, bases = universal_gb(ConfigMatrix(generate("segre", (3, 3))))
+    calls.clear()
+    counts = sorted(groebner_cone(G).facet_count for G in bases)
+    assert counts == [4] * 102 + [6] * 6
+    assert calls == []
+
+
 def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
     # 5 saturations, since the kernel basis of Segre 3x3 inverts 4 of its
     # 9 variables, and the run under the canonical order; that order is
@@ -316,9 +344,9 @@ def saturated_columns(monkeypatch, A):
 
 
 def test_toric_generators_saturates_the_uninverted_columns(monkeypatch):
-    # the kernel basis of Segre 3x3 has four rows, each with leading
-    # entry 1; the other five columns are saturated, the one nonzero in
-    # the most basis rows first
+    # the kernel basis of Segre 3x3 has four rows; the five columns
+    # without a leading entry are saturated, the one nonzero in the most
+    # basis rows first
     A = ConfigMatrix(generate("segre", (3, 3)))
     K = A.kernel_basis().entries
     unit = {next(j for j, x in enumerate(row) if x) for row in K}
@@ -330,12 +358,13 @@ def test_toric_generators_saturates_the_uninverted_columns(monkeypatch):
     assert support == sorted(support, reverse=True)
 
 
-def test_toric_generators_saturates_every_column_without_unit_pivots(monkeypatch):
+def test_toric_generators_saturates_only_non_pivot_columns(monkeypatch):
     # kernel basis rows (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5) and
-    # (0, 0, 3, -2, 0, 0): no leading entry is 1, so no column is inverted
+    # (0, 0, 3, -2, 0, 0): the pivots 2, 6 and 3 sit in columns 0, 1 and
+    # 2, which become units once columns 3, 4 and 5 are inverted
     A = ConfigMatrix(((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0)))
     assert A.grading != (1,) * A.n
-    assert saturated_columns(monkeypatch, A) == [3, 1, 2, 4, 5, 0]
+    assert saturated_columns(monkeypatch, A) == [3, 4, 5]
 
 
 def test_graver_makes_no_repeated_run(monkeypatch):
