@@ -7,11 +7,11 @@ Polyhedral questions come in two kinds.  A yes/no question (is c in
 the cone of these vectors? is this inequality redundant?) goes to
 cone_certificate, a phase-1 simplex on a fraction-free integer tableau
 that answers with a Farkas certificate.  A question whose answer is a
-point that gets printed or kept (a cell witness, a grading, a face of a
-regular subdivision) goes to feasible_witness: Fourier-Motzkin
-elimination with back-substitution, exponential in the worst case but
-adequate for the handful of variables this package works with, and the
-source of every witness the package has printed so far.
+point that gets printed or kept (a cell witness, a grading) goes to
+feasible_witness: Fourier-Motzkin elimination with back-substitution,
+exponential in the worst case but adequate for the handful of
+variables this package works with, and the source of every witness
+the package has printed so far.
 
 Constraints are normalized to primitive integer rows before
 elimination.  Rows that are already integral (all of them in the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .buchberger import GroebnerBasis, buchberger
 from .errors import (
@@ -25,12 +25,11 @@ from .errors import (
 )
 from .exactmath import (
     IntMatrix,
+    det_bareiss,
     dot,
-    feasible_witness,
     is_irredundant,
     primitive,
     rank,
-    solve_affine,
 )
 from .orders import term_order
 from .toric import ConfigMatrix, toric_generators, universal_gb
@@ -174,79 +173,66 @@ def enumerate_initial_ideals(A: ConfigMatrix, max_graver: int = 22):
     return list(zip(ideals, witnesses))
 
 
-def _face_witness(cols, w, sigma, d):
-    """A point y with a_i.y = w_i on sigma and a_j.y < w_j off sigma, or None."""
-    inside = set(sigma)
-    sol = solve_affine([cols[i] for i in sigma], [w[i] for i in sigma], ncols=d)
-    if sol is None:
-        return None
-    base, null = sol
-    outside = [j for j in range(len(cols)) if j not in inside]
-    if not null:
-        if all(dot(cols[j], base) < w[j] for j in outside):
-            return tuple(base)
-        return None
-    cons = []
-    for j in outside:
-        # a_j.(base + sum t_k z_k) < w_j, rewritten over the t coordinates
-        coeffs = tuple(-dot(cols[j], z) for z in null)
-        cons.append((coeffs, dot(cols[j], base) - w[j], True))
-    t = feasible_witness(cons, len(null))
-    if t is None:
-        return None
-    return tuple(
-        b + sum(tk * z[i] for tk, z in zip(t, null))
-        for i, b in enumerate(base)
-    )
-
-
-def _cone_member(cols, facet, j) -> bool:
-    """Whether column j lies in the nonnegative span of the facet columns."""
-    d = len(cols[0])
-    rows = [[cols[i][r] for i in facet] for r in range(d)]
-    sol = solve_affine(rows, cols[j], ncols=len(facet))
-    if sol is None:
-        return False
-    coeffs, _ = sol
-    return all(c >= 0 for c in coeffs)
-
-
 def regular_triangulation(A: ConfigMatrix, omega,
                           max_subsets: int = 2_000_000) -> SimplicialComplex:
     """The regular triangulation of cone(A) induced by lifting heights omega.
 
-    A subset sigma is a face exactly when some y satisfies a_i . y =
-    omega_i on sigma and a_j . y < omega_j everywhere else.  Facets of a
-    generic lift all have size d; a maximal face of smaller size, or a
-    column left uncovered, certifies that the lifted subdivision is not
-    simplicial.
+    Each cell is read off a vertex y of P = {y : a_j . y <= omega_j for
+    all j}: it holds the columns with a_j . y = omega_j.  A.matrix has
+    full row rank, so P is pointed and every vertex is y = A_sigma^{-T}
+    omega_sigma for some basis sigma of d columns.  The scan visits each
+    of the C(n, d) column subsets once and, after scaling omega to
+    integers, works with D = det(A_sigma) and D*y from Cramer's rule.
+    sigma is a facet when a_j . y < omega_j for every j off sigma.  When
+    every j gives <= and one gives equality, the vertex is tight on more
+    than d columns, its cell is not a simplex, and NonGenericOmega is
+    raised.
+
+    The facets cover cone(A) exactly when there is at least one.  For b
+    in cone(A), min{omega . x : Ax = b, x >= 0} is dual to max{b . y :
+    y in P}.  When P has a vertex it is not empty, so the minimum is
+    bounded and attained at an optimal basis sigma; the dual solution
+    of that basis is a vertex of P, and b lies in cone(A_sigma).  When P
+    has no vertex it is empty, and no b has an optimal basis.
     """
     d, n = A.d, A.n
     if len(omega) != n:
         raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
+    if comb(n, d) > max_subsets:
+        raise LimitExceeded("too many column bases to scan")
     w = [Fraction(x) for x in omega]
-    if sum(comb(n, k) for k in range(d + 1)) > max_subsets:
-        raise LimitExceeded("too many column subsets to scan")
+    scale = lcm(*(x.denominator for x in w))
+    w = [int(x * scale) for x in w]
     cols = [A.matrix.col(j) for j in range(n)]
-    faces = []
-    for k in range(d + 1):
-        for sigma in itertools.combinations(range(n), k):
-            if k and rank(IntMatrix(tuple(cols[i] for i in sigma))) < k:
-                continue
-            if _face_witness(cols, w, sigma, d) is not None:
-                faces.append(sigma)
-    sets = [set(f) for f in faces]
-    facets = [f for f, fs in zip(faces, sets) if not any(fs < gs for gs in sets)]
-    if any(len(f) != d for f in facets):
-        raise NonGenericOmega(
-            "weight is not generic: the induced subdivision has a cell "
-            "that is not a simplex"
-        )
-    for j in range(n):
-        if not any(_cone_member(cols, f, j) for f in facets):
+    facets = []
+    for sigma in itertools.combinations(range(n), d):
+        rows = [cols[i] for i in sigma]
+        D = det_bareiss(IntMatrix(tuple(rows)))
+        if D == 0:
+            continue
+        Dy = [
+            det_bareiss(IntMatrix(tuple(
+                r[:k] + (w[i],) + r[k + 1:] for r, i in zip(rows, sigma)
+            )))
+            for k in range(d)
+        ]
+        sign = 1 if D > 0 else -1
+        # |D| * (omega_j - a_j . y) for every column j off sigma
+        slack = [
+            sign * (D * w[j] - dot(cols[j], Dy))
+            for j in range(n) if j not in sigma
+        ]
+        if all(s > 0 for s in slack):
+            facets.append(sigma)
+        elif all(s >= 0 for s in slack):
             raise NonGenericOmega(
-                f"column {j} is not covered by any facet cone"
+                f"weight is not generic: the cell at columns {sigma} "
+                "holds more columns and is not a simplex"
             )
+    if not facets:
+        raise NonGenericOmega(
+            "weight is not generic: the lifted cone has no lower facet"
+        )
     return SimplicialComplex(n, tuple(facets))
 
 

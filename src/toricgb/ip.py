@@ -216,6 +216,8 @@ def solve_ip_elimination(inst: IPInstance, max_elements: int = 100_000,
     for i in range(n):
         if not any(M.col(i)):
             raise NotPointed(f"column {i} is zero")
+    if any(x < 0 for x in inst.b):
+        return None  # a nonnegative matrix maps x >= 0 to b >= 0
     gens = []
     for i in range(n):
         vec = tuple(-c for c in M.col(i))
@@ -225,8 +227,6 @@ def solve_ip_elimination(inst: IPInstance, max_elements: int = 100_000,
         d + n, weight=(0,) * d + tuple(inst.omega), elimination_block=d
     )
     G = buchberger(gens, order, max_elements=max_elements, max_pairs=max_pairs)
-    if any(x < 0 for x in inst.b):
-        return None
     nf = normal_form(tuple(inst.b) + (0,) * n, G)
     if any(nf[:d]):
         return None

@@ -6,7 +6,9 @@ checked against the definition, initial ideals come from grid sweeps of
 weight vectors or from a Buchberger run in every Graver cell,
 monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
-and the toric ideal has a version that saturates every variable.
+the toric ideal has a version that saturates every variable, and the
+regular triangulation has a version that looks for a face witness on
+every column subset and then checks every ridge.
 The main algorithm modules never call into this one.
 """
 
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .buchberger import (
     Binomial,
@@ -27,9 +30,18 @@ from .buchberger import (
     buchberger,
     s_binomial,
 )
-from .errors import LimitExceeded
-from .exactmath import dot, strict_feasible
-from .fan import MonomialIdeal
+from .errors import DimensionMismatch, LimitExceeded, NonGenericOmega
+from .exactmath import (
+    IntMatrix,
+    det_bareiss,
+    dot,
+    feasible_witness,
+    identity_matrix,
+    rank,
+    solve_affine,
+    strict_feasible,
+)
+from .fan import MonomialIdeal, SimplicialComplex
 from .orders import orient, term_order
 from .toric import (
     ConfigMatrix,
@@ -332,3 +344,102 @@ def toric_generators_every_variable(A: ConfigMatrix):
     for i in range(A.n):
         gens = saturate_variable(gens, i, degrees=A.grading)
     return [b.vector for b in buchberger(gens, _canonical_order(A)).elements]
+
+
+def _face_witness(cols, w, sigma, d):
+    """A point y with a_i.y = w_i on sigma and a_j.y < w_j off sigma, or None."""
+    inside = set(sigma)
+    sol = solve_affine([cols[i] for i in sigma], [w[i] for i in sigma], ncols=d)
+    if sol is None:
+        return None
+    base, null = sol
+    outside = [j for j in range(len(cols)) if j not in inside]
+    if not null:
+        if all(dot(cols[j], base) < w[j] for j in outside):
+            return tuple(base)
+        return None
+    cons = []
+    for j in outside:
+        # a_j.(base + sum t_k z_k) < w_j, rewritten over the t coordinates
+        coeffs = tuple(-dot(cols[j], z) for z in null)
+        cons.append((coeffs, dot(cols[j], base) - w[j], True))
+    t = feasible_witness(cons, len(null))
+    if t is None:
+        return None
+    return tuple(
+        b + sum(tk * z[i] for tk, z in zip(t, null))
+        for i, b in enumerate(base)
+    )
+
+
+def _cone_member(cols, facet, j) -> bool:
+    """Whether column j lies in the nonnegative span of the facet columns."""
+    d = len(cols[0])
+    rows = [[cols[i][r] for i in facet] for r in range(d)]
+    sol = solve_affine(rows, cols[j], ncols=len(facet))
+    if sol is None:
+        return False
+    coeffs, _ = sol
+    return all(c >= 0 for c in coeffs)
+
+
+def _spans_boundary(cols, ridge) -> bool:
+    """Whether every column lies on one side of the hyperplane of the ridge."""
+    d = len(cols[0])
+    # normal . x = det(ridge columns, x), by cofactor expansion
+    normal = tuple(
+        det_bareiss(IntMatrix(tuple(cols[i] for i in ridge) + (unit,)))
+        for unit in identity_matrix(d).entries
+    )
+    sides = {dot(normal, c) > 0 for c in cols if dot(normal, c)}
+    return len(sides) < 2
+
+
+def regular_triangulation_every_subset(A: ConfigMatrix, omega,
+                                       max_subsets: int = 2_000_000):
+    """regular_triangulation by a face witness for every column subset.
+
+    A subset sigma is a face exactly when some y satisfies a_i . y =
+    omega_i on sigma and a_j . y < omega_j everywhere else.  Facets of a
+    generic lift all have size d; a maximal face of smaller size, or a
+    column left uncovered, certifies that the lifted subdivision is not
+    simplicial.  Neither test sees a cell that is not a simplex when
+    each of its own facets is shared with a simplex, so every ridge of a
+    facet must also lie in a second facet or span a boundary hyperplane
+    of cone(A), with every column on one side of its cofactor normal.
+    """
+    d, n = A.d, A.n
+    if len(omega) != n:
+        raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
+    w = [Fraction(x) for x in omega]
+    if sum(comb(n, k) for k in range(d + 1)) > max_subsets:
+        raise LimitExceeded("too many column subsets to scan")
+    cols = [A.matrix.col(j) for j in range(n)]
+    faces = []
+    for k in range(d + 1):
+        for sigma in itertools.combinations(range(n), k):
+            if k and rank(IntMatrix(tuple(cols[i] for i in sigma))) < k:
+                continue
+            if _face_witness(cols, w, sigma, d) is not None:
+                faces.append(sigma)
+    sets = [set(f) for f in faces]
+    facets = [f for f, fs in zip(faces, sets) if not any(fs < gs for gs in sets)]
+    if any(len(f) != d for f in facets):
+        raise NonGenericOmega(
+            "weight is not generic: the induced subdivision has a cell "
+            "that is not a simplex"
+        )
+    for j in range(n):
+        if not any(_cone_member(cols, f, j) for f in facets):
+            raise NonGenericOmega(
+                f"weight is not generic: column {j} is not covered by any "
+                "facet cone"
+            )
+    ridges = Counter(f[:i] + f[i + 1:] for f in facets for i in range(d))
+    for ridge, count in ridges.items():
+        if count == 2 or count == 1 and _spans_boundary(cols, ridge):
+            continue
+        raise NonGenericOmega(
+            f"weight is not generic: ridge {ridge} lies in {count} facets"
+        )
+    return SimplicialComplex(n, tuple(facets))

@@ -385,6 +385,18 @@ def test_fan_triangulate_degenerate_weight(tmp_path, capsys):
     assert "not generic" in err
 
 
+def test_fan_triangulate_rejects_the_uncovered_square(tmp_path, capsys):
+    # heights x^2 + y^2 lift the corners of the square onto one plane;
+    # every edge of the square is shared with a triangle
+    m = tmp_path / "square.mat"
+    m.write_text("3 8\n1 1 1 1 1 1 1 1\n0 2 2 0 1 4 1 -2\n0 0 2 2 -2 1 4 1\n")
+    w = wfile(tmp_path, [0, 4, 8, 4, 5, 17, 17, 5])
+    rc, out, err = run(capsys, ["fan", "triangulate", str(m), "--weight", w])
+    assert rc == 3
+    assert out == ""
+    assert "not generic" in err
+
+
 def test_fan_triangulate_needs_weight(twisted, capsys):
     rc, _, err = run(capsys, ["fan", "triangulate", twisted])
     assert rc == 1

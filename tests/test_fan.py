@@ -130,6 +130,43 @@ def test_triangulation_of_identity_is_one_simplex():
     assert regular_triangulation(I3, (0, 0, 0)).facets == ((0, 1, 2),)
 
 
+# the points (0,0), (2,0), (2,2), (0,2), (1,-2), (4,1), (1,4), (-2,1),
+# homogenized; heights x^2 + y^2 put the four square corners on one plane
+SQUARE = ConfigMatrix(((1,) * 8, (0, 2, 2, 0, 1, 4, 1, -2),
+                       (0, 0, 2, 2, -2, 1, 4, 1)))
+SQUARE_HEIGHTS = (0, 4, 8, 4, 5, 17, 17, 5)
+
+
+def test_triangulation_rejects_the_uncovered_square():
+    # eight triangles share every edge of the square, so each column is
+    # covered and every maximal face is a simplex, yet the square is a cell
+    with pytest.raises(NonGenericOmega, match="not generic"):
+        regular_triangulation(SQUARE, SQUARE_HEIGHTS)
+
+
+def test_triangulation_makes_no_fm_solve_or_hnf_call(monkeypatch):
+    # each name is patched in exactmath and wherever fan binds it
+    import toricgb.exactmath as exactmath
+    import toricgb.fan as fan
+
+    calls = []
+
+    def recording(real, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("feasible_witness", "solve_affine", "hnf"):
+        for module in (exactmath, fan):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recording(getattr(module, name), name))
+    delta = regular_triangulation(TWISTED, (3, 1, 0, 2))
+    assert delta.facets == ((0, 1), (1, 2), (2, 3))
+    assert calls == []
+
+
 def test_triangulation_guards():
     with pytest.raises(DimensionMismatch):
         regular_triangulation(SEGMENT, (0, 0))

@@ -88,6 +88,25 @@ def test_solve_infeasible_returns_none():
     assert solve_ip_elimination(IPInstance(LINE, (1, 1), (-2,))) is None
 
 
+def test_elimination_skips_buchberger_for_negative_rhs(monkeypatch):
+    # a nonnegative matrix has an empty fiber over any b with a negative
+    # entry, so no basis is computed; a pair budget of 1 cannot trip
+    import toricgb.ip as ip
+
+    runs = []
+    real = ip.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ip, "buchberger", counting)
+    inst = IPInstance(TWISTED, (1, 0, 0, 1), (3, -1))
+    assert solve_ip_elimination(inst) is None
+    assert solve_ip_elimination(inst, max_pairs=1) is None
+    assert runs == []
+
+
 def test_solve_requires_pointed():
     A = ConfigMatrix(((1, -1),))
     with pytest.raises(NotPointed):

@@ -3,18 +3,24 @@
 import contextlib
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toricgb.buchberger import buchberger, normal_form
-from toricgb.errors import DimensionMismatch, LimitExceeded
-from toricgb.fan import MonomialIdeal, enumerate_initial_ideals
+from toricgb.errors import DimensionMismatch, LimitExceeded, NonGenericOmega
+from toricgb.fan import (
+    MonomialIdeal,
+    enumerate_initial_ideals,
+    regular_triangulation,
+)
 from toricgb.oracle import (
     buchberger_every_pair,
     graver_bruteforce,
     irreducible_decomposition,
     kernel_vectors_up_to,
+    regular_triangulation_every_subset,
     single_step_normal_form,
     toric_generators_every_variable,
     universal_gb_every_cell,
@@ -364,3 +370,99 @@ def test_toric_generators_match_saturating_every_variable_seeded():
         seen["pivot above 1"] += any(next(x for x in row if x) > 1 for row in K)
         seen["all-ones grading" if A.grading == (1,) * A.n else "other grading"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+# The points (0,0), (2,0), (2,2), (0,2), (1,-2), (4,1), (1,4), (-2,1),
+# homogenized, under heights x^2 + y^2: the square is a cell, but every
+# edge of it is shared with a triangle
+SQUARE = ConfigMatrix(((1,) * 8, (0, 2, 2, 0, 1, 4, 1, -2),
+                       (0, 0, 2, 2, -2, 1, 4, 1)))
+SQUARE_HEIGHTS = (0, 4, 8, 4, 5, 17, 17, 5)
+
+
+def triangulation_or_none(method, A, omega):
+    """The facets of the triangulation, or None for a weight that is not generic."""
+    try:
+        return method(A, omega).facets
+    except NonGenericOmega:
+        return None
+
+
+def assert_same_triangulation(A, omega):
+    """Both methods agree; returns whether the weight was generic."""
+    with time_limit(10):
+        facets = triangulation_or_none(regular_triangulation, A, omega)
+        expected = triangulation_or_none(regular_triangulation_every_subset, A, omega)
+    assert facets == expected, (A.original.entries, omega)
+    return facets is not None
+
+
+def triangulation_rows(rng_int, d, n, signed):
+    """Rows drawn like criterion 8 (all-ones row over [0, 4]) or in [-2, 2].
+
+    The signed draws are mostly not pointed.
+    """
+    if signed:
+        return [[rng_int(-2, 2) for _ in range(n)] for _ in range(d)]
+    return [[1] * n] + [[rng_int(0, 4) for _ in range(n)] for _ in range(d - 1)]
+
+
+def triangulation_weight(rng_int, n, kind):
+    """Heights in [-6, 6], in {-1, 0, 1} to force ties, or fractions p/q."""
+    if kind == "wide":
+        return tuple(rng_int(-6, 6) for _ in range(n))
+    if kind == "ties":
+        return tuple(rng_int(-1, 1) for _ in range(n))
+    return tuple(Fraction(rng_int(-12, 12), rng_int(1, 4)) for _ in range(n))
+
+
+def test_triangulation_oracle_rejects_the_uncovered_square():
+    with pytest.raises(NonGenericOmega, match="not generic"):
+        regular_triangulation_every_subset(SQUARE, SQUARE_HEIGHTS)
+    # moving one corner off the plane makes the weight generic
+    lifted = (0, 4, 9) + SQUARE_HEIGHTS[3:]
+    assert assert_same_triangulation(SQUARE, lifted)
+
+
+@st.composite
+def triangulation_problems(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 7))
+
+    def draw_int(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    rows = triangulation_rows(draw_int, d, n, draw(st.booleans()))
+    try:
+        A = ConfigMatrix(rows)
+    except DimensionMismatch:
+        assume(False)
+    kind = draw(st.sampled_from(("wide", "ties", "fractions")))
+    return A, triangulation_weight(draw_int, A.n, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangulation_problems())
+@example((SQUARE, SQUARE_HEIGHTS))
+def test_triangulation_matches_every_subset_scan(problem):
+    assert_same_triangulation(*problem)
+
+
+def test_triangulation_matches_every_subset_scan_seeded():
+    rng = random.Random(37)
+    seen = {"generic": 0, "not generic": 0, "not pointed": 0}
+    checked = 0
+    while checked < 400:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 7)
+        try:
+            A = ConfigMatrix(triangulation_rows(rng.randint, d, n, checked % 2))
+        except DimensionMismatch:
+            continue
+        kind = ("wide", "ties", "wide", "fractions")[checked // 2 % 4]
+        generic = assert_same_triangulation(
+            A, triangulation_weight(rng.randint, A.n, kind))
+        seen["generic" if generic else "not generic"] += 1
+        seen["not pointed"] += not A.pointed
+        checked += 1
+    assert min(seen.values()) >= 100, seen
