@@ -27,7 +27,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, GuardViolated, LimitExceeded
+from .errors import Budget, DimensionMismatch, GuardViolated
+from .exactmath import dot
 from .orders import TermOrder, orient
 
 
@@ -234,8 +235,7 @@ def _minus(u, v):
     return tuple([x - y for x, y in zip(u, v)])
 
 
-def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
-               max_degree=None, max_pairs=None) -> GroebnerBasis:
+def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by gens.
 
     gens may be lattice vectors or oriented binomials; zero vectors are
@@ -260,15 +260,17 @@ def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
     are the lcm's key, computed once for the heap, minus the two cached
     element keys.
 
-    max_elements caps intermediate basis growth; max_degree caps the
-    top-layer weight of any intermediate lead (the grading degree for
-    graded orders) and turns runaway instances into a prompt
-    LimitExceeded instead of a crawl.  max_pairs caps the number of
-    S-pairs processed, that is the pairs that survive the criteria and
-    reach s_binomial; it catches runs whose basis stays small while the
-    pair queue churns (elimination orders do this).
+    The budget caps intermediate basis growth (elements) and the degree
+    of any element added (budget.grading . lead, or the order's first
+    weight layer without a grading), turning runaway instances into a
+    prompt LimitExceeded instead of a crawl.  budget.pairs caps the
+    S-pairs that survive the criteria and reach s_binomial; it catches
+    runs whose basis stays small while the pair queue churns
+    (elimination orders do this).
     """
     key = ord.key
+    max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
+    grading = budget.grading
     red = _Reducer([], key)
     seeds = []
     seen = set()
@@ -311,14 +313,13 @@ def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
             tick += 1
 
     def add(b: Binomial):
-        if max_degree is not None and ord.weight_of(b.lead) > max_degree:
-            raise LimitExceeded(
-                f"intermediate element of degree {ord.weight_of(b.lead)} "
-                f"exceeds the cap of {max_degree}"
-            )
+        if max_degree is not None:
+            deg = ord.weight_of(b.lead) if grading is None else dot(grading, b.lead)
+            if deg > max_degree:
+                budget.check("degree", deg)
         red.append(b)
-        if len(red.elements) > max_elements:
-            raise LimitExceeded(f"basis exceeded {max_elements} elements")
+        if max_elements is not None and len(red.elements) > max_elements:
+            budget.check("elements", len(red.elements))
         update(len(red.elements) - 1)
 
     for b in seeds:
@@ -333,7 +334,7 @@ def buchberger(gens, ord: TermOrder, max_elements: int = 100_000,
             continue
         popped += 1
         if max_pairs is not None and popped > max_pairs:
-            raise LimitExceeded(f"pair queue exceeded {max_pairs} pairs")
+            budget.check("pairs", popped)
         kp, kq = _minus(kL, red.kvecs[i]), _minus(kL, red.kvecs[j])
         s = s_binomial(red.elements[i], red.elements[j], ord, kp, kq)
         if s is None:

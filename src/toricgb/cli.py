@@ -27,11 +27,14 @@ Exit codes
     3  weight vector not generic
     4  resource limit hit
 
-Resource limits: --max-degree (largest admissible degree of an output
-element, default unlimited) on groebner, graver, circuits and
-universal; --max-fiber (feasibility search nodes, default 200000) on
-solve only; --max-graver-bits (Graver size cap for sign-pattern
-enumeration, default 22) on universal and fan only.
+Resource limits fill one Budget (toricgb.errors) that each loop reads,
+so a guard stops the work while it runs: --max-degree (degree, in the
+grading of the configuration, of any element computed, default
+unlimited) on groebner, graver, circuits and universal; --max-fiber
+(work budget of solve: search nodes (reduce) or S-pairs (eliminate),
+default 200000) on solve only; --max-graver-bits (Graver size cap for
+sign-pattern enumeration, default 22) on universal and fan only.  Exit
+4 prints the guard, its limit and how far the work got.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from fractions import Fraction
 
 from .buchberger import buchberger
 from .errors import (
+    Budget,
     LimitExceeded,
     NonGenericOmega,
     ToricError,
@@ -195,14 +199,6 @@ def _emit_report(report: dict, json_flag: bool):
         sys.stdout.write(f"{key}: {value}\n")
 
 
-def _degree_guard(A: ConfigMatrix, vectors, cap):
-    if cap is None:
-        return
-    worst = max((A.degree(v) for v in vectors), default=0)
-    if worst > cap:
-        raise LimitExceeded(f"element of degree {worst} exceeds --max-degree {cap}")
-
-
 # ---------------------------------------------------------------------------
 # Instance generators.
 # ---------------------------------------------------------------------------
@@ -331,6 +327,19 @@ def _load_config(args) -> ConfigMatrix:
     return ConfigMatrix(parse_matrix(_read(args.matrix)))
 
 
+def _emit_block(args, A: ConfigMatrix, vectors, **extra) -> int:
+    """Print a vector block, then its report: size, degree and extra."""
+    _emit_vectors(vectors, args)
+    report = {
+        "command": args.command,
+        "elements": len(vectors),
+        "max_degree": max((A.degree(v) for v in vectors), default=0),
+        **extra,
+    }
+    _emit_report(report, args.json)
+    return 0
+
+
 def cmd_groebner(args) -> int:
     A = _load_config(args)
     order = None
@@ -339,63 +348,32 @@ def cmd_groebner(args) -> int:
         order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
     elif args.tiebreak is not None:
         raise ParseFailure("--tiebreak needs --weight")
-    G = toric_groebner(A, order)
-    vectors = list(G.vectors)
-    _degree_guard(A, vectors, args.max_degree)
-    _emit_vectors(vectors, args)
-    report = {
-        "command": "groebner",
-        "elements": len(vectors),
-        "max_degree": max((A.degree(v) for v in vectors), default=0),
-        "initial_ideal": sorted(_monomial_str(g.lead) for g in G.elements),
-    }
-    _emit_report(report, args.json)
-    return 0
+    G = toric_groebner(A, order, Budget(degree=args.max_degree, grading=A.grading))
+    return _emit_block(args, A, list(G.vectors),
+                       initial_ideal=sorted(_monomial_str(g.lead) for g in G.elements))
 
 
 def cmd_graver(args) -> int:
     A = _load_config(args)
-    vectors = sorted(graver(A))
-    _degree_guard(A, vectors, args.max_degree)
-    _emit_vectors(vectors, args)
-    report = {
-        "command": "graver",
-        "elements": len(vectors),
-        "max_degree": max((A.degree(v) for v in vectors), default=0),
-    }
-    _emit_report(report, args.json)
-    return 0
+    # the lifted elements are (u, -u); this grading gives them the A-degree of u
+    lifted = A.grading and A.grading + (0,) * A.n
+    budget = Budget(degree=args.max_degree, grading=lifted)
+    return _emit_block(args, A, sorted(graver(A, budget)))
 
 
 def cmd_circuits(args) -> int:
     A = _load_config(args)
-    cs = sorted(circuits(A), key=lambda c: c.vector)
-    vectors = [c.vector for c in cs]
-    _degree_guard(A, vectors, args.max_degree)
-    _emit_vectors(vectors, args)
-    report = {
-        "command": "circuits",
-        "elements": len(cs),
-        "max_degree": max((A.degree(v) for v in vectors), default=0),
-        "max_true_degree": max((c.true_degree for c in cs), default=0),
-    }
-    _emit_report(report, args.json)
-    return 0
+    cs = sorted(circuits(A, Budget(degree=args.max_degree)), key=lambda c: c.vector)
+    return _emit_block(args, A, [c.vector for c in cs],
+                       max_true_degree=max((c.true_degree for c in cs), default=0))
 
 
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    ugb, ideals, _, _ = universal_gb(A, max_graver=args.max_graver_bits)
-    _degree_guard(A, ugb, args.max_degree)
-    _emit_vectors(ugb, args)
-    report = {
-        "command": "universal",
-        "elements": len(ugb),
-        "max_degree": max((A.degree(v) for v in ugb), default=0),
-        "initial_ideals": len(ideals),
-    }
-    _emit_report(report, args.json)
-    return 0
+    budget = Budget(degree=args.max_degree, grading=A.grading,
+                    graver=args.max_graver_bits)
+    ugb, ideals, _, _ = universal_gb(A, budget)
+    return _emit_block(args, A, ugb, initial_ideals=len(ideals))
 
 
 def _parse_rhs(text, d):
@@ -416,9 +394,9 @@ def cmd_solve(args) -> int:
     b = _parse_rhs(args.rhs, A.original.nrows)
     inst = IPInstance(A, w, b)
     if args.method == "eliminate":
-        point = solve_ip_elimination(inst)
+        point = solve_ip_elimination(inst, Budget(pairs=args.max_fiber))
     else:
-        point = solve_ip(inst, max_nodes=args.max_fiber)
+        point = solve_ip(inst, Budget(nodes=args.max_fiber))
     if point is None:
         if args.json:
             _emit_report({"command": "solve", "status": "infeasible"}, True)
@@ -473,7 +451,7 @@ def cmd_fan(args) -> int:
         G = buchberger(toric_generators(A), order)
         witnesses = [(groebner_cone(G), tuple(w))]
     else:
-        _, _, ws, bases = universal_gb(A, max_graver=args.max_graver_bits)
+        _, _, ws, bases = universal_gb(A, Budget(graver=args.max_graver_bits))
         if args.mode == "count":
             _emit_report({"command": "fan", "initial_ideals": len(ws)}, args.json)
             return 0
@@ -524,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-degree",
             type=int,
-            default=None,
-            help="largest admissible element degree (default: unlimited)",
+            default=Budget.degree,
+            help="largest degree of any element computed (default: unlimited)",
         )
 
     def tiebreak(p):
@@ -540,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-graver-bits",
             type=int,
-            default=22,
-            help="Graver size cap for sign enumeration (default 22)",
+            default=Budget.graver,
+            help=f"Graver size cap for sign enumeration (default {Budget.graver})",
         )
 
     p = sub.add_parser("groebner", help="reduced Gröbner basis")
@@ -564,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-fiber",
         type=int,
-        default=200_000,
-        help="feasibility search node budget (default 200000)",
+        default=Budget.points,  # the fiber-size default
+        help="work budget of solve: search nodes (reduce) or S-pairs "
+        f"(eliminate) (default {Budget.points})",
     )
     p.add_argument(
         "--method",
@@ -597,6 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the flag that sets each guard a subcommand exposes
+_LIMIT_FLAGS = {"degree": "--max-degree", "graver": "--max-graver-bits",
+                "nodes": "--max-fiber", "pairs": "--max-fiber"}
+
 _DISPATCH = {
     "groebner": cmd_groebner,
     "graver": cmd_graver,
@@ -623,7 +606,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 3
     except LimitExceeded as e:
-        sys.stderr.write(f"error: {e}\n")
+        flag = _LIMIT_FLAGS.get(e.guard)
+        sys.stderr.write(f"error: {e}" + (f" ({flag})" if flag else "") + "\n")
         return 4
     except ToricError as e:
         sys.stderr.write(f"error: {e}\n")

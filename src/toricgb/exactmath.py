@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .errors import DimensionMismatch, LimitExceeded, RankDeficient, ZeroVector
+from .errors import Budget, DimensionMismatch, RankDeficient, ZeroVector
 
 
 def xgcd(a: int, b: int):
@@ -206,23 +206,20 @@ def det_bareiss(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def max_abs_minor(M: IntMatrix, k=None, max_terms: int = 2_000_000) -> int:
+def max_abs_minor(M: IntMatrix, k=None, budget: Budget = Budget()) -> int:
     """Largest absolute value of a k x k minor of M.
 
     With k omitted, k is the number of rows and M must have full row
     rank, so the result is positive.  Enumerates all row/column subsets;
-    a guard refuses inputs where that count exceeds max_terms.
+    budget.subsets refuses inputs where that count is larger.
     """
-    full_rows = k is None
-    if full_rows:
+    if k is None:
         k = M.nrows
         if rank(M) < k:
             raise RankDeficient("maximal minors of a rank-deficient matrix are all 0")
     if k < 0 or k > M.nrows or k > M.ncols:
         raise DimensionMismatch(f"no {k} x {k} minors in a {M.nrows} x {M.ncols} matrix")
-    count = comb(M.nrows, k) * comb(M.ncols, k)
-    if count > max_terms:
-        raise LimitExceeded(f"{count} minors exceed the cap of {max_terms}")
+    budget.check("subsets", comb(M.nrows, k) * comb(M.ncols, k))
     best = 0
     for rsub in combinations(range(M.nrows), k):
         for csub in combinations(range(M.ncols), k):

@@ -18,6 +18,7 @@ from math import comb, lcm
 
 from .buchberger import GroebnerBasis, buchberger
 from .errors import (
+    Budget,
     DimensionMismatch,
     LimitExceeded,
     NonGenericOmega,
@@ -163,30 +164,30 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
     return Cone(tuple(sorted(keep)), lineality)
 
 
-def enumerate_initial_ideals(A: ConfigMatrix, max_graver: int = 22):
+def enumerate_initial_ideals(A: ConfigMatrix, budget: Budget = Budget()):
     """All distinct monomial initial ideals with interior weight witnesses.
 
     Returns (ideal, witness) pairs; the count equals the number of
     maximal cones in the Gröbner fan.
     """
-    _, ideals, witnesses, _ = universal_gb(A, max_graver=max_graver)
+    _, ideals, witnesses, _ = universal_gb(A, budget)
     return list(zip(ideals, witnesses))
 
 
 def regular_triangulation(A: ConfigMatrix, omega,
-                          max_subsets: int = 2_000_000) -> SimplicialComplex:
+                          budget: Budget = Budget()) -> SimplicialComplex:
     """The regular triangulation of cone(A) induced by lifting heights omega.
 
     Each cell is read off a vertex y of P = {y : a_j . y <= omega_j for
     all j}: it holds the columns with a_j . y = omega_j.  A.matrix has
     full row rank, so P is pointed and every vertex is y = A_sigma^{-T}
     omega_sigma for some basis sigma of d columns.  The scan visits each
-    of the C(n, d) column subsets once and, after scaling omega to
-    integers, works with D = det(A_sigma) and D*y from Cramer's rule.
-    sigma is a facet when a_j . y < omega_j for every j off sigma.  When
-    every j gives <= and one gives equality, the vertex is tight on more
-    than d columns, its cell is not a simplex, and NonGenericOmega is
-    raised.
+    of the C(n, d) column subsets once (budget.subsets caps C(n, d))
+    and, after scaling omega to integers, works with D = det(A_sigma)
+    and D*y from Cramer's rule.  sigma is a facet when a_j . y < omega_j
+    for every j off sigma.  When every j gives <= and one gives
+    equality, the vertex is tight on more than d columns, its cell is
+    not a simplex, and NonGenericOmega is raised.
 
     The facets cover cone(A) exactly when there is at least one.  For b
     in cone(A), min{omega . x : Ax = b, x >= 0} is dual to max{b . y :
@@ -198,8 +199,7 @@ def regular_triangulation(A: ConfigMatrix, omega,
     d, n = A.d, A.n
     if len(omega) != n:
         raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
-    if comb(n, d) > max_subsets:
-        raise LimitExceeded("too many column bases to scan")
+    budget.check("subsets", comb(n, d))
     w = [Fraction(x) for x in omega]
     scale = lcm(*(x.denominator for x in w))
     w = [int(x * scale) for x in w]
@@ -243,11 +243,10 @@ def _intersect_gens(a, b):
     ))
 
 
-def _minimal_nonfaces(delta: SimplicialComplex, max_subsets: int = 2_000_000):
+def _minimal_nonfaces(delta: SimplicialComplex, budget: Budget):
     n = delta.n_vertices
     top = max((len(f) for f in delta.facets), default=0)
-    if sum(comb(n, k) for k in range(1, top + 2)) > max_subsets:
-        raise LimitExceeded("too many vertex subsets to scan")
+    budget.check("subsets", sum(comb(n, k) for k in range(1, top + 2)))
     out = []
     for k in range(1, top + 2):
         for tau in itertools.combinations(range(n), k):
@@ -258,7 +257,8 @@ def _minimal_nonfaces(delta: SimplicialComplex, max_subsets: int = 2_000_000):
     return out
 
 
-def stanley_reisner(delta: SimplicialComplex) -> MonomialIdeal:
+def stanley_reisner(delta: SimplicialComplex,
+                    budget: Budget = Budget()) -> MonomialIdeal:
     """The ideal of non-faces, computed two ways and cross-checked.
 
     The defining form intersects, over all facets, the primes generated
@@ -276,7 +276,7 @@ def stanley_reisner(delta: SimplicialComplex) -> MonomialIdeal:
         ]
         acc = _intersect_gens(acc, prime)
     by_intersection = MonomialIdeal(acc, n)
-    by_nonfaces = MonomialIdeal(_minimal_nonfaces(delta), n)
+    by_nonfaces = MonomialIdeal(_minimal_nonfaces(delta, budget), n)
     if by_intersection != by_nonfaces:
         raise ToricError("Stanley-Reisner constructions disagree")
     return by_intersection
@@ -293,35 +293,36 @@ def is_squarefree(I: MonomialIdeal) -> bool:
     return all(e <= 1 for g in I.gens for e in g)
 
 
-def check_radical_triangulation(A: ConfigMatrix, omega) -> bool:
+def check_radical_triangulation(A: ConfigMatrix, omega,
+                                budget: Budget = Budget()) -> bool:
     """Whether rad(in_w(I_A)) equals the Stanley-Reisner ideal of Delta_w."""
-    G = buchberger(toric_generators(A), term_order(A.n, weight=omega))
+    G = buchberger(toric_generators(A, budget), term_order(A.n, weight=omega), budget)
     for g in G.elements:
         if dot(omega, g.vector) == 0:
             raise NonGenericOmega("weight lies on a wall of the Gröbner fan")
     init = MonomialIdeal([g.lead for g in G.elements], A.n)
-    delta = regular_triangulation(A, omega)
-    return radical_monomial(init) == stanley_reisner(delta)
+    delta = regular_triangulation(A, omega, budget)
+    return radical_monomial(init) == stanley_reisner(delta, budget)
 
 
-def assoc_primes_monomial(I: MonomialIdeal, max_witnesses: int = 2_000_000):
+def assoc_primes_monomial(I: MonomialIdeal, budget: Budget = Budget()):
     """Supports of the associated primes of a monomial ideal.
 
     A support sigma qualifies exactly when some monomial m outside I has
     (I : m) equal to the prime generated by {x_i : i in sigma}.  Witness
     exponents never need to exceed the largest generator exponent in each
-    variable, so the grid below is exhaustive.
+    variable, so the grid below is exhaustive; budget.subsets caps its
+    size, and I may have at most 12 variables.
     """
     if I.n > 12:
-        raise LimitExceeded("associated-prime search is limited to 12 variables")
+        raise LimitExceeded("variables", 12, I.n)
     if I.is_zero:
         return []
     bounds = [max(g[i] for g in I.gens) for i in range(I.n)]
     count = 1
     for b in bounds:
         count *= b + 1
-        if count > max_witnesses:
-            raise LimitExceeded(f"witness grid larger than {max_witnesses}")
+        budget.check("subsets", count)
     found = set()
     for m in itertools.product(*(range(b + 1) for b in bounds)):
         if I.contains(m):

@@ -9,14 +9,14 @@ literal test-set checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .buchberger import GroebnerBasis, buchberger, normal_form
 from .errors import (
+    Budget,
     DimensionMismatch,
     GuardViolated,
-    LimitExceeded,
     NegativeEntries,
     NotPointed,
 )
@@ -56,13 +56,17 @@ def _nonneg_guard(M):
             raise GuardViolated(f"column {i} is zero")
 
 
-def _fiber_dfs(M, b, collect, max_points=None):
-    """Exhaustive search over {x >= 0 : Mx = b} for a nonnegative matrix.
+def _fiber_dfs(A: ConfigMatrix, b, collect, budget: Budget):
+    """Exhaustive search over {x >= 0 : Ax = b} for a nonnegative matrix.
 
+    Works on the original rows, so dependent constraints are honoured.
     Calls collect(x) for each point found; collect returns True to stop
     early (used by feasible_point).  Upper bounds come from the residual
-    right-hand side, which stays nonnegative along the search.
+    right-hand side, which stays nonnegative along the search.  The
+    budget caps the points found and the nodes visited.
     """
+    M = A.original
+    _nonneg_guard(M)
     d, n = M.nrows, M.ncols
     cols = [M.col(i) for i in range(n)]
     # rows that some later column can still touch; a positive residual
@@ -74,10 +78,14 @@ def _fiber_dfs(M, b, collect, max_points=None):
             if cols[i][j] > 0:
                 mask |= 1 << j
         support[i] = mask
-    count = 0
+    max_points, max_nodes = budget.points, budget.nodes
+    count = nodes = 0
 
     def search(i, residual, point):
-        nonlocal count
+        nonlocal count, nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            budget.check("nodes", nodes)
         if any(residual[j] > 0 and not (support[i] >> j) & 1 for j in range(d)):
             return False
         if i == n:
@@ -85,7 +93,7 @@ def _fiber_dfs(M, b, collect, max_points=None):
                 return False
             count += 1
             if max_points is not None and count > max_points:
-                raise LimitExceeded(f"fiber larger than {max_points} points")
+                budget.check("points", count)
             return collect(tuple(point))
         cap = min(
             (residual[j] // cols[i][j] for j in range(d) if cols[i][j] > 0),
@@ -100,43 +108,41 @@ def _fiber_dfs(M, b, collect, max_points=None):
             point.pop()
         return False
 
+    b = tuple(int(x) for x in b)
     if any(x < 0 for x in b):
         return
-    search(0, tuple(b), [])
+    search(0, b, [])
 
 
-def feasible_point(A: ConfigMatrix, b):
+def feasible_point(A: ConfigMatrix, b, budget: Budget = Budget()):
     """Any point of the fiber, or None.
 
     Requires a nonnegative matrix with no zero column so the search is
-    bounded; works on the original rows, so dependent constraints are
-    honoured automatically.
+    bounded.
     """
-    _nonneg_guard(A.original)
     found = []
 
     def collect(x):
         found.append(x)
         return True
 
-    _fiber_dfs(A.original, tuple(int(x) for x in b), collect)
+    _fiber_dfs(A, b, collect, budget)
     return found[0] if found else None
 
 
-def fiber(A: ConfigMatrix, b, max_points: int = 200_000):
+def fiber(A: ConfigMatrix, b, budget: Budget = Budget()):
     """The complete fiber {x >= 0 : Ax = b}, canonically sorted."""
-    _nonneg_guard(A.original)
     out = []
 
     def collect(x):
         out.append(x)
         return False
 
-    _fiber_dfs(A.original, tuple(int(x) for x in b), collect, max_points)
+    _fiber_dfs(A, b, collect, budget)
     return sorted(out)
 
 
-def _graded_feasible(A: ConfigMatrix, b, max_nodes=None):
+def _graded_feasible(A: ConfigMatrix, b, budget: Budget):
     """Feasible point for a pointed configuration, negative entries allowed.
 
     Any solution has grading degree w . b where the rational w expresses
@@ -158,21 +164,22 @@ def _graded_feasible(A: ConfigMatrix, b, max_nodes=None):
     g0 = int(g0)
     n = M.ncols
     cols = [M.col(i) for i in range(n)]
+    max_nodes = budget.nodes
     nodes = 0
 
-    def search(i, budget, image, point):
+    def search(i, left, image, point):
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            raise LimitExceeded(f"feasibility search exceeded {max_nodes} nodes")
+            budget.check("nodes", nodes)
         if i == n:
-            if budget == 0 and image == bk:
+            if left == 0 and image == bk:
                 return tuple(point)
             return None
-        for v in range(budget // gamma[i] + 1):
+        for v in range(left // gamma[i] + 1):
             point.append(v)
             nxt = tuple(p + v * c for p, c in zip(image, cols[i]))
-            hit = search(i + 1, budget - v * gamma[i], nxt, point)
+            hit = search(i + 1, left - v * gamma[i], nxt, point)
             point.pop()
             if hit is not None:
                 return hit
@@ -181,7 +188,7 @@ def _graded_feasible(A: ConfigMatrix, b, max_nodes=None):
     return search(0, g0, (0,) * M.nrows, [])
 
 
-def solve_ip(inst: IPInstance, max_nodes=None):
+def solve_ip(inst: IPInstance, budget: Budget = Budget()):
     """The omega-optimal fiber point, ties broken by the tie-break order.
 
     Computes the reduced Gröbner basis for (omega, degrevlex) and takes
@@ -191,14 +198,14 @@ def solve_ip(inst: IPInstance, max_nodes=None):
     A = inst.A
     if not A.pointed:
         raise NotPointed("integer program needs a positively graded matrix")
-    start = _graded_feasible(A, inst.b, max_nodes)
+    start = _graded_feasible(A, inst.b, budget)
     if start is None:
         return None
-    G = buchberger(toric_generators(A), term_order(A.n, weight=inst.omega))
+    G = buchberger(toric_generators(A, budget), term_order(A.n, weight=inst.omega), budget)
     return normal_form(start, G)
 
 
-def solve_ip_elimination(inst: IPInstance, max_elements: int = 100_000,
+def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
                          max_pairs=None):
     """Optimize by reducing t^b against the graph ideal of x_i -> t^{a_i}.
 
@@ -207,8 +214,10 @@ def solve_ip_elimination(inst: IPInstance, max_elements: int = 100_000,
     t block first turns reduction of t^b into the integer program.
     Returns None when t variables survive in the normal form.  The
     elimination basis can be far larger than the fiber warrants, so
-    max_pairs offers a deterministic bailout (LimitExceeded).
+    budget.pairs offers a deterministic bailout (LimitExceeded); the
+    older max_pairs keyword, when given, overrides it.
     """
+    budget = budget if max_pairs is None else replace(budget, pairs=max_pairs)
     M = inst.A.original
     if any(x < 0 for row in M.entries for x in row):
         raise NegativeEntries("elimination pipeline needs a nonnegative matrix")
@@ -226,7 +235,7 @@ def solve_ip_elimination(inst: IPInstance, max_elements: int = 100_000,
     order = term_order(
         d + n, weight=(0,) * d + tuple(inst.omega), elimination_block=d
     )
-    G = buchberger(gens, order, max_elements=max_elements, max_pairs=max_pairs)
+    G = buchberger(gens, order, budget)
     nf = normal_form(tuple(inst.b) + (0,) * n, G)
     if any(nf[:d]):
         return None
@@ -293,8 +302,7 @@ def skeleton_graph(inst: IPInstance, G: GroebnerBasis) -> SkeletonGraph:
     return SkeletonGraph(tuple(pts), tuple(sorted(edges)))
 
 
-def is_test_set(T, A: ConfigMatrix, omega, fibers,
-                max_points: int = 200_000) -> bool:
+def is_test_set(T, A: ConfigMatrix, omega, fibers, budget: Budget = Budget()) -> bool:
     """Literal test-set check for the order (omega, degrevlex).
 
     (a) every non-optimal feasible point admits a vector of T stepping to
@@ -305,7 +313,7 @@ def is_test_set(T, A: ConfigMatrix, omega, fibers,
     vectors = [tuple(w) for w in T]
     M = A.matrix
     for b in fibers:
-        pts = fiber(A, b, max_points)
+        pts = fiber(A, b, budget)
         if not pts:
             continue
         opt = min(pts, key=order.key)

@@ -67,7 +67,7 @@ def _monomials_by_image(A: ConfigMatrix, degbound: int, max_monomials: int):
         if i == n:
             count += 1
             if count > max_monomials:
-                raise LimitExceeded(f"more than {max_monomials} monomials in range")
+                raise LimitExceeded("monomials", max_monomials, count)
             groups.setdefault(image, []).append(tuple(point))
             return
         for v in range(budget // gamma[i] + 1):
@@ -192,9 +192,9 @@ def irreducible_decomposition(I: MonomialIdeal):
     pure powers.  Guarded brute force for small ideals only.
     """
     if I.n > 4:
-        raise LimitExceeded("decomposition oracle is limited to 4 variables")
+        raise LimitExceeded("variables", 4, I.n)
     if any(e > 8 for g in I.gens for e in g):
-        raise LimitExceeded("decomposition oracle is limited to exponents <= 8")
+        raise LimitExceeded("exponent", 8, max(e for g in I.gens for e in g))
     components = []
     stack = [I.gens]
 
@@ -412,8 +412,9 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
     if len(omega) != n:
         raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
     w = [Fraction(x) for x in omega]
-    if sum(comb(n, k) for k in range(d + 1)) > max_subsets:
-        raise LimitExceeded("too many column subsets to scan")
+    count = sum(comb(n, k) for k in range(d + 1))
+    if count > max_subsets:
+        raise LimitExceeded("subsets", max_subsets, count)
     cols = [A.matrix.col(j) for j in range(n)]
     faces = []
     for k in range(d + 1):

@@ -19,18 +19,17 @@ inverted (the argument is in toric_generators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .buchberger import Binomial, GroebnerBasis, buchberger
 from .errors import (
+    Budget,
     DimensionMismatch,
-    LimitExceeded,
     NotACircuit,
     NotPointed,
-    RankDeficient,
     ToricError,
     ZeroVector,
 )
@@ -150,8 +149,7 @@ class ConfigMatrix:
         return f"ConfigMatrix({self.d}x{self.n}, pointed={self.pointed})"
 
 
-def saturate_variable(gens, i: int, degrees=None, max_elements: int = 100_000,
-                      max_degree=None):
+def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget()):
     """Generators of (ideal of gens) : x_i^infinity, as lattice vectors.
 
     One Groebner computation under a reverse lexicographic order with
@@ -167,12 +165,11 @@ def saturate_variable(gens, i: int, degrees=None, max_elements: int = 100_000,
     n = len(gens[0])
     gamma = tuple(degrees) if degrees is not None else (1,) * n
     ord = weighted_revlex(gamma, cheapest=i)
-    gb = buchberger(gens, ord, max_elements=max_elements, max_degree=max_degree)
+    gb = buchberger(gens, ord, budget)
     return [b.vector for b in gb.elements]
 
 
-def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
-                     max_degree=None):
+def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     """Lattice vectors whose binomials generate the toric ideal of A.
 
     Kernel lattice basis K, then one saturation per variable that K
@@ -203,7 +200,7 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
     The variables of S are saturated in this order: the column that is
     nonzero in the most rows of K first, ties by index.  The output does
     not depend on the order, since the reduced basis is unique, but the
-    intermediate elements do.  A max_degree cap can therefore trip on
+    intermediate elements do.  A degree cap can therefore trip on
     other instances than it did when every variable was saturated in
     index order; every answer computed both ways is the same.
     """
@@ -216,10 +213,8 @@ def toric_generators(A: ConfigMatrix, max_elements: int = 100_000,
     pivots = {next(j for j, x in enumerate(row) if x) for row in gens}
     support = [sum(1 for row in gens if row[i]) for i in range(A.n)]
     for i in sorted(set(range(A.n)) - pivots, key=lambda i: (-support[i], i)):
-        gens = saturate_variable(gens, i, degrees=A.grading,
-                                 max_elements=max_elements, max_degree=max_degree)
-    gb = buchberger(gens, _canonical_order(A), max_elements=max_elements,
-                    max_degree=max_degree)
+        gens = saturate_variable(gens, i, A.grading, budget)
+    gb = buchberger(gens, _canonical_order(A), budget)
     return [b.vector for b in gb.elements]
 
 
@@ -229,7 +224,8 @@ def _canonical_order(A: ConfigMatrix) -> TermOrder:
     return degrevlex(A.n, weight=A.grading)
 
 
-def toric_groebner(A: ConfigMatrix, ord: TermOrder = None) -> GroebnerBasis:
+def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
+                   budget: Budget = Budget()) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal under ord (or the default).
 
     Under the canonical order, the default, toric_generators has already
@@ -238,11 +234,11 @@ def toric_groebner(A: ConfigMatrix, ord: TermOrder = None) -> GroebnerBasis:
     the reduced basis has a variable common to both terms, and orienting
     the vector recovers the lead and the trail.
     """
-    gens = toric_generators(A)
+    gens = toric_generators(A, budget)
     canonical = _canonical_order(A)
     if ord is None or ord == canonical:
         return GroebnerBasis(canonical, tuple(orient(v, canonical) for v in gens))
-    return buchberger(gens, ord)
+    return buchberger(gens, ord, budget)
 
 
 def lawrence_lifting(M: IntMatrix) -> IntMatrix:
@@ -255,7 +251,7 @@ def lawrence_lifting(M: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(top + bottom))
 
 
-def graver(A: ConfigMatrix, max_elements: int = 100_000, max_degree=None):
+def graver(A: ConfigMatrix, budget: Budget = Budget()):
     """The Graver basis of A via its Lawrence lifting.
 
     The toric ideal of [[A, 0], [I, I]] has a unique reduced Groebner
@@ -265,17 +261,17 @@ def graver(A: ConfigMatrix, max_elements: int = 100_000, max_degree=None):
     is degrevlex on 2n variables and toric_generators already returns
     the reduced basis for it.
 
-    max_degree bounds the grading degree of intermediate elements in the
-    lifted computation (LimitExceeded beyond it), which is the practical
-    guard for random sweeps: hopeless instances die fast.
+    budget.degree bounds the degree of intermediate elements in the
+    lifted computation, in the lifting's all-ones grading unless
+    budget.grading names one (A.grading + (0,) * n gives each (u, -u)
+    the A-degree of u); it is the practical guard for random sweeps.
     """
     if not A.pointed:
         raise NotPointed("Graver basis requires a pointed configuration")
     n = A.n
     lifted = ConfigMatrix(lawrence_lifting(A.matrix))
     out = set()
-    for w in toric_generators(lifted, max_elements=max_elements,
-                              max_degree=max_degree):
+    for w in toric_generators(lifted, budget):
         u, v = w[:n], w[n:]
         if any(x + y for x, y in zip(u, v)):
             raise ToricError(
@@ -298,60 +294,45 @@ class Circuit:
     true_degree: int
 
 
-def _circuit_scan(A: ConfigMatrix):
-    """Yield (normalized vector, common factor, support set) per column subset."""
+def circuits(A: ConfigMatrix, budget: Budget = Budget()):
+    """All circuits of A, one per +/- pair, with true degrees.
+
+    Each (d+1)-subset S of columns with rank(A_S) = d gives a circuit
+    from the maximal minors of A_S: ker(A_S) is one-dimensional, so the
+    vector is support-minimal.  The true degree of a circuit is taken
+    over every subset that produces it, since the common factor of the
+    minors can differ with the subset when the support is smaller than
+    d+1.  budget.subsets caps the C(n, d+1) subsets scanned, and
+    budget.degree the degree of each circuit as it is found.
+    """
     M = A.matrix
     d, n = M.nrows, M.ncols
+    budget.check("subsets", comb(n, d + 1))
     all_rows = tuple(range(d))
+    best = {}
     for S in combinations(range(n), d + 1):
-        dets = [
-            det_bareiss(M.submatrix(all_rows, S[:j] + S[j + 1:]))
-            for j in range(d + 1)
-        ]
+        dets = [det_bareiss(M.submatrix(all_rows, S[:j] + S[j + 1:]))
+                for j in range(d + 1)]
         if not any(dets):
             continue
-        c = 0
-        for x in dets:
-            c = gcd(c, x)
+        c = gcd(*dets)
         vec = [0] * n
         for j, col in enumerate(S):
             vec[col] = (-1) ** j * dets[j] // c
-        # rank(A_S) = d here, so ker(A_S) is one-dimensional and vec is
-        # automatically support-minimal: a kernel vector with smaller
-        # support would be a dependent multiple of vec.
-        yield normalize_sign(vec), c, S
-
-
-def circuits(A: ConfigMatrix):
-    """All circuits of A, one per +/- pair, with true degrees.
-
-    The true degree of a circuit is taken over every (d+1)-subset of
-    columns that produces it, since the common factor can differ with
-    the ambient subset when the support is smaller than d+1.
-    """
-    if rank(A.matrix) != A.d:
-        raise RankDeficient("circuit enumeration requires full row rank")
-    best = {}
-    for vec, c, _ in _circuit_scan(A):
-        deg = c * A.degree(vec)
-        if vec not in best or deg > best[vec]:
-            best[vec] = deg
+        vec = normalize_sign(vec)
+        budget.check("degree", A.degree(vec))
+        best[vec] = max(best.get(vec, 0), c * A.degree(vec))
     return [Circuit(v, best[v]) for v in sorted(best)]
 
 
-def true_degree(c, A: ConfigMatrix) -> int:
+def true_degree(c, A: ConfigMatrix, budget: Budget = Budget()) -> int:
     """Degree of a circuit before division by the minors' common factor."""
     vec = c.vector if isinstance(c, Circuit) else tuple(c)
     target = normalize_sign(vec)
-    found = None
-    for v, cf, _ in _circuit_scan(A):
-        if v == target:
-            deg = cf * A.degree(v)
-            if found is None or deg > found:
-                found = deg
-    if found is None:
-        raise NotACircuit(f"{vec} is not a circuit of the configuration")
-    return found
+    for circuit in circuits(A, budget):
+        if circuit.vector == target:
+            return circuit.true_degree
+    raise NotACircuit(f"{vec} is not a circuit of the configuration")
 
 
 def degree_bound(A: ConfigMatrix) -> int:
@@ -359,21 +340,17 @@ def degree_bound(A: ConfigMatrix) -> int:
     return (A.n - A.d) * (A.d + 1) * max_abs_minor(A.matrix)
 
 
-def is_unimodular(A: ConfigMatrix) -> bool:
+def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
     """All nonzero maximal minors share one absolute value."""
     M = A.matrix
-    if rank(M) != M.nrows:
-        raise RankDeficient("unimodularity requires full row rank")
-    values = set()
+    budget.check("subsets", comb(M.ncols, M.nrows))
     all_rows = tuple(range(M.nrows))
-    for S in combinations(range(M.ncols), M.nrows):
-        v = abs(det_bareiss(M.submatrix(all_rows, S)))
-        if v:
-            values.add(v)
-    return len(values) == 1
+    values = {abs(det_bareiss(M.submatrix(all_rows, S)))
+              for S in combinations(range(M.ncols), M.nrows)}
+    return len(values - {0}) == 1
 
 
-def universal_gb(A: ConfigMatrix, max_graver: int = 22):
+def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     """Union of all reduced Groebner bases, with the distinct initial ideals.
 
     Returns (ugb, initial_ideals, witnesses, bases):
@@ -388,7 +365,9 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
     arrangement fixes the orientation of every Groebner basis element,
     so one interior witness per cell reaches every reduced basis.
     Infeasible sign prefixes are pruned, which is the only difference
-    from enumerating all 2^N patterns.
+    from enumerating all 2^N patterns.  budget.graver caps N.  The
+    Graver step drops the degree cap: the Graver basis holds more than
+    the universal basis, and its lifted runs are twice as wide.
 
     Each piece of work is done once:
 
@@ -413,13 +392,9 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
 
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
-    grv = graver(A)
-    if len(grv) > max_graver:
-        raise LimitExceeded(
-            f"Graver basis has {len(grv)} elements; sign-pattern enumeration "
-            f"is capped at {max_graver}"
-        )
-    base = toric_generators(A)
+    grv = graver(A, replace(budget, degree=None, grading=None))
+    budget.check("graver", len(grv))
+    base = toric_generators(A, budget)
     n = A.n
     if not grv:
         omega = (0,) * n
@@ -443,7 +418,7 @@ def universal_gb(A: ConfigMatrix, max_graver: int = 22):
 
     def visit(beta):
         omega = lift_weight(beta)
-        gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"))
+        gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"), budget)
         pattern = []
         for b in gb.elements:
             v = normalize_sign(b.vector)

@@ -16,7 +16,7 @@ import pytest
 
 from toricgb.buchberger import buchberger, normal_form
 from toricgb.cli import generate
-from toricgb.errors import LimitExceeded, NonGenericOmega, ToricError
+from toricgb.errors import Budget, LimitExceeded, NonGenericOmega, ToricError
 from toricgb.exactmath import IntMatrix, det_bareiss, hnf
 from toricgb.fan import (
     MonomialIdeal,
@@ -309,8 +309,8 @@ def test_criterion_05_degree_bound_sweep(homogeneous_sweep):
         cap = min(3 * bound + 20, 80)
         order = term_order(A.n, weight=omega, tiebreak="degrevlex")
         try:
-            gens = toric_generators(A, max_elements=20_000, max_degree=cap)
-            G = buchberger(gens, order, max_elements=20_000, max_degree=cap)
+            gens = toric_generators(A, Budget(elements=20_000, degree=cap))
+            G = buchberger(gens, order, Budget(elements=20_000, degree=cap))
         except LimitExceeded:
             continue
         assert all(A.degree(g.vector) <= bound for g in G.elements), (
@@ -345,7 +345,7 @@ def test_criterion_06_ip_solver_agreement_and_skeletons():
         omega = tuple(rng.randint(-4, 6) for _ in range(n))
         inst = IPInstance(A, omega, b)
         try:
-            F = fiber(A, b, max_points=5000)
+            F = fiber(A, b, Budget(points=5000))
         except LimitExceeded:
             continue
         if not F:
@@ -356,7 +356,7 @@ def test_criterion_06_ip_solver_agreement_and_skeletons():
         got = solve_ip(inst)
         assert got == best, (rows, omega, b)
         try:
-            assert solve_ip_elimination(inst, max_pairs=200_000) == best
+            assert solve_ip_elimination(inst, Budget(pairs=200_000)) == best
             elim_ok += 1
         except LimitExceeded:
             elim_skipped += 1
@@ -399,7 +399,7 @@ def test_criterion_07_test_set_certification():
             x = tuple(rng.randint(0, 2) for _ in range(n))
             b = A.original.mulvec(x)
             try:
-                pts = fiber(A, b, max_points=3000)
+                pts = fiber(A, b, Budget(points=3000))
             except LimitExceeded:
                 continue
             if not pts:
@@ -439,7 +439,7 @@ def test_criterion_09_basis_inclusions_named(seg33, lawrenceB, seg333):
     assert signed_set(c.vector for c in cs) == signed_set(grv)
 
     LB, lgrv, lcs, _ = lawrenceB
-    lu, _, _, _ = universal_gb(LB, max_graver=22)
+    lu, _, _, _ = universal_gb(LB, Budget(graver=22))
     assert signed_set(c.vector for c in lcs) <= signed_set(lu) <= signed_set(lgrv)
     assert signed_set(lu) == signed_set(lgrv)
 
@@ -447,14 +447,14 @@ def test_criterion_09_basis_inclusions_named(seg33, lawrenceB, seg333):
     # the guard is the documented exclusion
     S, _, _ = seg333
     with pytest.raises(LimitExceeded):
-        graver(S, max_elements=500, max_degree=6)
+        graver(S, Budget(elements=500, degree=6))
 
 
 def test_criterion_09_basis_inclusions_sweep(homogeneous_sweep):
     full = with_universal = 0
     for A, _ in homogeneous_sweep:
         try:
-            grv = graver(A, max_elements=5000, max_degree=40)
+            grv = graver(A, Budget(elements=5000, degree=40))
         except LimitExceeded:
             continue
         sg = signed_set(grv)
@@ -462,7 +462,7 @@ def test_criterion_09_basis_inclusions_sweep(homogeneous_sweep):
         assert sc <= sg, A.original.entries
         full += 1
         if A.pointed and A.n <= 5 and len(grv) <= 16:
-            ugb, _, _, _ = universal_gb(A, max_graver=22)
+            ugb, _, _, _ = universal_gb(A, Budget(graver=22))
             su = signed_set(ugb)
             assert sc <= su <= sg, A.original.entries
             with_universal += 1
@@ -541,7 +541,7 @@ def test_criterion_12_graver_bruteforce_agreement():
             if not A.pointed:
                 continue
         try:
-            grv = graver(A, max_elements=2000, max_degree=12)
+            grv = graver(A, Budget(elements=2000, degree=12))
         except LimitExceeded:
             continue
         if not grv:

@@ -9,7 +9,7 @@ from toricgb.buchberger import (
     passes_buchberger_criterion,
     s_binomial,
 )
-from toricgb.errors import GuardViolated
+from toricgb.errors import Budget, GuardViolated
 from toricgb.orders import degrevlex, lex, orient, term_order
 from toricgb.toric import ConfigMatrix, toric_generators
 
@@ -143,7 +143,7 @@ def test_pair_budget_trips():
 
     gens = toric_generators(TWISTED)
     with pytest.raises(LimitExceeded):
-        buchberger(gens, degrevlex(4), max_pairs=1)
+        buchberger(gens, degrevlex(4), Budget(pairs=1))
     # a generous budget must not interfere with a run that completes
-    G = buchberger(gens, degrevlex(4), max_pairs=10_000)
+    G = buchberger(gens, degrevlex(4), Budget(pairs=10_000))
     assert len(G) == 3

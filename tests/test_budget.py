@@ -1,0 +1,168 @@
+"""The run's Budget: each guard trips while the work runs, and names itself.
+
+The last two tests read the production source, so that the limits stay
+in one Budget instead of spreading back into keyword arguments.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import toricgb
+from toricgb import toric
+from toricgb.buchberger import buchberger
+from toricgb.errors import Budget, DimensionMismatch, LimitExceeded
+from toricgb.fan import check_radical_triangulation
+from toricgb.ip import IPInstance, feasible_point, fiber, solve_ip, solve_ip_elimination
+from toricgb.orders import degrevlex
+from toricgb.toric import (
+    ConfigMatrix,
+    circuits,
+    graver,
+    is_unimodular,
+    toric_generators,
+    toric_groebner,
+    true_degree,
+    universal_gb,
+)
+
+from test_toric import record_calls
+
+TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
+LINE = ConfigMatrix(((1, 1),))
+# the B matrix of tests/test_cli.py; its grading is (5, 15, 20, 15, 3)
+B = ConfigMatrix(((1, 3, 4, 6, 0), (0, 0, 0, -5, 1)))
+
+
+def tripped(run):
+    with pytest.raises(LimitExceeded) as exc:
+        run()
+    e = exc.value
+    return e.guard, e.limit, e.reached
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: buchberger(toric_generators(TWISTED), degrevlex(4), Budget(elements=1)),
+     ("elements", 1, 2)),
+    (lambda: buchberger(toric_generators(TWISTED), degrevlex(4), Budget(pairs=1)),
+     ("pairs", 1, 2)),
+    # the kernel basis holds an element of degree 3; the reduced basis does not
+    (lambda: toric_groebner(TWISTED, None, Budget(degree=1)), ("degree", 1, 3)),
+    (lambda: fiber(LINE, (100,), Budget(points=10)), ("points", 10, 11)),
+    (lambda: solve_ip(IPInstance(LINE, (1, 0), (50,)), Budget(nodes=3)), ("nodes", 3, 4)),
+    (lambda: circuits(TWISTED, Budget(subsets=3)), ("subsets", 3, 4)),
+    (lambda: universal_gb(TWISTED, Budget(graver=4)), ("graver", 4, 5)),
+], ids=["elements", "pairs", "degree", "points", "nodes", "subsets", "graver"])
+def test_each_field_trips_with_guard_limit_and_reach(run, expected):
+    assert tripped(run) == expected
+
+
+def test_limit_exceeded_prints_its_three_fields():
+    e = LimitExceeded("pairs", 1, 2)
+    assert str(e) == "pairs guard exceeded: reached 2, capped at 1"
+
+
+def test_subset_scans_check_their_size_first():
+    # C(4, 3) = 4 column triples for the circuit scans, C(4, 2) = 6 bases
+    budget = Budget(subsets=3)
+    assert tripped(lambda: circuits(TWISTED, budget)) == ("subsets", 3, 4)
+    assert tripped(lambda: true_degree((1, -2, 1, 0), TWISTED, budget)) == ("subsets", 3, 4)
+    assert tripped(lambda: is_unimodular(TWISTED, budget)) == ("subsets", 3, 6)
+    assert tripped(lambda: check_radical_triangulation(TWISTED, (0, 1, 3, 0), budget)) == (
+        "subsets", 3, 6)
+
+
+def test_circuit_degree_is_checked_as_each_circuit_is_found():
+    # the twisted cubic's circuits have degrees 2, 3, 3, 2
+    assert len(circuits(TWISTED, Budget(degree=3))) == 4
+    assert tripped(lambda: circuits(TWISTED, Budget(degree=2))) == ("degree", 2, 3)
+
+
+def test_graver_degree_cap_stops_the_first_lifted_run(monkeypatch):
+    # a check on the output would let all 8 lifted runs finish first
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    budget = Budget(degree=2, grading=B.grading + (0,) * 5)
+    assert tripped(lambda: graver(B, budget))[:2] == ("degree", 2)
+    assert len(runs) == 1
+
+
+def test_grading_of_the_wrong_length_is_refused():
+    with pytest.raises(DimensionMismatch):
+        graver(B, Budget(degree=100, grading=B.grading))
+
+
+def test_universal_gb_budget_reaches_its_graver_step(monkeypatch):
+    raised = []
+    real = toric.graver
+
+    def watching(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except LimitExceeded as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(toric, "graver", watching)
+    with pytest.raises(LimitExceeded) as exc:
+        universal_gb(TWISTED, Budget(elements=1))
+    assert raised == [exc.value]
+
+
+def test_universal_gb_budget_reaches_every_buchberger_run(monkeypatch):
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    universal_gb(TWISTED, Budget(elements=99))
+    assert len(runs) > 8  # saturations, Graver runs and one per cell
+    assert all(args[2].elements == 99 for args in runs)
+
+
+def test_start_point_search_takes_the_budget():
+    assert feasible_point(LINE, (5,)) == (0, 5)
+    assert tripped(lambda: feasible_point(LINE, (100,), Budget(nodes=10)))[:2] == ("nodes", 10)
+    assert tripped(lambda: solve_ip(IPInstance(TWISTED, (2, 1, 1, 3), (4, 5)),
+                                    Budget(elements=1)))[:2] == ("elements", 1)
+
+
+def test_elimination_keeps_its_pair_keyword():
+    inst = IPInstance(TWISTED, (2, 1, 1, 3), (4, 5))
+    assert solve_ip_elimination(inst) == (0, 3, 1, 0)
+    assert tripped(lambda: solve_ip_elimination(inst, Budget(pairs=1)))[:2] == ("pairs", 1)
+    # the keyword replaces the budget's pair cap
+    assert tripped(lambda: solve_ip_elimination(inst, Budget(pairs=10**6), max_pairs=1))[:2] == (
+        "pairs", 1)
+
+
+# -- the budget stays in one place ------------------------------------------
+
+PRODUCTION = sorted(
+    p for p in Path(toricgb.__file__).parent.glob("*.py") if p.name != "oracle.py"
+)
+
+
+def test_no_limit_keyword_outside_the_budget():
+    found = []
+    for path in PRODUCTION:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg.startswith("max_"):
+                        found.append((path.name, node.name, arg.arg))
+    # perfbench/workloads.py still passes max_pairs
+    assert found == [("ip.py", "solve_ip_elimination", "max_pairs")]
+
+
+def test_every_limit_is_raised_with_its_three_fields():
+    sites = []
+    for path in PRODUCTION:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            if getattr(call.func if call else node.exc, "id", None) != "LimitExceeded":
+                continue
+            assert call is not None and len(call.args) == 3 and not call.keywords, (
+                path.name, node.lineno)
+            sites.append(path.name)
+    # Budget.check, and the fixed 12-variable guard of assoc_primes_monomial
+    assert sorted(sites) == ["errors.py", "fan.py"]

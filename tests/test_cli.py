@@ -278,6 +278,18 @@ def test_solve_fiber_budget_exit_code(tmp_path, capsys):
     assert "exceeded" in err
 
 
+def test_eliminate_honours_the_fiber_budget_as_a_pair_cap(twisted, tmp_path, capsys):
+    w = wfile(tmp_path, [2, 1, 1, 3])
+    argv = ["solve", twisted, "--weight", w, "--rhs", "4,5", "--method", "eliminate"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out == "(0,3,1,0) cost 4\n"
+    rc, out, err = run(capsys, argv + ["--max-fiber", "1"])
+    assert rc == 4 and out == ""
+    assert "exceeded" in err
+    assert err == "error: pairs guard exceeded: reached 2, capped at 1 (--max-fiber)\n"
+
+
 def test_fiber_budget_only_on_solve(twisted, capsys):
     for argv in (["groebner", twisted], ["graver", twisted],
                  ["circuits", twisted], ["universal", twisted],

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricgb.errors import DimensionMismatch, LimitExceeded, RankDeficient
+from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, RankDeficient
 from toricgb.exactmath import (
     IntMatrix,
     _normalize_constraint,
@@ -191,7 +191,7 @@ def test_max_abs_minor():
     ]
     assert max_abs_minor(M) == max(vals) == 6
     with pytest.raises(LimitExceeded):
-        max_abs_minor(random_matrix(random.Random(0), 12, 24), k=6, max_terms=10)
+        max_abs_minor(random_matrix(random.Random(0), 12, 24), k=6, budget=Budget(subsets=10))
 
 
 def test_solve_affine_particular_plus_nullspace():

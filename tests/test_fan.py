@@ -6,6 +6,7 @@ import pytest
 
 from toricgb.buchberger import buchberger
 from toricgb.errors import (
+    Budget,
     DimensionMismatch,
     LimitExceeded,
     NonGenericOmega,
@@ -171,7 +172,7 @@ def test_triangulation_guards():
     with pytest.raises(DimensionMismatch):
         regular_triangulation(SEGMENT, (0, 0))
     with pytest.raises(LimitExceeded):
-        regular_triangulation(SEGMENT, (0, 0, 1), max_subsets=1)
+        regular_triangulation(SEGMENT, (0, 0, 1), Budget(subsets=1))
 
 
 def test_stanley_reisner_of_path():

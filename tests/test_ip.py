@@ -6,6 +6,7 @@ import pytest
 
 from toricgb.buchberger import buchberger
 from toricgb.errors import (
+    Budget,
     DimensionMismatch,
     GuardViolated,
     LimitExceeded,
@@ -59,7 +60,7 @@ def test_fiber_rejects_bad_matrices():
 
 def test_fiber_point_limit():
     with pytest.raises(LimitExceeded):
-        fiber(LINE, (100,), max_points=10)
+        fiber(LINE, (100,), Budget(points=10))
 
 
 def test_fiber_respects_dependent_rows():
@@ -103,7 +104,7 @@ def test_elimination_skips_buchberger_for_negative_rhs(monkeypatch):
     monkeypatch.setattr(ip, "buchberger", counting)
     inst = IPInstance(TWISTED, (1, 0, 0, 1), (3, -1))
     assert solve_ip_elimination(inst) is None
-    assert solve_ip_elimination(inst, max_pairs=1) is None
+    assert solve_ip_elimination(inst, Budget(pairs=1)) is None
     assert runs == []
 
 
@@ -115,7 +116,7 @@ def test_solve_requires_pointed():
 
 def test_solve_node_budget():
     with pytest.raises(LimitExceeded):
-        solve_ip(IPInstance(LINE, (1, 0), (50,)), max_nodes=3)
+        solve_ip(IPInstance(LINE, (1, 0), (50,)), Budget(nodes=3))
 
 
 def test_elimination_rejects_negative_matrix():
@@ -142,7 +143,7 @@ def test_solvers_agree_on_random_instances():
             continue
         x = tuple(rng.randint(0, 3) for _ in range(n))
         b = A.original.mulvec(x)
-        if len(fiber(A, b, max_points=5000)) == 0:
+        if len(fiber(A, b, Budget(points=5000))) == 0:
             continue
         omega = tuple(rng.randint(-3, 6) for _ in range(n))
         inst = IPInstance(A, omega, b)

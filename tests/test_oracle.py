@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from toricgb.buchberger import buchberger, normal_form
-from toricgb.errors import DimensionMismatch, LimitExceeded, NonGenericOmega
+from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.fan import (
     MonomialIdeal,
     enumerate_initial_ideals,
@@ -77,7 +77,7 @@ def test_bruteforce_graver_random_small_configs():
         if not A.pointed:
             continue
         try:
-            grv = sorted(normalize_sign(v) for v in graver(A, max_degree=12))
+            grv = sorted(normalize_sign(v) for v in graver(A, Budget(degree=12)))
         except LimitExceeded:
             continue
         bound = max((A.degree(v) for v in grv), default=1)
@@ -130,7 +130,7 @@ def pointed_configs(rng, count):
         if not A.pointed or A.n == A.d:
             continue
         try:
-            size = len(graver(A, max_degree=20))
+            size = len(graver(A, Budget(degree=20)))
         except LimitExceeded:
             continue
         if 2 <= size <= 14:
@@ -466,3 +466,22 @@ def test_triangulation_matches_every_subset_scan_seeded():
         seen["not pointed"] += not A.pointed
         checked += 1
     assert min(seen.values()) >= 100, seen
+    # paraboloid lifts of points of a 5x5 grid: four cocircular points lift
+    # onto one plane, and about 1 draw in 160 makes a cell of them whose
+    # every edge is shared with a triangle, which only the ridge check sees
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    square = 0
+    for _ in range(300):
+        pts = rng.sample(grid, rng.randint(5, 7))
+        A = ConfigMatrix(((1,) * len(pts), tuple(x for x, _ in pts),
+                          tuple(y for _, y in pts)))
+        omega = tuple(x * x + y * y for x, y in pts)
+        with time_limit(10):
+            facets = triangulation_or_none(regular_triangulation, A, omega)
+            try:
+                expected = regular_triangulation_every_subset(A, omega).facets
+            except NonGenericOmega as e:
+                expected = None
+                square += "ridge" in str(e)
+        assert facets == expected, pts
+    assert square >= 3

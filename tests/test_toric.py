@@ -4,6 +4,7 @@ import pytest
 
 from toricgb.cli import generate
 from toricgb.errors import (
+    Budget,
     DimensionMismatch,
     LimitExceeded,
     NotACircuit,
@@ -379,7 +380,7 @@ def test_graver_makes_no_repeated_run(monkeypatch):
 
 def test_universal_gb_guard():
     with pytest.raises(LimitExceeded):
-        universal_gb(TWISTED, max_graver=2)
+        universal_gb(TWISTED, Budget(graver=2))
 
 
 def test_normalize_sign():
@@ -393,7 +394,7 @@ def test_inclusion_chain_random_sweep():
     while checked < 25:
         A = random_pointed(rng)
         try:
-            grv = set(graver(A, max_degree=40))
+            grv = set(graver(A, Budget(degree=40)))
         except LimitExceeded:
             continue
         cs = {c.vector for c in circuits(A)}
