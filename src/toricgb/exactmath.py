@@ -206,6 +206,20 @@ def det_bareiss(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def cramer(M: IntMatrix, v):
+    """det(M) * M^{-1} v for a square M, by Cramer's rule.
+
+    Entry k is the determinant of M with column k replaced by v, so the
+    result is integral and linear in v, and M y = v has the solution
+    y = cramer(M, v) / det(M) whenever det(M) != 0.
+    """
+    return [
+        det_bareiss(IntMatrix(tuple(r[:k] + (x,) + r[k + 1:]
+                                    for r, x in zip(M.entries, v))))
+        for k in range(M.ncols)
+    ]
+
+
 def max_abs_minor(M: IntMatrix, k=None, budget: Budget = Budget()) -> int:
     """Largest absolute value of a k x k minor of M.
 

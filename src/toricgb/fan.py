@@ -26,6 +26,7 @@ from .errors import (
 )
 from .exactmath import (
     IntMatrix,
+    cramer,
     det_bareiss,
     dot,
     is_irredundant,
@@ -206,16 +207,11 @@ def regular_triangulation(A: ConfigMatrix, omega,
     cols = [A.matrix.col(j) for j in range(n)]
     facets = []
     for sigma in itertools.combinations(range(n), d):
-        rows = [cols[i] for i in sigma]
-        D = det_bareiss(IntMatrix(tuple(rows)))
+        block = IntMatrix(tuple(cols[i] for i in sigma))
+        D = det_bareiss(block)
         if D == 0:
             continue
-        Dy = [
-            det_bareiss(IntMatrix(tuple(
-                r[:k] + (w[i],) + r[k + 1:] for r, i in zip(rows, sigma)
-            )))
-            for k in range(d)
-        ]
+        Dy = cramer(block, [w[i] for i in sigma])
         sign = 1 if D > 0 else -1
         # |D| * (omega_j - a_j . y) for every column j off sigma
         slack = [

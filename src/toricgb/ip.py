@@ -2,15 +2,17 @@
 
 Minimizing a linear cost over a fiber is normal-form reduction: compute
 the reduced Gröbner basis for the cost order and reduce any feasible
-point.  The module also carries the elimination-order pipeline that
-starts from the monomial t^b, fiber enumeration, skeleton graphs, and a
-literal test-set checker.
+point.  That point comes from a search over the n - d columns outside
+one fixed column basis of A, with the basis block solved exactly by
+integer Cramer's rule, so no rational arithmetic is needed.  The module
+also carries the elimination-order pipeline that starts from the
+monomial t^b, fiber enumeration, skeleton graphs, and a literal
+test-set checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .buchberger import GroebnerBasis, buchberger, normal_form
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
     NegativeEntries,
     NotPointed,
 )
-from .exactmath import solve_affine
+from .exactmath import cramer, det_bareiss, dot
 from .orders import term_order
 from .toric import ConfigMatrix, toric_generators
 
@@ -145,55 +147,86 @@ def fiber(A: ConfigMatrix, b, budget: Budget = Budget()):
 def _graded_feasible(A: ConfigMatrix, b, budget: Budget):
     """Feasible point for a pointed configuration, negative entries allowed.
 
-    Any solution has grading degree w . b where the rational w expresses
-    the grading in terms of the rows, so the search runs over the finite
-    simplex {x >= 0 : grading . x <= that degree}.
+    Let S be the columns that carry no leading entry of A.kernel_basis()
+    (the columns toric_generators saturates) and F the other n - d.
+    The search enumerates x_F and solves A_S x_S = b - A_F x_F exactly:
+
+    * S is a basis.  No nonzero kernel vector is supported on S, since
+      a combination of the echelon-form kernel basis has its leading
+      entry on F, so D = det A_S is not zero.  Cramer's rule gives
+      D * x_S as the numerator vector N(b) - sum over F of x_j N(a_j),
+      each N linear and integral; a leaf is a point when every
+      numerator is >= 0 and divisible by |D|.
+    * The grading bounds the search.  It lies in the row space, so
+      every real solution has the degree of the one with x_F = 0,
+      g0 = gamma_S . N(b) / D.  A negative or fractional g0 leaves the
+      fiber empty; otherwise gamma_F . x_F <= g0 for every point.
+    * One dependent-row check is enough.  The search uses the kept rows
+      only, and a dependent row is a combination of them, so every
+      solution of the kept rows gives it the same value: the point
+      found satisfies A.original x = b, or no point does.
+
+    budget.nodes caps the nodes of the search over x_F.
     """
-    bk = A.project_rhs(b)
-    if bk is None:
-        return None
     M = A.matrix
-    gamma = A.grading
-    sol = solve_affine(
-        [M.col(i) for i in range(M.ncols)], gamma, ncols=M.nrows
-    )
-    w, _ = sol  # the grading lies in the row space by construction
-    g0 = sum(Fraction(wi) * bi for wi, bi in zip(w, bk))
-    if g0 < 0 or g0.denominator != 1:
+    pivots = A.pivot_columns()
+    free = sorted(pivots)
+    block = [j for j in range(M.ncols) if j not in pivots]
+    AS = M.submatrix(range(M.nrows), block)
+    D = det_bareiss(AS)
+    sign = 1 if D > 0 else -1
+    D *= sign
+
+    def numerators(v):
+        return tuple(sign * x for x in cramer(AS, v))
+
+    top = numerators([b[i] for i in A.kept_rows])
+    g0, frac = divmod(dot([A.grading[j] for j in block], top), D)
+    if g0 < 0 or frac:
         return None
-    g0 = int(g0)
-    n = M.ncols
-    cols = [M.col(i) for i in range(n)]
+    steps = [numerators(M.col(j)) for j in free]
+    degs = [A.grading[j] for j in free]
+    values = [0] * len(free)
     max_nodes = budget.nodes
     nodes = 0
 
-    def search(i, left, image, point):
+    def search(i, left, num):
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             budget.check("nodes", nodes)
-        if i == n:
-            if left == 0 and image == bk:
-                return tuple(point)
-            return None
-        for v in range(left // gamma[i] + 1):
-            point.append(v)
-            nxt = tuple(p + v * c for p, c in zip(image, cols[i]))
-            hit = search(i + 1, left - v * gamma[i], nxt, point)
-            point.pop()
+        if i == len(free):
+            return num if all(x >= 0 and x % D == 0 for x in num) else None
+        step = steps[i]
+        for v in range(left // degs[i] + 1):
+            values[i] = v
+            hit = search(i + 1, left - v * degs[i], num)
             if hit is not None:
                 return hit
+            num = tuple(x - s for x, s in zip(num, step))
         return None
 
-    return search(0, g0, (0,) * M.nrows, [])
+    num = search(0, g0, top)
+    if num is None:
+        return None
+    x = [0] * M.ncols
+    for j, v in zip(free, values):
+        x[j] = v
+    for j, v in zip(block, num):
+        x[j] = v // D
+    x = tuple(x)
+    return x if A.original.mulvec(x) == tuple(b) else None
 
 
 def solve_ip(inst: IPInstance, budget: Budget = Budget()):
     """The omega-optimal fiber point, ties broken by the tie-break order.
 
-    Computes the reduced Gröbner basis for (omega, degrevlex) and takes
-    the normal form of any feasible point; the result is independent of
-    the starting point.  Returns None when the fiber is empty.
+    Finds one feasible point by _graded_feasible, then computes the
+    reduced Gröbner basis for (omega, degrevlex) and takes the point's
+    normal form; the result is independent of the starting point.
+    Returns None when the fiber is empty, without a Buchberger run.
+    budget.nodes caps the start-point search and the other fields the
+    Buchberger runs.
     """
     A = inst.A
     if not A.pointed:

@@ -6,9 +6,11 @@ checked against the definition, initial ideals come from grid sweeps of
 weight vectors or from a Buchberger run in every Graver cell,
 monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
-the toric ideal has a version that saturates every variable, and the
+the toric ideal has a version that saturates every variable, the
 regular triangulation has a version that looks for a face witness on
-every column subset and then checks every ridge.
+every column subset and then checks every ridge, and the integer
+program's start point has a version that walks the whole grading
+simplex.
 The main algorithm modules never call into this one.
 """
 
@@ -344,6 +346,59 @@ def toric_generators_every_variable(A: ConfigMatrix):
     for i in range(A.n):
         gens = saturate_variable(gens, i, degrees=A.grading)
     return [b.vector for b in buchberger(gens, _canonical_order(A)).elements]
+
+
+def graded_feasible_every_point(A: ConfigMatrix, b, max_nodes=None):
+    """A fiber point of a pointed configuration, or None, by walking the
+    grading simplex.
+
+    Each dependent row of b is checked against its rational expression
+    in the kept rows.  Every solution then has grading degree w . b,
+    where the rational w expresses the grading in terms of the kept
+    rows, and the search runs over the finite simplex {x >= 0 :
+    grading . x <= that degree}, one coordinate at a time, until the
+    kept rows map x to b.
+    """
+    if len(b) != A.original.nrows:
+        raise DimensionMismatch(
+            f"right-hand side of length {len(b)}, expected {A.original.nrows}"
+        )
+    M = A.matrix
+    bk = tuple(b[i] for i in A.kept_rows)
+    for i in range(A.original.nrows):
+        if i not in A.kept_rows:
+            y, _ = solve_affine(M.transpose().entries, A.original.row(i), ncols=A.d)
+            if sum(Fraction(yi) * bi for yi, bi in zip(y, bk)) != b[i]:
+                return None
+    gamma = A.grading
+    w, _ = solve_affine([M.col(i) for i in range(M.ncols)], gamma, ncols=M.nrows)
+    g0 = sum(Fraction(wi) * bi for wi, bi in zip(w, bk))
+    if g0 < 0 or g0.denominator != 1:
+        return None
+    g0 = int(g0)
+    n = M.ncols
+    cols = [M.col(i) for i in range(n)]
+    nodes = 0
+
+    def search(i, left, image, point):
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise LimitExceeded("nodes", max_nodes, nodes)
+        if i == n:
+            if left == 0 and image == bk:
+                return tuple(point)
+            return None
+        for v in range(left // gamma[i] + 1):
+            point.append(v)
+            nxt = tuple(p + v * c for p, c in zip(image, cols[i]))
+            hit = search(i + 1, left - v * gamma[i], nxt, point)
+            point.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    return search(0, g0, (0,) * M.nrows, [])
 
 
 def _face_witness(cols, w, sigma, d):

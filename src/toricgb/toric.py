@@ -119,31 +119,20 @@ class ConfigMatrix:
             self._kernel = kernel_lattice_basis(self.matrix)
         return self._kernel
 
+    def pivot_columns(self):
+        """Columns where a row of kernel_basis() has its leading entry.
+
+        There are n - d of them.  The other d columns form a basis of
+        the column space: the basis is in echelon form, so no nonzero
+        kernel vector is supported off the pivots.
+        """
+        return {next(j for j, x in enumerate(row) if x)
+                for row in self.kernel_basis().entries}
+
     def degree(self, v) -> int:
         """Grading degree of the positive part of a kernel vector."""
         g = self.grading if self.grading is not None else (1,) * self.n
         return sum(gi * x for gi, x in zip(g, v) if x > 0)
-
-    def project_rhs(self, b):
-        """Right-hand side restricted to the kept rows.
-
-        Returns None when b contradicts a dropped (dependent) row, in
-        which case the fiber is empty.
-        """
-        if len(b) != self.original.nrows:
-            raise DimensionMismatch(
-                f"right-hand side of length {len(b)}, expected {self.original.nrows}"
-            )
-        bk = tuple(b[i] for i in self.kept_rows)
-        dropped = [i for i in range(self.original.nrows) if i not in self.kept_rows]
-        for i in dropped:
-            sol = solve_affine(
-                self.matrix.transpose().entries, self.original.row(i), ncols=self.d
-            )
-            y = sol[0]
-            if sum(Fraction(yi) * bi for yi, bi in zip(y, bk)) != b[i]:
-                return None
-        return bk
 
     def __repr__(self):
         return f"ConfigMatrix({self.d}x{self.n}, pointed={self.pointed})"
@@ -210,7 +199,7 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     if K.nrows == 0:
         return []
     gens = [tuple(r) for r in K.entries]
-    pivots = {next(j for j, x in enumerate(row) if x) for row in gens}
+    pivots = A.pivot_columns()
     support = [sum(1 for row in gens if row[i]) for i in range(A.n)]
     for i in sorted(set(range(A.n)) - pivots, key=lambda i: (-support[i], i)):
         gens = saturate_variable(gens, i, A.grading, budget)

@@ -31,6 +31,7 @@ from test_toric import record_calls
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 LINE = ConfigMatrix(((1, 1),))
+FROBENIUS = ConfigMatrix(((5, 7),))
 # the B matrix of tests/test_cli.py; its grading is (5, 15, 20, 15, 3)
 B = ConfigMatrix(((1, 3, 4, 6, 0), (0, 0, 0, -5, 1)))
 
@@ -50,7 +51,10 @@ def tripped(run):
     # the kernel basis holds an element of degree 3; the reduced basis does not
     (lambda: toric_groebner(TWISTED, None, Budget(degree=1)), ("degree", 1, 3)),
     (lambda: fiber(LINE, (100,), Budget(points=10)), ("points", 10, 11)),
-    (lambda: solve_ip(IPInstance(LINE, (1, 0), (50,)), Budget(nodes=3)), ("nodes", 3, 4)),
+    # 23 is the Frobenius number of 5 and 7, so the fiber is empty and
+    # the start-point search cannot stop early
+    (lambda: solve_ip(IPInstance(FROBENIUS, (1, 0), (23,)), Budget(nodes=3)),
+     ("nodes", 3, 4)),
     (lambda: circuits(TWISTED, Budget(subsets=3)), ("subsets", 3, 4)),
     (lambda: universal_gb(TWISTED, Budget(graver=4)), ("graver", 4, 5)),
 ], ids=["elements", "pairs", "degree", "points", "nodes", "subsets", "graver"])

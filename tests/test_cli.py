@@ -7,7 +7,9 @@ exercised exactly as a shell user would see them.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -267,12 +269,14 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_solve_fiber_budget_exit_code(tmp_path, capsys):
-    p = tmp_path / "line.mat"
-    p.write_text(LINE_TEXT)
+    # 23 is the Frobenius number of 5 and 7: the fiber is empty, so the
+    # start-point search cannot stop early
+    p = tmp_path / "frobenius.mat"
+    p.write_text("1 2\n5 7\n")
     w = wfile(tmp_path, [1, 0])
     rc, _, err = run(
         capsys,
-        ["solve", str(p), "--weight", w, "--rhs", "50", "--max-fiber", "3"],
+        ["solve", str(p), "--weight", w, "--rhs", "23", "--max-fiber", "3"],
     )
     assert rc == 4
     assert "exceeded" in err
@@ -288,6 +292,26 @@ def test_eliminate_honours_the_fiber_budget_as_a_pair_cap(twisted, tmp_path, cap
     assert rc == 4 and out == ""
     assert "exceeded" in err
     assert err == "error: pairs guard exceeded: reached 2, capped at 1 (--max-fiber)\n"
+
+
+def test_prose_defaults_match_the_budget():
+    # the cli docstring and the README write two defaults as literals;
+    # each "default N" is read back in the text that follows its flag
+    import toricgb.cli as cli
+    from toricgb.errors import Budget
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    expected = {"--max-fiber": Budget.points, "--max-graver-bits": Budget.graver}
+    for text in (cli.__doc__, readme):
+        flat = " ".join(text.split())
+        flags = list(re.finditer(r"--max-[a-z-]+", flat))
+        found = {}
+        for here, after in zip(flags, flags[1:] + [None]):
+            tail = flat[here.end():after.start() if after else len(flat)]
+            default = re.search(r"default (\d+)", tail)
+            if default and here.group() in expected:
+                found.setdefault(here.group(), set()).add(int(default.group(1)))
+        assert found == {flag: {value} for flag, value in expected.items()}
 
 
 def test_fiber_budget_only_on_solve(twisted, capsys):

@@ -1,5 +1,7 @@
 """Integer programming: fibers, normal-form optimization, test sets."""
 
+import ast
+import inspect
 import random
 
 import pytest
@@ -26,6 +28,11 @@ from toricgb.toric import ConfigMatrix, toric_generators
 
 LINE = ConfigMatrix(((1, 1),))
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
+FROBENIUS = ConfigMatrix(((5, 7),))
+# the 2x3 transport: row sums, then column sums; the last row depends
+# on the others
+SEGRE23 = ConfigMatrix(((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0),
+                        (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)))
 
 
 def brute_optimum(inst: IPInstance):
@@ -115,8 +122,64 @@ def test_solve_requires_pointed():
 
 
 def test_solve_node_budget():
+    # 23 is the Frobenius number of 5 and 7: the fiber is empty, so the
+    # start-point search cannot stop early
     with pytest.raises(LimitExceeded):
-        solve_ip(IPInstance(LINE, (1, 0), (50,)), Budget(nodes=3))
+        solve_ip(IPInstance(FROBENIUS, (1, 0), (23,)), Budget(nodes=3))
+
+
+def test_solve_node_count_on_a_transport():
+    # the kernel basis of Segre 2x3 has its leading entries in columns 0
+    # and 1, so the search runs over those two and finds the start point
+    # (0, 2, 4, 4, 2, 0) in 5 nodes: the root, x_0 = 0, and x_1 = 0, 1, 2
+    inst = IPInstance(SEGRE23, (3, -1, 2, 0, 5, -4), (6, 6, 4, 4, 4))
+    assert solve_ip(inst, Budget(nodes=5)) == (2, 4, 0, 2, 0, 4)
+    with pytest.raises(LimitExceeded) as exc:
+        solve_ip(inst, Budget(nodes=4))
+    assert (exc.value.guard, exc.value.limit, exc.value.reached) == ("nodes", 4, 5)
+
+
+def test_solve_checks_dependent_rows():
+    A = ConfigMatrix(((1, 1), (2, 2)))
+    assert solve_ip(IPInstance(A, (1, 0), (3, 6))) == (0, 3)
+    assert solve_ip(IPInstance(A, (1, 0), (3, 5))) is None
+    with pytest.raises(DimensionMismatch):
+        solve_ip(IPInstance(A, (1, 0), (3,)))
+
+
+def test_start_point_makes_no_linear_solve_or_hnf_call(monkeypatch):
+    # each name is patched in exactmath and wherever ip or toric binds it
+    import toricgb.exactmath as exactmath
+    import toricgb.ip as ip
+    import toricgb.toric as toric
+
+    calls = []
+
+    def recording(real, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    B = ConfigMatrix(((1, 3, 4, 6, 0), (0, 0, 0, -5, 1)))
+    for A in (SEGRE23, TWISTED, B):
+        A.kernel_basis()
+    for name in ("solve_affine", "hnf"):
+        for module in (exactmath, ip, toric):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recording(getattr(module, name), name))
+    assert ip._graded_feasible(SEGRE23, (6, 6, 4, 4, 4), Budget()) is not None
+    assert ip._graded_feasible(SEGRE23, (6, 6, 4, 4, 5), Budget()) is None
+    assert ip._graded_feasible(TWISTED, (4, 5), Budget()) is not None
+    assert ip._graded_feasible(B, (7, 0), Budget()) is not None
+    assert calls == []
+    imported = {
+        node.module for node in ast.walk(ast.parse(inspect.getsource(ip)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "fractions" not in imported
+    assert not hasattr(ip, "Fraction")
 
 
 def test_elimination_rejects_negative_matrix():

@@ -3,6 +3,7 @@
 import contextlib
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from toricgb.buchberger import buchberger, normal_form
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
+from toricgb.exactmath import det_bareiss, solve_affine
 from toricgb.fan import (
     MonomialIdeal,
     enumerate_initial_ideals,
     regular_triangulation,
 )
+from toricgb.ip import IPInstance, _graded_feasible, solve_ip
 from toricgb.oracle import (
     buchberger_every_pair,
+    graded_feasible_every_point,
     graver_bruteforce,
     irreducible_decomposition,
     kernel_vectors_up_to,
@@ -485,3 +489,123 @@ def test_triangulation_matches_every_subset_scan_seeded():
                 square += "ridge" in str(e)
         assert facets == expected, pts
     assert square >= 3
+
+
+# Each right-hand side kind reaches one exit of the start-point search:
+# a point of the fiber, a lattice point that may lie off the orthant
+# (the search must decide), a shift that can make the grading degree
+# fractional, and a contradicted dependent row
+RHS_KINDS = ("point", "lattice", "fractional", "contradiction")
+
+
+def ip_config(rng_int, dependent):
+    """A pointed configuration of 1 to 3 rows in [-1, 3] and at most 5
+    columns, or None.
+
+    When `dependent`, the integer combination c of the drawn rows is
+    inserted at a drawn position p.  Returns (A, rows drawn, c, p).
+    """
+    d = rng_int(1, 3)
+    n = rng_int(d + 1, 5)
+    base = [[rng_int(-1, 3) for _ in range(n)] for _ in range(d)]
+    rows, combo, pos = base, None, None
+    if dependent:
+        combo = [rng_int(-1, 2) for _ in range(d)]
+        pos = rng_int(0, d)
+        extra = [sum(c * r[j] for c, r in zip(combo, base)) for j in range(n)]
+        rows = base[:pos] + [extra] + base[pos:]
+    try:
+        A = ConfigMatrix(rows)
+    except DimensionMismatch:
+        return None
+    return (A, base, combo, pos) if A.pointed else None
+
+
+def ip_rhs(rng_int, base, combo, pos, kind):
+    """A right-hand side of the given kind (see RHS_KINDS)."""
+    n = len(base[0])
+    x = [rng_int(0, 2) for _ in range(n)]
+    if kind == "lattice":
+        x[rng_int(0, n - 1)] -= rng_int(1, 3)
+    b = [sum(a * v for a, v in zip(row, x)) for row in base]
+    if kind == "fractional":
+        b[rng_int(0, len(b) - 1)] += rng_int(0, 1) * 2 - 1
+    if combo is None:
+        return tuple(b)
+    extra = sum(c * v for c, v in zip(combo, b))
+    if kind == "contradiction":
+        extra += rng_int(0, 1) * 2 - 1
+    return tuple(b[:pos] + [extra] + b[pos:])
+
+
+def grading_degree(A, b):
+    """The grading degree that every rational solution of the kept rows has."""
+    M = A.matrix
+    w, _ = solve_affine([M.col(i) for i in range(A.n)], A.grading, ncols=A.d)
+    return sum(Fraction(wi) * b[i] for wi, i in zip(w, A.kept_rows))
+
+
+def assert_same_start(A, b, omega):
+    """The Cramer search and the simplex walk agree; returns the point or None."""
+    with time_limit(10):
+        expected = graded_feasible_every_point(A, b)
+        got = _graded_feasible(A, b, Budget())
+        assert (got is None) == (expected is None), (A.original.entries, b)
+        if got is None:
+            return None
+        assert min(got) >= 0 and A.original.mulvec(got) == b, (A.original.entries, b)
+        G = buchberger(toric_generators(A), term_order(A.n, weight=omega))
+        assert solve_ip(IPInstance(A, omega, b)) == normal_form(expected, G), (
+            A.original.entries, b, omega)
+    return got
+
+
+@st.composite
+def ip_problems(draw):
+    def draw_int(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    kind = draw(st.sampled_from(RHS_KINDS))
+    drawn = ip_config(draw_int, kind == "contradiction" or draw(st.booleans()))
+    assume(drawn is not None)
+    A, base, combo, pos = drawn
+    b = ip_rhs(draw_int, base, combo, pos, kind)
+    return A, b, tuple(draw_int(-4, 6) for _ in range(A.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ip_problems())
+def test_start_point_matches_the_simplex_walk(problem):
+    assert_same_start(*problem)
+
+
+def test_start_point_matches_the_simplex_walk_seeded():
+    rng = random.Random(41)
+    seen = Counter()
+    checked = 0
+    while checked < 500:
+        # twice as many lattice draws: a third of them need the search
+        kind = ("point", "lattice", "fractional", "lattice", "contradiction")[checked % 5]
+        drawn = ip_config(rng.randint, kind == "contradiction" or rng.random() < 0.5)
+        if drawn is None:
+            continue
+        A, base, combo, pos = drawn
+        b = ip_rhs(rng.randint, base, combo, pos, kind)
+        degree = grading_degree(A, b)
+        if kind == "fractional" and degree.denominator == 1:
+            continue
+        omega = tuple(rng.randint(-4, 6) for _ in range(A.n))
+        found = assert_same_start(A, b, omega) is not None
+        seen["feasible"] += found
+        # empty although the degree and the dependent rows allow a point:
+        # only the search itself can tell
+        seen["empty by search"] += (not found and kind != "contradiction"
+                                    and degree.denominator == 1 and degree >= 0)
+        seen["fractional degree"] += degree.denominator != 1
+        seen["dependent row"] += combo is not None
+        block = [j for j in range(A.n) if j not in A.pivot_columns()]
+        det = det_bareiss(A.matrix.submatrix(range(A.d), block))
+        seen["block det < 0"] += det < 0
+        seen["|block det| > 1"] += abs(det) > 1
+        checked += 1
+    assert min(seen.values()) >= 60, seen

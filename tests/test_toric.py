@@ -75,14 +75,6 @@ def test_non_pointed_configuration():
         universal_gb(A)
 
 
-def test_project_rhs_checks_dropped_rows():
-    A = ConfigMatrix(((1, 1), (2, 2)))
-    assert A.project_rhs((3, 6)) == (3,)
-    assert A.project_rhs((3, 5)) is None
-    with pytest.raises(DimensionMismatch):
-        A.project_rhs((3,))
-
-
 def test_kernel_basis_annihilates():
     K = TWISTED.kernel_basis()
     assert K.nrows == 2
