@@ -17,19 +17,53 @@ with large entries.
 Pairs are pruned by the Gebauer-Moeller criteria (Gebauer and Moeller,
 "On an installation of Buchberger's algorithm", JSC 1988): the product
 criterion, the M and F criteria on the pairs a new element makes, and
-the B criterion on the pairs already queued.  Order keys are linear, so
-each element caches key(lead - trail) and the engine moves keys by
-subtraction instead of recomputing them.
+the B criterion on the pairs already queued.
+
+Inside a run every monomial is packed into one Python int (Bachmann and
+Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998).  Each variable owns a field of W bits, and
+the top bit of each field is a guard bit that a monomial keeps clear.
+The fields are laid out along the order's precedence: for a lex
+tie-break the most expensive variable takes the top field, for revlex
+the cheapest does.  Comparing packed ints then compares the tie-break,
+so the order key of a monomial is its weight-row dot products followed
+by the packed int, negated under revlex.  That key is linear, so each
+element caches the key of lead - trail and the engine moves keys by
+subtraction.  The hot operations are a few big-int operations each,
+with G the guard bits and ONES the low bit of every field:
+
+* x^a divides x^u: ((u | G) - a) & G == G;
+* support: ((u | G) - ONES) & G holds the guard bit of each field where
+  u is positive;
+* lcm: the guard bits of ((a | G) - b) & G mark the fields where a >= b,
+  and a mask built from them picks each field from a or b;
+* the S-pair terms of a pair with lcm L: L - (lead - trail) for each
+  element, the element's vector packed as a signed int;
+* k reduction steps: u - k * (lead - trail).
+
+The reducer looks for the first element whose lead divides a monomial,
+as before, but tests only the elements whose lowest and highest lead
+fields lie in the monomial's support; bitsets of element indices, one
+per field, give those candidates in index order.
+
+A run starts with 16-bit fields.  When a result sets a guard bit, or k
+steps could grow a field by 2**(W-1) or more (checked before the step),
+the run starts again from its generators with fields twice as wide.
+The run is deterministic, so the restart repeats the same work up to the
+point of overflow, and every answer and guard trip is the one the
+wider fields give.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import Budget, DimensionMismatch, GuardViolated
 from .exactmath import dot
-from .orders import TermOrder, orient
+from .orders import TermOrder
 
 
 @dataclass(frozen=True)
@@ -86,98 +120,205 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _support_mask(u) -> int:
-    m = 0
-    for i, x in enumerate(u):
-        if x > 0:
-            m |= 1 << i
-    return m
+class _Overflow(Exception):
+    """A field would reach its guard bit: run again with wider fields."""
 
 
-def _divides(a, u) -> bool:
-    return all(x <= y for x, y in zip(a, u))
+# struct codes of the field widths that unpack in one call
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
-def _max_steps(u, lead, vec) -> int:
-    # largest k with u - j*vec divisible by lead for j < k and u - k*vec >= 0
-    k = None
-    for i, w in enumerate(vec):
-        if w > 0:
-            cap = min(u[i] // w, (u[i] - lead[i]) // w + 1)
-            if k is None or cap < k:
-                k = cap
-    if k is None:
-        raise GuardViolated("binomial with nonpositive vector; configuration not pointed")
-    return k
+class _Packing:
+    """The field layout of packed monomials on n variables at width W.
+
+    With an order, variable precedence[0] takes the top field under lex
+    and the bottom field under revlex, and key() gives order keys;
+    without one the fields follow the variable indices.  fields(P) gives
+    the field values of P, bottom field first.
+    """
+
+    def __init__(self, n: int, width: int, ord: TermOrder = None):
+        self.n, self.width = n, width
+        self.half = 1 << (width - 1)
+        self.ones = sum(1 << (width * f) for f in range(n))
+        self.guard = self.ones << (width - 1)
+        if ord is None:
+            at_field, self.sign = tuple(range(n)), 1
+        elif ord.tie == "lex":
+            at_field, self.sign = tuple(reversed(ord.precedence)), 1
+        else:
+            at_field, self.sign = ord.precedence, -1
+        self.at_field = at_field  # the variable of each field, bottom first
+        self.field_of = tuple(sorted(range(n), key=at_field.__getitem__))
+        self.rows = () if ord is None else tuple(
+            tuple(row[v] for v in at_field) for row in ord.layers)
+        code = _STRUCT_CODES.get(width)
+        if code:
+            layout = struct.Struct(f"<{n}{code}")
+            nbytes, unpack = layout.size, layout.unpack
+            self.fields = lambda P: unpack(P.to_bytes(nbytes, "little"))
+            self._join = lambda fs: int.from_bytes(layout.pack(*fs), "little")
+        else:
+            mask, shifts = (1 << width) - 1, range(0, n * width, width)
+            self.fields = lambda P: tuple([(P >> s) & mask for s in shifts])
+            self._join = lambda fs: sum(x << s for x, s in zip(fs, shifts))
+
+    def pack(self, u) -> int:
+        if len(u) != self.n:
+            raise DimensionMismatch(f"vector of length {len(u)}, expected {self.n}")
+        if max(u) >= self.half:
+            raise _Overflow
+        return self._join([u[v] for v in self.at_field])
+
+    def unpack(self, P) -> tuple:
+        fs = self.fields(P)
+        return tuple([fs[f] for f in self.field_of])
+
+    def key(self, P) -> tuple:
+        """Order key of the monomial P: the weight rows, then the tie-break."""
+        if not self.rows:
+            return (self.sign * P,)
+        fs = self.fields(P)
+        return tuple([sum(map(mul, row, fs)) for row in self.rows] + [self.sign * P])
+
+    def support(self, P) -> int:
+        """The guard bits of the fields where P is positive."""
+        return ((P | self.guard) - self.ones) & self.guard
+
+    def lcm(self, a, b) -> int:
+        # the guard bits of the fields where a >= b, widened to field masks
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+
+def _sub(ku, kv):
+    return tuple([x - y for x, y in zip(ku, kv)])
 
 
 class _Reducer:
-    """Precomputed reduction data for a fixed list of binomials.
+    """Packed elements lead - trail, and reduction by them.
 
-    With a key function, each element also carries key(lead - trail).
-    Order keys are linear, so one reduction step u -> u - k*(lead - trail)
-    moves the key of u by -k times that cached key, and top_reduce
-    follows the key of the side it reduces without calling key again.
+    Each element keeps its vector lead - trail as a signed int, and for
+    top_reduce its kvec = key(lead) - key(trail): one reduction step
+    u -> u - k*(lead - trail) moves the key of u by -k times kvec, so
+    top_reduce follows the key of the side it reduces without computing
+    a key again.
     """
 
-    def __init__(self, elements, key=None):
-        self.key = key
-        self.elements = []
-        self.leads = []
-        self.vecs = []
-        self.masks = []
-        self.kvecs = []
-        for b in elements:
-            self.append(b)
+    def __init__(self, pk: _Packing):
+        self.pk = pk
+        self.leads, self.trails, self.vecs, self.kvecs = [], [], [], []
+        # bit e of low[f] (high[f]) is set when field f is the lowest
+        # (highest) field of lead e; bit e of unit when lead e is 1
+        self.low, self.high = [0] * pk.n, [0] * pk.n
+        self.unit = 0
 
-    def append(self, b: Binomial):
-        self.elements.append(b)
-        self.leads.append(b.lead)
-        self.vecs.append(b.vector)
-        self.masks.append(_support_mask(b.lead))
-        if self.key is not None:
-            self.kvecs.append(self.key(self.vecs[-1]))
+    def append(self, lead, trail, kvec=None):
+        bit = 1 << len(self.leads)
+        self.leads.append(lead)
+        self.trails.append(trail)
+        self.vecs.append(lead - trail)
+        self.kvecs.append(kvec)
+        s = self.pk.support(lead)
+        if s:
+            W = self.pk.width
+            self.low[(s & -s).bit_length() // W - 1] |= bit
+            self.high[s.bit_length() // W - 1] |= bit
+        else:
+            self.unit |= bit
+
+    def divisor(self, u):
+        """Index of the first element whose lead divides u, or None.
+
+        Only the elements whose lowest and highest lead fields both lie
+        in the support of u are tested.
+        """
+        pk = self.pk
+        G, W = pk.guard, pk.width
+        ug = u | G
+        s = (ug - pk.ones) & G
+        low, high = self.low, self.high
+        lo = hi = 0
+        while s:
+            t = s & -s
+            f = t.bit_length() // W - 1
+            lo |= low[f]
+            hi |= high[f]
+            s ^= t
+        c = (lo & hi) | self.unit
+        leads = self.leads
+        while c:
+            t = c & -c
+            e = t.bit_length() - 1
+            if (ug - leads[e]) & G == G:
+                return e
+            c ^= t
+        return None
+
+    def _step(self, e, u):
+        """u less k*(lead - trail) of element e, whose lead divides u; and k.
+
+        One step is taken first.  Only when the lead still divides the
+        result is the full count k worked out, from the fields where the
+        vector is positive: k = min (u - trail) // (lead - trail) there.
+        """
+        pk = self.pk
+        G = pk.guard
+        vec = self.vecs[e]
+        v = u - vec
+        if v & G:
+            raise _Overflow
+        if ((v | G) - self.leads[e]) & G != G:
+            return v, 1
+        fields = pk.fields
+        lead, trail = fields(self.leads[e]), fields(self.trails[e])
+        counts = [(x - t) // (a - t) for x, a, t in zip(fields(u), lead, trail) if a > t]
+        if not counts:
+            raise GuardViolated("binomial with nonpositive vector; configuration not pointed")
+        k = min(counts)
+        if k * max(t - a for a, t in zip(lead, trail)) >= pk.half:
+            raise _Overflow
+        v = u - k * vec
+        if v & G:
+            raise _Overflow
+        return v, k
 
     def reduce_monomial(self, u):
-        u = tuple(u)
-        umask = _support_mask(u)
-        progress = True
-        while progress:
-            progress = False
-            for lead, vec, mask in zip(self.leads, self.vecs, self.masks):
-                if mask & umask == mask and _divides(lead, u):
-                    k = _max_steps(u, lead, vec)
-                    u = tuple(x - k * w for x, w in zip(u, vec))
-                    umask = _support_mask(u)
-                    progress = True
-                    break
-        return u
+        while True:
+            e = self.divisor(u)
+            if e is None:
+                return u
+            u = self._step(e, u)[0]
 
     def top_reduce(self, lead, trail, klead, ktrail):
         """Reduce the larger side until irreducible; None when it hits zero.
 
-        klead and ktrail are the order keys of lead and trail.
+        klead and ktrail are the order keys of lead and trail.  Returns
+        (lead, trail, klead, ktrail).
         """
+        divisor, step, kvecs = self.divisor, self._step, self.kvecs
         if klead < ktrail:
             lead, trail, klead, ktrail = trail, lead, ktrail, klead
-        lmask = _support_mask(lead)
         while True:
-            hit = False
-            for elead, vec, kvec, mask in zip(self.leads, self.vecs, self.kvecs,
-                                              self.masks):
-                if mask & lmask == mask and _divides(elead, lead):
-                    k = _max_steps(lead, elead, vec)
-                    lead = tuple(x - k * w for x, w in zip(lead, vec))
-                    klead = tuple([x - k * w for x, w in zip(klead, kvec)])  # see _minus
-                    hit = True
-                    break
-            if not hit:
-                return Binomial(lead, trail)
+            e = divisor(lead)
+            if e is None:
+                return lead, trail, klead, ktrail
+            lead, k = step(e, lead)
+            klead = tuple([x - k * y for x, y in zip(klead, kvecs[e])])
             if lead == trail:
                 return None
             if klead < ktrail:
                 lead, trail, klead, ktrail = trail, lead, ktrail, klead
-            lmask = _support_mask(lead)
+
+
+def _widening(run):
+    """run(width) at 16 bits, and again at twice the width after each overflow."""
+    width = 16
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
 
 
 def normal_form(u, G):
@@ -190,9 +331,17 @@ def normal_form(u, G):
     elements = list(G.elements if isinstance(G, GroebnerBasis) else G)
     if any(x < 0 for x in u):
         raise GuardViolated("monomial exponents must be nonnegative")
-    if elements and len(u) != len(elements[0].lead):
-        raise DimensionMismatch("vector length does not match the basis")
-    return _Reducer(elements).reduce_monomial(u)
+    if not elements:
+        return tuple(u)
+
+    def run(width):
+        pk = _Packing(len(elements[0].lead), width)
+        red = _Reducer(pk)
+        for b in elements:
+            red.append(pk.pack(b.lead), pk.pack(b.trail))
+        return pk.unpack(red.reduce_monomial(pk.pack(u)))
+
+    return _widening(run)
 
 
 def s_binomial(f: Binomial, g: Binomial, ord: TermOrder, kp=None, kq=None):
@@ -214,32 +363,23 @@ def s_binomial(f: Binomial, g: Binomial, ord: TermOrder, kp=None, kq=None):
     return Binomial(q, p)
 
 
-def _canonical(elements, ord: TermOrder):
-    return tuple(sorted(set(elements), key=lambda b: (ord.key(b.lead), b.lead, b.trail)))
+def _s_pair(L, vi, vj, guard):
+    """The two packed terms L - vi and L - vj of the S-pair with lcm L.
 
-
-def _as_binomial(v, ord: TermOrder):
-    if isinstance(v, Binomial):
-        return v
-    return orient(v, ord)
-
-
-def _lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _minus(u, v):
-    # built from a list, so the tuple is made at its final size and taken
-    # from the free list of that size; tuple(genexpr) grows by resizing,
-    # and freed keys would then pile up in that free list unused
-    return tuple([x - y for x, y in zip(u, v)])
+    Each pair the engine pops passes through here, looked up by global
+    name, so a test can count the pairs a run works on.
+    """
+    p, q = L - vi, L - vj
+    if (p | q) & guard:
+        raise _Overflow
+    return p, q
 
 
 def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by gens.
 
-    gens may be lattice vectors or oriented binomials; zero vectors are
-    ignored.  Pair selection follows the normal strategy (smallest lcm
+    gens may be lattice vectors or oriented binomials; zero vectors and
+    repeated generators are ignored.  Pair selection follows the normal strategy (smallest lcm
     under the order, ties in the order the pairs were made), so the run
     is deterministic.
 
@@ -255,132 +395,167 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
       only those whose lcm no kept lcm divides are queued, so one pair
       is kept per minimal lcm.
 
-    Order keys are linear, so each element's key(lead - trail) is cached
-    and reductions update keys by subtraction; an S-pair's two term keys
-    are the lcm's key, computed once for the heap, minus the two cached
-    element keys.
+    The run works on packed monomials (see the module docstring): one
+    int per monomial with a W-bit field per variable, laid out along the
+    order's precedence, and tuples only for the generators and the
+    result.  An order key is the tuple of weight-row dot products and
+    the packed int (negated under revlex), so it is linear: each
+    element caches key(lead) - key(trail), reductions update keys by
+    subtraction, and an S-pair's two term keys are the lcm's key,
+    computed once for the heap, minus the two cached element keys.
+    Fields start at 16 bits; a result that would reach a guard bit
+    restarts the run with the width doubled, so the basis, the pairs
+    and every guard trip are those of fields wide enough from the start.
 
     The budget caps intermediate basis growth (elements) and the degree
     of any element added (budget.grading . lead, or the order's first
     weight layer without a grading), turning runaway instances into a
     prompt LimitExceeded instead of a crawl.  budget.pairs caps the
-    S-pairs that survive the criteria and reach s_binomial; it catches
-    runs whose basis stays small while the pair queue churns
-    (elimination orders do this).
+    S-pairs that survive the criteria and are popped; it catches runs
+    whose basis stays small while the pair queue churns (elimination
+    orders do this).
     """
-    key = ord.key
+    gens = [g if isinstance(g, Binomial) else tuple(g) for g in gens]
+    return _widening(lambda width: _run(gens, ord, budget, _Packing(ord.n, width, ord)))
+
+
+def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
+    key, fields, lcm, guard = pk.key, pk.fields, pk.lcm, pk.guard
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
     grading = budget.grading
-    red = _Reducer([], key)
-    seeds = []
-    seen = set()
-    for g in gens:
-        if not isinstance(g, Binomial) and not any(g):
-            continue
-        b = _as_binomial(g, ord)
-        if (b.lead, b.trail) not in seen:
-            seen.add((b.lead, b.trail))
-            seeds.append(b)
+    red = _Reducer(pk)
+    leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
+    masks = []  # support of each lead, as guard bits
 
-    # one entry [key of the lcm, tick, i, j] per queued pair; the tick
-    # breaks ties, and i becomes None when the pair is dropped
+    # one entry [key of the lcm, tick, i, j, lcm, support of the lcm] per
+    # queued pair; the tick breaks ties, and i becomes None when the pair
+    # is dropped
     queue = []
     tick = 0
 
     def update(j):
         nonlocal tick
-        leads, masks = red.leads, red.masks
         lead, mask = leads[j], masks[j]
+        lg = lead | guard
         for e in queue:
-            i, k = e[2], e[3]
-            if i is None or mask & (masks[i] | masks[k]) != mask:
+            i = e[2]
+            if i is None or mask & e[5] != mask:
                 continue
-            L = _lcm(leads[i], leads[k])
-            if (_divides(lead, L) and _lcm(leads[i], lead) != L
-                    and _lcm(leads[k], lead) != L):
+            L = e[4]
+            if ((L | guard) - lead) & guard != guard:
+                continue
+            # lcm(a, lead) == L exactly when each field of L is a's or lead's
+            eq = (lg - L) & guard
+            if (((leads[i] | guard) - L) & guard | eq) != guard and \
+                    (((leads[e[3]] | guard) - L) & guard | eq) != guard:
                 e[2] = None
-        fresh = sorted(
-            (sum(L), i, L)
-            for i, L in ((i, _lcm(leads[i], lead)) for i in range(j) if masks[i] & mask)
-        )
+        fresh = []
+        for i in range(j):
+            if masks[i] & mask:
+                L = lcm(leads[i], lead)
+                fresh.append((sum(fields(L)), i, L))
+        fresh.sort()
         kept = []
         for _, i, L in fresh:
             Lmask = masks[i] | mask
-            if any(km & Lmask == km and _divides(K, L) for K, km in kept):
-                continue
-            kept.append((L, Lmask))
-            heapq.heappush(queue, [key(L), tick, i, j])
-            tick += 1
+            Lg = L | guard
+            for K, km in kept:
+                if km & Lmask == km and (Lg - K) & guard == guard:
+                    break
+            else:
+                kept.append((L, Lmask))
+                heapq.heappush(queue, [key(L), tick, i, j, L, Lmask])
+                tick += 1
 
-    def add(b: Binomial):
+    def add(lead, trail, klead, ktrail):
         if max_degree is not None:
-            deg = ord.weight_of(b.lead) if grading is None else dot(grading, b.lead)
+            if grading is None:
+                deg = klead[0] if ord.layers else 0
+            else:
+                deg = dot(grading, pk.unpack(lead))
             if deg > max_degree:
                 budget.check("degree", deg)
-        red.append(b)
-        if max_elements is not None and len(red.elements) > max_elements:
-            budget.check("elements", len(red.elements))
-        update(len(red.elements) - 1)
+        red.append(lead, trail, _sub(klead, ktrail))
+        masks.append(pk.support(lead))
+        if max_elements is not None and len(leads) > max_elements:
+            budget.check("elements", len(leads))
+        update(len(leads) - 1)
 
-    for b in seeds:
-        r = red.top_reduce(b.lead, b.trail, key(b.lead), key(b.trail))
+    seen = set()
+    for g in gens:
+        if isinstance(g, Binomial):
+            lead, trail = pk.pack(g.lead), pk.pack(g.trail)
+        elif any(g):
+            # orient by the key: the larger side leads
+            lead = pk.pack([x if x > 0 else 0 for x in g])
+            trail = pk.pack([-x if x < 0 else 0 for x in g])
+            if key(lead) < key(trail):
+                lead, trail = trail, lead
+        else:
+            continue
+        if (lead, trail) in seen:
+            continue
+        seen.add((lead, trail))
+        r = red.top_reduce(lead, trail, key(lead), key(trail))
         if r is not None:
-            add(r)
+            add(*r)
 
     popped = 0
     while queue:
-        kL, _, i, j = heapq.heappop(queue)
+        kL, _, i, j, L, _ = heapq.heappop(queue)
         if i is None:
             continue
         popped += 1
         if max_pairs is not None and popped > max_pairs:
             budget.check("pairs", popped)
-        kp, kq = _minus(kL, red.kvecs[i]), _minus(kL, red.kvecs[j])
-        s = s_binomial(red.elements[i], red.elements[j], ord, kp, kq)
-        if s is None:
+        p, q = _s_pair(L, vecs[i], vecs[j], guard)
+        if p == q:
             continue
-        if kp < kq:
-            kp, kq = kq, kp
-        r = red.top_reduce(s.lead, s.trail, kp, kq)
+        r = red.top_reduce(p, q, _sub(kL, kvecs[i]), _sub(kL, kvecs[j]))
         if r is not None:
-            add(r)
+            add(*r)
 
-    elements = _interreduce(red.elements, ord)
-    return GroebnerBasis(ord, _canonical(elements, ord))
+    reduced = _interreduce(pk, leads, red.trails)
+    reduced.sort(key=lambda lt: key(lt[0]))
+    return GroebnerBasis(ord, tuple(Binomial(pk.unpack(lead), pk.unpack(trail))
+                                    for lead, trail in reduced))
 
 
-def _interreduce(elements, ord: TermOrder):
-    """Minimalize and tail-reduce a basis that is already a GB."""
+def _interreduce(pk: _Packing, leads, trails):
+    """Minimalize and tail-reduce a basis that is already a GB.
+
+    Returns the packed (lead, trail) pairs, each lead distinct.
+    """
     # sort by total degree of the lead: divisors come before multiples
     # even under orders with negative weights, where the order key would
     # not be divisibility-compatible
-    by_size = sorted(elements, key=lambda b: (sum(b.lead), b.lead, b.trail))
-    minimal = []
-    kept_mask = []
-    for b in by_size:
-        bmask = _support_mask(b.lead)
-        if any(km & bmask == km and _divides(m.lead, b.lead)
-               for m, km in zip(minimal, kept_mask)):
-            continue
-        minimal.append(b)
-        kept_mask.append(bmask)
-    red = _Reducer(minimal)
-    out = []
-    for b in minimal:
-        trail = red.reduce_monomial(b.trail)
-        out.append(Binomial(b.lead, trail))
-    return out
+    by_size = sorted(zip(leads, trails), key=lambda lt: (
+        sum(pk.fields(lt[0])), pk.unpack(lt[0]), pk.unpack(lt[1])))
+    red = _Reducer(pk)
+    for lead, trail in by_size:
+        if red.divisor(lead) is None:
+            red.append(lead, trail)
+    return [(lead, red.reduce_monomial(trail)) for lead, trail in zip(red.leads, red.trails)]
 
 
 def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
     """Every S-pair of G reduces to zero (post-check for tests)."""
-    key = G.order.key
-    red = _Reducer(G.elements, key)
-    for j in range(len(red.elements)):
-        for i in range(j):
-            s = s_binomial(red.elements[i], red.elements[j], G.order)
-            if s is None:
-                continue
-            if red.top_reduce(s.lead, s.trail, key(s.lead), key(s.trail)) is not None:
-                return False
-    return True
+    def run(width):
+        pk = _Packing(G.order.n, width, G.order)
+        red = _Reducer(pk)
+        for b in G.elements:
+            lead, trail = pk.pack(b.lead), pk.pack(b.trail)
+            red.append(lead, trail, _sub(pk.key(lead), pk.key(trail)))
+        for j, b in enumerate(red.leads):
+            for i, a in enumerate(red.leads[:j]):
+                L = pk.lcm(a, b)
+                p, q = _s_pair(L, red.vecs[i], red.vecs[j], pk.guard)
+                if p == q:
+                    continue
+                kL = pk.key(L)
+                if red.top_reduce(p, q, _sub(kL, red.kvecs[i]),
+                                  _sub(kL, red.kvecs[j])) is not None:
+                    return False
+        return True
+
+    return _widening(run)

@@ -6,7 +6,8 @@ checked against the definition, initial ideals come from grid sweeps of
 weight vectors or from a Buchberger run in every Graver cell,
 monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
-the toric ideal has a version that saturates every variable, the
+whose monomial arithmetic is its own and works on exponent tuples, the
+toric ideal has a version that saturates every variable, the
 regular triangulation has a version that looks for a face witness on
 every column subset and then checks every ridge, and the integer
 program's start point has a version that walks the whole grading
@@ -22,17 +23,8 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
-from .buchberger import (
-    Binomial,
-    GroebnerBasis,
-    _canonical,
-    _divides,
-    _interreduce,
-    _max_steps,
-    buchberger,
-    s_binomial,
-)
-from .errors import DimensionMismatch, LimitExceeded, NonGenericOmega
+from .buchberger import Binomial, GroebnerBasis, buchberger, s_binomial
+from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega
 from .exactmath import (
     IntMatrix,
     det_bareiss,
@@ -145,6 +137,56 @@ def single_step_normal_form(u, G):
                 changed = True
                 break
     return cur
+
+
+def _divides(a, u) -> bool:
+    return all(x <= y for x, y in zip(a, u))
+
+
+def _max_steps(u, lead, vec) -> int:
+    # largest k with u - j*vec divisible by lead for j < k and u - k*vec >= 0
+    k = None
+    for i, w in enumerate(vec):
+        if w > 0:
+            cap = min(u[i] // w, (u[i] - lead[i]) // w + 1)
+            if k is None or cap < k:
+                k = cap
+    if k is None:
+        raise GuardViolated("binomial with nonpositive vector; configuration not pointed")
+    return k
+
+
+def multi_step_normal_form(u, G):
+    """Normal form by the multi-step rule, on exponent tuples.
+
+    The first element whose lead divides the current monomial is applied
+    as many times as the chain stays divisible and nonnegative, the step
+    count read entry by entry.  The engine follows the same rule on
+    packed monomials, so the two agree step for step.
+    """
+    cur = tuple(u)
+    while True:
+        g = next((g for g in G if _divides(g.lead, cur)), None)
+        if g is None:
+            return cur
+        vec = g.vector
+        k = _max_steps(cur, g.lead, vec)
+        cur = tuple(x - k * w for x, w in zip(cur, vec))
+
+
+def _interreduce(elements):
+    """Minimalize and tail-reduce a basis that is already a GB."""
+    # divisors come before multiples when sorted by total degree
+    by_size = sorted(elements, key=lambda b: (sum(b.lead), b.lead, b.trail))
+    minimal = []
+    for b in by_size:
+        if not any(_divides(m.lead, b.lead) for m in minimal):
+            minimal.append(b)
+    return [Binomial(b.lead, multi_step_normal_form(b.trail, minimal)) for b in minimal]
+
+
+def _canonical(elements, ord):
+    return tuple(sorted(set(elements), key=lambda b: (ord.key(b.lead), b.lead, b.trail)))
 
 
 def _minimal_vectors(items):
@@ -328,7 +370,7 @@ def buchberger_every_pair(gens, ord):
             r = reduce(s.lead, s.trail)
             if r is not None:
                 add(r)
-    return GroebnerBasis(ord, _canonical(_interreduce(elements, ord), ord))
+    return GroebnerBasis(ord, _canonical(_interreduce(elements), ord))
 
 
 def toric_generators_every_variable(A: ConfigMatrix):

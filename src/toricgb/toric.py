@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, buchberger
+from .buchberger import GroebnerBasis, buchberger
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -38,7 +38,6 @@ from .exactmath import (
     cone_certificate,
     det_bareiss,
     dot,
-    hnf,
     kernel_lattice_basis,
     max_abs_minor,
     rank,

@@ -22,7 +22,6 @@ from toricgb.fan import (
     MonomialIdeal,
     check_chain_property,
     check_radical_triangulation,
-    enumerate_initial_ideals,
     groebner_cone,
     is_squarefree,
     regular_triangulation,

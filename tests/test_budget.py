@@ -1,7 +1,8 @@
 """The run's Budget: each guard trips while the work runs, and names itself.
 
-The last two tests read the production source, so that the limits stay
-in one Budget instead of spreading back into keyword arguments.
+The last tests read the source: two keep the limits in one Budget
+instead of spreading back into keyword arguments, and one keeps every
+import in use.
 """
 
 import ast
@@ -170,3 +171,21 @@ def test_every_limit_is_raised_with_its_three_fields():
             sites.append(path.name)
     # Budget.check, and the fixed 12-variable guard of assoc_primes_monomial
     assert sorted(sites) == ["errors.py", "fan.py"]
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(Path(toricgb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

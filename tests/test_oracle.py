@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from toricgb.buchberger import buchberger, normal_form
+import toricgb.buchberger as engine
+from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import det_bareiss, solve_affine
 from toricgb.fan import (
@@ -24,6 +25,7 @@ from toricgb.oracle import (
     graver_bruteforce,
     irreducible_decomposition,
     kernel_vectors_up_to,
+    multi_step_normal_form,
     regular_triangulation_every_subset,
     single_step_normal_form,
     toric_generators_every_variable,
@@ -312,6 +314,126 @@ def test_buchberger_matches_every_pair_engine_seeded():
             rng.sample(range(n), n), rng.randrange(n),
             rng.choice(("degrevlex", "lex")), grading)
         assert_same_basis(gens, order)
+
+
+@contextlib.contextmanager
+def packing_widths():
+    """The field width of every packing the engine makes while inside."""
+    widths = []
+
+    class Recording(engine._Packing):
+        def __init__(self, n, width, ord=None):
+            widths.append(width)
+            super().__init__(n, width, ord)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_Packing", Recording)
+        yield widths
+
+
+def wide_rows(shape, a, big, c):
+    """Three columns, one entry between 2**13 and 2**17.
+
+    The kernel lattice basis then has entries near or past 2**15, the
+    most that 16-bit fields hold.  Four columns make bases of thousands
+    of elements under some orders; three stay small.
+    """
+    if shape == "one row":
+        return ((a, big, c),)
+    return ((1, 1, 1), (0, a, big))
+
+
+def assert_same_wide_basis(rows, order):
+    """The engine's basis of the kernel lattice ideal of rows is the every-pair one.
+
+    Returns whether the run widened its fields, and whether it widened
+    although every generator fit in 16-bit fields.
+    """
+    gens = ConfigMatrix(rows).kernel_basis().entries
+    with time_limit(10), packing_widths() as widths:
+        G = buchberger(gens, order)
+        assert G.elements == buchberger_every_pair(gens, order).elements, (rows, order)
+    widened = max(widths) > 16
+    return widened, widened and max(abs(x) for v in gens for x in v) < 2 ** 15
+
+
+@st.composite
+def wide_problems(draw):
+    """Rows of wide_rows and an order of any kind."""
+    rows = wide_rows(draw(st.sampled_from(("one row", "two rows"))),
+                     draw(st.integers(1, 5)), draw(st.integers(2 ** 13, 2 ** 17)),
+                     draw(st.integers(1, 5)))
+    return rows, draw(orders(3, ConfigMatrix(rows).grading, -5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_problems())
+@example((((3, 50000, 2),), lex(3)))
+@example((((1, 40000, 70001),), lex(3, (2, 1, 0))))
+@example((((1, 40000, 70001),), weighted_revlex((1, 40000, 70001), 0)))
+def test_wide_entries_match_every_pair_engine(problem):
+    assert_same_wide_basis(*problem)
+
+
+def test_wide_entries_match_every_pair_engine_seeded():
+    rng = random.Random(23)
+    widened = Counter()
+    for count in range(800):
+        kind = ORDER_KINDS[count % len(ORDER_KINDS)]
+        shape = ("one row", "two rows")[count // 4 % 2]
+        rows = wide_rows(shape, rng.randint(1, 5), rng.randint(2 ** 13, 2 ** 17),
+                         rng.randint(1, 5))
+        order = order_of_kind(
+            kind, tuple(rng.randint(-5, 5) for _ in range(3)), rng.sample(range(3), 3),
+            rng.randrange(3), rng.choice(("degrevlex", "lex")), ConfigMatrix(rows).grading)
+        run, late = assert_same_wide_basis(rows, order)
+        widened[kind] += run
+        widened["after the generators fit"] += late
+    assert all(widened[kind] >= 60 for kind in ORDER_KINDS), widened
+    assert widened["after the generators fit"] >= 12, widened
+
+
+@pytest.mark.parametrize("gens, precedence", [
+    ([(-11698, -1, 9651), (-2, 3, 11082)], (1, 2, 0)),
+    ([(-1, -12030, -2, -2), (3, 18372, -18272, 1)], (3, 1, 0, 2)),
+])
+def test_s_pair_terms_past_the_guard_bit_match_every_pair_engine(gens, precedence):
+    # every generator fits 16-bit fields, but an S-pair term of these lex
+    # runs does not
+    with packing_widths() as widths:
+        assert_same_basis(gens, lex(len(precedence), precedence))
+    assert max(widths) > 16
+
+
+def unit(i, n):
+    return tuple(int(j == i) for j in range(n))
+
+
+@pytest.mark.parametrize("u, G, nf", [
+    # 2**65 + 1 needs a 128-bit field from the start
+    ((2 ** 65 + 1, 5), [Binomial((1, 0), (0, 3))], (0, 3 * 2 ** 65 + 8)),
+    # 2**62 fits a 64-bit field, but one multi-step makes 5 * 2**62 of it
+    ((2 ** 62, 0), [Binomial((1, 0), (0, 5))], (0, 5 * 2 ** 62)),
+    # each multi-step adds less than 2**63, but the first sets x1's
+    # guard bit and the third would carry past the field
+    ((2 ** 62, 2 ** 63 - 1, 2 ** 62, 2 ** 62),
+     [Binomial(unit(i, 4), unit(1, 4)) for i in (0, 2, 3)],
+     (0, 2 ** 63 - 1 + 3 * 2 ** 62, 0, 0)),
+    # a multi-step that passes the check before it, and a single step,
+    # each landing x1 exactly on its guard bit, where the support would
+    # read it as zero
+    ((2 ** 62, 2 ** 62, 0),
+     [Binomial(unit(0, 3), unit(1, 3)), Binomial((0, 2, 0), unit(2, 3))],
+     (0, 0, 2 ** 62)),
+    ((1, 2 ** 63 - 1, 0),
+     [Binomial(unit(0, 3), unit(1, 3)), Binomial((0, 2, 0), unit(2, 3))],
+     (0, 0, 2 ** 62)),
+], ids=["past 64 bits", "widened before the step", "widened by the guard bit",
+        "k steps onto the guard bit", "one step onto the guard bit"])
+def test_normal_form_past_64_bits_matches_the_tuple_rule(u, G, nf):
+    with packing_widths() as widths:
+        assert normal_form(u, G) == nf == multi_step_normal_form(u, G)
+    assert max(widths) == 128
 
 
 # Kernel lattice basis (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5),

@@ -9,9 +9,7 @@ from toricgb.errors import (
     LimitExceeded,
     NotACircuit,
     NotPointed,
-    RankDeficient,
 )
-from toricgb.exactmath import IntMatrix
 from toricgb.fan import groebner_cone
 from toricgb.toric import (
     ConfigMatrix,
@@ -297,22 +295,16 @@ def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
 
 
 def test_toric_generators_s_pair_count(monkeypatch):
-    # S-pairs that survive the Gebauer-Moeller criteria; processing every
-    # pair with non-coprime leads made 191 on this input, and saturating
-    # every variable made 168
+    # S-pairs popped after the Gebauer-Moeller criteria, over every run;
+    # on Segre 3x3, processing every pair with non-coprime leads made
+    # 191, and saturating every variable made 168
     import toricgb.buchberger as engine
 
-    calls = 0
-    real = engine.s_binomial
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "s_binomial", counting)
-    toric_generators(ConfigMatrix(generate("segre", (3, 3))))
-    assert calls <= 104
+    for dims, pairs in (((3, 3), 104), ((2, 2, 3), 511)):
+        calls = record_calls(monkeypatch, engine, "_s_pair")
+        toric_generators(ConfigMatrix(generate("segre", dims)))
+        assert len(calls) == pairs, dims
+        monkeypatch.undo()
 
 
 def record_calls(monkeypatch, module, name):
