@@ -44,7 +44,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .buchberger import buchberger
 from .errors import (
     Budget,
     LimitExceeded,
@@ -60,7 +59,6 @@ from .toric import (
     circuits,
     graver,
     lawrence_lifting,
-    toric_generators,
     toric_groebner,
     universal_gb,
 )
@@ -448,7 +446,7 @@ def cmd_fan(args) -> int:
         # single cone at the given weight; enumeration would be wasteful
         w = _load_weight(args.weight, A.n)
         order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
-        G = buchberger(toric_generators(A), order)
+        G = toric_groebner(A, order)
         witnesses = [(groebner_cone(G), tuple(w))]
     else:
         _, _, ws, bases = universal_gb(A, Budget(graver=args.max_graver_bits))

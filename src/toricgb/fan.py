@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .buchberger import GroebnerBasis, buchberger
+from .buchberger import GroebnerBasis
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -34,7 +34,7 @@ from .exactmath import (
     rank,
 )
 from .orders import term_order
-from .toric import ConfigMatrix, toric_generators, universal_gb
+from .toric import ConfigMatrix, toric_groebner, universal_gb
 
 
 def _minimal_exponents(items):
@@ -292,7 +292,7 @@ def is_squarefree(I: MonomialIdeal) -> bool:
 def check_radical_triangulation(A: ConfigMatrix, omega,
                                 budget: Budget = Budget()) -> bool:
     """Whether rad(in_w(I_A)) equals the Stanley-Reisner ideal of Delta_w."""
-    G = buchberger(toric_generators(A, budget), term_order(A.n, weight=omega), budget)
+    G = toric_groebner(A, term_order(A.n, weight=omega), budget)
     for g in G.elements:
         if dot(omega, g.vector) == 0:
             raise NonGenericOmega("weight lies on a wall of the Gröbner fan")

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exactmath import cramer, det_bareiss, dot
 from .orders import term_order
-from .toric import ConfigMatrix, toric_generators
+from .toric import ConfigMatrix, toric_groebner
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _graded_feasible(A: ConfigMatrix, b, budget: Budget):
     """Feasible point for a pointed configuration, negative entries allowed.
 
     Let S be the columns that carry no leading entry of A.kernel_basis()
-    (the columns toric_generators saturates) and F the other n - d.
+    and F the other n - d.
     The search enumerates x_F and solves A_S x_S = b - A_F x_F exactly:
 
     * S is a basis.  No nonzero kernel vector is supported on S, since
@@ -234,7 +234,7 @@ def solve_ip(inst: IPInstance, budget: Budget = Budget()):
     start = _graded_feasible(A, inst.b, budget)
     if start is None:
         return None
-    G = buchberger(toric_generators(A, budget), term_order(A.n, weight=inst.omega), budget)
+    G = toric_groebner(A, term_order(A.n, weight=inst.omega), budget)
     return normal_form(start, G)
 
 

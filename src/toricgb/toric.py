@@ -10,11 +10,13 @@ term order in sight terminate.
 
 The toric ideal itself is obtained by the lattice-basis-plus-saturation
 route: start from the Hermite normal form kernel lattice basis and
-saturate one variable at a time, each saturation being a single Groebner
-computation under a reverse lexicographic order in which that variable
-is cheapest.  A variable whose column carries a leading entry of the
-basis is never saturated: it becomes a unit once the others are
-inverted (the argument is in toric_generators).
+saturate it in at most two Groebner computations, each under a reverse
+lexicographic order in which the saturating variable is cheapest.  The
+first saturates one column; the second saturates the remaining ones at
+once through one new variable that stands for their product.  Only the
+columns where some basis row is negative need saturating: once they are
+inverted, every other variable is a unit (the argument is in
+toric_generators).
 """
 
 from __future__ import annotations
@@ -160,50 +162,141 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget()):
 def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     """Lattice vectors whose binomials generate the toric ideal of A.
 
-    Kernel lattice basis K, then one saturation per variable that K
-    leaves uninverted, then a final reduction pass under the
-    grading-refined reverse lexicographic order; the output is the
-    reduced Groebner basis for that order, canonically sorted.
+    Kernel lattice basis, then at most two saturation runs, then one
+    Buchberger run under the grading-refined reverse lexicographic
+    order; the output is the reduced Groebner basis for that order,
+    canonically sorted.
 
-    Call a column a pivot column when a row of K has its leading entry
-    there, and let S be every other column.  Saturating the ideal J_K of
-    the rows of K by the variables of S alone gives the toric ideal I_A:
+    Let K be the kernel lattice basis, J_K the ideal of its rows'
+    binomials, and T the columns where some row of K is negative.
+    Saturate J_K by x_first, for first the column without a leading
+    entry of K that is nonzero in the most rows of K, then by the
+    product x^rest of the columns of T other than first (see
+    saturation_columns): one saturate_variable run when rest is a
+    single column, else the run of _saturate_product.  The result
+    generates I_A:
 
-    * K is in Hermite normal form, so the entries above a pivot lie in
-      [0, pivot) and every row is nonnegative on the pivot columns.  The
-      negative part of a row therefore lies in S: with pivot p at column
-      t, the row's binomial makes x_t^p times a monomial equal to a
-      monomial in x_S.
-    * Invert the variables of S.  Then x_t^p times a monomial is a
-      unit, so x_t is a unit too, for every pivot column t.  Inverting
-      x_S therefore inverts every variable, and J_K becomes the Laurent
-      ideal of L, the kernel lattice.  L is saturated, so that ideal is
-      prime.
-    * So J_K : (prod of x_i for i in S)^infinity is the kernel of a
-      monomial map into a domain, which is I_A.
-    * The last column is never a pivot of a pointed configuration (a
-      pivot there would put a multiple of e_{n-1} in the kernel), so S
-      is never empty.
+    * Each row's negative part lies in T, by the definition of T.  (K
+      is in Hermite normal form, so the entries above a pivot lie in
+      [0, pivot) and every row is nonnegative on the pivot columns: T
+      holds no pivot column.)
+    * Invert the variables of T.  A row's binomial then makes x^(v+),
+      its positive part, equal to x^(v-), a unit, so every variable in
+      the support of v+ is a unit.  A column outside T that is nonzero
+      in some row is positive there, so every variable in the support
+      of the kernel lattice L is a unit.  J_K becomes the Laurent ideal
+      of L on those variables; L is saturated, so that ideal is prime,
+      and J_K : (x^T)^infinity is the kernel of a monomial map into a
+      domain, which is I_A.  (A column zero in every row of K is zero
+      on all of L, and its variable appears in neither ideal.)
+    * Saturating by x_first and then by x^rest is saturating by the
+      product of the variables of T and x_first.  That contains
+      J_K : (x^T)^infinity = I_A.  Each run's output vectors lie in the
+      kernel lattice, so the ideal they generate contains the run's
+      saturation and lies in I_A.  first need not lie in T: it is
+      picked as the column in most rows, and saturating it first
+      leaves the second run less to do.
+    * With two or more columns in rest, the second run adds a variable
+      y of degree sum of A.grading[t] over rest and the binomial
+      y - x^rest, which together with the ideal J of the first run's
+      output make an ideal J', and it saturates J' by y
+      (_saturate_product).  k[x, y] / (y - x^rest) is k[x], and that
+      isomorphism carries J' : y^infinity to J : (x^rest)^infinity.
+      J' is homogeneous for the positive grading that extends
+      A.grading by y's degree, so the Bayer-Stillman rule of
+      saturate_variable applies to y.
+    * first exists: the last column is never a pivot of a pointed
+      configuration, since a pivot there would put a multiple of
+      e_{n-1} in the kernel.
 
-    The variables of S are saturated in this order: the column that is
-    nonzero in the most rows of K first, ties by index.  The output does
-    not depend on the order, since the reduced basis is unique, but the
-    intermediate elements do.  A degree cap can therefore trip on
-    other instances than it did when every variable was saturated in
-    index order; every answer computed both ways is the same.
+    The output does not depend on these choices, since the canonical
+    run makes the reduced basis, which is unique, but the intermediate
+    elements do.  A degree or element cap can therefore trip on other
+    inputs than it did under one saturation per column; every answer
+    computed both ways is the same.
+    """
+    gens = _saturated_generators(A, budget)
+    if not gens:
+        return []
+    gb = buchberger(gens, _canonical_order(A), budget)
+    return [b.vector for b in gb.elements]
+
+
+def saturation_columns(A: ConfigMatrix):
+    """The columns the saturation runs invert: (first, rest).
+
+    first is the column without a leading entry of A.kernel_basis() that
+    is nonzero in the most basis rows, ties by index.  rest is every
+    other column where some basis row is negative, ascending.
+    """
+    K = A.kernel_basis().entries
+    pivots = A.pivot_columns()
+    support = {j: sum(1 for row in K if row[j]) for j in range(A.n) if j not in pivots}
+    first = min(support, key=lambda j: (-support[j], j))
+    return first, tuple(j for j in range(A.n) if j != first and any(row[j] < 0 for row in K))
+
+
+def _saturated_generators(A: ConfigMatrix, budget: Budget):
+    """The saturation runs of toric_generators, without its canonical run.
+
+    The vectors generate I_A but are not a reduced basis.
     """
     if not A.pointed:
         raise NotPointed("toric generators require a pointed configuration")
     K = A.kernel_basis()
     if K.nrows == 0:
         return []
-    gens = [tuple(r) for r in K.entries]
-    pivots = A.pivot_columns()
-    support = [sum(1 for row in gens if row[i]) for i in range(A.n)]
-    for i in sorted(set(range(A.n)) - pivots, key=lambda i: (-support[i], i)):
-        gens = saturate_variable(gens, i, A.grading, budget)
-    gb = buchberger(gens, _canonical_order(A), budget)
-    return [b.vector for b in gb.elements]
+    first, rest = saturation_columns(A)
+    gens = saturate_variable([tuple(r) for r in K.entries], first, A.grading, budget)
+    if len(rest) == 1:
+        return saturate_variable(gens, rest[0], A.grading, budget)
+    if rest:
+        return _saturate_product(gens, rest, A.grading, budget)
+    return gens
+
+
+def _saturate_product(gens, rest, grading, budget: Budget):
+    """Vectors that saturate J, the ideal of gens, by x^rest.
+
+    One run on n + 1 variables.  The new variable y has degree
+    sum of grading[t] over rest, and y - x^rest joins the generators,
+    as the vector (-1 on rest, 0 elsewhere, 1 at y); call the ideal
+    they generate J'.  The output is that of saturate_variable on J'
+    and y, with y substituted back: v -> v[:n] + v[n] * (1 on rest).
+
+    * y = x^rest maps k[x, y] onto k[x], with kernel (y - x^rest), and
+      J' contains that kernel, so f is in J' : y^infinity exactly when
+      its image is in J : (x^rest)^infinity.  The images of the output
+      binomials therefore generate J : (x^rest)^infinity.
+    * The image of an output binomial with vector v is a monomial times
+      the binomial of w = v[:n] + v[n] * (1 on rest).  v is a vector of
+      J's lattice, padded for y, plus a multiple of (-1 on rest, 1), so
+      w lies in J's lattice.  The binomials of the vectors w generate
+      an ideal between J : (x^rest)^infinity and the lattice ideal of
+      J's lattice, as those of saturate_variable do for one variable.
+    * J' is homogeneous for the grading extended by y's degree, which
+      is positive, so the Bayer-Stillman rule of saturate_variable
+      applies to y, the cheapest variable.
+
+    budget.grading, when given, gains y's degree in that grading for
+    this run, so a degree trip reports the degree of the substituted
+    lead.  The binomial y - x^rest itself substitutes to zero and is
+    dropped.
+    """
+    n = len(grading)
+    product = tuple(-1 if j in rest else 0 for j in range(n)) + (1,)
+    lifted = grading + (sum(grading[t] for t in rest),)
+    if budget.grading is not None:
+        g = tuple(budget.grading)
+        if len(g) != n:
+            raise DimensionMismatch(f"budget grading of length {len(g)}, expected {n}")
+        budget = replace(budget, grading=g + (sum(g[t] for t in rest),))
+    out = []
+    for v in saturate_variable([u + (0,) for u in gens] + [product], n, lifted, budget):
+        w = tuple(x + v[n] if j in rest else x for j, x in enumerate(v[:n]))
+        if any(w):
+            out.append(w)
+    return out
 
 
 def _canonical_order(A: ConfigMatrix) -> TermOrder:
@@ -220,13 +313,15 @@ def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
     computed this basis, so no further Buchberger run is made.  Its
     vectors give back the binomials: the ideal is prime, so no element of
     the reduced basis has a variable common to both terms, and orienting
-    the vector recovers the lead and the trail.
+    the vector recovers the lead and the trail.  Under any other order
+    the run starts from the saturated generators, with no canonical run
+    first; the reduced basis is unique, so the start does not change it.
     """
-    gens = toric_generators(A, budget)
     canonical = _canonical_order(A)
     if ord is None or ord == canonical:
+        gens = toric_generators(A, budget)
         return GroebnerBasis(canonical, tuple(orient(v, canonical) for v in gens))
-    return buchberger(gens, ord, budget)
+    return buchberger(_saturated_generators(A, budget), ord, budget)
 
 
 def lawrence_lifting(M: IntMatrix) -> IntMatrix:

@@ -13,6 +13,7 @@ import pytest
 import toricgb
 from toricgb import toric
 from toricgb.buchberger import buchberger
+from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded
 from toricgb.fan import check_radical_triangulation
 from toricgb.ip import IPInstance, feasible_point, fiber, solve_ip, solve_ip_elimination
@@ -90,6 +91,25 @@ def test_graver_degree_cap_stops_the_first_lifted_run(monkeypatch):
     budget = Budget(degree=2, grading=B.grading + (0,) * 5)
     assert tripped(lambda: graver(B, budget))[:2] == ("degree", 2)
     assert len(runs) == 1
+
+
+def test_the_y_run_measures_the_substituted_degree(monkeypatch):
+    # the second saturation of Segre 3x3 runs on a tenth variable y that
+    # stands for x2 x5 x6 x7; budget.grading gains y's degree, the sum of
+    # the grading over those columns, for that run only
+    A = ConfigMatrix(generate("segre", (3, 3)))
+    g = tuple(range(1, 10))
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    toric_generators(A, Budget(degree=10**6, grading=g))
+    assert [args[2].grading for args in runs] == [g, g + (3 + 6 + 7 + 8,), g]
+    # degree 5 is first reached in the y-run.  Measured in A's grading it
+    # is the degree of the substituted lead, which the order's top row
+    # also gives when no grading is named
+    for grading in (A.grading, None):
+        runs.clear()
+        budget = Budget(degree=4, grading=grading)
+        assert tripped(lambda: toric_generators(A, budget)) == ("degree", 4, 5)
+        assert len(runs) == 2
 
 
 def test_grading_of_the_wrong_length_is_refused():

@@ -395,7 +395,6 @@ def test_fan_cones_reuses_the_enumerated_bases(twisted, capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(toric, "toric_generators", counting)
-    monkeypatch.setattr("toricgb.cli.toric_generators", counting)
     toric.universal_gb(toric.ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3))))
     by_universal, calls = calls, 0
     rc, _, _ = run(capsys, ["fan", "cones", twisted])

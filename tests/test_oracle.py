@@ -37,6 +37,7 @@ from toricgb.toric import (
     ConfigMatrix,
     graver,
     normalize_sign,
+    saturation_columns,
     toric_generators,
     universal_gb,
 )
@@ -442,9 +443,32 @@ def test_normal_form_past_64_bits_matches_the_tuple_rule(u, G, nf):
 NO_UNIT_PIVOT = ((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0))
 
 
-def assert_same_toric_ideal(A):
+def budgeted_generators(A, budget):
+    """toric_generators(A, budget), or the (guard, limit, reached) of its trip."""
+    try:
+        return toric_generators(A, budget)
+    except LimitExceeded as e:
+        return e.guard, e.limit, e.reached
+
+
+def assert_same_toric_ideal(A, degree):
+    """toric_generators agrees with the oracle, also under a degree cap.
+
+    The cap is measured once in A's grading and once, with no grading
+    named, in each run's top order row.  The two measures agree in every
+    run, the one through the new variable included, so both budgets
+    must trip alike; one that does not trip must give the oracle's
+    answer.  Returns whether the cap tripped.
+    """
     with time_limit(10):
-        assert toric_generators(A) == toric_generators_every_variable(A), A.original
+        expected = toric_generators_every_variable(A)
+        assert toric_generators(A) == expected, A.original
+        capped = budgeted_generators(A, Budget(degree=degree, grading=A.grading))
+        assert capped == budgeted_generators(A, Budget(degree=degree)), A.original
+    if isinstance(capped, tuple):
+        return True
+    assert capped == expected, A.original
+    return False
 
 
 @st.composite
@@ -469,15 +493,16 @@ def small_pointed_configs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_pointed_configs())
-@example(ConfigMatrix(NO_UNIT_PIVOT))
-def test_toric_generators_match_saturating_every_variable(A):
-    assert_same_toric_ideal(A)
+@given(small_pointed_configs(), st.integers(1, 8))
+@example(ConfigMatrix(NO_UNIT_PIVOT), 2)
+def test_toric_generators_match_saturating_every_variable(A, k):
+    assert_same_toric_ideal(A, k * max(A.grading))
 
 
 def test_toric_generators_match_saturating_every_variable_seeded():
     rng = random.Random(29)
-    seen = {"pivot above 1": 0, "all-ones grading": 0, "other grading": 0}
+    seen = dict.fromkeys(("pivot above 1", "all-ones grading", "other grading",
+                          "new variable", "cap tripped", "cap not tripped"), 0)
     checked = [ConfigMatrix(NO_UNIT_PIVOT)]
     while len(checked) < 300:
         d = rng.randint(1, 3)
@@ -491,11 +516,15 @@ def test_toric_generators_match_saturating_every_variable_seeded():
         if A is not None:
             checked.append(A)
     for A in checked:
-        assert_same_toric_ideal(A)
+        tripped = assert_same_toric_ideal(A, rng.randint(1, 8) * max(A.grading))
         K = A.kernel_basis().entries
         seen["pivot above 1"] += any(next(x for x in row if x) > 1 for row in K)
         seen["all-ones grading" if A.grading == (1,) * A.n else "other grading"] += 1
-    assert min(seen.values()) >= 50, seen
+        # two or more columns left for the second run: it goes through y
+        seen["new variable"] += len(saturation_columns(A)[1]) >= 2
+        seen["cap tripped" if tripped else "cap not tripped"] += 1
+    # the draws give 49 runs through y
+    assert all(v >= (40 if k == "new variable" else 50) for k, v in seen.items()), seen
 
 
 # The points (0,0), (2,0), (2,2), (0,2), (1,-2), (4,1), (1,4), (-2,1),

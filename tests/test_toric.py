@@ -269,38 +269,58 @@ def test_groebner_cone_makes_no_fm_call(monkeypatch):
 
 
 def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
-    # 5 saturations, since the kernel basis of Segre 3x3 inverts 4 of its
-    # 9 variables, and the run under the canonical order; that order is
-    # the default, so toric_groebner needs no run of its own
+    # 2 saturations and the run under the canonical order (6 runs when
+    # each of the 5 columns without a leading entry had its own); that
+    # order is the default, so toric_groebner needs no run of its own
     import toricgb.toric as toric
-    from toricgb.orders import term_order
 
-    runs = 0
-    real = toric.buchberger
-
-    def counting(*args, **kwargs):
-        nonlocal runs
-        runs += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(toric, "buchberger", counting)
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    real = toric.buchberger.__wrapped__
     A = ConfigMatrix(generate("segre", (3, 3)))
     G = toric_groebner(A)
-    assert runs == 6
+    assert len(runs) == 3
     assert G == real(toric_generators(A), G.order)
-    runs = 0
-    other = toric_groebner(A, term_order(A.n, weight=(1, 0, 0, 0, 2, 0, 0, 0, 3)))
-    assert runs == 7
-    assert other.order != G.order
+
+
+def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
+    # under another order the run starts from the 2 saturations' output:
+    # 3 runs where computing the canonical basis first made 4 (7 before
+    # the two-run saturation), and the same reduced basis.  The first
+    # saturation, by x8, runs under degrevlex(9) itself, so the runs are
+    # told apart by what calls them, not by their orders
+    import toricgb.toric as toric
+    from toricgb.fan import check_radical_triangulation
+    from toricgb.ip import IPInstance, solve_ip
+    from toricgb.orders import term_order
+
+    A = ConfigMatrix(generate("segre", (3, 3)))
+    omega = (0, 1, 5, 2, 9, 4, 7, 3, 8)
+    order = term_order(A.n, weight=omega)
+    runs = record_calls(monkeypatch, toric, "buchberger")
+    saturations = record_calls(monkeypatch, toric, "saturate_variable")
+    canonical = record_calls(monkeypatch, toric, "toric_generators")
+    G = toric_groebner(A, order)
+    assert len(saturations) == 2
+    assert len(runs) == 3
+    assert runs[-1][1] == order
+    # solve_ip and check_radical_triangulation take the same route
+    b = A.original.mulvec((1, 0, 0, 0, 1, 0, 0, 0, 1))
+    assert solve_ip(IPInstance(A, omega, b)) is not None
+    assert check_radical_triangulation(A, omega)
+    assert len(saturations) == 3 * 2
+    assert len(runs) == 3 * 3
+    assert canonical == []
+    assert G == toric.buchberger.__wrapped__(
+        toric.toric_generators.__wrapped__(A), order)
 
 
 def test_toric_generators_s_pair_count(monkeypatch):
     # S-pairs popped after the Gebauer-Moeller criteria, over every run;
-    # on Segre 3x3, processing every pair with non-coprime leads made
-    # 191, and saturating every variable made 168
+    # one saturation per column without a leading entry made 104, 511
+    # and 15,169 pairs
     import toricgb.buchberger as engine
 
-    for dims, pairs in (((3, 3), 104), ((2, 2, 3), 511)):
+    for dims, pairs in (((3, 3), 66), ((2, 2, 3), 280), ((3, 3, 3), 6917)):
         calls = record_calls(monkeypatch, engine, "_s_pair")
         toric_generators(ConfigMatrix(generate("segre", dims)))
         assert len(calls) == pairs, dims
@@ -308,7 +328,10 @@ def test_toric_generators_s_pair_count(monkeypatch):
 
 
 def record_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper; return the list of its positional args."""
+    """Replace module.name by a wrapper; return the list of its positional args.
+
+    The wrapper's __wrapped__ is the real function.
+    """
     calls = []
     real = getattr(module, name)
 
@@ -316,50 +339,68 @@ def record_calls(monkeypatch, module, name):
         calls.append(args)
         return real(*args, **kwargs)
 
+    recording.__wrapped__ = real
     monkeypatch.setattr(module, name, recording)
     return calls
 
 
-def saturated_columns(monkeypatch, A):
+def saturations(monkeypatch, A):
+    """The saturation runs of toric_generators(A), in order.
+
+    A run by one variable gives its column.  A run through a new
+    variable y gives the columns y stands for, read off the generator
+    y - x^rest that joins the others last.
+    """
     import toricgb.toric as toric
 
     calls = record_calls(monkeypatch, toric, "saturate_variable")
     toric_generators(A)
-    return [args[1] for args in calls]
+    out = []
+    for gens, i, *_ in calls:
+        if i < A.n:
+            out.append(i)
+            continue
+        *_, product = gens
+        assert i == A.n and product[i] == 1
+        assert set(product[:i]) <= {0, -1}
+        out.append(tuple(j for j in range(i) if product[j]))
+    return out
 
 
 def test_toric_generators_saturates_the_uninverted_columns(monkeypatch):
-    # the kernel basis of Segre 3x3 has four rows; the five columns
-    # without a leading entry are saturated, the one nonzero in the most
-    # basis rows first
+    # the kernel basis of Segre 3x3 has four rows; of the five columns
+    # without a leading entry, 8 is nonzero in all four rows and goes
+    # first, and y stands for 2, 5, 6 and 7, the columns where a row is
+    # negative
     A = ConfigMatrix(generate("segre", (3, 3)))
     K = A.kernel_basis().entries
     unit = {next(j for j, x in enumerate(row) if x) for row in K}
-    assert len(unit) == 4
-    columns = saturated_columns(monkeypatch, A)
-    assert len(columns) == 5
-    assert sorted(columns) == sorted(set(range(9)) - unit)
-    support = [sum(1 for row in K if row[j]) for j in columns]
-    assert support == sorted(support, reverse=True)
+    assert unit == {0, 1, 3, 4}
+    assert [sum(1 for row in K if row[j]) for j in (2, 5, 6, 7, 8)] == [2, 2, 2, 2, 4]
+    assert {j for j in range(9) if any(row[j] < 0 for row in K)} == {2, 5, 6, 7}
+    assert saturations(monkeypatch, A) == [8, (2, 5, 6, 7)]
 
 
 def test_toric_generators_saturates_only_non_pivot_columns(monkeypatch):
     # kernel basis rows (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5) and
     # (0, 0, 3, -2, 0, 0): the pivots 2, 6 and 3 sit in columns 0, 1 and
-    # 2, which become units once columns 3, 4 and 5 are inverted
+    # 2.  Column 3 is nonzero in all three rows and goes first; column
+    # 4 is the only other one with a negative entry, so it is saturated
+    # directly, and column 5, positive wherever it is nonzero, never is
     A = ConfigMatrix(((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0)))
     assert A.grading != (1,) * A.n
-    assert saturated_columns(monkeypatch, A) == [3, 4, 5]
+    assert saturations(monkeypatch, A) == [3, 4]
 
 
 def test_graver_makes_no_repeated_run(monkeypatch):
-    # 14 saturations of the Lawrence lifting and its canonical run, whose
-    # output graver reads directly: that order is already degrevlex(18)
+    # 2 saturations of the Lawrence lifting and its canonical run, whose
+    # output graver reads directly: that order is already degrevlex(18).
+    # One saturation per column without a leading entry made 15 runs
     import toricgb.toric as toric
 
     runs = record_calls(monkeypatch, toric, "buchberger")
     assert len(graver(ConfigMatrix(generate("segre", (3, 3))))) == 15
-    assert len(runs) == 15
+    assert len(runs) == 3
 
 
 def test_universal_gb_guard():
