@@ -3,23 +3,16 @@
 Everything in this module is pure Python over ``int`` and
 ``fractions.Fraction``; no floats anywhere.
 
-Polyhedral questions come in two kinds.  A yes/no question (is c in
-the cone of these vectors? is this inequality redundant?) goes to
-cone_certificate, a phase-1 simplex on a fraction-free integer tableau
-that answers with a Farkas certificate.  A question whose answer is a
-point that gets printed or kept (a cell witness, a grading) goes to
-feasible_witness: Fourier-Motzkin elimination with back-substitution,
-exponential in the worst case but adequate for the handful of
-variables this package works with, and the source of every witness
-the package has printed so far.
-
-Constraints are normalized to primitive integer rows before
-elimination.  Rows that are already integral (all of them in the
-homogeneous systems of ``strict_feasible``, and every row
-``_eliminate`` builds) take an integer-only route; only rows
-with rational entries are cleared through ``Fraction``.  Both routes
-give the same primitive row, so the elimination levels and the
-back-substituted witness do not depend on which one ran.
+Polyhedral questions all go to one exact simplex method on a
+fraction-free integer tableau.  A yes/no question (is c in the cone of
+these vectors? is this inequality redundant?) is a phase 1, which
+cone_certificate runs and answers with a Farkas certificate.  A
+question whose answer is a point that gets printed or kept (a cell
+witness, a grading) goes to feasible_witness, which fixes one
+coordinate at a time from the exact bounds of two linear programs,
+each a phase 1 and a phase 2.  Its point is the one Fourier-Motzkin
+elimination with back-substitution gives; toricgb.oracle keeps that
+method as the reference.
 """
 
 from __future__ import annotations
@@ -118,9 +111,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries)
         )
-
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in r) for r in self.entries)
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -315,104 +305,49 @@ def solve_affine(rows, rhs, ncols=None):
 # ---------------------------------------------------------------------------
 
 
-def _normalize_constraint(con, n):
-    a, b, strict = con
-    if len(a) != n:
-        raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
-    if type(b) is int and all(type(x) is int for x in a):
-        # the common case: nothing to clear, so skip Fraction entirely
-        ints = [*a, b]
-    else:
-        fracs = [Fraction(x) for x in a] + [Fraction(b)]
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * scale) for f in fracs]
-    if not any(ints[:-1]):
-        # constant constraint; only the sign of the rhs matters
-        c = ints[-1]
-        return ((0,) * n, 0 if c == 0 else (1 if c > 0 else -1), bool(strict))
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    return (tuple(ints[:-1]), ints[-1], bool(strict))
+def _simplex(rows, costs, basis, D, columns, stop_at_zero=False):
+    """Minimize costs[0] in place; return D, or None when unbounded.
 
-
-def _dedupe(cons):
-    # same normal: keep the strongest bound (larger rhs; strict beats weak)
-    best = {}
-    for a, b, strict in cons:
-        cur = best.get(a)
-        if cur is None or (b, strict) > cur:
-            best[a] = (b, strict)
-    return [(a, b, s) for a, (b, s) in best.items()]
-
-
-def _eliminate(cons, k):
-    pos, neg, rest = [], [], []
-    for c in cons:
-        ck = c[0][k]
-        (pos if ck > 0 else neg if ck < 0 else rest).append(c)
-    out = list(rest)
-    n = len(cons[0][0]) if cons else 0
-    for ap, bp, sp in pos:
-        for aq, bq, sq in neg:
-            mp, mq = -aq[k], ap[k]  # both positive, so the sense is preserved
-            a = tuple(mp * x + mq * y for x, y in zip(ap, aq))
-            out.append(_normalize_constraint((a, mp * bp + mq * bq, sp or sq), n))
-    return _dedupe(out)
-
-
-def feasible_witness(constraints, n):
-    """A rational point satisfying every constraint, or None.
-
-    Fourier-Motzkin elimination from the highest variable down, then
-    back-substitution picking midpoints (or an endpoint shifted by 1 when
-    only one side is bounded).
+    The tableau is fraction-free (Edmonds): each entry of the rows (each
+    ending in its right-hand side) and of every cost row is its rational
+    value times the basis determinant D > 0.  Pivoting on p maps x to
+    (x*p - f*y) // D, an exact division, after which D = p.  Bland's
+    rule rules out cycling: the first of columns with a negative reduced
+    cost enters, and ratio-test ties go to the lowest basic column.
+    stop_at_zero ends a phase 1 as soon as the artificial sum is 0.
     """
-    levels = [None] * (n + 1)
-    levels[n] = _dedupe([_normalize_constraint(c, n) for c in constraints])
-    for k in range(n - 1, -1, -1):
-        levels[k] = _eliminate(levels[k + 1], k)
-    for _, b, strict in levels[0]:
-        # constant constraints read 0 > b or 0 >= b
-        if b >= 0 if strict else b > 0:
-            return None
-    x = [Fraction(0)] * n
-    for k in range(n):
-        lo = up = None
-        lo_strict = up_strict = False
-        for a, b, strict in levels[k + 1]:
-            if a[k] == 0:
+    while not (stop_at_zero and costs[0][-1] == 0):
+        cost = costs[0]
+        enter = next((j for j in columns if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
                 continue
-            bound = Fraction(b - sum(a[i] * x[i] for i in range(k)), a[k])
-            if a[k] > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-            else:
-                if up is None or bound < up or (bound == up and strict):
-                    up, up_strict = bound, strict
-        if lo is None and up is None:
-            x[k] = Fraction(0)
-        elif lo is None:
-            x[k] = up - 1
-        elif up is None:
-            x[k] = lo + 1
-        elif lo == up:
-            x[k] = lo  # projection feasibility rules out a strict tie
-        else:
-            x[k] = (lo + up) / 2
-    return tuple(x)
-
-
-def strict_feasible(vectors):
-    """A rational y with v . y > 0 for every v, or None.
-
-    The input is homogeneous: each vector contributes the open constraint
-    v . y > 0.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        raise DimensionMismatch("no vectors given")
-    n = len(vectors[0])
-    return feasible_witness([(v, 0, True) for v in vectors], n)
+            if leave is None:
+                leave = i
+                continue
+            # row[-1] / a against best[-1] / best[enter], cleared of fractions
+            best = rows[leave]
+            lhs, rhs = row[-1] * best[enter], best[-1] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            return None
+        prow = rows[leave]
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                f = row[enter]
+                rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+        for i, cost in enumerate(costs):
+            f = cost[enter]
+            costs[i] = [(x * p - f * y) // D for x, y in zip(cost, prow)]
+        basis[leave] = enter
+        D = p
+    return D
 
 
 def cone_certificate(c, vectors):
@@ -423,17 +358,12 @@ def cone_certificate(c, vectors):
     cone of the vectors.
 
     Phase 1 of the simplex method on sum_j lam_j v_j = c, lam >= 0: rows
-    with c_i < 0 are negated, one artificial variable per row starts in
-    the basis, and Bland's rule (lowest entering column, ties in the
-    ratio test to the lowest basic column) rules out cycling.  The
-    tableau is fraction-free (Edmonds): each entry is its rational value
-    times the current basis determinant D > 0, and pivoting on p maps an
-    entry x to (x*p - f*y) // D, an exact division, after which D = p.
-    At an optimum with artificial sum w > 0 the simplex multipliers y
-    satisfy y . v' <= 0 for every sign-adjusted column v' and y . c' = w.
-    The reduced cost of artificial i is D*(1 - y_i), so undoing the row
-    sign gives z_i = sign_i * (reduced cost - D), and the reduced costs
-    of the vector columns are the products v . z.
+    with c_i < 0 are negated and one artificial variable per row starts
+    in the basis.  At an optimum with artificial sum w > 0 the simplex
+    multipliers y satisfy y . v' <= 0 for every sign-adjusted column v'
+    and y . c' = w.  The reduced cost of artificial i is D*(1 - y_i), so
+    undoing the row sign gives z_i = sign_i * (reduced cost - D), and the
+    reduced costs of the vector columns are the products v . z.
     """
     c = tuple(c)
     n = len(c)
@@ -450,40 +380,108 @@ def cone_certificate(c, vectors):
     # phase-1 reduced costs with the artificial basis priced out
     cost = [-sum(row[j] for row in rows) for j in range(m)] + [0] * n
     cost.append(-sum(row[-1] for row in rows))
-    basis = list(range(m, m + n))
-    D = 1
-    while cost[-1]:
-        enter = next((j for j in range(m + n) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a <= 0:
-                continue
-            if leave is None:
-                leave = i
-                continue
-            # row[-1] / a against best[-1] / best[enter], cleared of fractions
-            best = rows[leave]
-            lhs, rhs = row[-1] * best[enter], best[-1] * a
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave = i
-        # the artificial sum is bounded below, so some row qualifies
-        prow = rows[leave]
-        p = prow[enter]
-        for i, row in enumerate(rows):
-            if i != leave:
-                f = row[enter]
-                rows[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
-        f = cost[enter]
-        cost = [(x * p - f * y) // D for x, y in zip(cost, prow)]
-        basis[leave] = enter
-        D = p
+    costs = [cost]
+    D = _simplex(rows, costs, list(range(m, m + n)), 1, range(m + n), True)
+    cost = costs[0]
     if not cost[-1]:
         return None
     z = [s * (cost[m + i] - D) for i, s in enumerate(sign)]
     return primitive(z)
+
+
+def _integer_rows(constraints, n):
+    # each constraint times the positive lcm of its denominators
+    rows = []
+    for a, b, strict in constraints:
+        if len(a) != n:
+            raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
+        if type(b) is not int or any(type(x) is not int for x in a):
+            fracs = [Fraction(x) for x in a] + [Fraction(b)]
+            scale = lcm(*(f.denominator for f in fracs))
+            *a, b = (f.numerator * (scale // f.denominator) for f in fracs)
+        rows.append((tuple(a), b, bool(strict)))
+    return rows
+
+
+def _slice_bound(vectors, n, B, den, side):
+    """min of side * y_0 subject to v_j . y >= B_j / den, times side.
+
+    Solved as its dual, max B . lam / den subject to lam >= 0 and
+    sum_j lam_j v_j = side * e_0 in Q^n; None when that is infeasible or
+    unbounded.  Phase 1 carries the phase-2 cost row along.  At its
+    optimum every feasible lam is 0 where the reduced cost is positive,
+    so phase 2 leaves those columns out and the artificials stay at 0.
+    """
+    m = len(vectors)
+    rows = [[side * v[0] for v in vectors] + [1]]
+    rows += [[v[i] for v in vectors] + [0] for i in range(1, n)]
+    costs = [[-sum(column) for column in zip(*rows)]]
+    if any(B):
+        costs.append([-x for x in B] + [0])
+    basis = list(range(m, m + len(rows)))  # artificial columns, not stored
+    D = _simplex(rows, costs, basis, 1, range(m))
+    if costs[0][-1]:
+        return None
+    if len(costs) == 1:
+        return Fraction(0)
+    allowed = [j for j in range(m) if not costs[0][j]]
+    del costs[0]
+    D = _simplex(rows, costs, basis, D, allowed)
+    return None if D is None else side * Fraction(costs[0][-1], D * den)
+
+
+def _choose(lo, up):
+    if lo is None:
+        return Fraction(0) if up is None else up - 1
+    return lo + 1 if up is None else (lo + up) / 2
+
+
+def feasible_witness(constraints, n):
+    """A rational point satisfying every constraint, or None.
+
+    With x_<k fixed, x_k is the midpoint of the least and greatest x_k
+    on that slice of the solution set S (lo + 1 or up - 1 when one side
+    is unbounded, 0 when both are): the point of Fourier-Motzkin
+    elimination with back-substitution, as both depend on S alone.  If
+    S is nonempty, so is each slice, and a segment from a point of it to
+    a point of its closure stays in S short of its end, so lo and up are
+    the optima with every inequality made weak: two _slice_bound
+    programs, or ratios for the last coordinate.  x = X / den over one
+    denominator, and B_j = den * b_j - a_j[:k] . X.  A final B_j > 0
+    (or = 0 on a strict row) means S is empty.
+    """
+    rows = _integer_rows(constraints, n)
+    X, den = [], 1
+    B = [b for _, b, _ in rows]
+    for k in range(n):
+        if k < n - 1:
+            vectors = [a[k:] for a, _, _ in rows]
+            lo, up = (_slice_bound(vectors, n - k, B, den, side) for side in (1, -1))
+        else:
+            ratios = [(a[k], Fraction(Bj, a[k] * den)) for (a, _, _), Bj in zip(rows, B) if a[k]]
+            lo = max((r for ak, r in ratios if ak > 0), default=None)
+            up = min((r for ak, r in ratios if ak < 0), default=None)
+        x = _choose(lo, up)
+        q = lcm(den, x.denominator)
+        X = [xi * (q // den) for xi in X] + [x.numerator * (q // x.denominator)]
+        B = [Bj * (q // den) - a[k] * X[k] for Bj, (a, _, _) in zip(B, rows)]
+        den = q
+    if any(Bj > 0 or strict and Bj == 0 for Bj, (_, _, strict) in zip(B, rows)):
+        return None
+    return tuple(Fraction(xi, den) for xi in X)
+
+
+def strict_feasible(vectors):
+    """A rational y with v . y > 0 for every v, or None.
+
+    The input is homogeneous: each vector contributes the open constraint
+    v . y > 0.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        raise DimensionMismatch("no vectors given")
+    n = len(vectors[0])
+    return feasible_witness([(v, 0, True) for v in vectors], n)
 
 
 def is_irredundant(ineqs, index: int) -> bool:

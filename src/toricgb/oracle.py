@@ -8,10 +8,11 @@ monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
 whose monomial arithmetic is its own and works on exponent tuples, the
 toric ideal has a version that saturates every variable, the
-regular triangulation has a version that looks for a face witness on
-every column subset and then checks every ridge, and the integer
-program's start point has a version that walks the whole grading
-simplex.
+regular triangulation has a version that tests every column subset
+for a face and then checks every ridge, the integer program's start
+point has a version that walks the whole grading simplex, and the
+witness of a system of inequalities has a version by Fourier-Motzkin
+elimination.
 The main algorithm modules never call into this one.
 """
 
@@ -21,19 +22,18 @@ import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .buchberger import Binomial, GroebnerBasis, buchberger, s_binomial
 from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega
 from .exactmath import (
     IntMatrix,
+    cone_certificate,
     det_bareiss,
     dot,
-    feasible_witness,
     identity_matrix,
     rank,
     solve_affine,
-    strict_feasible,
 )
 from .fan import MonomialIdeal, SimplicialComplex
 from .orders import orient, term_order
@@ -274,6 +274,110 @@ def _contains_ideal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return all(a.contains(g) for g in b.gens)
 
 
+# -- Fourier-Motzkin elimination --------------------------------------------
+#
+# A constraint is a triple (coeffs, rhs, strict), as in exactmath.
+
+
+def _normalize_constraint(con, n):
+    a, b, strict = con
+    if len(a) != n:
+        raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
+    if type(b) is int and all(type(x) is int for x in a):
+        # the common case: nothing to clear, so skip Fraction entirely
+        ints = [*a, b]
+    else:
+        fracs = [Fraction(x) for x in a] + [Fraction(b)]
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
+    if not any(ints[:-1]):
+        # constant constraint; only the sign of the rhs matters
+        c = ints[-1]
+        return ((0,) * n, 0 if c == 0 else (1 if c > 0 else -1), bool(strict))
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    return (tuple(ints[:-1]), ints[-1], bool(strict))
+
+
+def _dedupe(cons):
+    # same normal: keep the strongest bound (larger rhs; strict beats weak)
+    best = {}
+    for a, b, strict in cons:
+        cur = best.get(a)
+        if cur is None or (b, strict) > cur:
+            best[a] = (b, strict)
+    return [(a, b, s) for a, (b, s) in best.items()]
+
+
+def _eliminate(cons, k):
+    pos, neg, rest = [], [], []
+    for c in cons:
+        ck = c[0][k]
+        (pos if ck > 0 else neg if ck < 0 else rest).append(c)
+    out = list(rest)
+    n = len(cons[0][0]) if cons else 0
+    for ap, bp, sp in pos:
+        for aq, bq, sq in neg:
+            mp, mq = -aq[k], ap[k]  # both positive, so the sense is preserved
+            a = tuple(mp * x + mq * y for x, y in zip(ap, aq))
+            out.append(_normalize_constraint((a, mp * bp + mq * bq, sp or sq), n))
+    return _dedupe(out)
+
+
+def feasible_witness_by_elimination(constraints, n):
+    """feasible_witness by Fourier-Motzkin elimination.
+
+    Constraints are normalized to primitive integer rows and eliminated
+    from the highest variable down; each level is the exact projection
+    of the solution set.  Back-substitution then picks midpoints of the
+    exact intervals (or an endpoint shifted by 1 when only one side is
+    bounded), the rule feasible_witness applies to its linear-programming
+    bounds.  Exponential in the worst case.
+    """
+    levels = [None] * (n + 1)
+    levels[n] = _dedupe([_normalize_constraint(c, n) for c in constraints])
+    for k in range(n - 1, -1, -1):
+        levels[k] = _eliminate(levels[k + 1], k)
+    for _, b, strict in levels[0]:
+        # constant constraints read 0 > b or 0 >= b
+        if b >= 0 if strict else b > 0:
+            return None
+    x = [Fraction(0)] * n
+    for k in range(n):
+        lo = up = None
+        lo_strict = up_strict = False
+        for a, b, strict in levels[k + 1]:
+            if a[k] == 0:
+                continue
+            bound = Fraction(b - sum(a[i] * x[i] for i in range(k)), a[k])
+            if a[k] > 0:
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
+            else:
+                if up is None or bound < up or (bound == up and strict):
+                    up, up_strict = bound, strict
+        if lo is None and up is None:
+            x[k] = Fraction(0)
+        elif lo is None:
+            x[k] = up - 1
+        elif up is None:
+            x[k] = lo + 1
+        elif lo == up:
+            x[k] = lo  # projection feasibility rules out a strict tie
+        else:
+            x[k] = (lo + up) / 2
+    return tuple(x)
+
+
+def strict_feasible_by_elimination(vectors):
+    """strict_feasible by Fourier-Motzkin elimination."""
+    vectors = list(vectors)
+    if not vectors:
+        raise DimensionMismatch("no vectors given")
+    n = len(vectors[0])
+    return feasible_witness_by_elimination([(v, 0, True) for v in vectors], n)
+
+
 def universal_gb_every_cell(A: ConfigMatrix):
     """(ugb, initial_ideals, witnesses) with no work shared between cells.
 
@@ -295,7 +399,7 @@ def universal_gb_every_cell(A: ConfigMatrix):
     initial = {}
 
     def visit(signed):
-        beta = strict_feasible(signed)
+        beta = strict_feasible_by_elimination(signed)
         w = [sum(Fraction(b) * row[j] for b, row in zip(beta, K)) for j in range(n)]
         scale = lcm(*(f.denominator for f in w))
         omega = tuple(int(f * scale) for f in w)
@@ -309,7 +413,7 @@ def universal_gb_every_cell(A: ConfigMatrix):
             return
         for s in (1, -1):
             nxt = signed + [tuple(s * x for x in coords[len(signed)])]
-            if strict_feasible(nxt) is not None:
+            if strict_feasible_by_elimination(nxt) is not None:
                 descend(nxt)
 
     descend([])
@@ -443,30 +547,24 @@ def graded_feasible_every_point(A: ConfigMatrix, b, max_nodes=None):
     return search(0, g0, (0,) * M.nrows, [])
 
 
-def _face_witness(cols, w, sigma, d):
-    """A point y with a_i.y = w_i on sigma and a_j.y < w_j off sigma, or None."""
-    inside = set(sigma)
-    sol = solve_affine([cols[i] for i in sigma], [w[i] for i in sigma], ncols=d)
-    if sol is None:
-        return None
-    base, null = sol
-    outside = [j for j in range(len(cols)) if j not in inside]
-    if not null:
-        if all(dot(cols[j], base) < w[j] for j in outside):
-            return tuple(base)
-        return None
-    cons = []
-    for j in outside:
-        # a_j.(base + sum t_k z_k) < w_j, rewritten over the t coordinates
-        coeffs = tuple(-dot(cols[j], z) for z in null)
-        cons.append((coeffs, dot(cols[j], base) - w[j], True))
-    t = feasible_witness(cons, len(null))
-    if t is None:
-        return None
-    return tuple(
-        b + sum(tk * z[i] for tk, z in zip(t, null))
-        for i, b in enumerate(base)
-    )
+def _is_face(cols, w, sigma):
+    """Whether some y has a_i . y = w_i on sigma and a_j . y < w_j off it.
+
+    w is integral.  Such a y exists exactly when some (y, s, t) has
+    w_i s - a_i . y = 0 on sigma, w_j s - a_j . y + t >= 0 off it,
+    s + t >= 0 and t < 0 (take s = 1, or y / s), and by Farkas' lemma
+    that is when the unit vector of t lies outside the cone of those
+    rows, which cone_certificate decides.
+    """
+    zero = (0,) * (len(cols[0]) + 1)
+    vectors = [zero[1:] + (1, 1)]
+    for j, (a, wj) in enumerate(zip(cols, w)):
+        row = (*(-x for x in a), wj)
+        if j in sigma:
+            vectors += [row + (0,), tuple(-x for x in row) + (0,)]
+        else:
+            vectors.append(row + (1,))
+    return cone_certificate(zero + (1,), vectors) is not None
 
 
 def _cone_member(cols, facet, j) -> bool:
@@ -494,7 +592,7 @@ def _spans_boundary(cols, ridge) -> bool:
 
 def regular_triangulation_every_subset(A: ConfigMatrix, omega,
                                        max_subsets: int = 2_000_000):
-    """regular_triangulation by a face witness for every column subset.
+    """regular_triangulation by a face test for every column subset.
 
     A subset sigma is a face exactly when some y satisfies a_i . y =
     omega_i on sigma and a_j . y < omega_j everywhere else.  Facets of a
@@ -508,7 +606,8 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
     d, n = A.d, A.n
     if len(omega) != n:
         raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
-    w = [Fraction(x) for x in omega]
+    scale = lcm(*(Fraction(x).denominator for x in omega))
+    w = [int(Fraction(x) * scale) for x in omega]  # scaling keeps the faces
     count = sum(comb(n, k) for k in range(d + 1))
     if count > max_subsets:
         raise LimitExceeded("subsets", max_subsets, count)
@@ -518,7 +617,7 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
         for sigma in itertools.combinations(range(n), k):
             if k and rank(IntMatrix(tuple(cols[i] for i in sigma))) < k:
                 continue
-            if _face_witness(cols, w, sigma, d) is not None:
+            if _is_face(cols, w, sigma):
                 faces.append(sigma)
     sets = [set(f) for f in faces]
     facets = [f for f, fs in zip(faces, sets) if not any(fs < gs for gs in sets)]

@@ -22,7 +22,6 @@ toric_generators).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -57,6 +56,19 @@ def normalize_sign(v):
         if x < 0:
             return tuple(-y for y in v)
     raise ZeroVector("cannot sign-normalize the zero vector")
+
+
+def _lift(y, M: IntMatrix):
+    """y M times the least positive integer that makes it integral.
+
+    y is a row of Fractions.  With y = X / den over one denominator,
+    y M = X M / den, and that integer is den / gcd(den, X M).
+    """
+    den = lcm(*(x.denominator for x in y))
+    X = [x.numerator * (den // x.denominator) for x in y]
+    w = [sum(x * m for x, m in zip(X, column)) for column in zip(*M.entries)]
+    g = gcd(den, *w)
+    return tuple(v // g for v in w)
 
 
 class ConfigMatrix:
@@ -110,9 +122,7 @@ class ConfigMatrix:
         y = strict_feasible([A.col(j) for j in range(A.ncols)])
         if y is None:
             return None
-        degs = [sum(Fraction(yi) * aji for yi, aji in zip(y, A.col(j))) for j in range(A.ncols)]
-        scale = lcm(*(f.denominator for f in degs))
-        return tuple(int(f * scale) for f in degs)
+        return _lift(y, A)
 
     def kernel_basis(self):
         """Rows of a canonical lattice basis of {v : Av = 0}."""
@@ -468,8 +478,9 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       reduced basis for every weight, so Buchberger would only return
       it again.  Every other cell gives a new basis.
     * A new cell takes as its witness the point of a ``strict_feasible``
-      call on its full sign pattern, the only Fourier-Motzkin run of
-      the walk.  The witness does not depend on the points passed down.
+      call on its full sign pattern; no other call of the walk solves
+      for a point.  That point depends on the cell alone, not on the
+      points passed down, and an integer lift makes it a weight.
     """
     from .fan import MonomialIdeal
 
@@ -493,14 +504,8 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     patterns = []  # per basis found: (Graver index, sign) of each element
     initial = {}
 
-    def lift_weight(beta):
-        w = [sum(Fraction(bi) * K.entries[i][j] for i, bi in enumerate(beta))
-             for j in range(n)]
-        scale = lcm(*(f.denominator for f in w))
-        return tuple(int(f * scale) for f in w)
-
     def visit(beta):
-        omega = lift_weight(beta)
+        omega = _lift(beta, K)
         gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"), budget)
         pattern = []
         for b in gb.elements:

@@ -1,8 +1,10 @@
 """The run's Budget: each guard trips while the work runs, and names itself.
 
 The last tests read the source: two keep the limits in one Budget
-instead of spreading back into keyword arguments, and one keeps every
-import in use.
+instead of spreading back into keyword arguments, one keeps every
+import in use, and two keep the reference implementations of
+toricgb.oracle, Fourier-Motzkin elimination among them, out of the
+production modules.
 """
 
 import ast
@@ -209,3 +211,31 @@ def test_every_imported_name_is_used():
         unused += [(path.name, line, name) for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_production_module_imports_the_oracle():
+    found = []
+    for path in PRODUCTION:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("oracle" in m.split(".") for m in modules):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+FOURIER_MOTZKIN = {"_normalize_constraint", "_dedupe", "_eliminate",
+                   "feasible_witness_by_elimination", "strict_feasible_by_elimination"}
+
+
+def test_fourier_motzkin_lives_in_the_oracle_only():
+    def defined(name):
+        tree = ast.parse((Path(toricgb.__file__).parent / name).read_text())
+        return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    assert FOURIER_MOTZKIN <= defined("oracle.py")
+    assert not FOURIER_MOTZKIN & defined("exactmath.py")

@@ -1,16 +1,17 @@
 import contextlib
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toricgb.exactmath as exactmath
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, RankDeficient
 from toricgb.exactmath import (
     IntMatrix,
-    _normalize_constraint,
     cone_certificate,
     det_bareiss,
     dot,
@@ -25,6 +26,10 @@ from toricgb.exactmath import (
     solve_affine,
     strict_feasible,
     xgcd,
+)
+from toricgb.oracle import (
+    _normalize_constraint,
+    feasible_witness_by_elimination,
 )
 
 
@@ -249,7 +254,7 @@ def test_dot():
     assert dot((1, 2, 3), (4, -5, 6)) == 12
 
 
-# -- the integer route of constraint normalization ----------------------------
+# -- the integer route of the oracle's constraint normalization --------------
 
 small = st.integers(-30, 30)
 
@@ -280,6 +285,103 @@ def test_feasible_witness_same_point_for_fraction_input(cons):
         [as_fractions(c) for c in cons], n)
 
 
+# -- feasible_witness against Fourier-Motzkin ---------------------------------
+
+
+def check_same_witness(cons, n):
+    """feasible_witness gives the Fourier-Motzkin point, or None with it."""
+    got = feasible_witness(cons, n)
+    assert got == feasible_witness_by_elimination(cons, n), (cons, n, got)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+        for a, b, strict in cons:
+            lhs = sum(Fraction(x) * y for x, y in zip(a, got))
+            assert lhs > b if strict else lhs >= b, (cons, got)
+    return got
+
+
+def witness_problem(rng, n):
+    """Constraints on Q^n of one of several shapes, and the shape.
+
+    Rows mix strict and weak inequalities.  "cone" rows are homogeneous;
+    "line" rows are all orthogonal to one nonzero vector, so a nonempty
+    solution set has lineality; "slab" adds the weak reverse of its first
+    row, which pins one coordinate (lo = up); "empty" adds the reverse of
+    a positive combination of rows, pushed past it or made strict, which
+    leaves at most that combination's hyperplane; "fractions" hands the
+    rows over as Fractions.
+    """
+    shape = rng.choice(["free", "cone", "line", "slab", "empty", "fractions"])
+    rows = [[rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(rng.randint(1, 7 if n <= 4 else 5))]
+    if shape == "line":
+        ell = [rng.randint(-2, 2) for _ in range(n)]
+        ell[rng.randrange(n)] = rng.choice((-1, 1))
+        ll = dot(ell, ell)
+        rows = [[ll * x - dot(a, ell) * y for x, y in zip(a, ell)] for a in rows]
+    cons = [(tuple(a), 0 if shape == "cone" else rng.randint(-4, 4), rng.random() < 0.5)
+            for a in rows]
+    if shape == "slab":
+        a, b, _ = cons[0]
+        cons[0] = (a, b, False)
+        cons.append((tuple(-x for x in a), -b, False))
+    elif shape == "empty":
+        mu = [rng.randint(1, 2) for _ in cons]
+        a = tuple(-sum(k * c[0][i] for k, c in zip(mu, cons)) for i in range(n))
+        b = -sum(k * c[1] for k, c in zip(mu, cons)) + rng.randint(0, 1)
+        cons.insert(rng.randint(0, len(cons)), (a, b, rng.random() < 0.5))
+    elif shape == "fractions":
+        cons = [([Fraction(x, rng.randint(1, 4)) for x in a], Fraction(b, rng.randint(1, 4)),
+                 strict) for a, b, strict in cons]
+    return shape, cons
+
+
+def count_choices(monkeypatch):
+    """Tally how feasible_witness sets each coordinate, by its interval."""
+    tally = Counter()
+    real = exactmath._choose
+
+    def choose(lo, up):
+        tally["no bound" if lo is None and up is None else
+              "one bound" if lo is None or up is None else
+              "lo = up" if lo == up else "midpoint"] += 1
+        return real(lo, up)
+
+    monkeypatch.setattr(exactmath, "_choose", choose)
+    return tally
+
+
+def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
+    tally = count_choices(monkeypatch)
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        shape, cons = witness_problem(rng, n)
+        point = check_same_witness(cons, n)
+        seen["empty" if point is None else shape] += 1
+        seen[n, point is None] += 1
+    assert all(seen[n, empty] >= 40 for n in range(1, 7) for empty in (False, True)), seen
+    assert all(seen[k] >= 150 for k in ("free", "cone", "line", "slab", "fractions",
+                                        "empty")), seen
+    assert all(tally[k] >= 200 for k in ("no bound", "one bound", "lo = up",
+                                         "midpoint")), tally
+
+
+@st.composite
+def witness_problems(draw):
+    n = draw(st.integers(1, 6))
+    shape, cons = witness_problem(random.Random(draw(st.integers(0, 2**32))), n)
+    return n, cons
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_problems())
+def test_feasible_witness_matches_fourier_motzkin(problem):
+    n, cons = problem
+    check_same_witness(cons, n)
+
+
 # -- cone_certificate against Fourier-Motzkin ---------------------------------
 
 
@@ -302,7 +404,7 @@ def fm_in_cone(c, vectors):
     # c is in the cone iff no y has v.y >= 0 for every v and c.y < 0
     n = len(c)
     system = [(v, 0, False) for v in vectors] + [(tuple(-x for x in c), 0, True)]
-    return feasible_witness(system, n) is None
+    return feasible_witness_by_elimination(system, n) is None
 
 
 def check_against_fm(c, vectors):

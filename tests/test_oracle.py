@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import toricgb.buchberger as engine
+import toricgb.toric as toric
 from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import det_bareiss, solve_affine
@@ -28,6 +29,7 @@ from toricgb.oracle import (
     multi_step_normal_form,
     regular_triangulation_every_subset,
     single_step_normal_form,
+    strict_feasible_by_elimination,
     toric_generators_every_variable,
     universal_gb_every_cell,
     weight_grid_initial_ideals,
@@ -499,10 +501,9 @@ def test_toric_generators_match_saturating_every_variable(A, k):
     assert_same_toric_ideal(A, k * max(A.grading))
 
 
-def test_toric_generators_match_saturating_every_variable_seeded():
-    rng = random.Random(29)
-    seen = dict.fromkeys(("pivot above 1", "all-ones grading", "other grading",
-                          "new variable", "cap tripped", "cap not tripped"), 0)
+def seeded_configs(rng):
+    """300 pointed configurations with a kernel, and every draw made for them."""
+    draws = [NO_UNIT_PIVOT]
     checked = [ConfigMatrix(NO_UNIT_PIVOT)]
     while len(checked) < 300:
         d = rng.randint(1, 3)
@@ -512,9 +513,18 @@ def test_toric_generators_match_saturating_every_variable_seeded():
                 for _ in range(d)]
         if ones:
             rows[0] = [1] * n
+        draws.append(rows)
         A = pointed_or_none(rows)
         if A is not None:
             checked.append(A)
+    return checked, draws
+
+
+def test_toric_generators_match_saturating_every_variable_seeded():
+    rng = random.Random(29)
+    seen = dict.fromkeys(("pivot above 1", "all-ones grading", "other grading",
+                          "new variable", "cap tripped", "cap not tripped"), 0)
+    checked, _ = seeded_configs(rng)
     for A in checked:
         tripped = assert_same_toric_ideal(A, rng.randint(1, 8) * max(A.grading))
         K = A.kernel_basis().entries
@@ -640,6 +650,25 @@ def test_triangulation_matches_every_subset_scan_seeded():
                 square += "ridge" in str(e)
         assert facets == expected, pts
     assert square >= 3
+
+
+def test_grading_matches_fourier_motzkin_seeded(monkeypatch):
+    # the draws of the sweep above, the non-pointed ones included, with
+    # the grading's witness taken once from the simplex and once from
+    # Fourier-Motzkin elimination
+    _, draws = seeded_configs(random.Random(29))
+    seen = Counter()
+    for rows in draws:
+        try:
+            A = ConfigMatrix(rows)
+        except DimensionMismatch:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(toric, "strict_feasible", strict_feasible_by_elimination)
+            assert ConfigMatrix(rows).grading == A.grading, rows
+        seen["not pointed" if A.grading is None else
+             "all-ones grading" if A.grading == (1,) * A.n else "other grading"] += 1
+    assert min(seen.values()) >= 100 and sum(seen.values()) >= 400, seen
 
 
 # Each right-hand side kind reaches one exit of the start-point search:

@@ -240,8 +240,8 @@ def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
     assert own == 108
 
 
-def test_universal_gb_makes_one_fm_call_per_basis(monkeypatch):
-    # sign prefixes are decided by cone_certificate; Fourier-Motzkin runs
+def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
+    # sign prefixes are decided by cone_certificate; strict_feasible runs
     # only for the witness of each new cell (1,446 calls when it decided
     # every prefix the passed-down point left open)
     import toricgb.toric as toric
@@ -256,7 +256,7 @@ def test_universal_gb_makes_one_fm_call_per_basis(monkeypatch):
     assert len(certificates) <= 1405
 
 
-def test_groebner_cone_makes_no_fm_call(monkeypatch):
+def test_groebner_cone_makes_no_witness_call(monkeypatch):
     # redundancy is decided by cone_certificate, not feasible_witness
     import toricgb.exactmath as exactmath
 
