@@ -17,7 +17,14 @@ with large entries.
 Pairs are pruned by the Gebauer-Moeller criteria (Gebauer and Moeller,
 "On an installation of Buchberger's algorithm", JSC 1988): the product
 criterion, the M and F criteria on the pairs a new element makes, and
-the B criterion on the pairs already queued.
+the B criterion on the pairs already queued.  Each criterion reaches
+only the candidates it could affect, through bitsets kept per field:
+one of the leads positive in the field, which gives the earlier leads
+that share a variable with a new one, and one of the queued pairs whose
+lcm is positive in the field, which gives the pairs whose lcm a new
+lead could divide.  The M and F criteria test the colons lcm - lead of
+the new pairs, which are smaller than the lcms and divide in the same
+way.
 
 Inside a run every monomial is packed into one Python int (Bachmann and
 Schoenemann, "Monomial representations for Groebner bases
@@ -387,13 +394,24 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
 
     * B criterion: a queued pair (i, k) is dropped when the new lead
       divides its lcm and differs from it in both lcm(lead i, new lead)
-      and lcm(lead k, new lead).  Dropped pairs stay in the heap and are
-      skipped when popped.
+      and lcm(lead k, new lead).  Each queued pair owns one bit, set in
+      a bitset of live pairs and in the bitset of each field where its
+      lcm is positive; only the live pairs in the bitsets of every field
+      of the new lead are tested.  Dropping or popping a pair clears its
+      live bit; a dropped pair's heap entry is discarded when it comes
+      up.
     * Product criterion: no pair is made with an earlier lead that has
-      no variable in common with the new one.
-    * M and F criteria: of the other new pairs, taken by lcm degree,
-      only those whose lcm no kept lcm divides are queued, so one pair
-      is kept per minimal lcm.
+      no variable in common with the new one.  The union of the bitsets
+      of earlier leads positive in each field of the new lead lists
+      exactly the others.
+    * M and F criteria: of the other new pairs, one is queued per
+      minimal lcm, the one made with the earliest element.  Every new
+      lcm is a multiple of the new lead, so the test runs on the colons
+      lcm - lead.  A colon that is one variable to the power 1 drops
+      every colon positive in that variable with one AND of supports;
+      the others are taken in packed order, where a divisor comes first,
+      and tested against the colons kept so far.  The queued pairs take
+      their ticks in the order of their lcms as packed ints.
 
     The run works on packed monomials (see the module docstring): one
     int per monomial with a W-bit field per variable, laid out along the
@@ -420,52 +438,112 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
 
 
 def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
-    key, fields, lcm, guard = pk.key, pk.fields, pk.lcm, pk.guard
+    key, guard, ones, W = pk.key, pk.guard, pk.ones, pk.width
+    push = heapq.heappush
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
     grading = budget.grading
     red = _Reducer(pk)
     leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
-    masks = []  # support of each lead, as guard bits
+    # bit i of near[f] is set when lead i is positive in field f
+    near = [0] * pk.n
 
-    # one entry [key of the lcm, tick, i, j, lcm, support of the lcm] per
-    # queued pair; the tick breaks ties, and i becomes None when the pair
-    # is dropped
-    queue = []
-    tick = 0
+    # one heap entry (key of the lcm, tick) per queued pair, and pairs[tick]
+    # its (i, j, lcm); the tick breaks ties.  Bit t of live is set while
+    # the pair of tick t is queued, and bit t of spans[f] when its lcm is
+    # positive in field f
+    queue, pairs = [], []
+    spans = [0] * pk.n
+    live = 0
 
     def update(j):
-        nonlocal tick
-        lead, mask = leads[j], masks[j]
+        nonlocal live
+        lead = leads[j]
         lg = lead | guard
-        for e in queue:
-            i = e[2]
-            if i is None or mask & e[5] != mask:
-                continue
-            L = e[4]
+        bit = 1 << j
+        # B criterion, on the live pairs whose lcm covers the support of lead
+        c = live
+        older = 0
+        lfields = []
+        s = mask = (lg - ones) & guard
+        while s:
+            t = s & -s
+            s ^= t
+            f = t.bit_length() // W - 1
+            lfields.append(f)
+            c &= spans[f]
+            older |= near[f]
+            near[f] |= bit
+        while c:
+            t = c & -c
+            c ^= t
+            i, k, L = pairs[t.bit_length() - 1]
             if ((L | guard) - lead) & guard != guard:
                 continue
             # lcm(a, lead) == L exactly when each field of L is a's or lead's
             eq = (lg - L) & guard
             if (((leads[i] | guard) - L) & guard | eq) != guard and \
-                    (((leads[e[3]] | guard) - L) & guard | eq) != guard:
-                e[2] = None
-        fresh = []
-        for i in range(j):
-            if masks[i] & mask:
-                L = lcm(leads[i], lead)
-                fresh.append((sum(fields(L)), i, L))
-        fresh.sort()
+                    (((leads[k] | guard) - L) & guard | eq) != guard:
+                live ^= t
+        if not older:
+            return
+        # Product criterion: only the earlier leads sharing a field with
+        # lead make pairs.  The pair with lead i has the colon
+        # m = lcm - lead, lead i less lead where lead i is larger.  Every
+        # new lcm is a multiple of lead, so one divides another exactly
+        # when its colon does.
+        # M and F criteria: one pair is kept per minimal colon, the one
+        # with the smallest i.  No earlier lead divides lead, so no colon
+        # is 0, and a colon that is one variable to the power 1 (a single)
+        # is minimal.  A single divides exactly the colons positive in its
+        # field: one AND of supports drops them, and where lead is 0 in
+        # that field, near[f] takes the later ones out of the scan.
+        singles, rest = [], []
+        single_fields = 0
+        while older:
+            t = older & -older
+            older ^= t
+            i = t.bit_length() - 1
+            d = (leads[i] | guard) - lead
+            ge = d & guard
+            m = d & (ge - (ge >> (W - 1)))
+            s = ((m | guard) - ones) & guard
+            if m == s >> (W - 1) and not s & (s - 1):
+                if not s & single_fields:
+                    singles.append((m, i, s))
+                    single_fields |= s
+                    if not s & mask:
+                        older &= ~near[s.bit_length() // W - 1]
+            else:
+                rest.append((m, i, s))
+        # the other colons in packed order, which puts every divisor of a
+        # colon before it
+        rest = [e for e in rest if not e[2] & single_fields]
+        rest.sort()
         kept = []
-        for _, i, L in fresh:
-            Lmask = masks[i] | mask
-            Lg = L | guard
-            for K, km in kept:
-                if km & Lmask == km and (Lg - K) & guard == guard:
+        for m, i, s in rest:
+            mg = m | guard
+            for K, _, ks in kept:
+                if ks & s == ks and (mg - K) & guard == guard:
                     break
             else:
-                kept.append((L, Lmask))
-                heapq.heappush(queue, [key(L), tick, i, j, L, Lmask])
-                tick += 1
+                kept.append((m, i, s))
+        kept += singles
+        kept.sort()
+        first = len(pairs)
+        for tick, (m, i, s) in enumerate(kept, first):
+            L = m + lead
+            pairs.append((i, j, L))
+            push(queue, (key(L), tick))
+            b = 1 << tick
+            while s:
+                t = s & -s
+                s ^= t
+                spans[t.bit_length() // W - 1] |= b
+        # every new lcm is positive where lead is
+        new = (1 << len(pairs)) - (1 << first)
+        live |= new
+        for f in lfields:
+            spans[f] |= new
 
     def add(lead, trail, klead, ktrail):
         if max_degree is not None:
@@ -476,7 +554,6 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
             if deg > max_degree:
                 budget.check("degree", deg)
         red.append(lead, trail, _sub(klead, ktrail))
-        masks.append(pk.support(lead))
         if max_elements is not None and len(leads) > max_elements:
             budget.check("elements", len(leads))
         update(len(leads) - 1)
@@ -502,9 +579,12 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
 
     popped = 0
     while queue:
-        kL, _, i, j, L, _ = heapq.heappop(queue)
-        if i is None:
+        kL, tick = heapq.heappop(queue)
+        bit = 1 << tick
+        if not live & bit:
             continue
+        live ^= bit
+        i, j, L = pairs[tick]
         popped += 1
         if max_pairs is not None and popped > max_pairs:
             budget.check("pairs", popped)

@@ -147,6 +147,7 @@ def pointed_configs(rng, count):
             yield A
 
 
+@pytest.mark.extended
 def test_universal_gb_matches_every_cell_enumeration():
     other_first_row = 0
     for A in pointed_configs(random.Random(7), 80):
@@ -613,6 +614,7 @@ def test_triangulation_matches_every_subset_scan(problem):
     assert_same_triangulation(*problem)
 
 
+@pytest.mark.extended
 def test_triangulation_matches_every_subset_scan_seeded():
     rng = random.Random(37)
     seen = {"generic": 0, "not generic": 0, "not pointed": 0}

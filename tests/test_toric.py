@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -314,16 +315,38 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
         toric.toric_generators.__wrapped__(A), order)
 
 
+# (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
+POPPED_PAIRS = (
+    ("segre", (3, 3), 66,
+     "971cf238068bd3e1ac057b158a19ac63433d67be9cfdcf9c0920a9842e337884"),
+    ("segre", (2, 2, 3), 280,
+     "3c171b67dbba771a9461348acaa6940b775d1e242b48d8f3d5556af55eadd3c3"),
+    ("segre", (3, 3, 3), 6917,
+     "ac5266a6ee59f54c62c0ed866da86b0ec4f23a8b31d710c12d18b2b8fe474072"),
+    ("hypersimplex2", (7,), 8060,
+     "fe39687312790bab6cc73ef6cad8ce80f274f6e37ab2fc2dd0598e232e7dbad8"),
+    ("monomial-curve", (3, 7, 8, 11), 60,
+     "ea2bbd95bdef918f78de3bd773ef9cb1955497e78e9f59dfa1ccb57f8008ea7e"),
+)
+
+
 def test_toric_generators_s_pair_count(monkeypatch):
-    # S-pairs popped after the Gebauer-Moeller criteria, over every run;
-    # one saturation per column without a leading entry made 104, 511
-    # and 15,169 pairs
+    # S-pairs popped after the Gebauer-Moeller criteria, over every run,
+    # and the order they are popped in: the digest runs over each pair's
+    # packed lcm and the packed vectors of its two elements, since pairs
+    # with one lcm can swap places without changing the lcms.  One
+    # saturation per column without a leading entry made 104, 511 and
+    # 15,169 pairs on the three Segre inputs.  The leads of
+    # hypersimplex2 7 and of the monomial curve are not all squarefree,
+    # so their colon monomials go past single variables
     import toricgb.buchberger as engine
 
-    for dims, pairs in (((3, 3), 66), ((2, 2, 3), 280), ((3, 3, 3), 6917)):
+    for kind, params, pairs, digest in POPPED_PAIRS:
         calls = record_calls(monkeypatch, engine, "_s_pair")
-        toric_generators(ConfigMatrix(generate("segre", dims)))
-        assert len(calls) == pairs, dims
+        toric_generators(ConfigMatrix(generate(kind, params)))
+        assert len(calls) == pairs, params
+        text = ";".join(",".join(map(str, args[:3])) for args in calls)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, params
         monkeypatch.undo()
 
 
