@@ -398,8 +398,8 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
       a bitset of live pairs and in the bitset of each field where its
       lcm is positive; only the live pairs in the bitsets of every field
       of the new lead are tested.  Dropping or popping a pair clears its
-      live bit; a dropped pair's heap entry is discarded when it comes
-      up.
+      live bit and frees its lcm; a dropped pair's heap entry is
+      discarded when it comes up.
     * Product criterion: no pair is made with an earlier lead that has
       no variable in common with the new one.  The union of the bitsets
       of earlier leads positive in each field of the new lead lists
@@ -448,9 +448,9 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
     near = [0] * pk.n
 
     # one heap entry (key of the lcm, tick) per queued pair, and pairs[tick]
-    # its (i, j, lcm); the tick breaks ties.  Bit t of live is set while
-    # the pair of tick t is queued, and bit t of spans[f] when its lcm is
-    # positive in field f
+    # its (i, j, lcm) until it is popped or dropped, then None; the tick
+    # breaks ties.  Bit t of live is set while the pair of tick t is
+    # queued, and bit t of spans[f] when its lcm is positive in field f
     queue, pairs = [], []
     spans = [0] * pk.n
     live = 0
@@ -484,6 +484,7 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
             if (((leads[i] | guard) - L) & guard | eq) != guard and \
                     (((leads[k] | guard) - L) & guard | eq) != guard:
                 live ^= t
+                pairs[t.bit_length() - 1] = None
         if not older:
             return
         # Product criterion: only the earlier leads sharing a field with
@@ -580,11 +581,12 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
     popped = 0
     while queue:
         kL, tick = heapq.heappop(queue)
-        bit = 1 << tick
-        if not live & bit:
+        entry = pairs[tick]
+        if entry is None:
             continue
-        live ^= bit
-        i, j, L = pairs[tick]
+        pairs[tick] = None
+        live ^= 1 << tick
+        i, j, L = entry
         popped += 1
         if max_pairs is not None and popped > max_pairs:
             budget.check("pairs", popped)

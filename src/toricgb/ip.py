@@ -5,9 +5,11 @@ the reduced Gröbner basis for the cost order and reduce any feasible
 point.  That point comes from a search over the n - d columns outside
 one fixed column basis of A, with the basis block solved exactly by
 integer Cramer's rule, so no rational arithmetic is needed.  The module
-also carries the elimination-order pipeline that starts from the
-monomial t^b, fiber enumeration, skeleton graphs, and a literal
-test-set checker.
+also carries fiber enumeration, skeleton graphs, a literal test-set
+checker, and the elimination-order pipeline that starts from the
+monomial t^b.  That pipeline has one t variable per kept row of A and
+checks its point against A.original at the end; a full-rank A keeps
+every row, so there it has a t variable per input row.
 """
 
 from __future__ import annotations
@@ -245,34 +247,42 @@ def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
     The generators (-a_i | e_i) present the toric ideal of [I | A]
     directly, so no saturation is needed; an elimination order with the
     t block first turns reduction of t^b into the integer program.
-    Returns None when t variables survive in the normal form.  The
+    There is one t variable per kept row of A, and b is read on those
+    rows; on a full-rank A that is every row, in order.  On pure x
+    monomials the order does not depend on the number of t variables,
+    so the optimum is the one the original rows give.  Returns None
+    when t variables survive in the normal form, or when the point
+    misses A.original x = b: every solution of the kept rows gives a
+    dependent row the same value, so then the fiber is empty.  The
     elimination basis can be far larger than the fiber warrants, so
     budget.pairs offers a deterministic bailout (LimitExceeded); the
     older max_pairs keyword, when given, overrides it.
     """
     budget = budget if max_pairs is None else replace(budget, pairs=max_pairs)
-    M = inst.A.original
+    A = inst.A
+    M = A.original
     if any(x < 0 for row in M.entries for x in row):
         raise NegativeEntries("elimination pipeline needs a nonnegative matrix")
-    d, n = M.nrows, M.ncols
-    for i in range(n):
+    for i in range(M.ncols):
         if not any(M.col(i)):
             raise NotPointed(f"column {i} is zero")
     if any(x < 0 for x in inst.b):
         return None  # a nonnegative matrix maps x >= 0 to b >= 0
+    d, n = A.d, A.n
     gens = []
     for i in range(n):
-        vec = tuple(-c for c in M.col(i))
+        vec = tuple(-c for c in A.matrix.col(i))
         vec += tuple(1 if j == i else 0 for j in range(n))
         gens.append(vec)
     order = term_order(
         d + n, weight=(0,) * d + tuple(inst.omega), elimination_block=d
     )
     G = buchberger(gens, order, budget)
-    nf = normal_form(tuple(inst.b) + (0,) * n, G)
+    nf = normal_form(tuple(inst.b[i] for i in A.kept_rows) + (0,) * n, G)
     if any(nf[:d]):
         return None
-    return nf[d:]
+    x = nf[d:]
+    return x if M.mulvec(x) == inst.b else None
 
 
 @dataclass(frozen=True)

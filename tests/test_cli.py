@@ -268,6 +268,23 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+def test_solve_methods_agree_on_a_dependent_row(tmp_path, capsys):
+    # the 2x2 transport: its column sums total its row sums, so the last
+    # row depends on the others and the rhs must honour it
+    p = tmp_path / "transport.mat"
+    p.write_text("4 4\n1 1 0 0\n0 0 1 1\n1 0 1 0\n0 1 0 1\n")
+    w = wfile(tmp_path, [3, 1, 2, 5])
+    for method in ("reduce", "eliminate"):
+        argv = ["solve", str(p), "--weight", w, "--method", method]
+        rc, out, _ = run(capsys, argv + ["--rhs", "3,4,5,2"])
+        assert (rc, out) == (0, "(1,2,4,0) cost 13\n"), method
+        rc, out, _ = run(capsys, argv + ["--rhs", "3,4,5,3"])
+        assert (rc, out) == (2, "INFEASIBLE\n"), method
+        rc, out, _ = run(capsys, argv + ["--rhs", "3,4,5,3", "--json"])
+        assert rc == 2, method
+        assert json.loads(out) == {"command": "solve", "status": "infeasible"}
+
+
 def test_solve_fiber_budget_exit_code(tmp_path, capsys):
     # 23 is the Frobenius number of 5 and 7: the fiber is empty, so the
     # start-point search cannot stop early

@@ -1,12 +1,14 @@
 """Integer programming: fibers, normal-form optimization, test sets."""
 
 import ast
+import hashlib
 import inspect
 import random
 
 import pytest
 
 from toricgb.buchberger import buchberger
+from toricgb.cli import generate
 from toricgb.errors import (
     Budget,
     DimensionMismatch,
@@ -214,6 +216,109 @@ def test_solvers_agree_on_random_instances():
         assert opt == brute_optimum(inst)
         assert opt == solve_ip_elimination(inst)
         checked += 1
+
+
+def with_dependent_row(rng, rows, kind):
+    """rows plus one row that depends on them: a sum of two rows, a
+    multiple of one row, or the zero row."""
+    if kind == "sum":
+        i, j = rng.sample(range(len(rows)), 2)
+        extra = tuple(x + y for x, y in zip(rows[i], rows[j]))
+    elif kind == "multiple":
+        k = rng.randint(2, 3)
+        extra = tuple(k * x for x in rng.choice(rows))
+    else:
+        extra = (0,) * len(rows[0])
+    return rows + (extra,)
+
+
+def test_elimination_on_rank_deficient_configurations():
+    # consistent right-hand sides give the optimum over the fiber of the
+    # original rows; moving the entry of a dependent row empties the
+    # fiber, and the pipeline must say so
+    rng = random.Random(71)
+    kinds = dict.fromkeys(("transport", "sum", "multiple", "zero"), 0)
+    consistent = inconsistent = 0
+    shapes = ((2, 2), (2, 3), (3, 2))
+    for draw in range(100):
+        if draw % 4 == 0:
+            kind = "transport"
+            A = ConfigMatrix(generate(kind, rng.choice(shapes)))
+        else:
+            kind = ("sum", "multiple", "zero")[draw % 4 - 1]
+            d = rng.randint(2 if kind == "sum" else 1, 3)
+            n = rng.randint(2, 4)
+            rows = tuple(
+                tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(d)
+            )
+            if any(not any(col) for col in zip(*rows)):
+                continue
+            A = ConfigMatrix(with_dependent_row(rng, rows, kind))
+        assert A.d < A.original.nrows
+        kinds[kind] += 1
+        x = tuple(rng.randint(0, 3) for _ in range(A.n))
+        b = A.original.mulvec(x)
+        omega = tuple(rng.randint(-3, 6) for _ in range(A.n))
+        inst = IPInstance(A, omega, b)
+        assert solve_ip_elimination(inst) == brute_optimum(inst) is not None
+        consistent += 1
+        dep = next(i for i in range(len(b)) if i not in A.kept_rows)
+        moved = list(b)
+        moved[dep] += rng.choice((-1, 1)) if moved[dep] else 1
+        inst = IPInstance(A, omega, moved)
+        assert brute_optimum(inst) is None
+        assert solve_ip_elimination(inst) is None
+        inconsistent += 1
+    assert min(kinds.values()) >= 15, kinds
+    assert consistent >= 80 and inconsistent >= 80
+
+
+def elimination_run(monkeypatch, inst):
+    """The answer, the number of variables of the Buchberger run, and the
+    count and order digest of the S-pairs it pops."""
+    import toricgb.buchberger as engine
+    import toricgb.ip as ip
+
+    sizes, calls = [], []
+    real_run, real_pair = ip.buchberger, engine._s_pair
+
+    def run(gens, order, *args):
+        sizes.append(order.n)
+        return real_run(gens, order, *args)
+
+    def pair(*args):
+        calls.append(args)
+        return real_pair(*args)
+
+    monkeypatch.setattr(ip, "buchberger", run)
+    monkeypatch.setattr(engine, "_s_pair", pair)
+    x = solve_ip_elimination(inst)
+    monkeypatch.undo()
+    text = ";".join(",".join(map(str, args[:3])) for args in calls)
+    return x, sizes, len(calls), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_elimination_has_one_t_variable_per_kept_row(monkeypatch):
+    # SEGRE23 keeps 4 of its 5 rows: 4 + 6 variables and 38 popped
+    # pairs (one t variable per input row would pop 83)
+    inst = IPInstance(SEGRE23, (3, 1, 2, 1, 5, 4), (6, 6, 4, 4, 4))
+    x, sizes, pairs, _ = elimination_run(monkeypatch, inst)
+    assert x == solve_ip(inst) == (0, 4, 2, 4, 0, 2)
+    assert sizes == [SEGRE23.d + SEGRE23.n] == [10]
+    assert pairs == 38
+    # the same basis serves a right-hand side that misses the dependent row
+    moved = IPInstance(SEGRE23, inst.omega, (6, 6, 4, 4, 5))
+    assert elimination_run(monkeypatch, moved)[0] is None
+
+
+def test_elimination_on_a_full_rank_matrix_is_unchanged(monkeypatch):
+    # TWISTED keeps every row, so its run has one t variable per input
+    # row; the pair count and the pop order pin that run
+    inst = IPInstance(TWISTED, (2, 1, 1, 3), (4, 5))
+    assert elimination_run(monkeypatch, inst) == (
+        (0, 3, 1, 0), [6], 10,
+        "f80e6e2fc4a5fb680c4475301333057374aa2f6f8134faa9cbf7d5efba6708ec",
+    )
 
 
 def test_skeleton_is_connected_acyclic_with_unique_sink():
