@@ -6,13 +6,15 @@ Everything in this module is pure Python over ``int`` and
 Polyhedral questions all go to one exact simplex method on a
 fraction-free integer tableau.  A yes/no question (is c in the cone of
 these vectors? is this inequality redundant?) is a phase 1, which
-cone_certificate runs and answers with a Farkas certificate.  A
-question whose answer is a point that gets printed or kept (a cell
-witness, a grading) goes to feasible_witness, which fixes one
-coordinate at a time from the exact bounds of two linear programs,
-each a phase 1 and a phase 2.  Its point is the one Fourier-Motzkin
-elimination with back-substitution gives; toricgb.oracle keeps that
-method as the reference.
+cone_certificate runs and answers with a Farkas certificate.  When c
+is in the cone, cone_support also names the vectors of the combination
+that phase 1 found, so one refutation serves every system that holds
+those vectors.  A question whose answer is a point that gets printed
+or kept (a cell witness, a grading) goes to feasible_witness, which
+fixes one coordinate at a time from the exact bounds of two linear
+programs, each a phase 1 and a phase 2.  Its point is the one
+Fourier-Motzkin elimination with back-substitution gives;
+toricgb.oracle keeps that method as the reference.
 """
 
 from __future__ import annotations
@@ -355,11 +357,22 @@ def cone_certificate(c, vectors):
 
     The witness is a primitive integer z with v . z >= 0 for every v and
     c . z < 0, the certificate of Farkas' lemma that c lies outside the
-    cone of the vectors.
+    cone of the vectors.  It is the z of cone_support.
+    """
+    return cone_support(c, vectors)[0]
+
+
+def cone_support(c, vectors):
+    """(None, S) when c is a nonnegative combination of vectors[S], else (z, None).
+
+    z is cone_certificate's witness.  S is a sorted tuple of at most
+    len(c) indices, and c is a positive combination of vectors[S].
 
     Phase 1 of the simplex method on sum_j lam_j v_j = c, lam >= 0: rows
     with c_i < 0 are negated and one artificial variable per row starts
-    in the basis.  At an optimum with artificial sum w > 0 the simplex
+    in the basis.  When the artificial sum reaches 0 the basic solution
+    solves the system, so S is the set of basic vector columns with a
+    positive value.  At an optimum with artificial sum w > 0 the simplex
     multipliers y satisfy y . v' <= 0 for every sign-adjusted column v'
     and y . c' = w.  The reduced cost of artificial i is D*(1 - y_i), so
     undoing the row sign gives z_i = sign_i * (reduced cost - D), and the
@@ -369,7 +382,7 @@ def cone_certificate(c, vectors):
     n = len(c)
     vectors = [tuple(v) for v in vectors]
     if any(len(v) != n for v in vectors):
-        raise DimensionMismatch(f"cone_certificate: vectors of width other than {n}")
+        raise DimensionMismatch(f"cone_support: vectors of width other than {n}")
     m = len(vectors)
     sign = [-1 if x < 0 else 1 for x in c]
     rows = []
@@ -381,12 +394,13 @@ def cone_certificate(c, vectors):
     cost = [-sum(row[j] for row in rows) for j in range(m)] + [0] * n
     cost.append(-sum(row[-1] for row in rows))
     costs = [cost]
-    D = _simplex(rows, costs, list(range(m, m + n)), 1, range(m + n), True)
+    basis = list(range(m, m + n))
+    D = _simplex(rows, costs, basis, 1, range(m + n), True)
     cost = costs[0]
     if not cost[-1]:
-        return None
+        return None, tuple(sorted(j for j, row in zip(basis, rows) if j < m and row[-1]))
     z = [s * (cost[m + i] - D) for i, s in enumerate(sign)]
-    return primitive(z)
+    return primitive(z), None
 
 
 def _integer_rows(constraints, n):

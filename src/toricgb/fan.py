@@ -29,9 +29,9 @@ from .exactmath import (
     cramer,
     det_bareiss,
     dot,
+    hnf,
     is_irredundant,
     primitive,
-    rank,
 )
 from .orders import term_order
 from .toric import ConfigMatrix, toric_groebner, universal_gb
@@ -147,6 +147,15 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
     orthogonal complement of the cone's lineality space, so no projection
     is needed before deduplication; primitive scaling plus redundancy
     removal leaves one inequality per facet.
+
+    One Hermite normal form of the normals gives their rank, and so the
+    lineality, and its pivot columns P.  Its nonzero rows span the
+    normals and are in echelon form with their leading entries on P, so
+    restriction to P is injective on that span.  A linear injection
+    keeps every nonnegative combination and adds none, so each
+    redundancy test reads the normals restricted to P: programs with
+    rank-many rows in place of n.  The inequalities kept are the full
+    normals.
     """
     n = G.order.n
     seen, normals = set(), []
@@ -157,12 +166,14 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
             normals.append(v)
     if not normals:
         return Cone((), n)
-    lineality = n - rank(IntMatrix(tuple(normals)))
-    keep = list(normals)
+    H, _ = hnf(IntMatrix(tuple(normals)))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in H.entries if any(row)]
+    short = [tuple(v[j] for j in pivots) for v in normals]
+    keep = list(range(len(normals)))
     for i in range(len(keep) - 1, -1, -1):
-        if not is_irredundant(keep, i):
+        if not is_irredundant([short[j] for j in keep], i):
             del keep[i]
-    return Cone(tuple(sorted(keep)), lineality)
+    return Cone(tuple(sorted(normals[j] for j in keep)), n - len(pivots))
 
 
 def enumerate_initial_ideals(A: ConfigMatrix, budget: Budget = Budget()):

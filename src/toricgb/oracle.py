@@ -10,9 +10,10 @@ whose monomial arithmetic is its own and works on exponent tuples, the
 toric ideal has a version that saturates every variable, the
 regular triangulation has a version that tests every column subset
 for a face and then checks every ridge, the integer program's start
-point has a version that walks the whole grading simplex, and the
-witness of a system of inequalities has a version by Fourier-Motzkin
-elimination.
+point has a version that walks the whole grading simplex, the Gröbner
+cone has a version that tests redundancy on the full-width normals,
+and the witness of a system of inequalities has a version by
+Fourier-Motzkin elimination.
 The main algorithm modules never call into this one.
 """
 
@@ -32,10 +33,12 @@ from .exactmath import (
     det_bareiss,
     dot,
     identity_matrix,
+    is_irredundant,
+    primitive,
     rank,
     solve_affine,
 )
-from .fan import MonomialIdeal, SimplicialComplex
+from .fan import Cone, MonomialIdeal, SimplicialComplex
 from .orders import orient, term_order
 from .toric import (
     ConfigMatrix,
@@ -378,15 +381,26 @@ def strict_feasible_by_elimination(vectors):
     return feasible_witness_by_elimination([(v, 0, True) for v in vectors], n)
 
 
+def _open_cone_nonempty(vectors):
+    """Whether some y has v . y > 0 for every v (Gordan's test).
+
+    Such a y exists exactly when some (y, t) has v . y - t >= 0 for every
+    v and t > 0 (scale y), and by Farkas' lemma that is when -e_t lies
+    outside the cone of the rows (v, -1), which cone_certificate decides.
+    """
+    rows = [(*v, -1) for v in vectors]
+    return cone_certificate((0,) * len(vectors[0]) + (-1,), rows) is not None
+
+
 def universal_gb_every_cell(A: ConfigMatrix):
     """(ugb, initial_ideals, witnesses) with no work shared between cells.
 
     Walks the sign patterns of the Graver hyperplane arrangement as
     universal_gb does, in the same order, but tests every sign prefix
-    with its own strict_feasible call, takes each cell's witness from a
-    strict_feasible call on its full pattern, and runs Buchberger in
-    every cell.  The first cell to reach an initial ideal supplies its
-    witness.
+    on its full pattern with its own Gordan test, takes each cell's
+    witness from a Fourier-Motzkin strict_feasible call on its full
+    pattern, and runs Buchberger in every cell.  The first cell to reach
+    an initial ideal supplies its witness.
     """
     grv = graver(A)
     base = toric_generators(A)
@@ -413,7 +427,7 @@ def universal_gb_every_cell(A: ConfigMatrix):
             return
         for s in (1, -1):
             nxt = signed + [tuple(s * x for x in coords[len(signed)])]
-            if strict_feasible_by_elimination(nxt) is not None:
+            if _open_cone_nonempty(nxt):
                 descend(nxt)
 
     descend([])
@@ -423,6 +437,23 @@ def universal_gb_every_cell(A: ConfigMatrix):
         [MonomialIdeal(gens, n) for gens in ideals],
         [initial[gens] for gens in ideals],
     )
+
+
+def groebner_cone_full_width(G: GroebnerBasis) -> Cone:
+    """groebner_cone with every redundancy test on the full-width normals.
+
+    The lineality comes from the rank of the normals, and each
+    is_irredundant program has one row per variable.
+    """
+    n = G.order.n
+    normals = list(dict.fromkeys(primitive(g.vector) for g in G.elements))
+    if not normals:
+        return Cone((), n)
+    keep = list(normals)
+    for i in range(len(keep) - 1, -1, -1):
+        if not is_irredundant(keep, i):
+            del keep[i]
+    return Cone(tuple(sorted(keep)), n - rank(IntMatrix(tuple(normals))))
 
 
 def buchberger_every_pair(gens, ord):

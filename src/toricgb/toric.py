@@ -36,7 +36,7 @@ from .errors import (
 )
 from .exactmath import (
     IntMatrix,
-    cone_certificate,
+    cone_support,
     det_bareiss,
     dot,
     kernel_lattice_basis,
@@ -468,19 +468,33 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       passed down the tree.  A child sign c that this point satisfies
       is feasible with no further test.  Otherwise, with the prefix
       strictly feasible, the child is feasible exactly when -c is not a
-      nonnegative combination of the prefix, which ``cone_certificate``
+      nonnegative combination of the prefix, which ``cone_support``
       decides.  Its certificate z has prefix . z >= 0 and c . z > 0, so
       a * z + point with a = -(c . point) // (c . z) + 1 is strictly
       feasible for the child and is passed down its branch.
+    * When -c is in the cone, ``cone_support`` names a support S with
+      -c a nonnegative combination of the prefix vectors in S.  Every
+      node at the same depth whose signs agree with this one on S has
+      the same combination, so its child c is empty too: S is stored
+      for (depth, sign) and checked before any later program there.
+    * Both children of a node are decided before either is descended
+      into, +1 then -1, so cells are visited in the same order.  When
+      only child c is feasible, -c is refuted: c is a nonnegative
+      combination of the prefix and is positive on the whole open
+      prefix cone, which c therefore leaves unchanged.  c is not passed
+      to the programs below it, nor to the leaf's witness call; the
+      leaf still tests the full sign list against the bases found.
     * A cell is skipped when a basis found earlier has every element
       lead - trail positively oriented by the cell's signs.  The cell
       then lies in that basis's open Groebner cone, where it is the
       reduced basis for every weight, so Buchberger would only return
       it again.  Every other cell gives a new basis.
     * A new cell takes as its witness the point of a ``strict_feasible``
-      call on its full sign pattern; no other call of the walk solves
-      for a point.  That point depends on the cell alone, not on the
-      points passed down, and an integer lift makes it a weight.
+      call on the constraints kept for it; no other call of the walk
+      solves for a point.  They cut out the same open cell as its full
+      sign pattern, and ``feasible_witness``'s point depends on that set
+      alone, not on the constraints that describe it nor on the points
+      passed down.  An integer lift makes it a weight.
     """
     from .fan import MonomialIdeal
 
@@ -516,26 +530,42 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
         leads = tuple(sorted(b.lead for b in gb.elements))
         initial.setdefault(leads, (omega, gb))
 
-    def descend(signs, signed, point):
-        # point is an integer point strictly feasible for signed
+    refuted = {}  # (depth, sign) -> supports, as (depth, sign) pairs
+
+    def signed(signs, kept):
+        return [tuple(signs[d] * x for x in coords[d]) for d in kept]
+
+    def child(signs, kept, point, s):
+        # a point strictly feasible for the child sign s, or None
+        k = len(signs)
+        c = tuple(s * x for x in coords[k])
+        cp = dot(c, point)
+        if cp > 0:
+            return point
+        if any(all(signs[d] == t for d, t in S) for S in refuted.get((k, s), ())):
+            return None
+        z, S = cone_support(tuple(-x for x in c), signed(signs, kept))
+        if z is None:
+            refuted.setdefault((k, s), []).append([(kept[j], signs[kept[j]]) for j in S])
+            return None
+        # the kept signs . z >= 0 and c . z > 0, so any a > -cp / (c . z)
+        a = -cp // dot(c, z) + 1
+        return tuple(a * zi + pi for zi, pi in zip(z, point))
+
+    def descend(signs, kept, point):
+        # point is an integer point strictly feasible for signs; the
+        # signs at the depths kept cut out the same open cone
         k = len(signs)
         if k == len(coords):
             if any(all(signs[i] == s for i, s in p) for p in patterns):
                 return
-            visit(strict_feasible(signed))
+            visit(strict_feasible(signed(signs, kept)))
             return
-        for s in (1, -1):
-            c = tuple(s * x for x in coords[k])
-            cp = dot(c, point)
-            child = point
-            if cp <= 0:
-                z = cone_certificate(tuple(-x for x in c), signed)
-                if z is None:
-                    continue
-                # signed . z >= 0 and c . z > 0, so any a > -cp / (c . z)
-                a = -cp // dot(c, z) + 1
-                child = tuple(a * zi + pi for zi, pi in zip(z, point))
-            descend(signs + [s], signed + [c], child)
+        points = [child(signs, kept, point, s) for s in (1, -1)]
+        deeper = kept + [k] if None not in points else kept
+        for s, p in zip((1, -1), points):
+            if p is not None:
+                descend(signs + [s], deeper, p)
 
     descend([], [], (0,) * r)
     ideals = sorted(initial)

@@ -13,6 +13,7 @@ from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, RankDeficie
 from toricgb.exactmath import (
     IntMatrix,
     cone_certificate,
+    cone_support,
     det_bareiss,
     dot,
     feasible_witness,
@@ -489,6 +490,28 @@ def test_cone_certificate_agrees_with_fm_seeded():
         else:
             outside += 1
     assert inside >= 300 and outside >= 300
+
+
+def test_cone_support_names_a_positive_combination_seeded():
+    # the basic columns of phase 1 are independent, so c has one
+    # expression in vectors[S], and its coefficients are all positive
+    rng = random.Random(2027)
+    inside = 0
+    for _ in range(800):
+        n = rng.randint(1, 6)
+        c, vectors = cone_problem(rng, n, rng.randint(0, 6 if n <= 4 else 4))
+        z, S = cone_support(c, vectors)
+        assert z == cone_certificate(c, vectors)
+        if z is not None:
+            assert S is None
+            continue
+        inside += 1
+        assert len(S) <= len(c) and list(S) == sorted(set(S))
+        rows = [[vectors[j][i] for j in S] for i in range(n)]
+        lam, free = solve_affine(rows, c, ncols=len(S))
+        assert free == () and all(x > 0 for x in lam), (c, vectors, S)
+        assert fm_in_cone(c, [vectors[j] for j in S])
+    assert inside >= 200
 
 
 @st.composite

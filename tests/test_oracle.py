@@ -12,11 +12,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 import toricgb.buchberger as engine
 import toricgb.toric as toric
 from toricgb.buchberger import Binomial, buchberger, normal_form
+from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import det_bareiss, solve_affine
 from toricgb.fan import (
     MonomialIdeal,
     enumerate_initial_ideals,
+    groebner_cone,
     regular_triangulation,
 )
 from toricgb.ip import IPInstance, _graded_feasible, solve_ip
@@ -24,6 +26,7 @@ from toricgb.oracle import (
     buchberger_every_pair,
     graded_feasible_every_point,
     graver_bruteforce,
+    groebner_cone_full_width,
     irreducible_decomposition,
     kernel_vectors_up_to,
     multi_step_normal_form,
@@ -158,6 +161,24 @@ def test_universal_gb_matches_every_cell_enumeration():
             assert G == buchberger(gens, term_order(A.n, weight=w)), A.original
         other_first_row += A.original.row(0) != (1,) * A.n
     assert other_first_row >= 10
+
+
+def test_groebner_cone_matches_full_width_redundancy():
+    # redundancy tested on the pivot columns of the normals, against the
+    # full-width normals, on three kinds of basis: the witness bases of
+    # small configurations, the degree-345 curve, and a basis of two
+    # Segre 3x3 kernel vectors, whose normals span less than the kernel
+    bases = [G for A in pointed_configs(random.Random(11), 30)
+             for G in universal_gb(A)[3]]
+    curve = ConfigMatrix(((15, 247, 248, 345),))
+    bases.append(buchberger(toric_generators(curve), term_order(4, weight=(111, 0, 341, 1))))
+    segre = ConfigMatrix(generate("segre", (3, 3)))
+    bases.append(buchberger(segre.kernel_basis().entries[:2], degrevlex(9)))
+    for G in bases:
+        assert groebner_cone(G) == groebner_cone_full_width(G), G
+    assert len(bases) >= 100
+    assert groebner_cone(bases[-2]).facet_count == 5
+    assert groebner_cone(bases[-1]).lineality_dim == 7
 
 
 def test_irreducible_decomposition_of_monomial_ideal():

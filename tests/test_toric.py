@@ -242,19 +242,23 @@ def test_universal_gb_runs_buchberger_once_per_basis(monkeypatch):
 
 
 def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
-    # sign prefixes are decided by cone_certificate; strict_feasible runs
+    # sign prefixes are decided by cone_support; strict_feasible runs
     # only for the witness of each new cell (1,446 calls when it decided
     # every prefix the passed-down point left open)
     import toricgb.toric as toric
 
     calls = record_calls(monkeypatch, toric, "strict_feasible")
-    certificates = record_calls(monkeypatch, toric, "cone_certificate")
+    programs = record_calls(monkeypatch, toric, "cone_support")
     _, ideals, _, _ = universal_gb(ConfigMatrix(generate("segre", (3, 3))))
     assert len(ideals) == 108
     assert len(calls) == 108
-    # a child sign the passed-down point satisfies needs no certificate;
-    # testing both signs of every visited prefix makes 2,694
-    assert len(certificates) <= 1405
+    # a child sign the passed-down point satisfies needs no program, nor
+    # does one whose refutation a stored support repeats; testing both
+    # signs of every visited prefix makes 2,694, and 1,405 before the
+    # supports were stored
+    assert len(programs) <= 489
+    # implied signs are dropped: each cell's full pattern has 15
+    assert sum(len(args[0]) for args in calls) < 15 * 108
 
 
 def test_groebner_cone_makes_no_witness_call(monkeypatch):
