@@ -68,7 +68,7 @@ import struct
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import Budget, DimensionMismatch, GuardViolated
+from .errors import Budget, DimensionMismatch, GuardViolated, ZeroVector
 from .exactmath import dot
 from .orders import TermOrder
 
@@ -96,19 +96,20 @@ class Binomial:
     def vector(self):
         return tuple(a - b for a, b in zip(self.lead, self.trail))
 
-    @property
-    def is_disjoint(self) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.lead, self.trail))
 
-    def stripped(self) -> "Binomial":
-        """Divide out the common monomial factor of the two terms."""
-        common = tuple(min(a, b) for a, b in zip(self.lead, self.trail))
-        if not any(common):
-            return self
-        return Binomial(
-            tuple(a - c for a, c in zip(self.lead, common)),
-            tuple(b - c for b, c in zip(self.trail, common)),
-        )
+def orient(v, ord: TermOrder):
+    """Split a nonzero lattice vector into an oriented binomial.
+
+    The positive part of the returned vector is the leading exponent
+    under ord; the vector is negated first when needed.
+    """
+    if not any(v):
+        raise ZeroVector("cannot orient the zero vector")
+    plus = tuple(x if x > 0 else 0 for x in v)
+    minus = tuple(-x if x < 0 else 0 for x in v)
+    if ord.key(plus) > ord.key(minus):
+        return Binomial(plus, minus)
+    return Binomial(minus, plus)
 
 
 @dataclass(frozen=True)

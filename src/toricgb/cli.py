@@ -33,13 +33,17 @@ grading of the configuration, of any element computed, default
 unlimited) on groebner, graver, circuits and universal; --max-fiber
 (work budget of solve: search nodes (reduce) or S-pairs (eliminate),
 default 200000) on solve only; --max-graver-bits (Graver size cap for
-sign-pattern enumeration, default 22) on universal and fan only.  Exit
-4 prints the guard, its limit and how far the work got.
+sign-pattern enumeration, default 22) on universal and fan only.
+universal's only Buchberger runs are graver's, so --max-degree trips on
+both at the same point, read on the Lawrence lifting in the grading
+that gives each lifted element (u, -u) the degree of u.  Exit 4 prints
+the guard, its limit and how far the work got.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -205,8 +209,6 @@ def _emit_report(report: dict, json_flag: bool):
 def _gen_segre(dims):
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ParseFailure("segre needs at least two positive dimensions")
-    import itertools
-
     d = sum(dims)
     offsets = [sum(dims[:k]) for k in range(len(dims))]
     cols = []
@@ -351,12 +353,15 @@ def cmd_groebner(args) -> int:
                        initial_ideal=sorted(_monomial_str(g.lead) for g in G.elements))
 
 
-def cmd_graver(args) -> int:
-    A = _load_config(args)
+def _lifted_budget(args, A: ConfigMatrix, **caps) -> Budget:
     # the lifted elements are (u, -u); this grading gives them the A-degree of u
     lifted = A.grading and A.grading + (0,) * A.n
-    budget = Budget(degree=args.max_degree, grading=lifted)
-    return _emit_block(args, A, sorted(graver(A, budget)))
+    return Budget(degree=args.max_degree, grading=lifted, **caps)
+
+
+def cmd_graver(args) -> int:
+    A = _load_config(args)
+    return _emit_block(args, A, sorted(graver(A, _lifted_budget(args, A))))
 
 
 def cmd_circuits(args) -> int:
@@ -368,8 +373,7 @@ def cmd_circuits(args) -> int:
 
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    budget = Budget(degree=args.max_degree, grading=A.grading,
-                    graver=args.max_graver_bits)
+    budget = _lifted_budget(args, A, graver=args.max_graver_bits)
     ugb, ideals, _, _ = universal_gb(A, budget)
     return _emit_block(args, A, ugb, initial_ideals=len(ideals))
 

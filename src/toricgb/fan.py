@@ -34,63 +34,7 @@ from .exactmath import (
     primitive,
 )
 from .orders import term_order
-from .toric import ConfigMatrix, toric_groebner, universal_gb
-
-
-def _minimal_exponents(items):
-    """The antichain of componentwise-minimal vectors among `items`."""
-    uniq = sorted(set(tuple(g) for g in items))
-    keep = []
-    for g in uniq:
-        dominated = any(
-            h != g and all(x <= y for x, y in zip(h, g)) for h in uniq
-        )
-        if not dominated:
-            keep.append(g)
-    return tuple(keep)
-
-
-class MonomialIdeal:
-    """A monomial ideal stored by its unique minimal generators.
-
-    The empty generator list is the zero ideal; the all-zero exponent
-    vector generates the unit ideal.
-    """
-
-    __slots__ = ("gens", "n")
-
-    def __init__(self, gens, n: int):
-        items = []
-        for g in gens:
-            t = tuple(int(e) for e in g)
-            if len(t) != n:
-                raise DimensionMismatch(
-                    f"exponent vector of length {len(t)}, expected {n}"
-                )
-            if any(e < 0 for e in t):
-                raise ToricError("monomial exponents must be nonnegative")
-            items.append(t)
-        self.gens = _minimal_exponents(items)
-        self.n = n
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    def contains(self, m) -> bool:
-        """Whether the monomial with exponent vector m lies in the ideal."""
-        return any(all(g[i] <= m[i] for i in range(self.n)) for g in self.gens)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.n == other.n and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.n, self.gens))
-
-    def __repr__(self):
-        return f"MonomialIdeal({len(self.gens)} generators, {self.n} variables)"
+from .toric import ConfigMatrix, MonomialIdeal, _minimal_exponents, toric_groebner, universal_gb
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, buchberger, s_binomial
+from .buchberger import Binomial, GroebnerBasis, buchberger, orient, s_binomial
 from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega
 from .exactmath import (
     IntMatrix,
@@ -38,11 +38,13 @@ from .exactmath import (
     rank,
     solve_affine,
 )
-from .fan import Cone, MonomialIdeal, SimplicialComplex
-from .orders import orient, term_order
+from .fan import Cone, SimplicialComplex
+from .orders import term_order
 from .toric import (
     ConfigMatrix,
+    MonomialIdeal,
     _canonical_order,
+    degree_bound,
     graver,
     normalize_sign,
     saturate_variable,
@@ -212,8 +214,6 @@ def weight_grid_initial_ideals(A: ConfigMatrix, grid_radius: int,
     degree bound and caps the monomial enumeration.
     """
     if degbound is None:
-        from .toric import degree_bound
-
         degbound = degree_bound(A)
     groups = [
         g for g in _monomials_by_image(A, degbound, max_monomials).values()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatch, GuardViolated, ZeroVector
+from .errors import DimensionMismatch, GuardViolated
 
 
 def _clear_to_ints(weight):
@@ -66,9 +66,6 @@ class TermOrder:
         if self.tie == "lex":
             return head + tuple(u[p] for p in self.precedence)
         return head + tuple(-u[p] for p in reversed(self.precedence))
-
-    def weight_of(self, u) -> int:
-        return sum(w * x for w, x in zip(self.layers[0], u)) if self.layers else 0
 
 
 def lex(n: int, permutation=None) -> TermOrder:
@@ -137,20 +134,3 @@ def compare(u, v, ord: TermOrder) -> str:
     if ku < kv:
         return "Less"
     return "Equal"
-
-
-def orient(v, ord: TermOrder):
-    """Split a nonzero lattice vector into an oriented binomial.
-
-    The positive part of the returned vector is the leading exponent
-    under ord; the vector is negated first when needed.
-    """
-    from .buchberger import Binomial
-
-    if not any(v):
-        raise ZeroVector("cannot orient the zero vector")
-    plus = tuple(x if x > 0 else 0 for x in v)
-    minus = tuple(-x if x < 0 else 0 for x in v)
-    if ord.key(plus) > ord.key(minus):
-        return Binomial(plus, minus)
-    return Binomial(minus, plus)

@@ -17,6 +17,9 @@ once through one new variable that stands for their product.  Only the
 columns where some basis row is negative need saturating: once they are
 inverted, every other variable is a unit (the argument is in
 toric_generators).
+
+MonomialIdeal lives here too, since universal_gb returns the initial
+ideals it finds; toricgb.fan imports it from here.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .buchberger import GroebnerBasis, buchberger
+from .buchberger import Binomial, GroebnerBasis, buchberger, orient
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -39,13 +42,12 @@ from .exactmath import (
     cone_support,
     det_bareiss,
     dot,
+    hnf,
     kernel_lattice_basis,
     max_abs_minor,
-    rank,
-    solve_affine,
     strict_feasible,
 )
-from .orders import TermOrder, degrevlex, orient, term_order, weighted_revlex
+from .orders import TermOrder, degrevlex, term_order, weighted_revlex
 
 
 def normalize_sign(v):
@@ -88,18 +90,15 @@ class ConfigMatrix:
         if M.nrows == 0 or M.ncols == 0:
             raise DimensionMismatch("configuration must have rows and columns")
         self.original = M
-        kept = []
-        current = None
-        for i in range(M.nrows):
-            cand = IntMatrix(tuple(M.entries[j] for j in kept + [i]))
-            if rank(cand) == len(kept) + 1:
-                kept.append(i)
-                current = cand
-        if current is None:
+        # U M^T = H: H's pivot columns are the rows of M outside the span
+        # of the rows above them; U's rows past the pivots span ker M
+        H, U = hnf(M.transpose())
+        kept = [next(i for i, x in enumerate(row) if x) for row in H.entries if any(row)]
+        if not kept:
             raise DimensionMismatch("configuration has rank zero")
         self.kept_rows = tuple(kept)
-        self.matrix = current
-        self.grading = self._find_grading()
+        self.matrix = IntMatrix(tuple(M.entries[i] for i in kept))
+        self.grading = self._find_grading(U.entries[len(kept):])
         self._kernel = None
 
     @property
@@ -114,10 +113,10 @@ class ConfigMatrix:
     def pointed(self) -> bool:
         return self.grading is not None
 
-    def _find_grading(self):
+    def _find_grading(self, kernel):
+        # all-ones is in the row space exactly when it is orthogonal to ker M
         A = self.matrix
-        onescheck = solve_affine(A.transpose().entries, (1,) * A.ncols, ncols=A.nrows)
-        if onescheck is not None:
+        if all(sum(row) == 0 for row in kernel):
             return (1,) * A.ncols
         y = strict_feasible([A.col(j) for j in range(A.ncols)])
         if y is None:
@@ -443,6 +442,62 @@ def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
     return len(values - {0}) == 1
 
 
+def _minimal_exponents(items):
+    """The antichain of componentwise-minimal vectors among `items`."""
+    uniq = sorted(set(tuple(g) for g in items))
+    keep = []
+    for g in uniq:
+        dominated = any(
+            h != g and all(x <= y for x, y in zip(h, g)) for h in uniq
+        )
+        if not dominated:
+            keep.append(g)
+    return tuple(keep)
+
+
+class MonomialIdeal:
+    """A monomial ideal stored by its unique minimal generators.
+
+    The empty generator list is the zero ideal; the all-zero exponent
+    vector generates the unit ideal.
+    """
+
+    __slots__ = ("gens", "n")
+
+    def __init__(self, gens, n: int):
+        items = []
+        for g in gens:
+            t = tuple(int(e) for e in g)
+            if len(t) != n:
+                raise DimensionMismatch(
+                    f"exponent vector of length {len(t)}, expected {n}"
+                )
+            if any(e < 0 for e in t):
+                raise ToricError("monomial exponents must be nonnegative")
+            items.append(t)
+        self.gens = _minimal_exponents(items)
+        self.n = n
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.gens
+
+    def contains(self, m) -> bool:
+        """Whether the monomial with exponent vector m lies in the ideal."""
+        return any(all(g[i] <= m[i] for i in range(self.n)) for g in self.gens)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.n == other.n and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.n, self.gens))
+
+    def __repr__(self):
+        return f"MonomialIdeal({len(self.gens)} generators, {self.n} variables)"
+
+
 def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     """Union of all reduced Groebner bases, with the distinct initial ideals.
 
@@ -458,9 +513,30 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     arrangement fixes the orientation of every Groebner basis element,
     so one interior witness per cell reaches every reduced basis.
     Infeasible sign prefixes are pruned, which is the only difference
-    from enumerating all 2^N patterns.  budget.graver caps N.  The
-    Graver step drops the degree cap: the Graver basis holds more than
-    the universal basis, and its lifted runs are twice as wide.
+    from enumerating all 2^N patterns.  budget.graver caps N.  The budget
+    goes to graver unchanged, and its Lawrence runs are the only
+    Buchberger runs made.
+
+    Each new cell reads its reduced basis G, for the order (witness,
+    degrevlex), off the Graver basis.  Orient every Graver vector by the
+    cell's sign, positive part leading, and keep the elements whose lead
+    is a minimal generator of the ideal of the oriented leads (no other
+    oriented lead properly divides it) and whose trail lies outside that
+    ideal.  Sorted by the order key of the lead, as buchberger sorts,
+    they are G:
+
+    * Every reduced Groebner basis of I_A lies in the Graver basis
+      (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 4.11), and
+      the witness orients each Graver vector as the cell's sign does,
+      so every element of G is among the oriented elements.
+    * The oriented elements lie in I_A with their leads as initial
+      terms, and their leads include those of G, so they generate the
+      initial ideal.  An element of G has a minimal generator as lead
+      and a standard trail: it is kept.
+    * A kept lead is a minimal generator, so G has an element with that
+      lead, and both trails are standard.  Two elements with the same
+      lead and different standard trails would make two standard
+      monomials equal modulo I_A, so the kept element is that of G.
 
     Each piece of work is done once:
 
@@ -483,12 +559,12 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       combination of the prefix and is positive on the whole open
       prefix cone, which c therefore leaves unchanged.  c is not passed
       to the programs below it, nor to the leaf's witness call; the
-      leaf still tests the full sign list against the bases found.
+      leaf still orients by the full sign list.
     * A cell is skipped when a basis found earlier has every element
       lead - trail positively oriented by the cell's signs.  The cell
       then lies in that basis's open Groebner cone, where it is the
-      reduced basis for every weight, so Buchberger would only return
-      it again.  Every other cell gives a new basis.
+      reduced basis for every weight.  Every other cell gives a new
+      basis.
     * A new cell takes as its witness the point of a ``strict_feasible``
       call on the constraints kept for it; no other call of the walk
       solves for a point.  They cut out the same open cell as its full
@@ -496,13 +572,10 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       alone, not on the constraints that describe it nor on the points
       passed down.  An integer lift makes it a weight.
     """
-    from .fan import MonomialIdeal
-
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
-    grv = graver(A, replace(budget, degree=None, grading=None))
+    grv = graver(A, budget)
     budget.check("graver", len(grv))
-    base = toric_generators(A, budget)
     n = A.n
     if not grv:
         omega = (0,) * n
@@ -512,23 +585,25 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     K = A.kernel_basis()
     r = K.nrows
     coords = [tuple(dot(row, g) for row in K.entries) for g in grv]
-    graver_index = {g: k for k, g in enumerate(grv)}
 
     ugb = set()
     patterns = []  # per basis found: (Graver index, sign) of each element
-    initial = {}
+    initial = {}  # minimal generators -> (initial ideal, witness, basis)
 
-    def visit(beta):
+    def visit(signs, beta):
         omega = _lift(beta, K)
-        gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"), budget)
-        pattern = []
-        for b in gb.elements:
-            v = normalize_sign(b.vector)
-            ugb.add(v)
-            pattern.append((graver_index[v], 1 if v == b.vector else -1))
-        patterns.append(pattern)
-        leads = tuple(sorted(b.lead for b in gb.elements))
-        initial.setdefault(leads, (omega, gb))
+        order = term_order(n, weight=omega, tiebreak="degrevlex")
+        # (lead, trail) of each Graver vector oriented by its sign
+        sides = [(tuple(max(s * x, 0) for x in g), tuple(max(-s * x, 0) for x in g))
+                 for s, g in zip(signs, grv)]
+        ideal = MonomialIdeal([lead for lead, _ in sides], n)
+        basis = sorted((k for k, (lead, trail) in enumerate(sides)
+                        if lead in ideal.gens and not ideal.contains(trail)),
+                       key=lambda k: order.key(sides[k][0]))
+        ugb.update(grv[k] for k in basis)
+        patterns.append([(k, signs[k]) for k in basis])
+        gb = GroebnerBasis(order, tuple(Binomial(*sides[k]) for k in basis))
+        initial.setdefault(ideal.gens, (ideal, omega, gb))
 
     refuted = {}  # (depth, sign) -> supports, as (depth, sign) pairs
 
@@ -559,7 +634,7 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
         if k == len(coords):
             if any(all(signs[i] == s for i, s in p) for p in patterns):
                 return
-            visit(strict_feasible(signed(signs, kept)))
+            visit(signs, strict_feasible(signed(signs, kept)))
             return
         points = [child(signs, kept, point, s) for s in (1, -1)]
         deeper = kept + [k] if None not in points else kept
@@ -568,10 +643,5 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
                 descend(signs + [s], deeper, p)
 
     descend([], [], (0,) * r)
-    ideals = sorted(initial)
-    return (
-        sorted(ugb),
-        [MonomialIdeal(gens, n) for gens in ideals],
-        [initial[gens][0] for gens in ideals],
-        [initial[gens][1] for gens in ideals],
-    )
+    cells = [initial[gens] for gens in sorted(initial)]
+    return sorted(ugb), [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]

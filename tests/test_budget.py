@@ -1,10 +1,10 @@
 """The run's Budget: each guard trips while the work runs, and names itself.
 
 The last tests read the source: two keep the limits in one Budget
-instead of spreading back into keyword arguments, one keeps every
-import in use, and two keep the reference implementations of
-toricgb.oracle, Fourier-Motzkin elimination among them, out of the
-production modules.
+instead of spreading back into keyword arguments, two keep every
+import in use and at module level, and two keep the reference
+implementations of toricgb.oracle, Fourier-Motzkin elimination among
+them, out of the production modules.
 """
 
 import ast
@@ -137,9 +137,13 @@ def test_universal_gb_budget_reaches_its_graver_step(monkeypatch):
 
 
 def test_universal_gb_budget_reaches_every_buchberger_run(monkeypatch):
+    # every run is graver's, on the Lawrence lifting in 8 variables: the
+    # saturation by one column, the one through y, and the canonical run.
+    # Before the cells read their bases off the Graver basis, A's own
+    # pipeline and one run per cell came on top
     runs = record_calls(monkeypatch, toric, "buchberger")
     universal_gb(TWISTED, Budget(elements=99))
-    assert len(runs) > 8  # saturations, Graver runs and one per cell
+    assert [args[1].n for args in runs] == [8, 9, 8]
     assert all(args[2].elements == 99 for args in runs)
 
 
@@ -211,6 +215,17 @@ def test_every_imported_name_is_used():
         unused += [(path.name, line, name) for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_import_is_at_module_level():
+    nested = []
+    for path in sorted(Path(toricgb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [(path.name, node.name, inner.lineno)
+                           for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []
 
 
 def test_no_production_module_imports_the_oracle():

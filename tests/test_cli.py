@@ -190,6 +190,21 @@ def test_graver_degree_cap_is_resource_limit(tmp_path, capsys):
     assert "max-degree" in err
 
 
+def test_universal_degree_cap_trips_where_graver_does(twisted, tmp_path, capsys):
+    # universal's only Buchberger work is its Graver step, so --max-degree
+    # stops both subcommands at the same point, with the same message
+    transport = str(tmp_path / "transport.mat")
+    assert main(["gen", "transport", "2", "3", "--out", transport]) == 0
+    codes = set()
+    for path in (twisted, transport):
+        for k in range(1, 9):
+            cap = ["--max-degree", str(k)]
+            rc, _, err = run(capsys, ["universal", path, *cap])
+            assert (rc, err) == run(capsys, ["graver", path, *cap])[::2], (path, k)
+            codes.add(rc)
+    assert codes == {0, 4}
+
+
 def test_circuits_of_twisted_cubic(twisted, capsys):
     rc, out, _ = run(capsys, ["circuits", twisted, "--json"])
     assert rc == 0

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from toricgb.buchberger import orient
 from toricgb.errors import GuardViolated, ZeroVector
 from toricgb.orders import (
     compare,
     degrevlex,
     lex,
-    orient,
     term_order,
     weighted_revlex,
 )
