@@ -59,6 +59,56 @@ the run starts again from its generators with fields twice as wide.
 The run is deterministic, so the restart repeats the same work up to the
 point of overflow, and every answer and guard trip is the one the
 wider fields give.
+
+The package's own callers enter through _groebner, which keeps the run
+packed to the end: it hands back packed pairs, or reduces one monomial
+with the run's own reducer, so no Binomial or GroebnerBasis is built
+for the next step to take apart.  Two options of that entry skip work
+that cannot change an answer.
+
+Prime ideals (prime=True): a popped S-pair whose packed terms p and q
+share a variable, support(p) & support(q) != 0, is dropped after
+_s_pair, unreduced.  This is the common-factor criterion for saturated
+lattice ideals (cf. Hemmecke and Malkin, "Computing generating sets of
+lattice ideals and Markov bases of lattices", JSC 44, 2009).  It holds
+for any term order when the ideal I that the generators generate is
+homogeneous for a positive grading and saturated in the variables of
+m = min(p, q), as a prime binomial ideal is in every variable:
+
+* The S-binomial is x^p - x^q = x^m h with h = x^(p-m) - x^(q-m).  I
+  is saturated in the variables of m, so h lies in I, and its degree
+  is that of the lcm L less deg m > 0.
+* Induction on degree over the final basis G: let every element of I
+  of degree below deg L have a standard representation by G, a sum of
+  terms c x^a g with every x^a lead(g) at most its own lead.  h has
+  one, and x^m times it is a representation of the S-binomial with
+  every lead at most x^m lead(h) < L: an lcm-representation.
+* Buchberger's criterion in its lcm-representation form, on which the
+  Gebauer-Moeller criteria rest as well, needs only that, and each
+  pair is handled in the degree of its lcm; so G is a Groebner basis
+  in each degree once it is one in every lower degree.
+
+The unsaturated ideal of a lattice basis, which saturate_variable
+starts from, breaks the first step, so those runs do not pass prime.
+The test comes after _s_pair, so a skipped pair still counts as popped,
+for the pairs guard and for a test that counts the pairs.  Where a
+skipped pair would have reduced to zero, the run goes on as without the
+skip; every pinned canonical run does.  Under an order that does not
+refine the grading, pairs of lower degree can still be queued when a
+pair is popped, its S-binomial can then reduce to a new element, and a
+run that skips it pops fewer pairs later.  The basis is the same.
+
+Truncation (monomial=(u, grading)): the generators are homogeneous for
+the positive grading, the run returns the normal form of x^u, of degree
+D = grading . u, and a new pair whose lcm has degree above D is not
+queued, so the pairs guard never counts it.  An S-binomial and its
+reductions stay in the degree of its lcm, so every element a pair adds
+has degree at most D, and the argument above, degree by degree, makes
+the elements a Groebner basis in every degree up to D.  Reducing the
+monomial meets only leads of degree at most D, so its normal form is
+the one the full basis gives (Thomas and Weismantel, "Truncated Groebner
+bases for integer programming", AAECC 8, 1997).  The truncated basis
+itself is never handed back.
 """
 
 from __future__ import annotations
@@ -434,15 +484,64 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
     whose basis stays small while the pair queue churns (elimination
     orders do this).
     """
+    return _groebner(gens, ord, budget).basis(ord)
+
+
+class _Reduced:
+    """A reduced basis as packed (lead, trail) pairs, in the order of the leads' keys."""
+
+    def __init__(self, pk: _Packing, pairs):
+        self.pk, self.pairs = pk, pairs
+
+    def vectors(self):
+        """The lattice vectors lead - trail, as tuples."""
+        fields, field_of = self.pk.fields, self.pk.field_of
+        out = []
+        for lead, trail in self.pairs:
+            d = [a - b for a, b in zip(fields(lead), fields(trail))]
+            out.append(tuple([d[f] for f in field_of]))
+        return out
+
+    def basis(self, ord: TermOrder) -> GroebnerBasis:
+        unpack = self.pk.unpack
+        return GroebnerBasis(ord, tuple(Binomial(unpack(lead), unpack(trail))
+                                        for lead, trail in self.pairs))
+
+
+def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
+               monomial=None):
+    """The Buchberger run of buchberger, kept packed: the package's own entry.
+
+    Returns the reduced basis as a _Reduced.  prime=True: the generators
+    generate a prime ideal, homogeneous for a positive grading, and the
+    run skips each popped pair whose terms share a variable.
+
+    monomial=(u, grading): the generators are homogeneous for the
+    positive grading, and the run returns the normal form of x^u as a
+    tuple.  It queues no pair whose lcm has a degree above grading . u,
+    and it reduces u with its own reducer: the normal form by any
+    Groebner basis is the same, so the basis is not interreduced.  u is
+    packed as the run starts, so an exponent too wide for the fields
+    widens them before any work.  The module docstring proves both
+    options exact.
+    """
     gens = [g if isinstance(g, Binomial) else tuple(g) for g in gens]
-    return _widening(lambda width: _run(gens, ord, budget, _Packing(ord.n, width, ord)))
+    return _widening(lambda width: _run(gens, ord, budget, _Packing(ord.n, width, ord),
+                                        prime, monomial))
 
 
-def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
+def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial):
     key, guard, ones, W = pk.key, pk.guard, pk.ones, pk.width
     push = heapq.heappush
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
     grading = budget.grading
+    if monomial is not None:
+        u, degrees = monomial
+        start = pk.pack(u)
+        fields = pk.fields
+        # the grading laid out along the fields, and the degree of x^u
+        by_field = tuple(degrees[v] for v in pk.at_field)
+        top = sum(map(mul, by_field, fields(start)))
     red = _Reducer(pk)
     leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
     # bit i of near[f] is set when lead i is positive in field f
@@ -530,6 +629,8 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
             else:
                 kept.append((m, i, s))
         kept += singles
+        if monomial is not None:
+            kept = [e for e in kept if sum(map(mul, by_field, fields(e[0] + lead))) <= top]
         kept.sort()
         first = len(pairs)
         for tick, (m, i, s) in enumerate(kept, first):
@@ -565,16 +666,16 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
         if isinstance(g, Binomial):
             lead, trail = pk.pack(g.lead), pk.pack(g.trail)
         elif any(g):
-            # orient by the key: the larger side leads
             lead = pk.pack([x if x > 0 else 0 for x in g])
             trail = pk.pack([-x if x < 0 else 0 for x in g])
-            if key(lead) < key(trail):
-                lead, trail = trail, lead
         else:
             continue
-        if (lead, trail) in seen:
+        # a generator and its negative are one binomial; top_reduce
+        # orients it by the keys, the larger side leading
+        sides = (lead, trail) if lead > trail else (trail, lead)
+        if sides in seen:
             continue
-        seen.add((lead, trail))
+        seen.add(sides)
         r = red.top_reduce(lead, trail, key(lead), key(trail))
         if r is not None:
             add(*r)
@@ -592,16 +693,17 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing) -> GroebnerBasis:
         if max_pairs is not None and popped > max_pairs:
             budget.check("pairs", popped)
         p, q = _s_pair(L, vecs[i], vecs[j], guard)
-        if p == q:
+        if p == q or prime and ((p | guard) - ones) & ((q | guard) - ones) & guard:
             continue
         r = red.top_reduce(p, q, _sub(kL, kvecs[i]), _sub(kL, kvecs[j]))
         if r is not None:
             add(*r)
 
+    if monomial is not None:
+        return pk.unpack(red.reduce_monomial(start))
     reduced = _interreduce(pk, leads, red.trails)
     reduced.sort(key=lambda lt: key(lt[0]))
-    return GroebnerBasis(ord, tuple(Binomial(pk.unpack(lead), pk.unpack(trail))
-                                    for lead, trail in reduced))
+    return _Reduced(pk, reduced)
 
 
 def _interreduce(pk: _Packing, leads, trails):
@@ -609,13 +711,13 @@ def _interreduce(pk: _Packing, leads, trails):
 
     Returns the packed (lead, trail) pairs, each lead distinct.
     """
-    # sort by total degree of the lead: divisors come before multiples
-    # even under orders with negative weights, where the order key would
-    # not be divisibility-compatible
-    by_size = sorted(zip(leads, trails), key=lambda lt: (
-        sum(pk.fields(lt[0])), pk.unpack(lt[0]), pk.unpack(lt[1])))
+    # sort the packed ints themselves: a divisor has no field above its
+    # multiple's and the fields do not carry, so it never packs larger,
+    # and each lead comes after its divisors under any order, negative
+    # weights included.  Of equal leads the one with the smallest trail
+    # is kept, and its trail tail-reduces to the normal form they share
     red = _Reducer(pk)
-    for lead, trail in by_size:
+    for lead, trail in sorted(zip(leads, trails)):
         if red.divisor(lead) is None:
             red.append(lead, trail)
     return [(lead, red.reduce_monomial(trail)) for lead, trail in zip(red.leads, red.trails)]

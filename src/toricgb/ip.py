@@ -1,22 +1,22 @@
 """Integer programming over fibers {x in N^n : Ax = b}.
 
 Minimizing a linear cost over a fiber is normal-form reduction: compute
-the reduced Gröbner basis for the cost order and reduce any feasible
-point.  That point comes from a search over the n - d columns outside
-one fixed column basis of A, with the basis block solved exactly by
-integer Cramer's rule, so no rational arithmetic is needed.  The module
-also carries fiber enumeration, skeleton graphs, a literal test-set
-checker, and the elimination-order pipeline that starts from the
-monomial t^b.  That pipeline has one t variable per kept row of A and
-checks its point against A.original at the end; a full-rank A keeps
-every row, so there it has a t variable per input row.
+a Gröbner basis for the cost order and reduce any feasible point.  That
+point comes from a search over the n - d columns outside one fixed
+column basis of A, with the basis block solved exactly by integer
+Cramer's rule, so no rational arithmetic is needed.  The module also
+carries fiber enumeration, skeleton graphs, a literal test-set checker,
+and the elimination-order pipeline that starts from the monomial t^b.
+That pipeline has one t variable per kept row of A and checks its point
+against A.original at the end; a full-rank A keeps every row, so there
+it has a t variable per input row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .buchberger import GroebnerBasis, buchberger, normal_form
+from .buchberger import GroebnerBasis, _groebner
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exactmath import cramer, det_bareiss, dot
 from .orders import term_order
-from .toric import ConfigMatrix, toric_groebner
+from .toric import ConfigMatrix, _saturated_generators
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,17 @@ def _graded_feasible(A: ConfigMatrix, b, budget: Budget):
 def solve_ip(inst: IPInstance, budget: Budget = Budget()):
     """The omega-optimal fiber point, ties broken by the tie-break order.
 
-    Finds one feasible point by _graded_feasible, then computes the
-    reduced Gröbner basis for (omega, degrevlex) and takes the point's
-    normal form; the result is independent of the starting point.
-    Returns None when the fiber is empty, without a Buchberger run.
-    budget.nodes caps the start-point search and the other fields the
-    Buchberger runs.
+    Finds one feasible point by _graded_feasible, then runs Buchberger
+    for (omega, degrevlex) from the saturated generators of I_A and
+    takes the point's normal form with the run's own reducer; the result
+    is independent of the starting point.  I_A is prime, so the run
+    skips the S-pairs whose terms share a variable, and the generators
+    are homogeneous for A.grading, so it is truncated at the point's
+    degree A.grading . start: no pair of higher degree is queued.  The
+    buchberger module proves both exact; the truncated basis is never
+    returned.  Returns None when the fiber is empty, without a
+    Buchberger run.  budget.nodes caps the start-point search and the
+    other fields the Buchberger runs.
     """
     A = inst.A
     if not A.pointed:
@@ -236,8 +241,8 @@ def solve_ip(inst: IPInstance, budget: Budget = Budget()):
     start = _graded_feasible(A, inst.b, budget)
     if start is None:
         return None
-    G = toric_groebner(A, term_order(A.n, weight=inst.omega), budget)
-    return normal_form(start, G)
+    return _groebner(_saturated_generators(A, budget), term_order(A.n, weight=inst.omega),
+                     budget, prime=True, monomial=(start, A.grading))
 
 
 def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
@@ -250,8 +255,15 @@ def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
     There is one t variable per kept row of A, and b is read on those
     rows; on a full-rank A that is every row, in order.  On pure x
     monomials the order does not depend on the number of t variables,
-    so the optimum is the one the original rows give.  Returns None
-    when t variables survive in the normal form, or when the point
+    so the optimum is the one the original rows give.  The run reduces
+    t^b with its own reducer.  The ideal is prime, since k[t, x] modulo
+    it is k[t], so the run skips the S-pairs whose terms share a
+    variable.  It is homogeneous when t has degree 1 and x_i the sum of
+    its kept column, which is positive (a column zero on the kept rows
+    is zero on every row), so the run is truncated at the degree sum b
+    of t^b: no pair of higher degree is queued, and the pairs guard does
+    not count one.  The buchberger module proves both exact.  Returns
+    None when t variables survive in the normal form, or when the point
     misses A.original x = b: every solution of the kept rows gives a
     dependent row the same value, so then the fiber is empty.  The
     elimination basis can be far larger than the fiber warrants, so
@@ -277,8 +289,9 @@ def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
     order = term_order(
         d + n, weight=(0,) * d + tuple(inst.omega), elimination_block=d
     )
-    G = buchberger(gens, order, budget)
-    nf = normal_form(tuple(inst.b[i] for i in A.kept_rows) + (0,) * n, G)
+    grading = (1,) * d + tuple(map(sum, zip(*A.matrix.entries)))
+    nf = _groebner(gens, order, budget, prime=True,
+                   monomial=(tuple(inst.b[i] for i in A.kept_rows) + (0,) * n, grading))
     if any(nf[:d]):
         return None
     x = nf[d:]

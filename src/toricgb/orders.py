@@ -30,9 +30,13 @@ from .errors import DimensionMismatch, GuardViolated
 
 
 def _clear_to_ints(weight):
+    """The weight times the least positive integer that makes it integral."""
+    weight = tuple(weight)
+    if all(type(x) is int for x in weight):
+        return weight
     fracs = [Fraction(x) for x in weight]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * scale) for f in fracs)
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs)
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,3 @@ def weighted_revlex(gamma, cheapest: int) -> TermOrder:
     perm = tuple(j for j in range(n) if j != cheapest) + (cheapest,)
     return TermOrder(n, (g,), "revlex", perm)
 
-
-def compare(u, v, ord: TermOrder) -> str:
-    """Total comparison of exponent vectors: 'Greater', 'Equal' or 'Less'."""
-    ku, kv = ord.key(u), ord.key(v)
-    if ku > kv:
-        return "Greater"
-    if ku < kv:
-        return "Less"
-    return "Equal"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, buchberger, orient
+from .buchberger import Binomial, GroebnerBasis, _groebner, orient
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -43,7 +43,6 @@ from .exactmath import (
     det_bareiss,
     dot,
     hnf,
-    kernel_lattice_basis,
     max_abs_minor,
     strict_feasible,
 )
@@ -98,7 +97,8 @@ class ConfigMatrix:
             raise DimensionMismatch("configuration has rank zero")
         self.kept_rows = tuple(kept)
         self.matrix = IntMatrix(tuple(M.entries[i] for i in kept))
-        self.grading = self._find_grading(U.entries[len(kept):])
+        self._kernel_rows = U.entries[len(kept):]
+        self.grading = self._find_grading(self._kernel_rows)
         self._kernel = None
 
     @property
@@ -124,9 +124,15 @@ class ConfigMatrix:
         return _lift(y, A)
 
     def kernel_basis(self):
-        """Rows of a canonical lattice basis of {v : Av = 0}."""
+        """Rows of a canonical lattice basis of {v : Av = 0}.
+
+        The Hermite normal form of the kernel rows of U that __init__
+        kept: U is unimodular, so they span ker M, which is ker A, and
+        the form is the one kernel_lattice_basis(A) gives.
+        """
         if self._kernel is None:
-            self._kernel = kernel_lattice_basis(self.matrix)
+            rows = self._kernel_rows
+            self._kernel = hnf(IntMatrix(rows))[0] if rows else IntMatrix(())
         return self._kernel
 
     def pivot_columns(self):
@@ -156,16 +162,16 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget()):
     divides the whole binomial, so stripping the shared x_i power from
     every output element saturates the ideal.  The generators must be
     homogeneous for `degrees` (any lattice of kernel vectors of a graded
-    configuration is); default all-ones.
+    configuration is); default all-ones.  The ideal of gens need not be
+    saturated, so the run skips no pair for sharing a variable (see the
+    buchberger module).
     """
     gens = [tuple(v) for v in gens]
     if not gens:
         return []
     n = len(gens[0])
     gamma = tuple(degrees) if degrees is not None else (1,) * n
-    ord = weighted_revlex(gamma, cheapest=i)
-    gb = buchberger(gens, ord, budget)
-    return [b.vector for b in gb.elements]
+    return _groebner(gens, weighted_revlex(gamma, cheapest=i), budget).vectors()
 
 
 def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
@@ -218,6 +224,12 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
       configuration, since a pivot there would put a multiple of
       e_{n-1} in the kernel.
 
+    The canonical run is the only one on a prime ideal: its generators,
+    the saturations' output, generate I_A.  It skips each S-pair whose
+    two terms share a variable (the criterion and its proof are in the
+    buchberger module); the saturation runs cannot, since J_K and J need
+    not be saturated.
+
     The output does not depend on these choices, since the canonical
     run makes the reduced basis, which is unique, but the intermediate
     elements do.  A degree or element cap can therefore trip on other
@@ -227,8 +239,7 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     gens = _saturated_generators(A, budget)
     if not gens:
         return []
-    gb = buchberger(gens, _canonical_order(A), budget)
-    return [b.vector for b in gb.elements]
+    return _groebner(gens, _canonical_order(A), budget, prime=True).vectors()
 
 
 def saturation_columns(A: ConfigMatrix):
@@ -325,12 +336,14 @@ def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
     the vector recovers the lead and the trail.  Under any other order
     the run starts from the saturated generators, with no canonical run
     first; the reduced basis is unique, so the start does not change it.
+    Those generators generate I_A, which is prime, so that run skips the
+    S-pairs whose terms share a variable, as the canonical run does.
     """
     canonical = _canonical_order(A)
     if ord is None or ord == canonical:
         gens = toric_generators(A, budget)
         return GroebnerBasis(canonical, tuple(orient(v, canonical) for v in gens))
-    return buchberger(_saturated_generators(A, budget), ord, budget)
+    return _groebner(_saturated_generators(A, budget), ord, budget, prime=True).basis(ord)
 
 
 def lawrence_lifting(M: IntMatrix) -> IntMatrix:
@@ -548,6 +561,11 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       decides.  Its certificate z has prefix . z >= 0 and c . z > 0, so
       a * z + point with a = -(c . point) // (c . z) + 1 is strictly
       feasible for the child and is passed down its branch.
+    * A child whose hyperplane holds the point, c . point = 0, is
+      feasible with no program: K * point + c has c . (K * point + c) =
+      c . c > 0, and every kept prefix vector v with v . c < 0 has
+      v . (K * point + c) > 0 for K = max(-(v . c) // (v . point)) + 1
+      over those v (K = 1 when there is none).
     * When -c is in the cone, ``cone_support`` names a support S with
       -c a nonnegative combination of the prefix vectors in S.  Every
       node at the same depth whose signs agree with this one on S has
@@ -617,6 +635,10 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
         cp = dot(c, point)
         if cp > 0:
             return point
+        if cp == 0:
+            vs = signed(signs, kept)
+            K = max((-dot(v, c) // dot(v, point) for v in vs if dot(v, c) < 0), default=0) + 1
+            return tuple(K * pi + ci for pi, ci in zip(point, c))
         if any(all(signs[d] == t for d, t in S) for S in refuted.get((k, s), ())):
             return None
         z, S = cone_support(tuple(-x for x in c), signed(signs, kept))

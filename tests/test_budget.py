@@ -89,7 +89,7 @@ def test_circuit_degree_is_checked_as_each_circuit_is_found():
 
 def test_graver_degree_cap_stops_the_first_lifted_run(monkeypatch):
     # a check on the output would let all 8 lifted runs finish first
-    runs = record_calls(monkeypatch, toric, "buchberger")
+    runs = record_calls(monkeypatch, toric, "_groebner")
     budget = Budget(degree=2, grading=B.grading + (0,) * 5)
     assert tripped(lambda: graver(B, budget))[:2] == ("degree", 2)
     assert len(runs) == 1
@@ -101,7 +101,7 @@ def test_the_y_run_measures_the_substituted_degree(monkeypatch):
     # the grading over those columns, for that run only
     A = ConfigMatrix(generate("segre", (3, 3)))
     g = tuple(range(1, 10))
-    runs = record_calls(monkeypatch, toric, "buchberger")
+    runs = record_calls(monkeypatch, toric, "_groebner")
     toric_generators(A, Budget(degree=10**6, grading=g))
     assert [args[2].grading for args in runs] == [g, g + (3 + 6 + 7 + 8,), g]
     # degree 5 is first reached in the y-run.  Measured in A's grading it
@@ -141,7 +141,7 @@ def test_universal_gb_budget_reaches_every_buchberger_run(monkeypatch):
     # saturation by one column, the one through y, and the canonical run.
     # Before the cells read their bases off the Graver basis, A's own
     # pipeline and one run per cell came on top
-    runs = record_calls(monkeypatch, toric, "buchberger")
+    runs = record_calls(monkeypatch, toric, "_groebner")
     universal_gb(TWISTED, Budget(elements=99))
     assert [args[1].n for args in runs] == [8, 9, 8]
     assert all(args[2].elements == 99 for args in runs)

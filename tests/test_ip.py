@@ -4,6 +4,7 @@ import ast
 import hashlib
 import inspect
 import random
+import time
 
 import pytest
 
@@ -104,13 +105,13 @@ def test_elimination_skips_buchberger_for_negative_rhs(monkeypatch):
     import toricgb.ip as ip
 
     runs = []
-    real = ip.buchberger
+    real = ip._groebner
 
     def counting(*args, **kwargs):
         runs.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ip, "buchberger", counting)
+    monkeypatch.setattr(ip, "_groebner", counting)
     inst = IPInstance(TWISTED, (1, 0, 0, 1), (3, -1))
     assert solve_ip_elimination(inst) is None
     assert solve_ip_elimination(inst, Budget(pairs=1)) is None
@@ -280,17 +281,17 @@ def elimination_run(monkeypatch, inst):
     import toricgb.ip as ip
 
     sizes, calls = [], []
-    real_run, real_pair = ip.buchberger, engine._s_pair
+    real_run, real_pair = ip._groebner, engine._s_pair
 
-    def run(gens, order, *args):
+    def run(gens, order, *args, **kwargs):
         sizes.append(order.n)
-        return real_run(gens, order, *args)
+        return real_run(gens, order, *args, **kwargs)
 
     def pair(*args):
         calls.append(args)
         return real_pair(*args)
 
-    monkeypatch.setattr(ip, "buchberger", run)
+    monkeypatch.setattr(ip, "_groebner", run)
     monkeypatch.setattr(engine, "_s_pair", pair)
     x = solve_ip_elimination(inst)
     monkeypatch.undo()
@@ -299,13 +300,14 @@ def elimination_run(monkeypatch, inst):
 
 
 def test_elimination_has_one_t_variable_per_kept_row(monkeypatch):
-    # SEGRE23 keeps 4 of its 5 rows: 4 + 6 variables and 38 popped
-    # pairs (one t variable per input row would pop 83)
+    # SEGRE23 keeps 4 of its 5 rows: 4 + 6 variables and 34 popped
+    # pairs (38 before the run was truncated at the degree of t^b; one
+    # t variable per input row popped 83)
     inst = IPInstance(SEGRE23, (3, 1, 2, 1, 5, 4), (6, 6, 4, 4, 4))
     x, sizes, pairs, _ = elimination_run(monkeypatch, inst)
     assert x == solve_ip(inst) == (0, 4, 2, 4, 0, 2)
     assert sizes == [SEGRE23.d + SEGRE23.n] == [10]
-    assert pairs == 38
+    assert pairs == 34
     # the same basis serves a right-hand side that misses the dependent row
     moved = IPInstance(SEGRE23, inst.omega, (6, 6, 4, 4, 5))
     assert elimination_run(monkeypatch, moved)[0] is None
@@ -313,12 +315,27 @@ def test_elimination_has_one_t_variable_per_kept_row(monkeypatch):
 
 def test_elimination_on_a_full_rank_matrix_is_unchanged(monkeypatch):
     # TWISTED keeps every row, so its run has one t variable per input
-    # row; the pair count and the pop order pin that run
+    # row; the pair count and the pop order pin that run (10 pairs
+    # before the run was truncated at the degree 9 of t^b)
     inst = IPInstance(TWISTED, (2, 1, 1, 3), (4, 5))
     assert elimination_run(monkeypatch, inst) == (
-        (0, 3, 1, 0), [6], 10,
-        "f80e6e2fc4a5fb680c4475301333057374aa2f6f8134faa9cbf7d5efba6708ec",
+        (0, 3, 1, 0), [6], 8,
+        "13593d57495972e9c5382a475a425eab54b488a6e1abb091b37e399e00b5f42f",
     )
+
+
+def test_truncated_elimination_answers_where_the_full_run_blew_up():
+    # the full elimination run popped more than 20,000 S-pairs here and
+    # raised LimitExceeded after about 14 s.  Truncated at the degree
+    # 9 + 19 + 11 of t^b (t of degree 1, x_i of its column sum), it pops
+    # 238, and solve_ip's run, truncated at the grading degree of its
+    # start point, agrees
+    A = ConfigMatrix(((0, 2, 3, 1, 3), (3, 3, 1, 3, 3), (3, 1, 1, 0, 0)))
+    inst = IPInstance(A, (4, -3, 2, -1, -3), (9, 19, 11))
+    t0 = time.perf_counter()
+    x = solve_ip_elimination(inst, Budget(pairs=1_000))
+    assert time.perf_counter() - t0 < 1
+    assert x == solve_ip(inst) == (3, 1, 1, 1, 1)
 
 
 def test_skeleton_is_connected_acyclic_with_unique_sink():

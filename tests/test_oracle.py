@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import toricgb.buchberger as engine
+import toricgb.ip as ip
 import toricgb.toric as toric
 from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.cli import generate
@@ -21,7 +22,7 @@ from toricgb.fan import (
     groebner_cone,
     regular_triangulation,
 )
-from toricgb.ip import IPInstance, _graded_feasible, solve_ip
+from toricgb.ip import IPInstance, _graded_feasible, solve_ip, solve_ip_elimination
 from toricgb.oracle import (
     buchberger_every_pair,
     graded_feasible_every_point,
@@ -44,6 +45,7 @@ from toricgb.toric import (
     normalize_sign,
     saturation_columns,
     toric_generators,
+    toric_groebner,
     universal_gb,
 )
 
@@ -812,3 +814,120 @@ def test_start_point_matches_the_simplex_walk_seeded():
         seen["|block det| > 1"] += abs(det) > 1
         checked += 1
     assert min(seen.values()) >= 60, seen
+
+
+# The runs on prime ideals skip each popped pair whose two terms share a
+# variable; buchberger, the every-pair engine and the oracle's saturation
+# by every variable skip none.
+
+
+def count_prime_skips(monkeypatch):
+    """Count the pairs popped in runs with prime=True, and those skipped."""
+    tally = Counter()
+    real_run, real_pair = engine._groebner, engine._s_pair
+    prime = []
+
+    def run(*args, **kwargs):
+        prime.append(kwargs.get("prime", False))
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            prime.pop()
+
+    def pair(L, vi, vj, guard):
+        p, q = real_pair(L, vi, vj, guard)
+        if prime and prime[-1]:
+            ones = guard >> ((guard & -guard).bit_length() - 1)
+            tally["popped"] += 1
+            tally["skipped"] += p != q and bool(((p | guard) - ones) & ((q | guard) - ones) & guard)
+        return p, q
+
+    for module in (engine, toric, ip):
+        monkeypatch.setattr(module, "_groebner", run)
+    monkeypatch.setattr(engine, "_s_pair", pair)
+    return tally
+
+
+def assert_prime_runs_match(A, omega, x):
+    """toric_groebner, solve_ip and solve_ip_elimination against runs with no skip.
+
+    The elimination pipeline is checked on nonnegative matrices only.
+    Returns whether it was.
+    """
+    with time_limit(10):
+        order = term_order(A.n, weight=omega)
+        gens = toric_generators_every_variable(A)
+        G = buchberger(gens, order)
+        assert toric_generators(A) == gens, A.original.entries
+        assert toric_groebner(A, order) == G == buchberger_every_pair(gens, order), (
+            A.original.entries, omega)
+        inst = IPInstance(A, omega, A.original.mulvec(x))
+        best = single_step_normal_form(x, G)
+        assert solve_ip(inst) == best, (A.original.entries, omega, x)
+        if any(v < 0 for row in A.original.entries for v in row):
+            return False
+        assert solve_ip_elimination(inst) == best, (A.original.entries, omega, x)
+        return True
+
+
+def prime_problem(rng_int, signed):
+    """A small pointed configuration, a cost in [-4, 6] and a point in [0, 3]^n.
+
+    Entries lie in [-1, 3] when signed, else in [0, 3]; the kernel basis
+    is small enough for the every-pair engine.  None when the draw is
+    not such a configuration.
+    """
+    d = rng_int(1, 3)
+    n = rng_int(d + 1, 5)
+    rows = [[rng_int(-1 if signed else 0, 3) for _ in range(n)] for _ in range(d)]
+    A = small_config(rows)
+    if A is None:
+        return None
+    return (A, tuple(rng_int(-4, 6) for _ in range(n)),
+            tuple(rng_int(0, 3) for _ in range(n)))
+
+
+@st.composite
+def prime_problems(draw):
+    problem = prime_problem(lambda lo, hi: draw(st.integers(lo, hi)), draw(st.booleans()))
+    assume(problem is not None)
+    return problem
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_problems())
+def test_prime_runs_match_runs_without_the_skip(problem):
+    assert_prime_runs_match(*problem)
+
+
+def test_prime_runs_match_runs_without_the_skip_seeded(monkeypatch):
+    rng = random.Random(43)
+    tally = count_prime_skips(monkeypatch)
+    seen = Counter()
+    while seen["checked"] < 300:
+        problem = prime_problem(rng.randint, seen["checked"] % 3 == 0)
+        if problem is None:
+            continue
+        seen["elimination"] += assert_prime_runs_match(*problem)
+        seen["checked"] += 1
+    assert seen["elimination"] >= 200, seen
+    # the skip fires on more than half of the pairs the prime runs pop
+    # (2,541 of 4,524)
+    assert 2 * tally["skipped"] > tally["popped"], tally
+
+
+def test_the_skip_needs_a_saturated_ideal():
+    # the kernel basis of Segre 2x3 generates an ideal that is not
+    # saturated, so a pair whose terms share a variable need not be
+    # redundant: under the first saturation's order the run that skips
+    # them misses an element, and what it returns is no Groebner basis
+    A = ConfigMatrix(generate("segre", (2, 3)))
+    K = A.kernel_basis().entries
+    order = weighted_revlex(A.grading, cheapest=saturation_columns(A)[0])
+    skipping = engine._groebner(K, order, prime=True).basis(order)
+    assert len(skipping) == 2 and not engine.passes_buchberger_criterion(skipping)
+    assert len(buchberger(K, order)) == 3
+    assert engine._groebner(K, order).basis(order) == buchberger(K, order)
+    # the toric ideal is prime: there the skip changes nothing
+    gens = toric_generators_every_variable(A)
+    assert engine._groebner(gens, order, prime=True).basis(order) == buchberger(gens, order)

@@ -5,7 +5,6 @@ import pytest
 from toricgb.buchberger import orient
 from toricgb.errors import GuardViolated, ZeroVector
 from toricgb.orders import (
-    compare,
     degrevlex,
     lex,
     term_order,
@@ -15,34 +14,34 @@ from toricgb.orders import (
 
 def test_lex_basic():
     o = lex(3)
-    assert compare((1, 0, 0), (0, 5, 5), o) == "Greater"
-    assert compare((1, 1, 0), (1, 0, 7), o) == "Greater"
-    assert compare((2, 0, 0), (2, 0, 0), o) == "Equal"
+    assert o.key((1, 0, 0)) > o.key((0, 5, 5))
+    assert o.key((1, 1, 0)) > o.key((1, 0, 7))
+    assert o.key((2, 0, 0)) == o.key((2, 0, 0))
 
 
 def test_lex_permutation_reorders_precedence():
     o = lex(3, permutation=(2, 1, 0))  # x3 most expensive
-    assert compare((5, 0, 0), (0, 0, 1), o) == "Less"
+    assert o.key((5, 0, 0)) < o.key((0, 0, 1))
 
 
 def test_degrevlex_classic_comparison():
     # same total degree: revlex prefers the monomial missing the cheap end
     o = degrevlex(3)
-    assert compare((0, 2, 0), (1, 0, 1), o) == "Greater"  # x2^2 > x1 x3
-    assert compare((1, 1, 0), (1, 0, 1), o) == "Greater"
-    assert compare((3, 0, 0), (0, 0, 2), o) == "Greater"  # degree wins first
+    assert o.key((0, 2, 0)) > o.key((1, 0, 1))  # x2^2 > x1 x3
+    assert o.key((1, 1, 0)) > o.key((1, 0, 1))
+    assert o.key((3, 0, 0)) > o.key((0, 0, 2))  # degree wins first
 
 
 def test_degrevlex_vs_lex_differ():
     o1, o2 = degrevlex(3), lex(3)
     u, v = (1, 0, 1), (0, 2, 0)
-    assert compare(u, v, o1) == "Less"
-    assert compare(u, v, o2) == "Greater"
+    assert o1.key(u) < o1.key(v)
+    assert o2.key(u) > o2.key(v)
 
 
 def test_weight_layer_dominates():
     o = term_order(3, weight=(0, 1, 0))
-    assert compare((0, 1, 0), (4, 0, 4), o) == "Greater"
+    assert o.key((0, 1, 0)) > o.key((4, 0, 4))
 
 
 def test_rational_weights_cleared():
@@ -50,13 +49,16 @@ def test_rational_weights_cleared():
 
     o = term_order(2, weight=(Fraction(1, 2), Fraction(1, 3)))
     assert o.layers[0] == (3, 2)
+    assert term_order(3, weight=(Fraction(-3, 4), 2, 0)).layers[0] == (-3, 8, 0)
+    # integer weights are kept as they are, negative entries too
+    assert term_order(3, weight=[4, -6, 0]).layers[0] == (4, -6, 0)
 
 
 def test_elimination_block_property():
     # any monomial touching the block beats any monomial outside it
     o = term_order(4, weight=(0, 0, 5, 5), elimination_block=2)
-    assert compare((0, 1, 0, 0), (0, 0, 9, 9), o) == "Greater"
-    assert compare((1, 0, 0, 0), (0, 1, 0, 0), o) != "Equal"
+    assert o.key((0, 1, 0, 0)) > o.key((0, 0, 9, 9))
+    assert o.key((1, 0, 0, 0)) != o.key((0, 1, 0, 0))
 
 
 def test_elimination_block_range_checked():
@@ -83,19 +85,12 @@ def test_order_is_total_and_multiplicative():
             u = tuple(rng.randint(0, 6) for _ in range(4))
             v = tuple(rng.randint(0, 6) for _ in range(4))
             w = tuple(rng.randint(0, 6) for _ in range(4))
-            c = compare(u, v, o)
-            if u == v:
-                assert c == "Equal"
-            else:
-                assert c in ("Greater", "Less")
-                flipped = compare(v, u, o)
-                assert {c, flipped} == {"Greater", "Less"}
-            shifted = compare(
-                tuple(a + b for a, b in zip(u, w)),
-                tuple(a + b for a, b in zip(v, w)),
-                o,
-            )
-            assert shifted == c
+            # keys are tuples, so two of them are equal, less or greater
+            ku, kv = o.key(u), o.key(v)
+            assert (ku == kv) == (u == v)
+            kuw = o.key(tuple(a + b for a, b in zip(u, w)))
+            kvw = o.key(tuple(a + b for a, b in zip(v, w)))
+            assert (kuw < kvw, kuw == kvw) == (ku < kv, ku == kv)
 
 
 def test_degrevlex_is_a_well_order_on_monomials():
@@ -105,14 +100,14 @@ def test_degrevlex_is_a_well_order_on_monomials():
     for _ in range(200):
         u = tuple(rng.randint(0, 5) for _ in range(3))
         if u != zero:
-            assert compare(u, zero, o) == "Greater"
+            assert o.key(u) > o.key(zero)
 
 
 def test_weighted_revlex_cheapest_variable_is_smallest():
     o = weighted_revlex((1, 1, 1), cheapest=1)
     # among the three variables, x2 must be the cheapest
-    assert compare((0, 1, 0), (1, 0, 0), o) == "Less"
-    assert compare((0, 1, 0), (0, 0, 1), o) == "Less"
+    assert o.key((0, 1, 0)) < o.key((1, 0, 0))
+    assert o.key((0, 1, 0)) < o.key((0, 0, 1))
     with pytest.raises(GuardViolated):
         weighted_revlex((1, 0, 1), cheapest=0)
 
@@ -122,7 +117,7 @@ def test_orient_splits_on_lead():
     b = orient((1, -2, 1, 0), o)
     assert b.lead == (0, 0, 1, 0) or sum(b.lead) >= 1
     # lead really is the larger side
-    assert compare(b.lead, b.trail, o) == "Greater"
+    assert o.key(b.lead) > o.key(b.trail)
     b2 = orient((-1, 2, -1, 0), o)
     assert (b2.lead, b2.trail) == (b.lead, b.trail)
     with pytest.raises(ZeroVector):

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
+from toricgb.buchberger import buchberger
 from toricgb.cli import generate
 from toricgb.errors import (
     Budget,
@@ -11,6 +13,7 @@ from toricgb.errors import (
     NotACircuit,
     NotPointed,
 )
+from toricgb.exactmath import kernel_lattice_basis
 from toricgb.fan import groebner_cone
 from toricgb.toric import (
     ConfigMatrix,
@@ -51,6 +54,32 @@ def test_config_drops_dependent_rows():
     assert A.d == 2
     assert A.kept_rows == (0, 2)
     assert A.original.nrows == 3
+
+
+def test_kernel_basis_is_the_kernel_lattice_basis_seeded():
+    # the rows of U that ConfigMatrix's HNF leaves past the pivots span
+    # the kernel; their HNF is the basis kernel_lattice_basis makes from
+    # the kept rows, dependent input rows or not
+    rng = random.Random(47)
+    seen = Counter()
+    while seen["checked"] < 200:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        rows = [tuple(rng.randint(-2, 4) for _ in range(n)) for _ in range(d)]
+        if seen["checked"] % 2:
+            # a combination of the rows drawn, put in at random
+            coefficients = [rng.randint(-2, 2) for _ in rows]
+            combo = tuple(sum(c * r[j] for c, r in zip(coefficients, rows)) for j in range(n))
+            rows.insert(rng.randint(0, d), combo)
+        try:
+            A = ConfigMatrix(rows)
+        except DimensionMismatch:
+            continue
+        assert A.kernel_basis() == kernel_lattice_basis(A.matrix), rows
+        seen["checked"] += 1
+        seen["dependent rows"] += A.d < len(rows)
+        seen["no kernel"] += A.d == A.n
+    assert seen["dependent rows"] >= 90 and seen["no kernel"] >= 10, seen
 
 
 def test_config_rejects_rank_zero():
@@ -191,7 +220,6 @@ def test_universal_gb_twisted_cubic():
     assert len(ideals) == 8
     assert len(witnesses) == 8
     # each witness reproduces its initial ideal and the returned basis
-    from toricgb.buchberger import buchberger
     from toricgb.orders import term_order
 
     gens = toric_generators(TWISTED)
@@ -218,7 +246,7 @@ def test_universal_gb_runs_no_buchberger_of_its_own(monkeypatch):
     import toricgb.toric as toric
 
     own = nested = 0
-    real = toric.buchberger
+    real = toric._groebner
 
     def counting(*args, **kwargs):
         nonlocal own
@@ -237,7 +265,7 @@ def test_universal_gb_runs_no_buchberger_of_its_own(monkeypatch):
 
     A = ConfigMatrix(generate("segre", (3, 3)))
     pipelines = record_calls(monkeypatch, toric, "toric_generators")
-    monkeypatch.setattr(toric, "buchberger", counting)
+    monkeypatch.setattr(toric, "_groebner", counting)
     monkeypatch.setattr(toric, "graver", shielded(toric.graver))
     _, ideals, _, _ = universal_gb(A)
     assert len(ideals) == 108
@@ -257,10 +285,11 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     assert len(ideals) == 108
     assert len(calls) == 108
     # a child sign the passed-down point satisfies needs no program, nor
-    # does one whose refutation a stored support repeats; testing both
-    # signs of every visited prefix makes 2,694, and 1,405 before the
-    # supports were stored
-    assert len(programs) <= 489
+    # does one whose hyperplane holds that point, nor one whose
+    # refutation a stored support repeats; testing both signs of every
+    # visited prefix makes 2,694, 1,405 before the supports were stored,
+    # and 489 before the points on a hyperplane were moved off it
+    assert len(programs) <= 414
     # implied signs are dropped: each cell's full pattern has 15
     assert sum(len(args[0]) for args in calls) < 15 * 108
 
@@ -283,8 +312,8 @@ def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
     # order is the default, so toric_groebner needs no run of its own
     import toricgb.toric as toric
 
-    runs = record_calls(monkeypatch, toric, "buchberger")
-    real = toric.buchberger.__wrapped__
+    runs = record_calls(monkeypatch, toric, "_groebner")
+    real = buchberger
     A = ConfigMatrix(generate("segre", (3, 3)))
     G = toric_groebner(A)
     assert len(runs) == 3
@@ -297,6 +326,7 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
     # the two-run saturation), and the same reduced basis.  The first
     # saturation, by x8, runs under degrevlex(9) itself, so the runs are
     # told apart by what calls them, not by their orders
+    import toricgb.ip as ip
     import toricgb.toric as toric
     from toricgb.fan import check_radical_triangulation
     from toricgb.ip import IPInstance, solve_ip
@@ -305,7 +335,9 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
     A = ConfigMatrix(generate("segre", (3, 3)))
     omega = (0, 1, 5, 2, 9, 4, 7, 3, 8)
     order = term_order(A.n, weight=omega)
-    runs = record_calls(monkeypatch, toric, "buchberger")
+    # solve_ip makes its last run from toricgb.ip: one recorder serves both
+    runs = record_calls(monkeypatch, toric, "_groebner")
+    monkeypatch.setattr(ip, "_groebner", toric._groebner)
     saturations = record_calls(monkeypatch, toric, "saturate_variable")
     canonical = record_calls(monkeypatch, toric, "toric_generators")
     G = toric_groebner(A, order)
@@ -319,8 +351,7 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
     assert len(saturations) == 3 * 2
     assert len(runs) == 3 * 3
     assert canonical == []
-    assert G == toric.buchberger.__wrapped__(
-        toric.toric_generators.__wrapped__(A), order)
+    assert G == buchberger(toric.toric_generators.__wrapped__(A), order)
 
 
 # (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
@@ -429,7 +460,7 @@ def test_graver_makes_no_repeated_run(monkeypatch):
     # One saturation per column without a leading entry made 15 runs
     import toricgb.toric as toric
 
-    runs = record_calls(monkeypatch, toric, "buchberger")
+    runs = record_calls(monkeypatch, toric, "_groebner")
     assert len(graver(ConfigMatrix(generate("segre", (3, 3))))) == 15
     assert len(runs) == 3
 
