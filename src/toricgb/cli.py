@@ -55,7 +55,7 @@ from .errors import (
     ToricError,
 )
 from .exactmath import IntMatrix
-from .fan import groebner_cone, regular_triangulation
+from .fan import groebner_cone, groebner_fan, regular_triangulation
 from .ip import IPInstance, solve_ip, solve_ip_elimination
 from .orders import term_order
 from .toric import (
@@ -453,11 +453,12 @@ def cmd_fan(args) -> int:
         G = toric_groebner(A, order)
         witnesses = [(groebner_cone(G), tuple(w))]
     else:
-        _, _, ws, bases = universal_gb(A, Budget(graver=args.max_graver_bits))
+        budget = Budget(graver=args.max_graver_bits)
         if args.mode == "count":
-            _emit_report({"command": "fan", "initial_ideals": len(ws)}, args.json)
+            _, ideals, _, _ = universal_gb(A, budget)
+            _emit_report({"command": "fan", "initial_ideals": len(ideals)}, args.json)
             return 0
-        witnesses = [(groebner_cone(G), w) for G, w in zip(bases, ws)]
+        witnesses = groebner_fan(A, budget)
     cones = [
         {"facets": cone.facet_count, "witness": ",".join(str(x) for x in w)}
         for cone, w in witnesses

@@ -199,17 +199,37 @@ def det_bareiss(M: IntMatrix) -> int:
 
 
 def cramer(M: IntMatrix, v):
-    """det(M) * M^{-1} v for a square M, by Cramer's rule.
+    """det(M) * M^{-1} v for a nonsingular square M.
 
-    Entry k is the determinant of M with column k replaced by v, so the
-    result is integral and linear in v, and M y = v has the solution
-    y = cramer(M, v) / det(M) whenever det(M) != 0.
+    Cramer's rule makes entry k the determinant of M with column k
+    replaced by v, so the result is integral and M y = v has the
+    solution y = cramer(M, v) / det(M).  One fraction-free Gauss-Jordan
+    elimination of [M | v] gives every entry at once: each step divides
+    exactly by the previous pivot, and at the end every diagonal entry
+    is det(PM), for the row permutation P of the pivot swaps, and the
+    last column is det(PM) * M^{-1} v.  RankDeficient when det(M) = 0.
     """
-    return [
-        det_bareiss(IntMatrix(tuple(r[:k] + (x,) + r[k + 1:]
-                                    for r, x in zip(M.entries, v))))
-        for k in range(M.ncols)
-    ]
+    n = M.nrows
+    if n != M.ncols or len(v) != n:
+        raise DimensionMismatch("cramer needs a square matrix and a vector of its size")
+    a = [list(r) + [x] for r, x in zip(M.entries, v)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                raise RankDeficient("cramer of a singular matrix")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k]
+        p = pivot[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot)]
+        prev = p
+    return [sign * row[-1] for row in a]
 
 
 def max_abs_minor(M: IntMatrix, k=None, budget: Budget = Budget()) -> int:

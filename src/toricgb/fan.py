@@ -2,8 +2,8 @@
 
 The weight vectors selecting one fixed reduced Gröbner basis form a
 closed polyhedral cone, and the cones of all reduced bases fit together
-into a complete fan.  This module counts cone facets, enumerates the
-distinct monomial initial ideals, builds the regular triangulation
+into a complete fan.  This module finds the facets of one cone, or of
+every cone of the fan at once, builds the regular triangulation
 induced by a lifting weight, and checks the combinatorial statements
 tying the two pictures together: the Stanley-Reisner correspondence and
 the chain condition on associated primes of initial ideals.
@@ -34,7 +34,7 @@ from .exactmath import (
     primitive,
 )
 from .orders import term_order
-from .toric import ConfigMatrix, MonomialIdeal, _minimal_exponents, toric_groebner, universal_gb
+from .toric import ConfigMatrix, MonomialIdeal, _minimal_exponents, _sign_tree, toric_groebner
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,10 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
     redundancy test reads the normals restricted to P: programs with
     rank-many rows in place of n.  The inequalities kept are the full
     normals.
+
+    `toricgb fan cones --weight` calls it for its one cone, and the
+    tests take it as the reference for groebner_fan, which reads the
+    facets of every cone of the fan off the walk with no program.
     """
     n = G.order.n
     seen, normals = set(), []
@@ -120,14 +124,32 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
     return Cone(tuple(sorted(normals[j] for j in keep)), n - len(pivots))
 
 
-def enumerate_initial_ideals(A: ConfigMatrix, budget: Budget = Budget()):
-    """All distinct monomial initial ideals with interior weight witnesses.
+def groebner_fan(A: ConfigMatrix, budget: Budget = Budget()):
+    """(Cone, witness) for each initial ideal, in universal_gb's order.
 
-    Returns (ideal, witness) pairs; the count equals the number of
-    maximal cones in the Gröbner fan.
+    The walk of universal_gb keeps the signs of every cell of the Graver
+    arrangement, and each cone's facets are read off them, with no
+    linear program: element i of a basis is a facet exactly when some
+    cell agrees with the basis's signs on every other element and
+    differs on i (the argument is in universal_gb's docstring).  With
+    the cell's signs and the basis's as bitsets, a cell names the facet
+    when the bits where they differ on the basis are that one bit.  The
+    lineality is n minus the rank of the kernel lattice, which every
+    reduced basis spans.  The cones equal groebner_cone of the bases.
     """
-    _, ideals, witnesses, _ = universal_gb(A, budget)
-    return list(zip(ideals, witnesses))
+    _, cells, leaves = _sign_tree(A, budget)
+    lineality = A.n - A.kernel_basis().nrows
+    fan = []
+    for _, omega, G, index, bits in cells:
+        mask = sum(1 << k for k in index)
+        facets = 0
+        for leaf in leaves:
+            d = (leaf ^ bits) & mask
+            if not d & (d - 1):
+                facets |= d
+        normals = sorted(g.vector for g, k in zip(G.elements, index) if facets >> k & 1)
+        fan.append((Cone(tuple(normals), lineality), omega))
+    return fan
 
 
 def regular_triangulation(A: ConfigMatrix, omega,

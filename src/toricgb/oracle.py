@@ -12,8 +12,9 @@ regular triangulation has a version that tests every column subset
 for a face and then checks every ridge, the integer program's start
 point has a version that walks the whole grading simplex, the Gröbner
 cone has a version that tests redundancy on the full-width normals,
-and the witness of a system of inequalities has a version by
-Fourier-Motzkin elimination.
+Cramer's rule has a version with one determinant per column, and the
+witness of a system of inequalities has a version by Fourier-Motzkin
+elimination.
 The main algorithm modules never call into this one.
 """
 
@@ -437,6 +438,16 @@ def universal_gb_every_cell(A: ConfigMatrix):
         [MonomialIdeal(gens, n) for gens in ideals],
         [initial[gens] for gens in ideals],
     )
+
+
+def cramer_by_determinants(M: IntMatrix, v):
+    """det(M) * M^{-1} v by Cramer's rule: entry k is the determinant of
+    M with column k replaced by v."""
+    return [
+        det_bareiss(IntMatrix(tuple(r[:k] + (x,) + r[k + 1:]
+                                    for r, x in zip(M.entries, v))))
+        for k in range(M.ncols)
+    ]
 
 
 def groebner_cone_full_width(G: GroebnerBasis) -> Cone:

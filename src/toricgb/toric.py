@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import le
 
-from .buchberger import Binomial, GroebnerBasis, _groebner, orient
+from .buchberger import Binomial, GroebnerBasis, _groebner, _Packing, orient
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -456,14 +457,15 @@ def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
 
 
 def _minimal_exponents(items):
-    """The antichain of componentwise-minimal vectors among `items`."""
-    uniq = sorted(set(tuple(g) for g in items))
+    """The antichain of componentwise-minimal vectors among `items`.
+
+    A proper divisor sorts before its multiple, so each vector is tested
+    against the minimal ones kept before it: a divisor that is not kept
+    has a kept divisor of its own.
+    """
     keep = []
-    for g in uniq:
-        dominated = any(
-            h != g and all(x <= y for x, y in zip(h, g)) for h in uniq
-        )
-        if not dominated:
+    for g in sorted(set(tuple(g) for g in items)):
+        if not any(all(map(le, h, g)) for h in keep):
             keep.append(g)
     return tuple(keep)
 
@@ -480,7 +482,7 @@ class MonomialIdeal:
     def __init__(self, gens, n: int):
         items = []
         for g in gens:
-            t = tuple(int(e) for e in g)
+            t = tuple(map(int, g))
             if len(t) != n:
                 raise DimensionMismatch(
                     f"exponent vector of length {len(t)}, expected {n}"
@@ -530,6 +532,13 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     goes to graver unchanged, and its Lawrence runs are the only
     Buchberger runs made.
 
+    Signs are kept as bitsets.  A sign prefix, and each cell, is one int
+    with bit k set when Graver vector k is positive there.  A set of
+    sign conditions (a stored refutation support, or the pattern of a
+    basis found) is a pair (mask, bits): the Graver indices it names,
+    and those of them that are positive.  A prefix pos meets it exactly
+    when (pos ^ bits) & mask is 0.
+
     Each new cell reads its reduced basis G, for the order (witness,
     degrevlex), off the Graver basis.  Orient every Graver vector by the
     cell's sign, positive part leading, and keep the elements whose lead
@@ -550,6 +559,37 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       lead, and both trails are standard.  Two elements with the same
       lead and different standard trails would make two standard
       monomials equal modulo I_A, so the kept element is that of G.
+
+    The positive and negative parts of each Graver vector are packed
+    once, one field per variable with a guard bit on top, as
+    buchberger._Packing lays them out.  a divides b exactly when
+    ((b | guard) - a) & guard == guard, so both tests of the read-off
+    are guard-bit tests on ints, and a proper divisor packs smaller than
+    its multiple, so each lead is tested against the smaller minimal
+    ones only.  The binomials of both orientations are built once; the
+    monomial ideal is built from the kept elements only.
+
+    The walk also keeps the bits of every leaf it reaches, skipped or
+    not: one per full-dimensional cell of the arrangement.
+    toricgb.fan.groebner_fan reads each cone's facets off them.  Element
+    i of a basis is a facet of its Groebner cone exactly when some leaf
+    agrees with the basis's pattern on every other element and differs
+    on i:
+
+    * The normal v_i is irredundant exactly when some w has v_i . w < 0
+      and v_j . w >= 0 for every other j (Farkas).  Adding a small
+      multiple of the witness, where every v_j is positive, makes the
+      other inequalities strict, so the open set {v_i . w < 0, v_j . w
+      > 0 for j != i} is then not empty.
+    * Every normal is plus or minus a Graver vector, so that open set is
+      a union of cells of the arrangement with its walls, and a
+      nonempty one holds a full cell: a leaf with the signs named.
+      Conversely such a leaf holds points of the open set.
+    * The normals are the primitive vectors lead - trail, one per
+      element (distinct Graver vectors are never parallel), so the
+      facets are the normals of those elements.  A reduced basis
+      generates I_A, so its vectors span the kernel lattice, and the
+      cone's lineality is n minus the lattice's rank.
 
     Each piece of work is done once:
 
@@ -590,6 +630,18 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       alone, not on the constraints that describe it nor on the points
       passed down.  An integer lift makes it a weight.
     """
+    ugb, cells, _ = _sign_tree(A, budget)
+    return ugb, [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]
+
+
+def _sign_tree(A: ConfigMatrix, budget: Budget):
+    """The walk of universal_gb: (ugb, cells, leaves).
+
+    cells holds (ideal, witness, basis, index, bits) per initial ideal,
+    in universal_gb's order: index is the Graver index of each element
+    of basis, and bits the positive ones among them.  leaves holds the
+    bits of every full-dimensional cell of the arrangement.
+    """
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
     grv = graver(A, budget)
@@ -598,72 +650,89 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     if not grv:
         omega = (0,) * n
         order = term_order(n, weight=omega, tiebreak="degrevlex")
-        return [], [MonomialIdeal((), n)], [omega], [GroebnerBasis(order, ())]
+        return [], [(MonomialIdeal((), n), omega, GroebnerBasis(order, ()), (), 0)], [0]
 
     K = A.kernel_basis()
     r = K.nrows
-    coords = [tuple(dot(row, g) for row in K.entries) for g in grv]
+    pk = _Packing(n, max(abs(x) for g in grv for x in g).bit_length() + 1)
+    guard = pk.guard
+    # per Graver vector, indexed by its sign bit, negative (0) or
+    # positive (1): its kernel coordinates, the binomial it orients to
+    # and that binomial's (lead, trail) packed
+    coords, oriented, packed = [], [], []
+    for g in grv:
+        c = tuple(dot(row, g) for row in K.entries)
+        coords.append((tuple(-x for x in c), c))
+        plus = Binomial(tuple(max(x, 0) for x in g), tuple(max(-x, 0) for x in g))
+        minus = Binomial(plus.trail, plus.lead)
+        oriented.append((minus, plus))
+        packed.append(tuple((pk.pack(b.lead), pk.pack(b.trail)) for b in (minus, plus)))
 
     ugb = set()
-    patterns = []  # per basis found: (Graver index, sign) of each element
-    initial = {}  # minimal generators -> (initial ideal, witness, basis)
+    patterns = []  # per basis found: (mask, bits) of its elements
+    initial = {}  # minimal generators -> cell
+    leaves = []
 
-    def visit(signs, beta):
+    def visit(pos, beta):
         omega = _lift(beta, K)
         order = term_order(n, weight=omega, tiebreak="degrevlex")
-        # (lead, trail) of each Graver vector oriented by its sign
-        sides = [(tuple(max(s * x, 0) for x in g), tuple(max(-s * x, 0) for x in g))
-                 for s, g in zip(signs, grv)]
-        ideal = MonomialIdeal([lead for lead, _ in sides], n)
-        basis = sorted((k for k, (lead, trail) in enumerate(sides)
-                        if lead in ideal.gens and not ideal.contains(trail)),
-                       key=lambda k: order.key(sides[k][0]))
-        ugb.update(grv[k] for k in basis)
-        patterns.append([(k, signs[k]) for k in basis])
-        gb = GroebnerBasis(order, tuple(Binomial(*sides[k]) for k in basis))
-        initial.setdefault(ideal.gens, (ideal, omega, gb))
+        up = [pos >> k & 1 for k in range(len(grv))]
+        sides = [pq[u] for pq, u in zip(packed, up)]
+        # the minimal generators: a proper divisor packs smaller
+        gens = []
+        for L in sorted({lead for lead, _ in sides}):
+            if not any(((L | guard) - M) & guard == guard for M in gens):
+                gens.append(L)
+        index = [k for k, (lead, trail) in enumerate(sides) if lead in gens
+                 and not any(((trail | guard) - M) & guard == guard for M in gens)]
+        index.sort(key=lambda k: order.key(oriented[k][up[k]].lead))
+        index = tuple(index)
+        elements = tuple(oriented[k][up[k]] for k in index)
+        ideal = MonomialIdeal([b.lead for b in elements], n)
+        ugb.update(grv[k] for k in index)
+        mask = sum(1 << k for k in index)
+        patterns.append((mask, pos & mask))
+        initial.setdefault(ideal.gens, (ideal, omega, GroebnerBasis(order, elements), index, pos & mask))
 
-    refuted = {}  # (depth, sign) -> supports, as (depth, sign) pairs
+    refuted = {}  # (depth, bit) -> supports, as (mask, bits) pairs
 
-    def signed(signs, kept):
-        return [tuple(signs[d] * x for x in coords[d]) for d in kept]
+    def signed(pos, kept):
+        return [coords[d][pos >> d & 1] for d in kept]
 
-    def child(signs, kept, point, s):
-        # a point strictly feasible for the child sign s, or None
-        k = len(signs)
-        c = tuple(s * x for x in coords[k])
+    def child(pos, k, kept, point, up):
+        # a point strictly feasible for bit `up` at depth k, or None
+        c = coords[k][up]
         cp = dot(c, point)
         if cp > 0:
             return point
         if cp == 0:
-            vs = signed(signs, kept)
+            vs = signed(pos, kept)
             K = max((-dot(v, c) // dot(v, point) for v in vs if dot(v, c) < 0), default=0) + 1
             return tuple(K * pi + ci for pi, ci in zip(point, c))
-        if any(all(signs[d] == t for d, t in S) for S in refuted.get((k, s), ())):
+        if any(not (pos ^ bits) & mask for mask, bits in refuted.get((k, up), ())):
             return None
-        z, S = cone_support(tuple(-x for x in c), signed(signs, kept))
+        z, S = cone_support(coords[k][1 - up], signed(pos, kept))
         if z is None:
-            refuted.setdefault((k, s), []).append([(kept[j], signs[kept[j]]) for j in S])
+            mask = sum(1 << kept[j] for j in S)
+            refuted.setdefault((k, up), []).append((mask, pos & mask))
             return None
         # the kept signs . z >= 0 and c . z > 0, so any a > -cp / (c . z)
         a = -cp // dot(c, z) + 1
         return tuple(a * zi + pi for zi, pi in zip(z, point))
 
-    def descend(signs, kept, point):
-        # point is an integer point strictly feasible for signs; the
-        # signs at the depths kept cut out the same open cone
-        k = len(signs)
-        if k == len(coords):
-            if any(all(signs[i] == s for i, s in p) for p in patterns):
-                return
-            visit(signs, strict_feasible(signed(signs, kept)))
+    def descend(pos, k, kept, point):
+        # point is an integer point strictly feasible for the k signs of
+        # pos; the signs at the depths kept cut out the same open cone
+        if k == len(grv):
+            leaves.append(pos)
+            if not any(not (pos ^ bits) & mask for mask, bits in patterns):
+                visit(pos, strict_feasible(signed(pos, kept)))
             return
-        points = [child(signs, kept, point, s) for s in (1, -1)]
+        points = [child(pos, k, kept, point, up) for up in (1, 0)]
         deeper = kept + [k] if None not in points else kept
-        for s, p in zip((1, -1), points):
+        for up, p in zip((1, 0), points):
             if p is not None:
-                descend(signs + [s], deeper, p)
+                descend(pos | up << k, k + 1, deeper, p)
 
-    descend([], [], (0,) * r)
-    cells = [initial[gens] for gens in sorted(initial)]
-    return sorted(ugb), [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]
+    descend(0, 0, [], (0,) * r)
+    return sorted(ugb), [initial[gens] for gens in sorted(initial)], leaves

@@ -2,9 +2,10 @@
 
 The last tests read the source: two keep the limits in one Budget
 instead of spreading back into keyword arguments, two keep every
-import in use and at module level, and two keep the reference
-implementations of toricgb.oracle, Fourier-Motzkin elimination among
-them, out of the production modules.
+import in use and at module level, one keeps toric from importing fan,
+which imports it, and two keep the reference implementations of
+toricgb.oracle, Fourier-Motzkin elimination among them, out of the
+production modules.
 """
 
 import ast
@@ -240,6 +241,22 @@ def test_no_production_module_imports_the_oracle():
                 continue
             if any("oracle" in m.split(".") for m in modules):
                 found.append((path.name, node.lineno))
+    assert found == []
+
+
+def test_toric_does_not_import_fan():
+    # fan imports toric, so an import back would make a cycle
+    tree = ast.parse((Path(toricgb.__file__).parent / "toric.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("fan" in m.split(".") for m in modules):
+            found.append(node.lineno)
     assert found == []
 
 

@@ -14,6 +14,7 @@ from toricgb.exactmath import (
     IntMatrix,
     cone_certificate,
     cone_support,
+    cramer,
     det_bareiss,
     dot,
     feasible_witness,
@@ -30,6 +31,7 @@ from toricgb.exactmath import (
 )
 from toricgb.oracle import (
     _normalize_constraint,
+    cramer_by_determinants,
     feasible_witness_by_elimination,
 )
 
@@ -133,6 +135,29 @@ def test_det_bareiss_matches_cofactor_expansion():
         n = rng.randint(1, 4)
         M = random_matrix(rng, n, n)
         assert det_bareiss(M) == _det_cofactor(M)
+
+
+def test_cramer_matches_the_determinant_formula_seeded():
+    # one elimination of [M | v] against one determinant per column, on
+    # nonsingular matrices with zeros that force pivot swaps
+    rng = random.Random(29)
+    checked = 0
+    while checked < 400:
+        n = rng.randint(1, 6)
+        M = IntMatrix(tuple(tuple(rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(n))
+                            for _ in range(n)))
+        if det_bareiss(M) == 0:
+            continue
+        v = [rng.randint(-30, 30) for _ in range(n)]
+        assert cramer(M, v) == cramer_by_determinants(M, v), (M, v)
+        checked += 1
+
+
+def test_cramer_refuses_a_singular_matrix():
+    with pytest.raises(RankDeficient):
+        cramer(IntMatrix(((1, 2), (2, 4))), (1, 1))
+    with pytest.raises(DimensionMismatch):
+        cramer(IntMatrix(((1, 2, 3), (4, 5, 6))), (1, 1))
 
 
 def test_det_rejects_non_square():

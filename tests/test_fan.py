@@ -20,7 +20,6 @@ from toricgb.fan import (
     assoc_primes_monomial,
     check_chain_property,
     check_radical_triangulation,
-    enumerate_initial_ideals,
     groebner_cone,
     is_squarefree,
     radical_monomial,
@@ -28,7 +27,7 @@ from toricgb.fan import (
     stanley_reisner,
 )
 from toricgb.orders import term_order
-from toricgb.toric import ConfigMatrix, toric_generators
+from toricgb.toric import ConfigMatrix, toric_generators, universal_gb
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 SEGMENT = ConfigMatrix(((1, 1, 1), (0, 1, 2)))
@@ -227,10 +226,9 @@ def test_chain_property_fails_for_crafted_ideal():
 
 
 def test_initial_ideal_enumeration_of_twisted_cubic():
-    pairs = enumerate_initial_ideals(TWISTED)
-    assert len(pairs) == 8
-    ideals = [I for I, _ in pairs]
+    _, ideals, witnesses, _ = universal_gb(TWISTED)
+    assert len(ideals) == len(witnesses) == 8
     assert len(set(ideals)) == 8
-    for I, w in pairs[:3]:
+    for I, w in list(zip(ideals, witnesses))[:3]:
         G = buchberger(toric_generators(TWISTED), term_order(4, weight=w))
         assert MonomialIdeal([g.lead for g in G.elements], 4) == I

@@ -17,9 +17,10 @@ from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import det_bareiss, solve_affine
 from toricgb.fan import (
+    Cone,
     MonomialIdeal,
-    enumerate_initial_ideals,
     groebner_cone,
+    groebner_fan,
     regular_triangulation,
 )
 from toricgb.ip import IPInstance, _graded_feasible, solve_ip, solve_ip_elimination
@@ -112,14 +113,14 @@ def test_single_step_reduction_agrees_with_kstep():
 
 def test_weight_grid_finds_exactly_the_fan_cells():
     grid = weight_grid_initial_ideals(TWISTED, 2, degbound=3)
-    full = {I for I, _ in enumerate_initial_ideals(TWISTED)}
+    full = set(universal_gb(TWISTED)[1])
     assert len(grid) == len(set(grid)) == 8
     assert set(grid) == full
 
 
 def test_weight_grid_radius_one_is_a_lower_bound():
     grid = weight_grid_initial_ideals(TWISTED, 1, degbound=4)
-    full = {I for I, _ in enumerate_initial_ideals(TWISTED)}
+    full = set(universal_gb(TWISTED)[1])
     assert set(grid) <= full
 
 
@@ -523,6 +524,34 @@ def small_pointed_configs(draw):
 @example(ConfigMatrix(NO_UNIT_PIVOT), 2)
 def test_toric_generators_match_saturating_every_variable(A, k):
     assert_same_toric_ideal(A, k * max(A.grading))
+
+
+def assert_fan_matches_groebner_cone(A):
+    _, _, witnesses, bases = universal_gb(A)
+    fan = groebner_fan(A)
+    assert [w for _, w in fan] == witnesses, A.original
+    for (cone, _), G in zip(fan, bases):
+        assert cone == groebner_cone(G) == groebner_cone_full_width(G), A.original
+
+
+def test_groebner_fan_matches_groebner_cone_seeded():
+    # facets read off the sign tree's cells, against both redundancy
+    # programs, on every cell of small pointed configurations
+    for A in pointed_configs(random.Random(13), 60):
+        assert_fan_matches_groebner_cone(A)
+    # no Graver element: one cone, with every weight in its lineality
+    assert groebner_fan(ConfigMatrix(((1, 0), (0, 1)))) == [(Cone((), 2), (0, 0))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pointed_configs())
+def test_groebner_fan_matches_groebner_cone(A):
+    try:
+        size = len(graver(A, Budget(degree=20)))
+    except LimitExceeded:
+        size = None
+    assume(size is not None and size <= 12)
+    assert_fan_matches_groebner_cone(A)
 
 
 def seeded_configs(rng):

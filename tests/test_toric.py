@@ -1,11 +1,12 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from toricgb.buchberger import buchberger
-from toricgb.cli import generate
+from toricgb.cli import generate, main
 from toricgb.errors import (
     Budget,
     DimensionMismatch,
@@ -292,6 +293,27 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     assert len(programs) <= 414
     # implied signs are dropped: each cell's full pattern has 15
     assert sum(len(args[0]) for args in calls) < 15 * 108
+
+
+def test_fan_cones_reads_every_facet_off_the_walk(monkeypatch, tmp_path, capsys):
+    # each cone's facets come from the cells the sign tree reaches, so
+    # the walk's own programs and witness calls are all that run (984
+    # cone_certificate programs when groebner_cone tested each cone)
+    import toricgb.exactmath as exactmath
+    import toricgb.toric as toric
+
+    path = tmp_path / "segre33.mat"
+    assert main(["gen", "segre", "3", "3", "--out", str(path)]) == 0
+    certificates = record_calls(monkeypatch, exactmath, "cone_certificate")
+    witnesses = record_calls(monkeypatch, toric, "strict_feasible")
+    programs = record_calls(monkeypatch, toric, "cone_support")
+    capsys.readouterr()
+    assert main(["fan", "cones", "--json", str(path)]) == 0
+    cones = json.loads(capsys.readouterr().out)["cones"]
+    assert Counter(c["facets"] for c in cones) == {4: 102, 6: 6}
+    assert certificates == []
+    assert len(witnesses) == 108
+    assert len(programs) <= 414
 
 
 def test_groebner_cone_makes_no_witness_call(monkeypatch):
