@@ -42,8 +42,8 @@ with G the guard bits and ONES the low bit of every field:
 * x^a divides x^u: ((u | G) - a) & G == G;
 * support: ((u | G) - ONES) & G holds the guard bit of each field where
   u is positive;
-* lcm: the guard bits of ((a | G) - b) & G mark the fields where a >= b,
-  and a mask built from them picks each field from a or b;
+* lcm and gcd: the guard bits of ((a | G) - b) & G mark the fields where
+  a >= b, and a mask built from them picks each field from a or b;
 * the S-pair terms of a pair with lcm L: L - (lead - trail) for each
   element, the element's vector packed as a signed int;
 * k reduction steps: u - k * (lead - trail).
@@ -63,7 +63,7 @@ wider fields give.
 The package's own callers enter through _groebner, which keeps the run
 packed to the end: it hands back packed pairs, or reduces one monomial
 with the run's own reducer, so no Binomial or GroebnerBasis is built
-for the next step to take apart.  Two options of that entry skip work
+for the next step to take apart.  Three options of that entry skip work
 that cannot change an answer.
 
 Prime ideals (prime=True): a popped S-pair whose packed terms p and q
@@ -97,6 +97,41 @@ skip; every pinned canonical run does.  Under an order that does not
 refine the grading, pairs of lower degree can still be queued when a
 pair is popped, its S-binomial can then reduce to a new element, and a
 run that skips it pops fewer pairs later.  The basis is the same.
+
+Saturated targets (saturated=cols): a saturation run of toricgb.toric
+works under a reverse lexicographic order with x_i cheapest, on
+generators homogeneous for a positive grading, and its result is
+stripped of x_i (Bayer and Stillman).  The ideal it converges to, T = J
+: x_i^infinity for J the ideal of the generators, is saturated in the
+variables cols, x_i among them.  When a popped S-binomial, or the
+result of reducing it or a generator, has lead and trail sharing a
+factor x^m in those variables, the run divides x^m out: m is the
+fieldwise min of the two under a mask of those fields, and both keys
+move by subtracting key(m).  A divided result needs no further
+reduction, since its lead divides the irreducible lead it came from.
+The answer is the one the undivided run strips to:
+
+* Each element the run adds lies in T.  A generator lies in J, a
+  reduction or S-binomial of elements of T lies in T, and when x^m h
+  lies in T with m in the variables of cols, so does h, as T is
+  saturated in them.  So the ideal I of the final basis G lies between
+  J and T.
+* G is a Groebner basis of I.  A popped S-binomial x^m h, whose terms
+  lie below the lcm, reduces from h to zero or to x^m' g for the
+  element g it adds, each step with a lead at most lead(h).  So x^m h
+  has a representation by G with every lead at most x^m lead(h): an
+  lcm-representation, as the criteria need.
+* J lies in I and I in T = J : x_i^infinity, so I : x_i^infinity = T,
+  and stripping x_i from G gives a Groebner basis of it (Bayer and
+  Stillman): G is homogeneous for the grading, and x_i is cheapest.
+
+The prime skip needs I itself saturated; this needs only T saturated,
+so the saturation runs, which start from ideals that are not, can use
+it.  Carrying x^m h whole makes more leads divide x^m lead(h) and keeps
+every multiple the unsaturated ideal needs: on Segre 3x3x3 the first
+saturation of toric_generators pops 1,728 pairs with the division and
+3,129 without, and ends with 162 elements against 243 (cf. Bigatti, La
+Scala and Robbiano, "Computing toric ideals", JSC 27, 1999).
 
 Truncation (monomial=(u, grading)): the generators are homogeneous for
 the positive grading, the run returns the normal form of x^u, of degree
@@ -247,6 +282,10 @@ class _Packing:
         # the guard bits of the fields where a >= b, widened to field masks
         ge = ((a | self.guard) - b) & self.guard
         return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+    def gcd(self, a, b) -> int:
+        ge = ((a | self.guard) - b) & self.guard
+        return a ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
 
 
 def _sub(ku, kv):
@@ -509,12 +548,20 @@ class _Reduced:
 
 
 def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
-               monomial=None):
+               monomial=None, saturated=()):
     """The Buchberger run of buchberger, kept packed: the package's own entry.
 
     Returns the reduced basis as a _Reduced.  prime=True: the generators
     generate a prime ideal, homogeneous for a positive grading, and the
     run skips each popped pair whose terms share a variable.
+
+    saturated=cols: the run is a saturation by its cheapest variable
+    x_i, under a reverse lexicographic order on generators homogeneous
+    for a positive grading, and (ideal of gens) : x_i^infinity is
+    saturated in the variables cols.  The run divides each S-binomial,
+    and each reduced result, by the common factor of its terms in those
+    variables; stripping x_i from the basis then gives the saturation
+    that the undivided run gives.
 
     monomial=(u, grading): the generators are homogeneous for the
     positive grading, and the run returns the normal form of x^u as a
@@ -522,15 +569,15 @@ def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
     and it reduces u with its own reducer: the normal form by any
     Groebner basis is the same, so the basis is not interreduced.  u is
     packed as the run starts, so an exponent too wide for the fields
-    widens them before any work.  The module docstring proves both
+    widens them before any work.  The module docstring proves the three
     options exact.
     """
     gens = [g if isinstance(g, Binomial) else tuple(g) for g in gens]
     return _widening(lambda width: _run(gens, ord, budget, _Packing(ord.n, width, ord),
-                                        prime, monomial))
+                                        prime, monomial, saturated))
 
 
-def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial):
+def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial, saturated):
     key, guard, ones, W = pk.key, pk.guard, pk.ones, pk.width
     push = heapq.heappush
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
@@ -544,6 +591,19 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial):
         top = sum(map(mul, by_field, fields(start)))
     red = _Reducer(pk)
     leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
+    # the value bits of the fields of the variables the target is
+    # saturated in
+    top_bits = sum(1 << (W * pk.field_of[v] + W - 1) for v in set(saturated))
+    sat_bits = top_bits - (top_bits >> (W - 1))
+
+    def divide(lead, trail, klead, ktrail):
+        # lead and trail less their common factor in the saturated fields
+        m = pk.gcd(lead, trail) & sat_bits
+        if not m:
+            return lead, trail, klead, ktrail
+        km = key(m)
+        return lead - m, trail - m, _sub(klead, km), _sub(ktrail, km)
+
     # bit i of near[f] is set when lead i is positive in field f
     near = [0] * pk.n
 
@@ -678,7 +738,7 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial):
         seen.add(sides)
         r = red.top_reduce(lead, trail, key(lead), key(trail))
         if r is not None:
-            add(*r)
+            add(*divide(*r) if sat_bits else r)
 
     popped = 0
     while queue:
@@ -695,9 +755,12 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial):
         p, q = _s_pair(L, vecs[i], vecs[j], guard)
         if p == q or prime and ((p | guard) - ones) & ((q | guard) - ones) & guard:
             continue
-        r = red.top_reduce(p, q, _sub(kL, kvecs[i]), _sub(kL, kvecs[j]))
+        kp, kq = _sub(kL, kvecs[i]), _sub(kL, kvecs[j])
+        if sat_bits:
+            p, q, kp, kq = divide(p, q, kp, kq)
+        r = red.top_reduce(p, q, kp, kq)
         if r is not None:
-            add(*r)
+            add(*divide(*r) if sat_bits else r)
 
     if monomial is not None:
         return pk.unpack(red.reduce_monomial(start))

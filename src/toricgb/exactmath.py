@@ -198,21 +198,22 @@ def det_bareiss(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def cramer(M: IntMatrix, v):
-    """det(M) * M^{-1} v for a nonsingular square M.
+def cramer(M: IntMatrix, columns):
+    """(det(M), [det(M) * M^{-1} v for v in columns]) for a nonsingular square M.
 
-    Cramer's rule makes entry k the determinant of M with column k
-    replaced by v, so the result is integral and M y = v has the
-    solution y = cramer(M, v) / det(M).  One fraction-free Gauss-Jordan
-    elimination of [M | v] gives every entry at once: each step divides
-    exactly by the previous pivot, and at the end every diagonal entry
-    is det(PM), for the row permutation P of the pivot swaps, and the
-    last column is det(PM) * M^{-1} v.  RankDeficient when det(M) = 0.
+    Cramer's rule makes entry k of det(M) * M^{-1} v the determinant of
+    M with column k replaced by v, so each result is integral and M y = v
+    has the solution y = entry / det(M).  One fraction-free Gauss-Jordan
+    elimination of [M | columns] gives the determinant and every entry at
+    once: each step divides exactly by the previous pivot, and at the end
+    every diagonal entry is det(PM), for the row permutation P of the
+    pivot swaps, and each right-hand column is det(PM) * M^{-1} v.
+    RankDeficient when det(M) = 0.
     """
     n = M.nrows
-    if n != M.ncols or len(v) != n:
-        raise DimensionMismatch("cramer needs a square matrix and a vector of its size")
-    a = [list(r) + [x] for r, x in zip(M.entries, v)]
+    if n != M.ncols or any(len(v) != n for v in columns):
+        raise DimensionMismatch("cramer needs a square matrix and vectors of its size")
+    a = [list(r) + [v[i] for v in columns] for i, r in enumerate(M.entries)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -229,7 +230,7 @@ def cramer(M: IntMatrix, v):
                 f = row[k]
                 a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot)]
         prev = p
-    return [sign * row[-1] for row in a]
+    return sign * prev, [[sign * row[c] for row in a] for c in range(n, n + len(columns))]
 
 
 def max_abs_minor(M: IntMatrix, k=None, budget: Budget = Budget()) -> int:

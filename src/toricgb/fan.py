@@ -22,12 +22,12 @@ from .errors import (
     DimensionMismatch,
     LimitExceeded,
     NonGenericOmega,
+    RankDeficient,
     ToricError,
 )
 from .exactmath import (
     IntMatrix,
     cramer,
-    det_bareiss,
     dot,
     hnf,
     is_irredundant,
@@ -184,11 +184,10 @@ def regular_triangulation(A: ConfigMatrix, omega,
     cols = [A.matrix.col(j) for j in range(n)]
     facets = []
     for sigma in itertools.combinations(range(n), d):
-        block = IntMatrix(tuple(cols[i] for i in sigma))
-        D = det_bareiss(block)
-        if D == 0:
+        try:
+            D, (Dy,) = cramer(IntMatrix(tuple(cols[i] for i in sigma)), [[w[i] for i in sigma]])
+        except RankDeficient:
             continue
-        Dy = cramer(block, [w[i] for i in sigma])
         sign = 1 if D > 0 else -1
         # |D| * (omega_j - a_j . y) for every column j off sigma
         slack = [

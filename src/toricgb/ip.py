@@ -24,7 +24,7 @@ from .errors import (
     NegativeEntries,
     NotPointed,
 )
-from .exactmath import cramer, det_bareiss, dot
+from .exactmath import cramer, dot
 from .orders import term_order
 from .toric import ConfigMatrix, _saturated_generators
 
@@ -174,19 +174,15 @@ def _graded_feasible(A: ConfigMatrix, b, budget: Budget):
     pivots = A.pivot_columns()
     free = sorted(pivots)
     block = [j for j in range(M.ncols) if j not in pivots]
-    AS = M.submatrix(range(M.nrows), block)
-    D = det_bareiss(AS)
+    # one elimination of [A_S | b, a_j for each free j]
+    D, nums = cramer(M.submatrix(range(M.nrows), block),
+                     [[b[i] for i in A.kept_rows]] + [M.col(j) for j in free])
     sign = 1 if D > 0 else -1
     D *= sign
-
-    def numerators(v):
-        return tuple(sign * x for x in cramer(AS, v))
-
-    top = numerators([b[i] for i in A.kept_rows])
+    top, *steps = [tuple(sign * x for x in v) for v in nums]
     g0, frac = divmod(dot([A.grading[j] for j in block], top), D)
     if g0 < 0 or frac:
         return None
-    steps = [numerators(M.col(j)) for j in free]
     degs = [A.grading[j] for j in free]
     values = [0] * len(free)
     max_nodes = budget.nodes

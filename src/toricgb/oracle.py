@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, buchberger, orient, s_binomial
+from .buchberger import Binomial, GroebnerBasis, _groebner, buchberger, orient, s_binomial
 from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega
 from .exactmath import (
     IntMatrix,
@@ -40,7 +40,7 @@ from .exactmath import (
     solve_affine,
 )
 from .fan import Cone, SimplicialComplex
-from .orders import term_order
+from .orders import term_order, weighted_revlex
 from .toric import (
     ConfigMatrix,
     MonomialIdeal,
@@ -48,7 +48,6 @@ from .toric import (
     degree_bound,
     graver,
     normalize_sign,
-    saturate_variable,
     toric_generators,
 )
 
@@ -532,7 +531,7 @@ def toric_generators_every_variable(A: ConfigMatrix):
         return []
     gens = [tuple(r) for r in K.entries]
     for i in range(A.n):
-        gens = saturate_variable(gens, i, degrees=A.grading)
+        gens = _groebner(gens, weighted_revlex(A.grading, cheapest=i)).vectors()
     return [b.vector for b in buchberger(gens, _canonical_order(A)).elements]
 
 

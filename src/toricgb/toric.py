@@ -155,16 +155,23 @@ class ConfigMatrix:
         return f"ConfigMatrix({self.d}x{self.n}, pointed={self.pointed})"
 
 
-def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget()):
+def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget(), *,
+                      saturated=()):
     """Generators of (ideal of gens) : x_i^infinity, as lattice vectors.
 
     One Groebner computation under a reverse lexicographic order with
     x_i cheapest; in such an order x_i divides a leading term only if it
     divides the whole binomial, so stripping the shared x_i power from
-    every output element saturates the ideal.  The generators must be
-    homogeneous for `degrees` (any lattice of kernel vectors of a graded
-    configuration is); default all-ones.  The ideal of gens need not be
-    saturated, so the run skips no pair for sharing a variable (see the
+    every output element saturates the ideal.  The vectors strip every
+    shared factor, so their binomials generate an ideal between that
+    saturation and the lattice ideal of the lattice of gens.  The
+    generators must be homogeneous for `degrees` (any lattice of kernel
+    vectors of a graded configuration is); default all-ones.
+
+    The ideal of gens need not be saturated, so the run skips no pair
+    for sharing a variable, but its saturation is saturated in x_i and
+    in the columns `saturated` names, and the run divides each binomial
+    by the common factor of its terms in those variables (see the
     buchberger module).
     """
     gens = [tuple(v) for v in gens]
@@ -172,7 +179,8 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget()):
         return []
     n = len(gens[0])
     gamma = tuple(degrees) if degrees is not None else (1,) * n
-    return _groebner(gens, weighted_revlex(gamma, cheapest=i), budget).vectors()
+    return _groebner(gens, weighted_revlex(gamma, cheapest=i), budget,
+                     saturated={i, *saturated}).vectors()
 
 
 def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
@@ -229,13 +237,26 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     the saturations' output, generate I_A.  It skips each S-pair whose
     two terms share a variable (the criterion and its proof are in the
     buchberger module); the saturation runs cannot, since J_K and J need
-    not be saturated.
+    not be saturated.  They divide instead: each names the variables the
+    saturation it converges to is saturated in, and divides every
+    binomial by the common factor of its terms in them (the buchberger
+    module proves the answer unchanged).
+
+    * The first run names x_first alone when rest is not empty:
+      J_K : x_first^infinity need not be saturated in any other
+      variable.
+    * The run whose saturation is I_A names every variable: the run of
+      rest[0] when rest is one column (J : x_rest^infinity contains I_A
+      by the argument above, and lies in it), the y-run of
+      _saturate_product, or the first run when rest is empty (T then
+      lies in {first}).  I_A is prime and holds no monomial, so it is
+      saturated in every variable.
 
     The output does not depend on these choices, since the canonical
     run makes the reduced basis, which is unique, but the intermediate
     elements do.  A degree or element cap can therefore trip on other
-    inputs than it did under one saturation per column; every answer
-    computed both ways is the same.
+    inputs than it did under one saturation per column, or without the
+    division; every answer computed both ways is the same.
     """
     gens = _saturated_generators(A, budget)
     if not gens:
@@ -268,9 +289,11 @@ def _saturated_generators(A: ConfigMatrix, budget: Budget):
     if K.nrows == 0:
         return []
     first, rest = saturation_columns(A)
-    gens = saturate_variable([tuple(r) for r in K.entries], first, A.grading, budget)
+    every = range(A.n)
+    gens = saturate_variable([tuple(r) for r in K.entries], first, A.grading, budget,
+                             saturated=() if rest else every)
     if len(rest) == 1:
-        return saturate_variable(gens, rest[0], A.grading, budget)
+        return saturate_variable(gens, rest[0], A.grading, budget, saturated=every)
     if rest:
         return _saturate_product(gens, rest, A.grading, budget)
     return gens
@@ -298,6 +321,10 @@ def _saturate_product(gens, rest, grading, budget: Budget):
     * J' is homogeneous for the grading extended by y's degree, which
       is positive, so the Bayer-Stillman rule of saturate_variable
       applies to y, the cheapest variable.
+    * The one caller, _saturated_generators, has J : (x^rest)^infinity
+      = I_A.  J' : y^infinity is then the preimage of I_A under y ->
+      x^rest, which is prime and holds no monomial, so it is saturated
+      in every variable, and the run divides in all n + 1 of them.
 
     budget.grading, when given, gains y's degree in that grading for
     this run, so a degree trip reports the degree of the substituted
@@ -313,7 +340,8 @@ def _saturate_product(gens, rest, grading, budget: Budget):
             raise DimensionMismatch(f"budget grading of length {len(g)}, expected {n}")
         budget = replace(budget, grading=g + (sum(g[t] for t in rest),))
     out = []
-    for v in saturate_variable([u + (0,) for u in gens] + [product], n, lifted, budget):
+    for v in saturate_variable([u + (0,) for u in gens] + [product], n, lifted, budget,
+                               saturated=range(n + 1)):
         w = tuple(x + v[n] if j in rest else x for j, x in enumerate(v[:n]))
         if any(w):
             out.append(w)

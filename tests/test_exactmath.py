@@ -138,26 +138,31 @@ def test_det_bareiss_matches_cofactor_expansion():
 
 
 def test_cramer_matches_the_determinant_formula_seeded():
-    # one elimination of [M | v] against one determinant per column, on
-    # nonsingular matrices with zeros that force pivot swaps
+    # one elimination of [M | v_1 ... v_c] against det_bareiss and one
+    # determinant per column and right-hand side, on nonsingular matrices
+    # with zeros that force pivot swaps
     rng = random.Random(29)
     checked = 0
     while checked < 400:
         n = rng.randint(1, 6)
         M = IntMatrix(tuple(tuple(rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(n))
                             for _ in range(n)))
-        if det_bareiss(M) == 0:
+        det = det_bareiss(M)
+        if det == 0:
             continue
-        v = [rng.randint(-30, 30) for _ in range(n)]
-        assert cramer(M, v) == cramer_by_determinants(M, v), (M, v)
+        columns = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        assert cramer(M, columns) == (det, [cramer_by_determinants(M, v) for v in columns]), (
+            M, columns)
         checked += 1
 
 
 def test_cramer_refuses_a_singular_matrix():
     with pytest.raises(RankDeficient):
-        cramer(IntMatrix(((1, 2), (2, 4))), (1, 1))
+        cramer(IntMatrix(((1, 2), (2, 4))), [(1, 1)])
     with pytest.raises(DimensionMismatch):
-        cramer(IntMatrix(((1, 2, 3), (4, 5, 6))), (1, 1))
+        cramer(IntMatrix(((1, 2, 3), (4, 5, 6))), [(1, 1)])
+    with pytest.raises(DimensionMismatch):
+        cramer(IntMatrix(((1, 2), (3, 4))), [(1, 1), (1, 1, 1)])
 
 
 def test_det_rejects_non_square():

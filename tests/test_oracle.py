@@ -15,7 +15,7 @@ import toricgb.toric as toric
 from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
-from toricgb.exactmath import det_bareiss, solve_affine
+from toricgb.exactmath import IntMatrix, det_bareiss, solve_affine
 from toricgb.fan import (
     Cone,
     MonomialIdeal,
@@ -44,6 +44,7 @@ from toricgb.toric import (
     ConfigMatrix,
     graver,
     normalize_sign,
+    saturate_variable,
     saturation_columns,
     toric_generators,
     toric_groebner,
@@ -960,3 +961,75 @@ def test_the_skip_needs_a_saturated_ideal():
     # the toric ideal is prime: there the skip changes nothing
     gens = toric_generators_every_variable(A)
     assert engine._groebner(gens, order, prime=True).basis(order) == buchberger(gens, order)
+
+
+def sublattice_basis(rng, K):
+    """Rows spanning a sublattice of index at least 2 in the lattice of rows K."""
+    while True:
+        C = [[rng.randint(-2, 2) for _ in K] for _ in K]
+        if abs(det_bareiss(IntMatrix(tuple(map(tuple, C))))) >= 2:
+            return [tuple(sum(c * x for c, x in zip(row, col)) for col in zip(*K))
+                    for row in C]
+
+
+def strip_variable(basis, i):
+    """The binomials of basis, each divided by its common power of x_i."""
+    out = []
+    for b in basis:
+        c = min(b.lead[i], b.trail[i])
+        out.append(Binomial(*(tuple(x - c if j == i else x for j, x in enumerate(side))
+                              for side in (b.lead, b.trail))))
+    return out
+
+
+def test_dividing_saturations_match_undivided_runs_seeded():
+    # a saturation run that divides each binomial by its common factor
+    # in x_i, and one that carries every factor whole, strip to bases of
+    # the same ideal J : x_i^infinity, on kernel lattice bases and on
+    # sublattices of index >= 2, whose saturations are not prime.  The
+    # vectors saturate_variable returns generate an ideal that contains it
+    rng = random.Random(47)
+    seen = Counter()
+    for A in pointed_configs(rng, 40):
+        K = [tuple(r) for r in A.kernel_basis().entries]
+        for gens in (K, sublattice_basis(rng, K)):
+            for i in range(A.n):
+                order = weighted_revlex(A.grading, cheapest=i)
+                divided = engine._groebner(gens, order, saturated={i}).basis(order)
+                whole = engine._groebner(gens, order).basis(order)
+                target = buchberger(strip_variable(whole, i), order)
+                assert buchberger(strip_variable(divided, i), order) == target, (gens, i)
+                out = buchberger(saturate_variable(gens, i, A.grading), order)
+                assert all(normal_form(b.lead, out) == normal_form(b.trail, out)
+                           for b in target), (gens, i)
+                seen["runs"] += 1
+                seen["divided"] += divided != whole
+    assert seen["divided"] >= 50, seen
+
+
+def test_the_division_stays_in_the_saturation():
+    # the kernel basis of Segre 2x3 generates an ideal J_K that is not
+    # saturated.  The first run divides the S-binomial of the two rows by
+    # its common power of x_first, which takes it out of J_K but not out
+    # of J_K : x_first^infinity: x_first times every element of the run's
+    # basis lies in J_K.  Stripped of x_first, that basis generates the
+    # ideal the run without the division strips to, J_K : x_first^infinity
+    A = ConfigMatrix(generate("segre", (2, 3)))
+    K = A.kernel_basis().entries
+    first = saturation_columns(A)[0]
+    order = weighted_revlex(A.grading, cheapest=first)
+    divided = engine._groebner(K, order, saturated={first}).basis(order)
+    whole = engine._groebner(K, order).basis(order)
+    JK = buchberger(K, order)
+
+    def in_JK(b, k):
+        # x_first^k times b lies in J_K
+        lead, trail = ([x + k if j == first else x for j, x in enumerate(side)]
+                       for side in (b.lead, b.trail))
+        return normal_form(lead, JK) == normal_form(trail, JK)
+
+    assert len(divided) == len(whole) == 3 and divided != whole
+    assert [in_JK(b, 0) for b in divided] == [True, True, False]
+    assert all(in_JK(b, 1) for b in divided)
+    assert buchberger(strip_variable(divided, first), order) == \
+        buchberger(strip_variable(whole, first), order)

@@ -378,16 +378,16 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
 
 # (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
 POPPED_PAIRS = (
-    ("segre", (3, 3), 66,
-     "971cf238068bd3e1ac057b158a19ac63433d67be9cfdcf9c0920a9842e337884"),
-    ("segre", (2, 2, 3), 280,
-     "3c171b67dbba771a9461348acaa6940b775d1e242b48d8f3d5556af55eadd3c3"),
-    ("segre", (3, 3, 3), 6917,
-     "ac5266a6ee59f54c62c0ed866da86b0ec4f23a8b31d710c12d18b2b8fe474072"),
-    ("hypersimplex2", (7,), 8060,
-     "fe39687312790bab6cc73ef6cad8ce80f274f6e37ab2fc2dd0598e232e7dbad8"),
-    ("monomial-curve", (3, 7, 8, 11), 60,
-     "ea2bbd95bdef918f78de3bd773ef9cb1955497e78e9f59dfa1ccb57f8008ea7e"),
+    ("segre", (3, 3), 58,
+     "9ef31d3e9d28f6ba685a244e6d605448d2e5e9c231956801b81312c3a52488e4"),
+    ("segre", (2, 2, 3), 275,
+     "77f30d53df2252ae917903850db301c640273d3f144304b91df1c11fddd976af"),
+    ("segre", (3, 3, 3), 5516,
+     "ed722ae1736c61e8f1b017a24755895ac233836221bb4f3c389f40449666ed95"),
+    ("hypersimplex2", (7,), 7569,
+     "73fbe9c704915c8d4f16e224298415ea2861ba7859c6d47190d7e13db244306b"),
+    ("monomial-curve", (3, 7, 8, 11), 49,
+     "7ccdf3364956afd6573a60b406bc3394a726042e96102e57076e73ccec9d818a"),
 )
 
 
@@ -397,9 +397,11 @@ def test_toric_generators_s_pair_count(monkeypatch):
     # packed lcm and the packed vectors of its two elements, since pairs
     # with one lcm can swap places without changing the lcms.  One
     # saturation per column without a leading entry made 104, 511 and
-    # 15,169 pairs on the three Segre inputs.  The leads of
-    # hypersimplex2 7 and of the monomial curve are not all squarefree,
-    # so their colon monomials go past single variables
+    # 15,169 pairs on the three Segre inputs.  Saturation runs that
+    # carry every common factor whole made 66, 280, 6,917, 8,060 and 60
+    # pairs on the five inputs.  The leads of hypersimplex2 7 and of the
+    # monomial curve are not all squarefree, so their colon monomials go
+    # past single variables
     import toricgb.buchberger as engine
 
     for kind, params, pairs, digest in POPPED_PAIRS:
