@@ -10,13 +10,13 @@ term order in sight terminate.
 
 The toric ideal itself is obtained by the lattice-basis-plus-saturation
 route: start from the Hermite normal form kernel lattice basis and
-saturate it in at most two Groebner computations, each under a reverse
-lexicographic order in which the saturating variable is cheapest.  The
-first saturates one column; the second saturates the remaining ones at
-once through one new variable that stands for their product.  Only the
-columns where some basis row is negative need saturating: once they are
+saturate it in one Groebner computation, under a reverse lexicographic
+order in which the saturating variable is cheapest.  Only the columns
+where some basis row is negative need saturating: once they are
 inverted, every other variable is a unit (the argument is in
-toric_generators).
+toric_generators).  One such column is saturated directly; several are
+saturated at once through one new variable that stands for their
+product.
 
 MonomialIdeal lives here too, since universal_gb returns the initial
 ideals it finds; toricgb.fan imports it from here.
@@ -186,19 +186,16 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget(), *,
 def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     """Lattice vectors whose binomials generate the toric ideal of A.
 
-    Kernel lattice basis, then at most two saturation runs, then one
-    Buchberger run under the grading-refined reverse lexicographic
-    order; the output is the reduced Groebner basis for that order,
-    canonically sorted.
+    Kernel lattice basis, then one saturation run, then one Buchberger
+    run under the grading-refined reverse lexicographic order; the
+    output is the reduced Groebner basis for that order, canonically
+    sorted.
 
     Let K be the kernel lattice basis, J_K the ideal of its rows'
-    binomials, and T the columns where some row of K is negative.
-    Saturate J_K by x_first, for first the column without a leading
-    entry of K that is nonzero in the most rows of K, then by the
-    product x^rest of the columns of T other than first (see
-    saturation_columns): one saturate_variable run when rest is a
-    single column, else the run of _saturate_product.  The result
-    generates I_A:
+    binomials, and T the columns where some row of K is negative (see
+    saturation_columns).  Saturate J_K by the product x^T of their
+    variables: one saturate_variable run when T is a single column,
+    else the run of _saturate_product.  The result generates I_A:
 
     * Each row's negative part lies in T, by the definition of T.  (K
       is in Hermite normal form, so the entries above a pivot lie in
@@ -213,50 +210,33 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
       and J_K : (x^T)^infinity is the kernel of a monomial map into a
       domain, which is I_A.  (A column zero in every row of K is zero
       on all of L, and its variable appears in neither ideal.)
-    * Saturating by x_first and then by x^rest is saturating by the
-      product of the variables of T and x_first.  That contains
-      J_K : (x^T)^infinity = I_A.  Each run's output vectors lie in the
-      kernel lattice, so the ideal they generate contains the run's
-      saturation and lies in I_A.  first need not lie in T: it is
-      picked as the column in most rows, and saturating it first
-      leaves the second run less to do.
-    * With two or more columns in rest, the second run adds a variable
-      y of degree sum of A.grading[t] over rest and the binomial
-      y - x^rest, which together with the ideal J of the first run's
-      output make an ideal J', and it saturates J' by y
-      (_saturate_product).  k[x, y] / (y - x^rest) is k[x], and that
-      isomorphism carries J' : y^infinity to J : (x^rest)^infinity.
-      J' is homogeneous for the positive grading that extends
-      A.grading by y's degree, so the Bayer-Stillman rule of
-      saturate_variable applies to y.
-    * first exists: the last column is never a pivot of a pointed
-      configuration, since a pivot there would put a multiple of
-      e_{n-1} in the kernel.
+    * T is not empty when K is not: the grading is positive and
+      orthogonal to every row, so a nonzero row has a negative entry.
+    * With two or more columns in T, the run adds a variable y of
+      degree sum of A.grading[t] over T and the binomial y - x^T, which
+      together with J_K make an ideal J', and it saturates J' by y
+      (_saturate_product).  k[x, y] / (y - x^T) is k[x], and that
+      isomorphism carries J' : y^infinity to J_K : (x^T)^infinity.  J'
+      is homogeneous for the positive grading that extends A.grading by
+      y's degree, so the Bayer-Stillman rule of saturate_variable
+      applies to y.
 
-    The canonical run is the only one on a prime ideal: its generators,
-    the saturations' output, generate I_A.  It skips each S-pair whose
-    two terms share a variable (the criterion and its proof are in the
-    buchberger module); the saturation runs cannot, since J_K and J need
-    not be saturated.  They divide instead: each names the variables the
-    saturation it converges to is saturated in, and divides every
-    binomial by the common factor of its terms in them (the buchberger
-    module proves the answer unchanged).
+    The canonical run and the saturation run converge to prime ideals:
+    I_A, or with y its preimage under y -> x^T.  The canonical run's
+    generators, the saturation's output, generate I_A, so it skips each
+    S-pair whose two terms share a variable (the criterion and its
+    proof are in the buchberger module).  The saturation run cannot,
+    since J_K and J' need not be saturated.  It divides instead: a prime
+    ideal that holds no monomial is saturated in every variable, so the
+    run names them all and divides every binomial by the common factor
+    of its terms (the buchberger module proves the answer unchanged).
 
-    * The first run names x_first alone when rest is not empty:
-      J_K : x_first^infinity need not be saturated in any other
-      variable.
-    * The run whose saturation is I_A names every variable: the run of
-      rest[0] when rest is one column (J : x_rest^infinity contains I_A
-      by the argument above, and lies in it), the y-run of
-      _saturate_product, or the first run when rest is empty (T then
-      lies in {first}).  I_A is prime and holds no monomial, so it is
-      saturated in every variable.
-
-    The output does not depend on these choices, since the canonical
-    run makes the reduced basis, which is unique, but the intermediate
-    elements do.  A degree or element cap can therefore trip on other
-    inputs than it did under one saturation per column, or without the
-    division; every answer computed both ways is the same.
+    The output does not depend on how the saturation is made, since the
+    canonical run makes the reduced basis, which is unique, but the
+    intermediate elements do.  A degree or element cap can therefore
+    trip on other inputs than it did under one saturation per column,
+    or under two runs, or without the division; every answer computed
+    each way is the same.
     """
     gens = _saturated_generators(A, budget)
     if not gens:
@@ -265,21 +245,16 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
 
 
 def saturation_columns(A: ConfigMatrix):
-    """The columns the saturation runs invert: (first, rest).
+    """The columns the saturation run inverts, ascending.
 
-    first is the column without a leading entry of A.kernel_basis() that
-    is nonzero in the most basis rows, ties by index.  rest is every
-    other column where some basis row is negative, ascending.
+    They are the columns where some row of A.kernel_basis() is negative.
     """
     K = A.kernel_basis().entries
-    pivots = A.pivot_columns()
-    support = {j: sum(1 for row in K if row[j]) for j in range(A.n) if j not in pivots}
-    first = min(support, key=lambda j: (-support[j], j))
-    return first, tuple(j for j in range(A.n) if j != first and any(row[j] < 0 for row in K))
+    return tuple(j for j in range(A.n) if any(row[j] < 0 for row in K))
 
 
 def _saturated_generators(A: ConfigMatrix, budget: Budget):
-    """The saturation runs of toric_generators, without its canonical run.
+    """The saturation run of toric_generators, without its canonical run.
 
     The vectors generate I_A but are not a reduced basis.
     """
@@ -288,15 +263,11 @@ def _saturated_generators(A: ConfigMatrix, budget: Budget):
     K = A.kernel_basis()
     if K.nrows == 0:
         return []
-    first, rest = saturation_columns(A)
-    every = range(A.n)
-    gens = saturate_variable([tuple(r) for r in K.entries], first, A.grading, budget,
-                             saturated=() if rest else every)
-    if len(rest) == 1:
-        return saturate_variable(gens, rest[0], A.grading, budget, saturated=every)
-    if rest:
-        return _saturate_product(gens, rest, A.grading, budget)
-    return gens
+    gens = [tuple(r) for r in K.entries]
+    T = saturation_columns(A)
+    if len(T) == 1:
+        return saturate_variable(gens, T[0], A.grading, budget, saturated=range(A.n))
+    return _saturate_product(gens, T, A.grading, budget)
 
 
 def _saturate_product(gens, rest, grading, budget: Budget):
@@ -321,10 +292,12 @@ def _saturate_product(gens, rest, grading, budget: Budget):
     * J' is homogeneous for the grading extended by y's degree, which
       is positive, so the Bayer-Stillman rule of saturate_variable
       applies to y, the cheapest variable.
-    * The one caller, _saturated_generators, has J : (x^rest)^infinity
-      = I_A.  J' : y^infinity is then the preimage of I_A under y ->
-      x^rest, which is prime and holds no monomial, so it is saturated
-      in every variable, and the run divides in all n + 1 of them.
+    * The one caller, _saturated_generators, passes the kernel lattice
+      basis and the columns T of saturation_columns, so J :
+      (x^rest)^infinity = I_A.  J' : y^infinity is then the preimage of
+      I_A under y -> x^rest, which is prime and holds no monomial, so
+      it is saturated in every variable, and the run divides in all
+      n + 1 of them.
 
     budget.grading, when given, gains y's degree in that grading for
     this run, so a degree trip reports the degree of the substituted

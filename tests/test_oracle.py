@@ -51,6 +51,8 @@ from toricgb.toric import (
     universal_gb,
 )
 
+from test_toric import saturations
+
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 
 
@@ -466,8 +468,8 @@ def test_normal_form_past_64_bits_matches_the_tuple_rule(u, G, nf):
 
 
 # Kernel lattice basis (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5),
-# (0, 0, 3, -2, 0, 0): no leading entry is 1, and the grading is not
-# all-ones
+# (0, 0, 3, -2, 0, 0): no leading entry is 1, the grading is not
+# all-ones, and two columns, 3 and 4, hold the negative entries
 NO_UNIT_PIVOT = ((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0))
 
 
@@ -523,7 +525,13 @@ def small_pointed_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_pointed_configs(), st.integers(1, 8))
 @example(ConfigMatrix(NO_UNIT_PIVOT), 2)
+@example(ConfigMatrix(generate("segre", (2, 2))), 2)
+@example(TWISTED, 2)
 def test_toric_generators_match_saturating_every_variable(A, k):
+    # the examples: a run through y for two columns under a grading that
+    # is not all-ones (NO_UNIT_PIVOT), a kernel of rank 1 (Segre 2x2,
+    # negative in columns 1 and 2), and a run by one column (the twisted
+    # cubic, negative in column 2 only)
     assert_same_toric_ideal(A, k * max(A.grading))
 
 
@@ -584,11 +592,30 @@ def test_toric_generators_match_saturating_every_variable_seeded():
         K = A.kernel_basis().entries
         seen["pivot above 1"] += any(next(x for x in row if x) > 1 for row in K)
         seen["all-ones grading" if A.grading == (1,) * A.n else "other grading"] += 1
-        # two or more columns left for the second run: it goes through y
-        seen["new variable"] += len(saturation_columns(A)[1]) >= 2
+        # two or more columns to saturate: the run goes through y
+        seen["new variable"] += len(saturation_columns(A)) >= 2
         seen["cap tripped" if tripped else "cap not tripped"] += 1
-    # the draws give 49 runs through y
-    assert all(v >= (40 if k == "new variable" else 50) for k, v in seen.items()), seen
+    # the draws give 174 runs through y (49 when a first run by one
+    # column left two or more for a second)
+    assert all(v >= (150 if k == "new variable" else 50) for k, v in seen.items()), seen
+
+
+def test_toric_generators_saturate_once_over_the_negative_columns_seeded(monkeypatch):
+    # one saturation run per configuration with a kernel, inverting
+    # exactly the columns where a kernel basis row is negative: a second
+    # run, or a column too many or too few, shows here
+    checked, _ = seeded_configs(random.Random(29))
+    sizes = Counter()
+    for A in checked:
+        K = A.kernel_basis().entries
+        T = tuple(j for j in range(A.n) if any(row[j] < 0 for row in K))
+        runs = saturations(monkeypatch, A)
+        assert runs == [T[0] if len(T) == 1 else T], A.original
+        sizes[len(T) >= 2] += 1
+        monkeypatch.undo()
+    assert min(sizes[False], sizes[True]) >= 100, sizes
+    # with no kernel there is nothing to saturate
+    assert saturations(monkeypatch, ConfigMatrix(((1, 0), (0, 1)))) == []
 
 
 # The points (0,0), (2,0), (2,2), (0,2), (1,-2), (4,1), (1,4), (-2,1),
@@ -949,11 +976,12 @@ def test_prime_runs_match_runs_without_the_skip_seeded(monkeypatch):
 def test_the_skip_needs_a_saturated_ideal():
     # the kernel basis of Segre 2x3 generates an ideal that is not
     # saturated, so a pair whose terms share a variable need not be
-    # redundant: under the first saturation's order the run that skips
-    # them misses an element, and what it returns is no Groebner basis
+    # redundant: under the order of a saturation by x2 (the first of the
+    # two runs toric_generators used to make) the run that skips them
+    # misses an element, and what it returns is no Groebner basis
     A = ConfigMatrix(generate("segre", (2, 3)))
     K = A.kernel_basis().entries
-    order = weighted_revlex(A.grading, cheapest=saturation_columns(A)[0])
+    order = weighted_revlex(A.grading, cheapest=2)
     skipping = engine._groebner(K, order, prime=True).basis(order)
     assert len(skipping) == 2 and not engine.passes_buchberger_criterion(skipping)
     assert len(buchberger(K, order)) == 3
@@ -1009,21 +1037,23 @@ def test_dividing_saturations_match_undivided_runs_seeded():
 
 def test_the_division_stays_in_the_saturation():
     # the kernel basis of Segre 2x3 generates an ideal J_K that is not
-    # saturated.  The first run divides the S-binomial of the two rows by
-    # its common power of x_first, which takes it out of J_K but not out
-    # of J_K : x_first^infinity: x_first times every element of the run's
-    # basis lies in J_K.  Stripped of x_first, that basis generates the
-    # ideal the run without the division strips to, J_K : x_first^infinity
+    # saturated.  A saturation run by x2 (the first of the two runs
+    # toric_generators used to make) that divides only in x2 divides the
+    # S-binomial of the two rows by its common power of x2, which takes
+    # it out of J_K but not out of J_K : x2^infinity: x2 times every
+    # element of the run's basis lies in J_K.  Stripped of x2, that
+    # basis generates the ideal the run without the division strips to,
+    # J_K : x2^infinity
     A = ConfigMatrix(generate("segre", (2, 3)))
     K = A.kernel_basis().entries
-    first = saturation_columns(A)[0]
+    first = 2
     order = weighted_revlex(A.grading, cheapest=first)
     divided = engine._groebner(K, order, saturated={first}).basis(order)
     whole = engine._groebner(K, order).basis(order)
     JK = buchberger(K, order)
 
     def in_JK(b, k):
-        # x_first^k times b lies in J_K
+        # x2^k times b lies in J_K
         lead, trail = ([x + k if j == first else x for j, x in enumerate(side)]
                        for side in (b.lead, b.trail))
         return normal_form(lead, JK) == normal_form(trail, JK)

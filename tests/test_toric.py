@@ -329,25 +329,26 @@ def test_groebner_cone_makes_no_witness_call(monkeypatch):
 
 
 def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
-    # 2 saturations and the run under the canonical order (6 runs when
-    # each of the 5 columns without a leading entry had its own); that
-    # order is the default, so toric_groebner needs no run of its own
+    # 1 saturation and the run under the canonical order (3 runs when
+    # the saturation took two, 6 when each of the 5 columns without a
+    # leading entry had its own); that order is the default, so
+    # toric_groebner needs no run of its own
     import toricgb.toric as toric
 
     runs = record_calls(monkeypatch, toric, "_groebner")
     real = buchberger
     A = ConfigMatrix(generate("segre", (3, 3)))
     G = toric_groebner(A)
-    assert len(runs) == 3
+    assert len(runs) == 2
     assert G == real(toric_generators(A), G.order)
 
 
 def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
-    # under another order the run starts from the 2 saturations' output:
-    # 3 runs where computing the canonical basis first made 4 (7 before
-    # the two-run saturation), and the same reduced basis.  The first
-    # saturation, by x8, runs under degrevlex(9) itself, so the runs are
-    # told apart by what calls them, not by their orders
+    # under another order the run starts from the one saturation's
+    # output: 2 runs where two saturations made 3, computing the
+    # canonical basis first made 4, and one saturation per column 7; the
+    # same reduced basis.  The runs are told apart by what calls them,
+    # not by their orders
     import toricgb.ip as ip
     import toricgb.toric as toric
     from toricgb.fan import check_radical_triangulation
@@ -363,29 +364,29 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
     saturations = record_calls(monkeypatch, toric, "saturate_variable")
     canonical = record_calls(monkeypatch, toric, "toric_generators")
     G = toric_groebner(A, order)
-    assert len(saturations) == 2
-    assert len(runs) == 3
+    assert len(saturations) == 1
+    assert len(runs) == 2
     assert runs[-1][1] == order
     # solve_ip and check_radical_triangulation take the same route
     b = A.original.mulvec((1, 0, 0, 0, 1, 0, 0, 0, 1))
     assert solve_ip(IPInstance(A, omega, b)) is not None
     assert check_radical_triangulation(A, omega)
-    assert len(saturations) == 3 * 2
-    assert len(runs) == 3 * 3
+    assert len(saturations) == 3 * 1
+    assert len(runs) == 3 * 2
     assert canonical == []
     assert G == buchberger(toric.toric_generators.__wrapped__(A), order)
 
 
 # (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
 POPPED_PAIRS = (
-    ("segre", (3, 3), 58,
-     "9ef31d3e9d28f6ba685a244e6d605448d2e5e9c231956801b81312c3a52488e4"),
-    ("segre", (2, 2, 3), 275,
-     "77f30d53df2252ae917903850db301c640273d3f144304b91df1c11fddd976af"),
-    ("segre", (3, 3, 3), 5516,
-     "ed722ae1736c61e8f1b017a24755895ac233836221bb4f3c389f40449666ed95"),
-    ("hypersimplex2", (7,), 7569,
-     "73fbe9c704915c8d4f16e224298415ea2861ba7859c6d47190d7e13db244306b"),
+    ("segre", (3, 3), 42,
+     "0c22eb7329a825c51ecdb8d5655b6c354f03b6e567c024f55b9ecaf717e2f002"),
+    ("segre", (2, 2, 3), 191,
+     "14ba43b1cefec38a6ab2d33cd7df4b6fd3d1560b737f54cb1b41e422b0c71897"),
+    ("segre", (3, 3, 3), 3796,
+     "e5750f2ebada0dea253cfdb989dd43976f601e1c1896581fe51daa7e31be87f0"),
+    ("hypersimplex2", (7,), 3615,
+     "e970c1af25d8b7f0c419a690d5e5a7f067d2cb698af6282574404ca325949950"),
     ("monomial-curve", (3, 7, 8, 11), 49,
      "7ccdf3364956afd6573a60b406bc3394a726042e96102e57076e73ccec9d818a"),
 )
@@ -399,9 +400,11 @@ def test_toric_generators_s_pair_count(monkeypatch):
     # saturation per column without a leading entry made 104, 511 and
     # 15,169 pairs on the three Segre inputs.  Saturation runs that
     # carry every common factor whole made 66, 280, 6,917, 8,060 and 60
-    # pairs on the five inputs.  The leads of hypersimplex2 7 and of the
-    # monomial curve are not all squarefree, so their colon monomials go
-    # past single variables
+    # pairs on the five inputs, and a first run by one column before the
+    # run over the rest made 58, 275, 5,516, 7,569 and 49 (the monomial
+    # curve has one column to saturate, so it never made two).  The
+    # leads of hypersimplex2 7 and of the monomial curve are not all
+    # squarefree, so their colon monomials go past single variables
     import toricgb.buchberger as engine
 
     for kind, params, pairs, digest in POPPED_PAIRS:
@@ -454,39 +457,40 @@ def saturations(monkeypatch, A):
 
 
 def test_toric_generators_saturates_the_uninverted_columns(monkeypatch):
-    # the kernel basis of Segre 3x3 has four rows; of the five columns
-    # without a leading entry, 8 is nonzero in all four rows and goes
-    # first, and y stands for 2, 5, 6 and 7, the columns where a row is
-    # negative
+    # the kernel basis of Segre 3x3 has four rows, negative in columns
+    # 2, 5, 6 and 7; one run through y stands for all four.  A first run
+    # by column 8, the column without a leading entry in the most rows,
+    # made [8, (2, 5, 6, 7)]
     A = ConfigMatrix(generate("segre", (3, 3)))
     K = A.kernel_basis().entries
     unit = {next(j for j, x in enumerate(row) if x) for row in K}
     assert unit == {0, 1, 3, 4}
-    assert [sum(1 for row in K if row[j]) for j in (2, 5, 6, 7, 8)] == [2, 2, 2, 2, 4]
     assert {j for j in range(9) if any(row[j] < 0 for row in K)} == {2, 5, 6, 7}
-    assert saturations(monkeypatch, A) == [8, (2, 5, 6, 7)]
+    assert saturations(monkeypatch, A) == [(2, 5, 6, 7)]
 
 
-def test_toric_generators_saturates_only_non_pivot_columns(monkeypatch):
+def test_toric_generators_saturates_only_the_negative_columns(monkeypatch):
     # kernel basis rows (2, 3, 1, -3, -2, 4), (0, 6, 0, -3, -3, 5) and
-    # (0, 0, 3, -2, 0, 0): the pivots 2, 6 and 3 sit in columns 0, 1 and
-    # 2.  Column 3 is nonzero in all three rows and goes first; column
-    # 4 is the only other one with a negative entry, so it is saturated
-    # directly, and column 5, positive wherever it is nonzero, never is
+    # (0, 0, 3, -2, 0, 0), under a grading that is not all-ones: columns
+    # 3 and 4 hold every negative entry, and one run through y stands
+    # for both.  Columns 0 to 2, where the rows lead, and column 5,
+    # positive wherever it is nonzero, are never saturated.  A first run
+    # by column 3 before a run by column 4 made [3, 4]
     A = ConfigMatrix(((0, 1, 2, 3, 4, 3), (2, 3, 2, 3, 3, 0), (1, 2, 0, 0, 4, 0)))
     assert A.grading != (1,) * A.n
-    assert saturations(monkeypatch, A) == [3, 4]
+    assert saturations(monkeypatch, A) == [(3, 4)]
 
 
 def test_graver_makes_no_repeated_run(monkeypatch):
-    # 2 saturations of the Lawrence lifting and its canonical run, whose
+    # 1 saturation of the Lawrence lifting and its canonical run, whose
     # output graver reads directly: that order is already degrevlex(18).
-    # One saturation per column without a leading entry made 15 runs
+    # Two saturations made 3 runs, and one saturation per column without
+    # a leading entry 15
     import toricgb.toric as toric
 
     runs = record_calls(monkeypatch, toric, "_groebner")
     assert len(graver(ConfigMatrix(generate("segre", (3, 3))))) == 15
-    assert len(runs) == 3
+    assert len(runs) == 2
 
 
 def test_universal_gb_guard():
