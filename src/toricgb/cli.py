@@ -33,7 +33,8 @@ grading of the configuration, of any element computed, default
 unlimited) on groebner, graver, circuits and universal; --max-fiber
 (work budget of solve: search nodes (reduce) or S-pairs (eliminate),
 default 200000) on solve only; --max-graver-bits (Graver size cap for
-sign-pattern enumeration, default 22) on universal and fan only.
+sign-pattern enumeration, default 22) on universal, fan count and fan
+cones without --weight only.
 universal's only Buchberger runs are graver's, so --max-degree trips on
 both at the same point, read on the Lawrence lifting in the grading
 that gives each lifted element (u, -u) the degree of u.  Exit 4 prints
@@ -371,9 +372,14 @@ def cmd_circuits(args) -> int:
                        max_true_degree=max((c.true_degree for c in cs), default=0))
 
 
+def _graver_cap(args):
+    # the flag defaults to None so that fan can tell whether it was given
+    return Budget.graver if args.max_graver_bits is None else args.max_graver_bits
+
+
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    budget = _lifted_budget(args, A, graver=args.max_graver_bits)
+    budget = _lifted_budget(args, A, graver=_graver_cap(args))
     ugb, ideals, _, _ = universal_gb(A, budget)
     return _emit_block(args, A, ugb, initial_ideals=len(ideals))
 
@@ -433,6 +439,11 @@ def cmd_fan(args) -> int:
             raise ParseFailure(f"{args.mode} mode takes no --tiebreak")
         if args.weight is None:
             raise ParseFailure("--tiebreak needs --weight")
+    if args.max_graver_bits is not None:
+        if args.mode == "triangulate":
+            raise ParseFailure("triangulate mode takes no --max-graver-bits")
+        if args.weight is not None:
+            raise ParseFailure("cones mode takes no --max-graver-bits with --weight")
     if args.mode == "triangulate":
         if args.weight is None:
             raise ParseFailure("triangulate mode needs --weight")
@@ -453,7 +464,7 @@ def cmd_fan(args) -> int:
         G = toric_groebner(A, order)
         witnesses = [(groebner_cone(G), tuple(w))]
     else:
-        budget = Budget(graver=args.max_graver_bits)
+        budget = Budget(graver=_graver_cap(args))
         if args.mode == "count":
             _, ideals, _, _ = universal_gb(A, budget)
             _emit_report({"command": "fan", "initial_ideals": len(ideals)}, args.json)
@@ -521,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-graver-bits",
             type=int,
-            default=Budget.graver,
+            default=None,
             help=f"Graver size cap for sign enumeration (default {Budget.graver})",
         )
 

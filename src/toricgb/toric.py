@@ -617,19 +617,22 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       only child c is feasible, -c is refuted: c is a nonnegative
       combination of the prefix and is positive on the whole open
       prefix cone, which c therefore leaves unchanged.  c is not passed
-      to the programs below it, nor to the leaf's witness call; the
-      leaf still orients by the full sign list.
+      to the programs below it; the leaf still orients by the full sign
+      list.
     * A cell is skipped when a basis found earlier has every element
       lead - trail positively oriented by the cell's signs.  The cell
       then lies in that basis's open Groebner cone, where it is the
       reduced basis for every weight.  Every other cell gives a new
       basis.
-    * A new cell takes as its witness the point of a ``strict_feasible``
-      call on the constraints kept for it; no other call of the walk
-      solves for a point.  They cut out the same open cell as its full
-      sign pattern, and ``feasible_witness``'s point depends on that set
-      alone, not on the constraints that describe it nor on the points
-      passed down.  An integer lift makes it a weight.
+    * The skip test reads only basis patterns, which the signs fix, so
+      once the walk is done each new cell, in visit order, takes as its
+      witness the point of one ``strict_feasible`` call on its facets:
+      the signs k for which flipping bit k alone gives another leaf.
+      An open cell is the intersection of its facets' open half-spaces,
+      and k is a facet exactly when that flip is a cell (as for the
+      Groebner cone facets above).  ``feasible_witness``'s point depends
+      on the open set alone, so it is that of the full sign pattern.
+      An integer lift makes it a weight.
     """
     ugb, cells, _ = _sign_tree(A, budget)
     return ugb, [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]
@@ -641,7 +644,8 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     cells holds (ideal, witness, basis, index, bits) per initial ideal,
     in universal_gb's order: index is the Graver index of each element
     of basis, and bits the positive ones among them.  leaves holds the
-    bits of every full-dimensional cell of the arrangement.
+    bits of every full-dimensional cell of the arrangement.  Witnesses,
+    orders and sorted bases follow once every leaf is known.
     """
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
@@ -673,10 +677,10 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     patterns = []  # per basis found: (mask, bits) of its elements
     initial = {}  # minimal generators -> cell
     leaves = []
+    found = []  # per new cell: (pos, its signs, its basis's indices, their bits)
 
-    def visit(pos, beta):
-        omega = _lift(beta, K)
-        order = term_order(n, weight=omega, tiebreak="degrevlex")
+    def visit(pos):
+        # the basis pattern the skip test reads: the signs fix it
         up = [pos >> k & 1 for k in range(len(grv))]
         sides = [pq[u] for pq, u in zip(packed, up)]
         # the minimal generators: a proper divisor packs smaller
@@ -686,14 +690,10 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
                 gens.append(L)
         index = [k for k, (lead, trail) in enumerate(sides) if lead in gens
                  and not any(((trail | guard) - M) & guard == guard for M in gens)]
-        index.sort(key=lambda k: order.key(oriented[k][up[k]].lead))
-        index = tuple(index)
-        elements = tuple(oriented[k][up[k]] for k in index)
-        ideal = MonomialIdeal([b.lead for b in elements], n)
         ugb.update(grv[k] for k in index)
         mask = sum(1 << k for k in index)
         patterns.append((mask, pos & mask))
-        initial.setdefault(ideal.gens, (ideal, omega, GroebnerBasis(order, elements), index, pos & mask))
+        found.append((pos, up, index, pos & mask))
 
     refuted = {}  # (depth, bit) -> supports, as (mask, bits) pairs
 
@@ -727,7 +727,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         if k == len(grv):
             leaves.append(pos)
             if not any(not (pos ^ bits) & mask for mask, bits in patterns):
-                visit(pos, strict_feasible(signed(pos, kept)))
+                visit(pos)
             return
         points = [child(pos, k, kept, point, up) for up in (1, 0)]
         deeper = kept + [k] if None not in points else kept
@@ -736,4 +736,13 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
                 descend(pos | up << k, k + 1, deeper, p)
 
     descend(0, 0, [], (0,) * r)
+    reached = set(leaves)
+    for pos, up, index, bits in found:
+        omega = _lift(strict_feasible([coords[k][up[k]] for k in range(len(grv))
+                                       if pos ^ 1 << k in reached]), K)
+        order = term_order(n, weight=omega, tiebreak="degrevlex")
+        index = tuple(sorted(index, key=lambda k: order.key(oriented[k][up[k]].lead)))
+        elements = tuple(oriented[k][up[k]] for k in index)
+        ideal = MonomialIdeal([b.lead for b in elements], n)
+        initial.setdefault(ideal.gens, (ideal, omega, GroebnerBasis(order, elements), index, bits))
     return sorted(ugb), [initial[gens] for gens in sorted(initial)], leaves

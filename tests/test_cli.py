@@ -222,9 +222,10 @@ def test_universal_of_twisted_cubic(twisted, capsys):
     assert "initial_ideals: 8" in out
 
 
-def test_graver_size_cap_only_where_the_enumeration_runs(twisted, capsys):
+def test_graver_size_cap_only_where_the_enumeration_runs(twisted, tmp_path, capsys):
     # the twisted cubic has 5 Graver elements
-    for argv in (["universal", twisted], ["fan", "count", twisted]):
+    for argv in (["universal", twisted], ["fan", "count", twisted],
+                 ["fan", "cones", twisted]):
         rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
         assert rc == 4
         assert "capped at 4" in err
@@ -233,6 +234,13 @@ def test_graver_size_cap_only_where_the_enumeration_runs(twisted, capsys):
         rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
         assert rc == 1
         assert "unrecognized arguments: --max-graver-bits" in err
+    # with --weight, fan enumerates nothing, so it refuses the cap
+    w = wfile(tmp_path, [3, 0, 1, 7])
+    for mode in ("triangulate", "cones"):
+        rc, _, err = run(capsys, ["fan", mode, twisted, "--weight", w, "--max-graver-bits", "4"])
+        assert rc == 1
+        assert "takes no --max-graver-bits" in err
+        assert run(capsys, ["fan", mode, twisted, "--weight", w])[0] == 0
 
 
 # -- solve ------------------------------------------------------------------

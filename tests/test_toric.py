@@ -14,10 +14,11 @@ from toricgb.errors import (
     NotACircuit,
     NotPointed,
 )
-from toricgb.exactmath import kernel_lattice_basis
+from toricgb.exactmath import dot, kernel_lattice_basis, strict_feasible
 from toricgb.fan import groebner_cone
 from toricgb.toric import (
     ConfigMatrix,
+    _lift,
     circuits,
     degree_bound,
     graver,
@@ -291,8 +292,28 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     # visited prefix makes 2,694, 1,405 before the supports were stored,
     # and 489 before the points on a hyperplane were moved off it
     assert len(programs) <= 414
-    # implied signs are dropped: each cell's full pattern has 15
-    assert sum(len(args[0]) for args in calls) < 15 * 108
+    # each witness is solved on its cell's facets only, about 4 per cell;
+    # the full patterns have 15 each, and the signs the walk kept for
+    # the cell made 996
+    assert sum(len(args[0]) for args in calls) == 432
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_universal_gb_witness_is_that_of_the_full_sign_pattern(dims):
+    # the witness program holds only the cell's facets, and
+    # feasible_witness's point depends on the open cell alone, so it is
+    # the point of the cell's sign pattern over every Graver vector;
+    # Segre 2x2x2 has cells with more than 4 facets in R^4
+    A = ConfigMatrix(generate("segre", dims))
+    K = A.kernel_basis()
+    grv = graver(A)
+    coords = [tuple(dot(row, g) for row in K.entries) for g in grv]
+    _, _, witnesses, _ = universal_gb(A)
+    for w in witnesses:
+        signs = [dot(g, w) for g in grv]
+        assert 0 not in signs
+        pattern = [c if s > 0 else tuple(-x for x in c) for c, s in zip(coords, signs)]
+        assert _lift(strict_feasible(pattern), K) == w
 
 
 def test_fan_cones_reads_every_facet_off_the_walk(monkeypatch, tmp_path, capsys):
