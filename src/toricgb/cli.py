@@ -34,7 +34,8 @@ unlimited) on groebner, graver, circuits and universal; --max-fiber
 (work budget of solve: search nodes (reduce) or S-pairs (eliminate),
 default 200000) on solve only; --max-graver-bits (Graver size cap for
 sign-pattern enumeration, default 22) on universal, fan count and fan
-cones without --weight only.
+cones without --weight only.  Each cap is a nonnegative integer; a
+negative one exits 1.
 universal's only Buchberger runs are graver's, so --max-degree trips on
 both at the same point, read on the Lawrence lifting in the grading
 that gives each lifted element (u, -u) the degree of u.  Exit 4 prints
@@ -265,19 +266,6 @@ def _gen_tt_graph(s, l):
     return IntMatrix(tuple(tuple(r) for r in rows))
 
 
-def _gen_transport(r, c):
-    if r < 1 or c < 1:
-        raise ParseFailure("transport needs positive side lengths")
-    cols = []
-    for i in range(r):
-        for j in range(c):
-            col = [0] * (r + c)
-            col[i] = 1
-            col[r + j] = 1
-            cols.append(col)
-    return IntMatrix(tuple(tuple(col[k] for col in cols) for k in range(r + c)))
-
-
 def _int_params(params, count, kind):
     if len(params) != count:
         raise ParseFailure(f"{kind} takes {count} parameter(s)")
@@ -315,7 +303,10 @@ def generate(kind: str, params) -> IntMatrix:
         return _gen_tt_graph(s, l)
     if kind == "transport":
         r, c = _int_params(params, 2, kind)
-        return _gen_transport(r, c)
+        if r < 1 or c < 1:
+            raise ParseFailure("transport needs positive side lengths")
+        # the r x c transportation polytope's matrix is that of Segre r x c
+        return _gen_segre((r, c))
     raise ParseFailure(f"unknown generator kind {kind!r}")
 
 
@@ -493,6 +484,17 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap(text) -> int:
+    """A guard's limit: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="toricgb",
@@ -515,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-degree",
-            type=int,
+            type=_cap,
             default=Budget.degree,
             help="largest degree of any element computed (default: unlimited)",
         )
@@ -531,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     def graver_cap(p):
         p.add_argument(
             "--max-graver-bits",
-            type=int,
+            type=_cap,
             default=None,
             help=f"Graver size cap for sign enumeration (default {Budget.graver})",
         )
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True, help="right-hand side, comma separated")
     p.add_argument(
         "--max-fiber",
-        type=int,
+        type=_cap,
         default=Budget.points,  # the fiber-size default
         help="work budget of solve: search nodes (reduce) or S-pairs "
         f"(eliminate) (default {Budget.points})",

@@ -58,6 +58,16 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+def clear_to_ints(values):
+    """The values times the least positive integer that makes them integral."""
+    values = tuple(values)
+    if all(type(x) is int for x in values):
+        return values
+    fracs = [Fraction(x) for x in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
@@ -430,10 +440,7 @@ def _integer_rows(constraints, n):
     for a, b, strict in constraints:
         if len(a) != n:
             raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
-        if type(b) is not int or any(type(x) is not int for x in a):
-            fracs = [Fraction(x) for x in a] + [Fraction(b)]
-            scale = lcm(*(f.denominator for f in fracs))
-            *a, b = (f.numerator * (scale // f.denominator) for f in fracs)
+        *a, b = clear_to_ints((*a, b))
         rows.append((tuple(a), b, bool(strict)))
     return rows
 

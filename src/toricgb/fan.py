@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .buchberger import GroebnerBasis
 from .errors import (
@@ -27,11 +26,12 @@ from .errors import (
 )
 from .exactmath import (
     IntMatrix,
+    clear_to_ints,
     cramer,
     dot,
-    hnf,
     is_irredundant,
     primitive,
+    rank,
 )
 from .orders import term_order
 from .toric import ConfigMatrix, MonomialIdeal, _minimal_exponents, _sign_tree, toric_groebner
@@ -90,38 +90,22 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
     The normals live in the kernel lattice, which is exactly the
     orthogonal complement of the cone's lineality space, so no projection
     is needed before deduplication; primitive scaling plus redundancy
-    removal leaves one inequality per facet.
-
-    One Hermite normal form of the normals gives their rank, and so the
-    lineality, and its pivot columns P.  Its nonzero rows span the
-    normals and are in echelon form with their leading entries on P, so
-    restriction to P is injective on that span.  A linear injection
-    keeps every nonnegative combination and adds none, so each
-    redundancy test reads the normals restricted to P: programs with
-    rank-many rows in place of n.  The inequalities kept are the full
-    normals.
+    removal leaves one inequality per facet, and the lineality is n
+    minus the rank of the normals.
 
     `toricgb fan cones --weight` calls it for its one cone, and the
     tests take it as the reference for groebner_fan, which reads the
     facets of every cone of the fan off the walk with no program.
     """
     n = G.order.n
-    seen, normals = set(), []
-    for g in G.elements:
-        v = primitive(g.vector)
-        if v not in seen:
-            seen.add(v)
-            normals.append(v)
+    normals = list(dict.fromkeys(primitive(g.vector) for g in G.elements))
     if not normals:
         return Cone((), n)
-    H, _ = hnf(IntMatrix(tuple(normals)))
-    pivots = [next(j for j, x in enumerate(row) if x) for row in H.entries if any(row)]
-    short = [tuple(v[j] for j in pivots) for v in normals]
-    keep = list(range(len(normals)))
+    keep = list(normals)
     for i in range(len(keep) - 1, -1, -1):
-        if not is_irredundant([short[j] for j in keep], i):
+        if not is_irredundant(keep, i):
             del keep[i]
-    return Cone(tuple(sorted(normals[j] for j in keep)), n - len(pivots))
+    return Cone(tuple(sorted(keep)), n - rank(IntMatrix(tuple(normals))))
 
 
 def groebner_fan(A: ConfigMatrix, budget: Budget = Budget()):
@@ -178,9 +162,7 @@ def regular_triangulation(A: ConfigMatrix, omega,
     if len(omega) != n:
         raise DimensionMismatch(f"weight of length {len(omega)}, expected {n}")
     budget.check("subsets", comb(n, d))
-    w = [Fraction(x) for x in omega]
-    scale = lcm(*(x.denominator for x in w))
-    w = [int(x * scale) for x in w]
+    w = clear_to_ints(omega)
     cols = [A.matrix.col(j) for j in range(n)]
     facets = []
     for sigma in itertools.combinations(range(n), d):

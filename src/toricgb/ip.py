@@ -60,14 +60,14 @@ def _nonneg_guard(M):
             raise GuardViolated(f"column {i} is zero")
 
 
-def _fiber_dfs(A: ConfigMatrix, b, collect, budget: Budget):
-    """Exhaustive search over {x >= 0 : Ax = b} for a nonnegative matrix.
+def fiber(A: ConfigMatrix, b, budget: Budget = Budget()):
+    """The complete fiber {x >= 0 : Ax = b}, canonically sorted.
 
-    Works on the original rows, so dependent constraints are honoured.
-    Calls collect(x) for each point found; collect returns True to stop
-    early (used by feasible_point).  Upper bounds come from the residual
-    right-hand side, which stays nonnegative along the search.  The
-    budget caps the points found and the nodes visited.
+    An exhaustive search, for a nonnegative matrix with no zero column.
+    It works on the original rows, so dependent constraints are
+    honoured.  Upper bounds come from the residual right-hand side,
+    which stays nonnegative along the search.  The budget caps the
+    points found and the nodes visited.
     """
     M = A.original
     _nonneg_guard(M)
@@ -83,66 +83,35 @@ def _fiber_dfs(A: ConfigMatrix, b, collect, budget: Budget):
                 mask |= 1 << j
         support[i] = mask
     max_points, max_nodes = budget.points, budget.nodes
-    count = nodes = 0
+    out = []
+    nodes = 0
 
     def search(i, residual, point):
-        nonlocal count, nodes
+        nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             budget.check("nodes", nodes)
         if any(residual[j] > 0 and not (support[i] >> j) & 1 for j in range(d)):
-            return False
+            return
         if i == n:
             if any(residual):
-                return False
-            count += 1
-            if max_points is not None and count > max_points:
-                budget.check("points", count)
-            return collect(tuple(point))
+                return
+            out.append(tuple(point))
+            if max_points is not None and len(out) > max_points:
+                budget.check("points", len(out))
+            return
         cap = min(
             (residual[j] // cols[i][j] for j in range(d) if cols[i][j] > 0),
             default=0,
         )
         for v in range(cap + 1):
             point.append(v)
-            nxt = tuple(r - v * c for r, c in zip(residual, cols[i]))
-            if search(i + 1, nxt, point):
-                point.pop()
-                return True
+            search(i + 1, tuple(r - v * c for r, c in zip(residual, cols[i])), point)
             point.pop()
-        return False
 
     b = tuple(int(x) for x in b)
-    if any(x < 0 for x in b):
-        return
-    search(0, b, [])
-
-
-def feasible_point(A: ConfigMatrix, b, budget: Budget = Budget()):
-    """Any point of the fiber, or None.
-
-    Requires a nonnegative matrix with no zero column so the search is
-    bounded.
-    """
-    found = []
-
-    def collect(x):
-        found.append(x)
-        return True
-
-    _fiber_dfs(A, b, collect, budget)
-    return found[0] if found else None
-
-
-def fiber(A: ConfigMatrix, b, budget: Budget = Budget()):
-    """The complete fiber {x >= 0 : Ax = b}, canonically sorted."""
-    out = []
-
-    def collect(x):
-        out.append(x)
-        return False
-
-    _fiber_dfs(A, b, collect, budget)
+    if all(x >= 0 for x in b):
+        search(0, b, [])
     return sorted(out)
 
 

@@ -10,9 +10,8 @@ whose monomial arithmetic is its own and works on exponent tuples, the
 toric ideal has a version that saturates every variable, the
 regular triangulation has a version that tests every column subset
 for a face and then checks every ridge, the integer program's start
-point has a version that walks the whole grading simplex, the Gröbner
-cone has a version that tests redundancy on the full-width normals,
-Cramer's rule has a version with one determinant per column, and the
+point has a version that walks the whole grading simplex, Cramer's
+rule has a version with one determinant per column, and the
 witness of a system of inequalities has a version by Fourier-Motzkin
 elimination.
 The main algorithm modules never call into this one.
@@ -34,12 +33,10 @@ from .exactmath import (
     det_bareiss,
     dot,
     identity_matrix,
-    is_irredundant,
-    primitive,
     rank,
     solve_affine,
 )
-from .fan import Cone, SimplicialComplex
+from .fan import SimplicialComplex
 from .orders import term_order, weighted_revlex
 from .toric import (
     ConfigMatrix,
@@ -447,23 +444,6 @@ def cramer_by_determinants(M: IntMatrix, v):
                                     for r, x in zip(M.entries, v))))
         for k in range(M.ncols)
     ]
-
-
-def groebner_cone_full_width(G: GroebnerBasis) -> Cone:
-    """groebner_cone with every redundancy test on the full-width normals.
-
-    The lineality comes from the rank of the normals, and each
-    is_irredundant program has one row per variable.
-    """
-    n = G.order.n
-    normals = list(dict.fromkeys(primitive(g.vector) for g in G.elements))
-    if not normals:
-        return Cone((), n)
-    keep = list(normals)
-    for i in range(len(keep) - 1, -1, -1):
-        if not is_irredundant(keep, i):
-            del keep[i]
-    return Cone(tuple(sorted(keep)), n - rank(IntMatrix(tuple(normals))))
 
 
 def buchberger_every_pair(gens, ord):

@@ -23,20 +23,9 @@ then stay inside finite fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatch, GuardViolated
-
-
-def _clear_to_ints(weight):
-    """The weight times the least positive integer that makes it integral."""
-    weight = tuple(weight)
-    if all(type(x) is int for x in weight):
-        return weight
-    fracs = [Fraction(x) for x in weight]
-    scale = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (scale // f.denominator) for f in fracs)
+from .exactmath import clear_to_ints
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ def degrevlex(n: int, weight=None, permutation=None) -> TermOrder:
     perm = tuple(permutation) if permutation is not None else tuple(range(n))
     layers = []
     if weight is not None:
-        layers.append(_clear_to_ints(weight))
+        layers.append(clear_to_ints(weight))
     layers.append((1,) * n)
     return TermOrder(n, tuple(layers), "revlex", perm)
 
@@ -106,7 +95,7 @@ def term_order(n: int, weight=None, tiebreak: str = "degrevlex",
             raise GuardViolated("elimination block out of range")
         layers.append(tuple(1 if i < elimination_block else 0 for i in range(n)))
     if weight is not None:
-        layers.append(_clear_to_ints(weight))
+        layers.append(clear_to_ints(weight))
     if tiebreak == "degrevlex":
         layers.append((1,) * n)
         return TermOrder(n, tuple(layers), "revlex", perm)
@@ -123,7 +112,7 @@ def weighted_revlex(gamma, cheapest: int) -> TermOrder:
     leading term only if it divides the whole binomial.
     """
     n = len(gamma)
-    g = _clear_to_ints(gamma)
+    g = clear_to_ints(gamma)
     if any(x <= 0 for x in g):
         raise GuardViolated("grading must be strictly positive")
     perm = tuple(j for j in range(n) if j != cheapest) + (cheapest,)

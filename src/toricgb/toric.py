@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import le
 
-from .buchberger import Binomial, GroebnerBasis, _groebner, _Packing, orient
+from .buchberger import Binomial, GroebnerBasis, _groebner, _Packing
 from .errors import (
     Budget,
     DimensionMismatch,
@@ -331,20 +331,13 @@ def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
                    budget: Budget = Budget()) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal under ord (or the default).
 
-    Under the canonical order, the default, toric_generators has already
-    computed this basis, so no further Buchberger run is made.  Its
-    vectors give back the binomials: the ideal is prime, so no element of
-    the reduced basis has a variable common to both terms, and orienting
-    the vector recovers the lead and the trail.  Under any other order
-    the run starts from the saturated generators, with no canonical run
-    first; the reduced basis is unique, so the start does not change it.
-    Those generators generate I_A, which is prime, so that run skips the
+    One run from the saturated generators, under ord or the canonical
+    order; the reduced basis is unique, so the start does not change it,
+    and under the canonical order it is the basis of toric_generators.
+    Those generators generate I_A, which is prime, so the run skips the
     S-pairs whose terms share a variable, as the canonical run does.
     """
-    canonical = _canonical_order(A)
-    if ord is None or ord == canonical:
-        gens = toric_generators(A, budget)
-        return GroebnerBasis(canonical, tuple(orient(v, canonical) for v in gens))
+    ord = ord or _canonical_order(A)
     return _groebner(_saturated_generators(A, budget), ord, budget, prime=True).basis(ord)
 
 
@@ -675,7 +668,6 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
 
     ugb = set()
     patterns = []  # per basis found: (mask, bits) of its elements
-    initial = {}  # minimal generators -> cell
     leaves = []
     found = []  # per new cell: (pos, its signs, its basis's indices, their bits)
 
@@ -737,6 +729,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
 
     descend(0, 0, [], (0,) * r)
     reached = set(leaves)
+    cells = []
     for pos, up, index, bits in found:
         omega = _lift(strict_feasible([coords[k][up[k]] for k in range(len(grv))
                                        if pos ^ 1 << k in reached]), K)
@@ -744,5 +737,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         index = tuple(sorted(index, key=lambda k: order.key(oriented[k][up[k]].lead)))
         elements = tuple(oriented[k][up[k]] for k in index)
         ideal = MonomialIdeal([b.lead for b in elements], n)
-        initial.setdefault(ideal.gens, (ideal, omega, GroebnerBasis(order, elements), index, bits))
-    return sorted(ugb), [initial[gens] for gens in sorted(initial)], leaves
+        cells.append((ideal, omega, GroebnerBasis(order, elements), index, bits))
+    # every cell found is a new basis (see the skip test), so the ideals differ
+    cells.sort(key=lambda cell: cell[0].gens)
+    return sorted(ugb), cells, leaves

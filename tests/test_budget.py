@@ -3,12 +3,14 @@
 The last tests read the source: two keep the limits in one Budget
 instead of spreading back into keyword arguments, two keep every
 import in use and at module level, one keeps toric from importing fan,
-which imports it, and two keep the reference implementations of
+which imports it, two keep the reference implementations of
 toricgb.oracle, Fourier-Motzkin elimination among them, out of the
-production modules.
+production modules, and one keeps every function the benchmark's
+tracer wraps in place.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from toricgb.buchberger import buchberger
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded
 from toricgb.fan import check_radical_triangulation
-from toricgb.ip import IPInstance, feasible_point, fiber, solve_ip, solve_ip_elimination
+from toricgb.ip import IPInstance, fiber, solve_ip, solve_ip_elimination
 from toricgb.orders import degrevlex
 from toricgb.toric import (
     ConfigMatrix,
@@ -152,8 +154,8 @@ def test_universal_gb_budget_reaches_every_buchberger_run(monkeypatch):
 
 
 def test_start_point_search_takes_the_budget():
-    assert feasible_point(LINE, (5,)) == (0, 5)
-    assert tripped(lambda: feasible_point(LINE, (100,), Budget(nodes=10)))[:2] == ("nodes", 10)
+    # the fiber search caps its nodes as well as its points
+    assert tripped(lambda: fiber(LINE, (100,), Budget(nodes=10)))[:2] == ("nodes", 10)
     assert tripped(lambda: solve_ip(IPInstance(TWISTED, (2, 1, 1, 3), (4, 5)),
                                     Budget(elements=1)))[:2] == ("elements", 1)
 
@@ -274,3 +276,19 @@ def test_fourier_motzkin_lives_in_the_oracle_only():
 
     assert FOURIER_MOTZKIN <= defined("oracle.py")
     assert not FOURIER_MOTZKIN & defined("exactmath.py")
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py wraps these by name; a deletion would break --trace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    traced = ast.literal_eval(next(
+        node.value for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]))
+    missing = []
+    for module, attr, _ in traced:
+        owner = importlib.import_module(f"toricgb.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append((module, attr))
+    assert len(traced) >= 20 and missing == []

@@ -243,6 +243,25 @@ def test_graver_size_cap_only_where_the_enumeration_runs(twisted, tmp_path, caps
         assert run(capsys, ["fan", mode, twisted, "--weight", w])[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["groebner", "{m}", "--max-degree"],
+    ["universal", "{m}", "--max-degree"],
+    ["fan", "count", "{m}", "--max-graver-bits"],
+    ["solve", "{m}", "--weight", "{w}", "--rhs", "1,0,1,0,0", "--max-fiber"],
+])
+def test_negative_cap_is_usage_error(tmp_path, capsys, argv):
+    # a negative cap is a bad flag (exit 1), not a guard that tripped (exit 4)
+    segre = str(tmp_path / "segre23.mat")
+    assert main(["gen", "segre", "2", "3", "--out", segre]) == 0
+    argv = [word.format(m=segre, w=wfile(tmp_path, [1] * 6)) for word in argv]
+    rc, out, err = run(capsys, argv + ["-1"])
+    assert (rc, out) == (1, "")
+    assert f"argument {argv[-1]}: must be nonnegative, got -1" in err
+    # 0 is a cap like any other
+    rc, _, err = run(capsys, argv + ["0"])
+    assert rc == 4 and f"capped at 0 ({argv[-1]})" in err
+
+
 # -- solve ------------------------------------------------------------------
 
 

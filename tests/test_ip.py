@@ -19,7 +19,6 @@ from toricgb.errors import (
 )
 from toricgb.ip import (
     IPInstance,
-    feasible_point,
     fiber,
     is_test_set,
     skeleton_graph,
@@ -56,9 +55,7 @@ def test_instance_validates_lengths():
 def test_fiber_of_line_segment():
     pts = fiber(LINE, (5,))
     assert pts == [(i, 5 - i) for i in range(6)]
-    assert feasible_point(LINE, (5,)) in pts
     assert fiber(LINE, (-1,)) == []
-    assert feasible_point(LINE, (-1,)) is None
 
 
 def test_fiber_rejects_bad_matrices():

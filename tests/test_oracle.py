@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import toricgb.buchberger as engine
 import toricgb.ip as ip
 import toricgb.toric as toric
-from toricgb.buchberger import Binomial, buchberger, normal_form
+from toricgb.buchberger import Binomial, buchberger, normal_form, orient
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import IntMatrix, det_bareiss, solve_affine
@@ -28,7 +28,6 @@ from toricgb.oracle import (
     buchberger_every_pair,
     graded_feasible_every_point,
     graver_bruteforce,
-    groebner_cone_full_width,
     irreducible_decomposition,
     kernel_vectors_up_to,
     multi_step_normal_form,
@@ -42,6 +41,7 @@ from toricgb.oracle import (
 from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import (
     ConfigMatrix,
+    _canonical_order,
     graver,
     normalize_sign,
     saturate_variable,
@@ -169,22 +169,16 @@ def test_universal_gb_matches_every_cell_enumeration():
     assert other_first_row >= 10
 
 
-def test_groebner_cone_matches_full_width_redundancy():
-    # redundancy tested on the pivot columns of the normals, against the
-    # full-width normals, on three kinds of basis: the witness bases of
-    # small configurations, the degree-345 curve, and a basis of two
-    # Segre 3x3 kernel vectors, whose normals span less than the kernel
-    bases = [G for A in pointed_configs(random.Random(11), 30)
-             for G in universal_gb(A)[3]]
+def test_groebner_cone_counts_facets_and_lineality():
+    # the degree-345 curve has a cone with 5 facets; two Segre 3x3
+    # kernel vectors span less than the kernel, so their normals leave a
+    # lineality of 7
     curve = ConfigMatrix(((15, 247, 248, 345),))
-    bases.append(buchberger(toric_generators(curve), term_order(4, weight=(111, 0, 341, 1))))
+    G = buchberger(toric_generators(curve), term_order(4, weight=(111, 0, 341, 1)))
+    assert groebner_cone(G).facet_count == 5
     segre = ConfigMatrix(generate("segre", (3, 3)))
-    bases.append(buchberger(segre.kernel_basis().entries[:2], degrevlex(9)))
-    for G in bases:
-        assert groebner_cone(G) == groebner_cone_full_width(G), G
-    assert len(bases) >= 100
-    assert groebner_cone(bases[-2]).facet_count == 5
-    assert groebner_cone(bases[-1]).lineality_dim == 7
+    G = buchberger(segre.kernel_basis().entries[:2], degrevlex(9))
+    assert groebner_cone(G).lineality_dim == 7
 
 
 def test_irreducible_decomposition_of_monomial_ideal():
@@ -540,11 +534,11 @@ def assert_fan_matches_groebner_cone(A):
     fan = groebner_fan(A)
     assert [w for _, w in fan] == witnesses, A.original
     for (cone, _), G in zip(fan, bases):
-        assert cone == groebner_cone(G) == groebner_cone_full_width(G), A.original
+        assert cone == groebner_cone(G), A.original
 
 
 def test_groebner_fan_matches_groebner_cone_seeded():
-    # facets read off the sign tree's cells, against both redundancy
+    # facets read off the sign tree's cells, against the redundancy
     # programs, on every cell of small pointed configurations
     for A in pointed_configs(random.Random(13), 60):
         assert_fan_matches_groebner_cone(A)
@@ -595,6 +589,11 @@ def test_toric_generators_match_saturating_every_variable_seeded():
         # two or more columns to saturate: the run goes through y
         seen["new variable"] += len(saturation_columns(A)) >= 2
         seen["cap tripped" if tripped else "cap not tripped"] += 1
+        # one route to the reduced basis under the canonical order
+        G = toric_groebner(A)
+        order = _canonical_order(A)
+        assert G == toric_groebner(A, order), A.original
+        assert G.elements == tuple(orient(v, order) for v in toric_generators(A)), A.original
     # the draws give 174 runs through y (49 when a first run by one
     # column left two or more for a second)
     assert all(v >= (150 if k == "new variable" else 50) for k, v in seen.items()), seen

@@ -350,10 +350,9 @@ def test_groebner_cone_makes_no_witness_call(monkeypatch):
 
 
 def test_toric_groebner_reuses_the_canonical_basis(monkeypatch):
-    # 1 saturation and the run under the canonical order (3 runs when
-    # the saturation took two, 6 when each of the 5 columns without a
-    # leading entry had its own); that order is the default, so
-    # toric_groebner needs no run of its own
+    # 1 saturation and the run under the canonical order, the default
+    # (3 runs when the saturation took two, 6 when each of the 5 columns
+    # without a leading entry had its own): the runs of toric_generators
     import toricgb.toric as toric
 
     runs = record_calls(monkeypatch, toric, "_groebner")
