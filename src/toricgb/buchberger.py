@@ -153,7 +153,7 @@ import struct
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import Budget, DimensionMismatch, GuardViolated, ZeroVector
+from .errors import Budget, DimensionMismatch, GuardViolated
 from .exactmath import dot
 from .orders import TermOrder
 
@@ -180,21 +180,6 @@ class Binomial:
     @property
     def vector(self):
         return tuple(a - b for a, b in zip(self.lead, self.trail))
-
-
-def orient(v, ord: TermOrder):
-    """Split a nonzero lattice vector into an oriented binomial.
-
-    The positive part of the returned vector is the leading exponent
-    under ord; the vector is negated first when needed.
-    """
-    if not any(v):
-        raise ZeroVector("cannot orient the zero vector")
-    plus = tuple(x if x > 0 else 0 for x in v)
-    minus = tuple(-x if x < 0 else 0 for x in v)
-    if ord.key(plus) > ord.key(minus):
-        return Binomial(plus, minus)
-    return Binomial(minus, plus)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ itself has a version with no pair criterion but the coprime-lead skip,
 whose monomial arithmetic is its own and works on exponent tuples, the
 toric ideal has a version that saturates every variable, the
 regular triangulation has a version that tests every column subset
-for a face and then checks every ridge, the integer program's start
+for a face and then checks every ridge, the Stanley-Reisner ideal has
+a version that scans for minimal non-faces, the integer program's start
 point has a version that walks the whole grading simplex, Cramer's
 rule has a version with one determinant per column, and the
 witness of a system of inequalities has a version by Fourier-Motzkin
@@ -25,8 +26,8 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, _groebner, buchberger, orient, s_binomial
-from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega
+from .buchberger import Binomial, GroebnerBasis, _groebner, buchberger, s_binomial
+from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega, ZeroVector
 from .exactmath import (
     IntMatrix,
     cone_certificate,
@@ -37,7 +38,7 @@ from .exactmath import (
     solve_affine,
 )
 from .fan import SimplicialComplex
-from .orders import term_order, weighted_revlex
+from .orders import TermOrder, term_order, weighted_revlex
 from .toric import (
     ConfigMatrix,
     MonomialIdeal,
@@ -446,6 +447,21 @@ def cramer_by_determinants(M: IntMatrix, v):
     ]
 
 
+def orient(v, ord: TermOrder):
+    """Split a nonzero lattice vector into an oriented binomial.
+
+    The positive part of the returned vector is the leading exponent
+    under ord; the vector is negated first when needed.
+    """
+    if not any(v):
+        raise ZeroVector("cannot orient the zero vector")
+    plus = tuple(x if x > 0 else 0 for x in v)
+    minus = tuple(-x if x < 0 else 0 for x in v)
+    if ord.key(plus) > ord.key(minus):
+        return Binomial(plus, minus)
+    return Binomial(minus, plus)
+
+
 def buchberger_every_pair(gens, ord):
     """Reduced Groebner basis with no pair criterion but the coprime-lead skip.
 
@@ -661,3 +677,23 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
             f"weight is not generic: ridge {ridge} lies in {count} facets"
         )
     return SimplicialComplex(n, tuple(facets))
+
+
+def stanley_reisner_by_nonfaces(delta: SimplicialComplex) -> MonomialIdeal:
+    """fan.stanley_reisner by a scan for the minimal non-faces.
+
+    A subset is a minimal non-face when it is not a face and dropping
+    any one vertex gives a face.  Faces have at most top vertices, so no
+    minimal non-face has more than top + 1.  The scan starts at the
+    empty set, which is the one minimal non-face of the void complex.
+    """
+    n = delta.n_vertices
+    top = max((len(f) for f in delta.facets), default=0)
+    gens = []
+    for k in range(top + 2):
+        for tau in itertools.combinations(range(n), k):
+            if delta.is_face(tau):
+                continue
+            if all(delta.is_face(tau[:i] + tau[i + 1:]) for i in range(k)):
+                gens.append(tuple(1 if i in tau else 0 for i in range(n)))
+    return MonomialIdeal(gens, n)

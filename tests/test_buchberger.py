@@ -6,11 +6,11 @@ from toricgb.buchberger import (
     Binomial,
     buchberger,
     normal_form,
-    orient,
     passes_buchberger_criterion,
     s_binomial,
 )
 from toricgb.errors import Budget, GuardViolated
+from toricgb.oracle import orient
 from toricgb.orders import degrevlex, lex, term_order
 from toricgb.toric import ConfigMatrix, toric_generators
 

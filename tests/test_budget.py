@@ -1,7 +1,8 @@
 """The run's Budget: each guard trips while the work runs, and names itself.
 
 The last tests read the source: two keep the limits in one Budget
-instead of spreading back into keyword arguments, two keep every
+instead of spreading back into keyword arguments, one keeps every
+parameter read, so that no flag is silently ignored, two keep every
 import in use and at module level, one keeps toric from importing fan,
 which imports it, two keep the reference implementations of
 toricgb.oracle, Fourier-Motzkin elimination among them, out of the
@@ -187,6 +188,26 @@ def test_no_limit_keyword_outside_the_budget():
                         found.append((path.name, node.name, arg.arg))
     # perfbench/workloads.py still passes max_pairs
     assert found == [("ip.py", "solve_ip_elimination", "max_pairs")]
+
+
+def test_every_parameter_is_read():
+    # a parameter that no body reads, nested functions included, is an
+    # ignored flag
+    functions, ignored = 0, []
+    for path in PRODUCTION:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            functions += 1
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            ignored += [(path.name, getattr(node, "name", "<lambda>"), p)
+                        for p in params if p not in read]
+    assert functions > 100 and ignored == []
 
 
 def test_every_limit_is_raised_with_its_three_fields():

@@ -181,6 +181,15 @@ def test_stanley_reisner_of_path():
     assert stanley_reisner(full).is_zero
 
 
+def test_stanley_reisner_of_void_and_empty_complexes():
+    # the void complex has no face, not even the empty one, so its ideal
+    # is the unit ideal; the complex {{}} has only the empty face, and
+    # every vertex is a minimal non-face
+    assert stanley_reisner(SimplicialComplex(3, ())).gens == ((0, 0, 0),)
+    empty = SimplicialComplex(3, ((),))
+    assert stanley_reisner(empty).gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
 def test_radical_and_squarefree():
     I = MonomialIdeal([(2, 0), (1, 1)], 2)
     assert not is_squarefree(I)

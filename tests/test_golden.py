@@ -2,9 +2,10 @@
 
 Each case runs one command in process and pins the SHA-256 of its
 stdout, the SHA-256 of its stderr, and its exit code, so a change to
-any printed basis, initial ideal, facet count, witness or generated
-matrix fails here.  A change that moves a digest on purpose says which,
-and why, in CHANGES.md.
+any printed basis, initial ideal, facet count, witness, triangulation,
+integer-program optimum, refusal or generated matrix fails here.  A
+change that moves a digest on purpose says which, and why, in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -30,13 +31,24 @@ def weight(n):
     return tuple((3 * j) % 5 for j in range(n))
 
 
-# {m} stands for the matrix file, {w} for the weight file
+def square_weight(n):
+    """The weight j^2, generic for fan triangulate on every input."""
+    return tuple(j * j for j in range(n))
+
+
+# {m} stands for the matrix file, {w} and {s} for the weight files of
+# weight and square_weight, and {b} for the right-hand side A.(1, ..., 1)
 COMMANDS = {
     "groebner": ("groebner", "{m}"),
     "groebner-w": ("groebner", "{m}", "--weight", "{w}"),
     "groebner-w-lex": ("groebner", "{m}", "--weight", "{w}", "--tiebreak", "lex"),
     "cones-w": ("fan", "cones", "{m}", "--weight", "{w}"),
     "cones-w-lex": ("fan", "cones", "{m}", "--weight", "{w}", "--tiebreak", "lex"),
+    "triangulate-w": ("fan", "triangulate", "{m}", "--weight", "{w}"),
+    "triangulate-sq": ("fan", "triangulate", "{m}", "--weight", "{s}"),
+    "solve-reduce": ("solve", "{m}", "--weight", "{w}", "--rhs", "{b}", "--method", "reduce"),
+    "solve-eliminate": ("solve", "{m}", "--weight", "{w}", "--rhs", "{b}",
+                        "--method", "eliminate"),
 }
 
 # (input, command) -> (stdout SHA-256, stderr SHA-256, exit code)
@@ -56,6 +68,18 @@ GOLDEN = {
     ("segre23", "cones-w-lex"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3da8499bfcc3a8c5831633ee1a8c7aff40c1b82002f2060050ea7da8aecbdca4", 3),
+    ("segre23", "triangulate-sq"): (
+        "229cd4de7260cae4305f229a2bf59ac4a18412c3e769d2e9bdab98b3804eeb73",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "solve-reduce"): (
+        "9134777e841a90a495af392295eb5a5c4f90fd7f08f93a44dc5a1be83f65d529",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "solve-eliminate"): (
+        "9134777e841a90a495af392295eb5a5c4f90fd7f08f93a44dc5a1be83f65d529",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("segre33", "groebner"): (
         "7a0325e28ed6bf6aaff0e0b1a94443491f8b569f951e70788b638edaf6d958a7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -70,6 +94,18 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("segre33", "cones-w-lex"): (
         "d44d8a7eb88dd79cdccd01df761018ef24412104a80f3b95bf38aa9d9ce6fe0e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5886b040d5fd9afd2491f7362d7050d890d67b7c0962d0053a4541a34e2e75f8", 3),
+    ("segre33", "triangulate-sq"): (
+        "1a049a7a824e474fe03f38eddd98c776c2817a62632318c4eb9ab1d745b5513d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "solve-reduce"): (
+        "c2f6e450c4753a4d69f952d5c156c6196430962eb775f82ebbdc47ad408d682b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "solve-eliminate"): (
+        "c2f6e450c4753a4d69f952d5c156c6196430962eb775f82ebbdc47ad408d682b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("transport23", "groebner"): (
         "a46183969ec957723af88a54482d7d3c09de3ef14f60922ddfb82c233c4d16f2",
@@ -86,6 +122,18 @@ GOLDEN = {
     ("transport23", "cones-w-lex"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3da8499bfcc3a8c5831633ee1a8c7aff40c1b82002f2060050ea7da8aecbdca4", 3),
+    ("transport23", "triangulate-sq"): (
+        "229cd4de7260cae4305f229a2bf59ac4a18412c3e769d2e9bdab98b3804eeb73",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "solve-reduce"): (
+        "9134777e841a90a495af392295eb5a5c4f90fd7f08f93a44dc5a1be83f65d529",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "solve-eliminate"): (
+        "9134777e841a90a495af392295eb5a5c4f90fd7f08f93a44dc5a1be83f65d529",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve345", "groebner"): (
         "8473716d50347dd917c4af42db47076b7d0da4ef081b22225850bb6447f9762f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -101,6 +149,18 @@ GOLDEN = {
     ("curve345", "cones-w-lex"): (
         "01d960dbcbf41fae225840d82b62467d4741f185c25970d3fed155632f063a0d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "triangulate-w"): (
+        "db2e74417912c53528d1f9b90c2f1a295adb18bc6953a09d0572016aa94b520d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "triangulate-sq"): (
+        "db2e74417912c53528d1f9b90c2f1a295adb18bc6953a09d0572016aa94b520d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "solve-reduce"): (
+        "0ab23f4d3874056640b15d465c43211da54cb441df1e4f61798b91ef8679fb58",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "solve-eliminate"): (
+        "0ab23f4d3874056640b15d465c43211da54cb441df1e4f61798b91ef8679fb58",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("hypersimplex4", "groebner"): (
         "887457c5e41ca560527b6e9a89c58cf37459d4aecc4b8081380f4b69d6ca64e1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -115,6 +175,18 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("hypersimplex4", "cones-w-lex"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "triangulate-w"): (
+        "fb5af3f66fdadc6894848d5af7de4f545640d0a8ac09cb74db899b78030efd24",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "triangulate-sq"): (
+        "2ba3ab8460ec27ff88bde7cd2eb6c62808137111c729523183fe0d479fc8cc47",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "solve-reduce"): (
+        "2fd0f1d43b533995290cb754d69a8b2aa31ee976ed912545ae2c11427453c768",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "solve-eliminate"): (
+        "2fd0f1d43b533995290cb754d69a8b2aa31ee976ed912545ae2c11427453c768",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
 }
 
@@ -164,18 +236,21 @@ def inputs(tmp_path_factory):
     for name, gen in INPUTS.items():
         mat = root / f"{name}.mat"
         assert main(["gen", *gen, "--out", str(mat)]) == 0
-        n = parse_matrix(mat.read_text()).ncols
-        vec = root / f"{name}.vec"
-        vec.write_text(f"1 {n}\n" + " ".join(map(str, weight(n))) + "\n")
-        paths[name] = (str(mat), str(vec))
+        rows = parse_matrix(mat.read_text()).entries
+        n = len(rows[0])
+        words = {"m": str(mat), "b": ",".join(str(sum(row)) for row in rows)}
+        for key, w in (("w", weight(n)), ("s", square_weight(n))):
+            vec = root / f"{name}.{key}.vec"
+            vec.write_text(f"1 {n}\n" + " ".join(map(str, w)) + "\n")
+            words[key] = str(vec)
+        paths[name] = words
     return paths
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
 def test_command_output_is_pinned(inputs, capsys, case):
     name, command = case
-    mat, vec = inputs[name]
-    argv = [word.format(m=mat, w=vec) for word in COMMANDS[command]]
+    argv = [word.format(**inputs[name]) for word in COMMANDS[command]]
     assert run(capsys, argv) == GOLDEN[case]
 
 

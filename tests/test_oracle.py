@@ -12,16 +12,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 import toricgb.buchberger as engine
 import toricgb.ip as ip
 import toricgb.toric as toric
-from toricgb.buchberger import Binomial, buchberger, normal_form, orient
+from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
 from toricgb.exactmath import IntMatrix, det_bareiss, solve_affine
 from toricgb.fan import (
     Cone,
     MonomialIdeal,
+    SimplicialComplex,
     groebner_cone,
     groebner_fan,
     regular_triangulation,
+    stanley_reisner,
 )
 from toricgb.ip import IPInstance, _graded_feasible, solve_ip, solve_ip_elimination
 from toricgb.oracle import (
@@ -31,8 +33,10 @@ from toricgb.oracle import (
     irreducible_decomposition,
     kernel_vectors_up_to,
     multi_step_normal_form,
+    orient,
     regular_triangulation_every_subset,
     single_step_normal_form,
+    stanley_reisner_by_nonfaces,
     strict_feasible_by_elimination,
     toric_generators_every_variable,
     universal_gb_every_cell,
@@ -634,12 +638,18 @@ def triangulation_or_none(method, A, omega):
 
 
 def assert_same_triangulation(A, omega):
-    """Both methods agree; returns whether the weight was generic."""
+    """Both methods agree, and on a generic weight so do the two
+    Stanley-Reisner constructions; returns whether the weight was generic."""
     with time_limit(10):
         facets = triangulation_or_none(regular_triangulation, A, omega)
         expected = triangulation_or_none(regular_triangulation_every_subset, A, omega)
     assert facets == expected, (A.original.entries, omega)
-    return facets is not None
+    if facets is None:
+        return False
+    delta = SimplicialComplex(A.n, facets)
+    expected = stanley_reisner_by_nonfaces(delta)
+    assert stanley_reisner(delta) == expected, (A.original.entries, omega)
+    return True
 
 
 def triangulation_rows(rng_int, d, n, signed):

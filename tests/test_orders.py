@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from toricgb.buchberger import orient
 from toricgb.errors import GuardViolated, ZeroVector
+from toricgb.oracle import orient
 from toricgb.orders import (
     degrevlex,
     lex,
