@@ -80,10 +80,6 @@ class SimplicialComplex:
                     raise ToricError("facet contained in another facet")
         object.__setattr__(self, "facets", tuple(cleaned))
 
-    def is_face(self, tau) -> bool:
-        t = set(tau)
-        return any(t <= set(f) for f in self.facets)
-
 
 def groebner_cone(G: GroebnerBasis) -> Cone:
     """The closed cone of weights under which G stays the reduced basis.
@@ -220,13 +216,6 @@ def stanley_reisner(delta: SimplicialComplex) -> MonomialIdeal:
         ]
         acc = _intersect_gens(acc, prime)
     return MonomialIdeal(acc, n)
-
-
-def radical_monomial(I: MonomialIdeal) -> MonomialIdeal:
-    """Radical: squarefree-ize every generator, then re-minimalize."""
-    return MonomialIdeal(
-        [tuple(1 if e else 0 for e in g) for g in I.gens], I.n
-    )
 
 
 def is_squarefree(I: MonomialIdeal) -> bool:

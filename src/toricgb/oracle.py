@@ -3,7 +3,8 @@
 Everything here trades speed for obviousness: kernel vectors come from
 matching monomials with equal image fiber by fiber, Graver membership is
 checked against the definition, initial ideals come from grid sweeps of
-weight vectors or from a Buchberger run in every Graver cell,
+weight vectors or from a Buchberger run in every Graver cell, whose
+cells come from a Gordan test on every sign prefix,
 monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
 whose monomial arithmetic is its own and works on exponent tuples, the
@@ -390,6 +391,40 @@ def _open_cone_nonempty(vectors):
     return cone_certificate((0,) * len(vectors[0]) + (-1,), rows) is not None
 
 
+def _cells_every_prefix(coords):
+    """The sign lists of the open cells of the hyperplane arrangement of coords.
+
+    The cells come in the sign tree's order, +1 before -1 at each depth,
+    and every sign prefix is tested on its full pattern with its own
+    Gordan test.
+    """
+    cells = []
+
+    def descend(signs, signed):
+        if len(signs) == len(coords):
+            cells.append(signs)
+            return
+        for s in (1, -1):
+            nxt = signed + [tuple(s * x for x in coords[len(signs)])]
+            if _open_cone_nonempty(nxt):
+                descend(signs + [s], nxt)
+
+    descend([], [])
+    return cells
+
+
+def sign_tree_leaves_every_prefix(A: ConfigMatrix):
+    """The leaves of universal_gb's sign tree, as bitsets, in its order.
+
+    Bit k of a leaf is set when Graver vector k is positive on the cell.
+    No point, certificate or refutation is shared between prefixes.
+    """
+    K = A.kernel_basis().entries
+    coords = [tuple(dot(row, g) for row in K) for g in graver(A)]
+    return [sum(1 << k for k, s in enumerate(signs) if s > 0)
+            for signs in _cells_every_prefix(coords)]
+
+
 def universal_gb_every_cell(A: ConfigMatrix):
     """(ugb, initial_ideals, witnesses) with no work shared between cells.
 
@@ -410,7 +445,8 @@ def universal_gb_every_cell(A: ConfigMatrix):
     ugb = set()
     initial = {}
 
-    def visit(signed):
+    for signs in _cells_every_prefix(coords):
+        signed = [c if s > 0 else tuple(-x for x in c) for c, s in zip(coords, signs)]
         beta = strict_feasible_by_elimination(signed)
         w = [sum(Fraction(b) * row[j] for b, row in zip(beta, K)) for j in range(n)]
         scale = lcm(*(f.denominator for f in w))
@@ -418,17 +454,6 @@ def universal_gb_every_cell(A: ConfigMatrix):
         gb = buchberger(base, term_order(n, weight=omega, tiebreak="degrevlex"))
         ugb.update(normalize_sign(v) for v in gb.vectors)
         initial.setdefault(tuple(sorted(b.lead for b in gb.elements)), omega)
-
-    def descend(signed):
-        if len(signed) == len(coords):
-            visit(signed)
-            return
-        for s in (1, -1):
-            nxt = signed + [tuple(s * x for x in coords[len(signed)])]
-            if _open_cone_nonempty(nxt):
-                descend(nxt)
-
-    descend([])
     ideals = sorted(initial)
     return (
         sorted(ugb),
@@ -584,7 +609,7 @@ def graded_feasible_every_point(A: ConfigMatrix, b, max_nodes=None):
     return search(0, g0, (0,) * M.nrows, [])
 
 
-def _is_face(cols, w, sigma):
+def _is_subdivision_face(cols, w, sigma):
     """Whether some y has a_i . y = w_i on sigma and a_j . y < w_j off it.
 
     w is integral.  Such a y exists exactly when some (y, s, t) has
@@ -654,7 +679,7 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
         for sigma in itertools.combinations(range(n), k):
             if k and rank(IntMatrix(tuple(cols[i] for i in sigma))) < k:
                 continue
-            if _is_face(cols, w, sigma):
+            if _is_subdivision_face(cols, w, sigma):
                 faces.append(sigma)
     sets = [set(f) for f in faces]
     facets = [f for f, fs in zip(faces, sets) if not any(fs < gs for gs in sets)]
@@ -679,6 +704,19 @@ def regular_triangulation_every_subset(A: ConfigMatrix, omega,
     return SimplicialComplex(n, tuple(facets))
 
 
+def is_face(delta: SimplicialComplex, tau) -> bool:
+    """Whether tau lies in some facet of delta."""
+    t = set(tau)
+    return any(t <= set(f) for f in delta.facets)
+
+
+def radical_monomial(I: MonomialIdeal) -> MonomialIdeal:
+    """Radical: squarefree-ize every generator, then re-minimalize."""
+    return MonomialIdeal(
+        [tuple(1 if e else 0 for e in g) for g in I.gens], I.n
+    )
+
+
 def stanley_reisner_by_nonfaces(delta: SimplicialComplex) -> MonomialIdeal:
     """fan.stanley_reisner by a scan for the minimal non-faces.
 
@@ -692,8 +730,8 @@ def stanley_reisner_by_nonfaces(delta: SimplicialComplex) -> MonomialIdeal:
     gens = []
     for k in range(top + 2):
         for tau in itertools.combinations(range(n), k):
-            if delta.is_face(tau):
+            if is_face(delta, tau):
                 continue
-            if all(delta.is_face(tau[:i] + tau[i + 1:]) for i in range(k)):
+            if all(is_face(delta, tau[:i] + tau[i + 1:]) for i in range(k)):
                 gens.append(tuple(1 if i in tau else 0 for i in range(n)))
     return MonomialIdeal(gens, n)

@@ -587,19 +587,39 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
 
     Each piece of work is done once:
 
-    * An integer point strictly feasible for the current sign prefix is
-      passed down the tree.  A child sign c that this point satisfies
-      is feasible with no further test.  Otherwise, with the prefix
-      strictly feasible, the child is feasible exactly when -c is not a
-      nonnegative combination of the prefix, which ``cone_support``
-      decides.  Its certificate z has prefix . z >= 0 and c . z > 0, so
-      a * z + point with a = -(c . point) // (c . z) + 1 is strictly
-      feasible for the child and is passed down its branch.
-    * A child whose hyperplane holds the point, c . point = 0, is
-      feasible with no program: K * point + c has c . (K * point + c) =
-      c . c > 0, and every kept prefix vector v with v . c < 0 has
-      v . (K * point + c) > 0 for K = max(-(v . c) // (v . point)) + 1
-      over those v (K = 1 when there is none).
+    * An integer point y strictly feasible for the current sign prefix
+      is passed down the tree as its values over the Graver vectors: the
+      value at i is e_i . y, e_i being Graver vector i in kernel
+      coordinates.  The Gram table e_i . e_j is built once.  A child
+      sign c is +-e_k, so c . y, c . c and each v . c and v . y of a kept
+      sign v = +-e_d are read off the values and the table, and the
+      values of a new point p * y + q * c, or a * z + y, are the same
+      combination of value vectors.  The only dot products left in the
+      walk are the values of each program's certificate z, taken once.
+      A child sign that y satisfies is feasible with no further test.
+    * Otherwise c . y <= 0, and the ray a * y + c with a > 0 is tried
+      first.  Each kept sign v has v . y > 0, so it is positive on the
+      ray's point exactly when a > -(v . c) / (v . y); let lo be the
+      largest of these bounds, or 0.  c . (a * y + c) = a * (c . y) +
+      c . c is positive for every a when c . y = 0 (c . c > 0), and
+      exactly when a < hi = c . c / -(c . y) when c . y < 0.  So when lo
+      < hi, every a strictly between them gives a point strictly
+      feasible for the child.  The mediant of lo = p / q and hi = c . c
+      / -(c . y), (p + c . c) / (q - c . y), lies strictly between two
+      fractions with positive denominators, and when c . y = 0 it is lo
+      + c . c / q > lo, so the integer point (p + c . c) * y + (q - c .
+      y) * c, a positive multiple of the ray's point there, is passed
+      down.
+    * When the ray fails, with the prefix strictly feasible, the child
+      is feasible exactly when -c is not a nonnegative combination of
+      the prefix, which ``cone_support`` decides.  Its certificate z has
+      prefix . z >= 0 and c . z > 0, so a * z + y with a = -(c . y) //
+      (c . z) + 1 is strictly feasible for the child and is passed down
+      its branch.  Each such z is stored, as its values and the bitsets
+      of the Graver indices where it is positive and negative.  A later
+      child whose kept signs z satisfies weakly (no kept + where z is
+      negative, no kept - where it is positive), and whose sign c has
+      c . z > 0, takes a * z + y with no program, by the same argument.
     * When -c is in the cone, ``cone_support`` names a support S with
       -c a nonnegative combination of the prefix vectors in S.  Every
       node at the same depth whose signs agree with this one on S has
@@ -651,7 +671,6 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         return [], [(MonomialIdeal((), n), omega, GroebnerBasis(order, ()), (), 0)], [0]
 
     K = A.kernel_basis()
-    r = K.nrows
     pk = _Packing(n, max(abs(x) for g in grv for x in g).bit_length() + 1)
     guard = pk.guard
     # per Graver vector, indexed by its sign bit, negative (0) or
@@ -687,47 +706,69 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         patterns.append((mask, pos & mask))
         found.append((pos, up, index, pos & mask))
 
+    # a point y travels as its values over the Graver vectors, y's
+    # value at i being coords[i][1] . y, so every sign test reads a
+    # value and every step to a new point adds value vectors
+    gram = [tuple(dot(c, e) for _, e in coords) for _, c in coords]
     refuted = {}  # (depth, bit) -> supports, as (mask, bits) pairs
+    proved = []  # per feasibility certificate: its values, and where > 0 and < 0
 
-    def signed(pos, kept):
-        return [coords[d][pos >> d & 1] for d in kept]
-
-    def child(pos, k, kept, point, up):
-        # a point strictly feasible for bit `up` at depth k, or None
-        c = coords[k][up]
-        cp = dot(c, point)
+    def child(pos, k, kept, held, P, up):
+        # the values of a point strictly feasible for bit `up` at depth
+        # k, or None; held is the bitset of the depths kept
+        s = 1 if up else -1
+        cp = s * P[k]
         if cp > 0:
-            return point
-        if cp == 0:
-            vs = signed(pos, kept)
-            K = max((-dot(v, c) // dot(v, point) for v in vs if dot(v, c) < 0), default=0) + 1
-            return tuple(K * pi + ci for pi, ci in zip(point, c))
+            return P
+        # the ray a * y + c: each kept sign v bounds a > -(v . c) / (v . y)
+        # from below, and c . y < 0 bounds a < c . c / -(c . y) from above
+        G = gram[k]
+        cc = G[k]
+        lo, den = 0, 1
+        for d in kept:
+            vc, vy = (G[d], P[d]) if pos >> d & 1 else (-G[d], -P[d])
+            vc *= s
+            if vc < 0 and -vc * den > lo * vy:
+                lo, den = -vc, vy
+        if lo * -cp < cc * den:
+            # the mediant of lo / den and cc / -cp lies strictly between
+            a, b = lo + cc, (den - cp) * s
+            return [a * x + b * g for x, g in zip(P, G)]
         if any(not (pos ^ bits) & mask for mask, bits in refuted.get((k, up), ())):
             return None
-        z, S = cone_support(coords[k][1 - up], signed(pos, kept))
-        if z is None:
-            mask = sum(1 << kept[j] for j in S)
-            refuted.setdefault((k, up), []).append((mask, pos & mask))
-            return None
+        for Z, plus, minus in proved:
+            # z weakly satisfies every kept sign and strictly favours c
+            if (plus if up else minus) >> k & 1 and not held & (pos & minus | ~pos & plus):
+                break
+        else:
+            z, S = cone_support(coords[k][1 - up], [coords[d][pos >> d & 1] for d in kept])
+            if z is None:
+                mask = sum(1 << kept[j] for j in S)
+                refuted.setdefault((k, up), []).append((mask, pos & mask))
+                return None
+            Z = [dot(c, z) for _, c in coords]
+            proved.append((Z, sum(1 << i for i, x in enumerate(Z) if x > 0),
+                           sum(1 << i for i, x in enumerate(Z) if x < 0)))
         # the kept signs . z >= 0 and c . z > 0, so any a > -cp / (c . z)
-        a = -cp // dot(c, z) + 1
-        return tuple(a * zi + pi for zi, pi in zip(z, point))
+        a = -cp // (s * Z[k]) + 1
+        return [a * v + x for v, x in zip(Z, P)]
 
-    def descend(pos, k, kept, point):
-        # point is an integer point strictly feasible for the k signs of
-        # pos; the signs at the depths kept cut out the same open cone
+    def descend(pos, k, kept, held, P):
+        # P holds the values of a point strictly feasible for the k signs
+        # of pos; the signs at the depths kept cut out the same open cone
         if k == len(grv):
             leaves.append(pos)
             if not any(not (pos ^ bits) & mask for mask, bits in patterns):
                 visit(pos)
             return
-        points = [child(pos, k, kept, point, up) for up in (1, 0)]
-        deeper = kept + [k] if None not in points else kept
+        points = [child(pos, k, kept, held, P, up) for up in (1, 0)]
+        if None not in points:
+            kept, held = kept + [k], held | 1 << k
         for up, p in zip((1, 0), points):
             if p is not None:
-                descend(pos | up << k, k + 1, deeper, p)
+                descend(pos | up << k, k + 1, kept, held, p)
 
-    descend(0, 0, [], (0,) * r)
+    descend(0, 0, [], 0, [0] * len(grv))
     reached = set(leaves)
     cells = []
     for pos, up, index, bits in found:

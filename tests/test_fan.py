@@ -22,10 +22,10 @@ from toricgb.fan import (
     check_radical_triangulation,
     groebner_cone,
     is_squarefree,
-    radical_monomial,
     regular_triangulation,
     stanley_reisner,
 )
+from toricgb.oracle import is_face, radical_monomial
 from toricgb.orders import term_order
 from toricgb.toric import ConfigMatrix, toric_generators, universal_gb
 
@@ -61,9 +61,9 @@ def test_monomial_ideal_validation():
 def test_simplicial_complex_validation():
     delta = SimplicialComplex(4, ((2, 0), (1, 2), (3,)))
     assert delta.facets == ((0, 2), (1, 2), (3,))
-    assert delta.is_face(())
-    assert delta.is_face((2,))
-    assert not delta.is_face((0, 1))
+    assert is_face(delta, ())
+    assert is_face(delta, (2,))
+    assert not is_face(delta, (0, 1))
     with pytest.raises(ToricError):
         SimplicialComplex(3, ((0, 0),))
     with pytest.raises(ToricError):

@@ -23,6 +23,8 @@ INPUTS = {
     "transport23": ("transport", "2", "3"),
     "curve345": ("monomial-curve", "3", "4", "5"),
     "hypersimplex4": ("hypersimplex2", "4"),
+    "segre222": ("segre", "2", "2", "2"),
+    "segre24": ("segre", "2", "4"),
 }
 
 
@@ -42,6 +44,10 @@ COMMANDS = {
     "groebner": ("groebner", "{m}"),
     "groebner-w": ("groebner", "{m}", "--weight", "{w}"),
     "groebner-w-lex": ("groebner", "{m}", "--weight", "{w}", "--tiebreak", "lex"),
+    "universal": ("universal", "{m}"),
+    "count": ("fan", "count", "{m}"),
+    "cones": ("fan", "cones", "{m}"),
+    "cones-json": ("fan", "cones", "--json", "{m}"),
     "cones-w": ("fan", "cones", "{m}", "--weight", "{w}"),
     "cones-w-lex": ("fan", "cones", "{m}", "--weight", "{w}", "--tiebreak", "lex"),
     "triangulate-w": ("fan", "triangulate", "{m}", "--weight", "{w}"),
@@ -61,6 +67,18 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("segre23", "groebner-w-lex"): (
         "8042d4362f9b7963f172143724a62ecf72a16cb9c310196eb1883e2bfa36c304",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "universal"): (
+        "06c5ac84fd0212f70b97942eb1fc2010c6a608c4007ce19838734ef614dc7596",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "count"): (
+        "29ea4f6f6619c60300006f29b6e63be3aa04ed6f5fb66e8ba827948f995c0d50",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "cones"): (
+        "77215c8e87d696ba6c60bec76b18e637938cc0325f3e46ed15798551d3b6a9cd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "cones-json"): (
+        "f48a199f11b601ec1b7803f51c25f4598713bcf599b3439b184eab9e68ed7ead",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("segre23", "cones-w"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
@@ -89,6 +107,18 @@ GOLDEN = {
     ("segre33", "groebner-w-lex"): (
         "c252fbad61f9e4a00046cc95a342fccb11dd176e47301113b2f5aca80f15a95f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "universal"): (
+        "27d3208abbe418a3f79d7dce61167f4a42af767182766b1433b38e7f78ed2fdd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "count"): (
+        "206d00f15a0ebe325f0e0e09129faf1fcc4101c471fd2a550fe49edb05ef781b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "cones"): (
+        "2ae17aca8d3c12f4e20fc31286f147fe8d501fb7fa1c8571871a5bf1bb0e685c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "cones-json"): (
+        "ad7d57fdb76d7242abd4c29ad7577fc30aff61a786c3265a7cce93dbe1471afa",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("segre33", "cones-w"): (
         "9e3c280c718bedadf8452ce2b9849cef123eaf04858384393fb186731adadc0a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -115,6 +145,18 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("transport23", "groebner-w-lex"): (
         "8042d4362f9b7963f172143724a62ecf72a16cb9c310196eb1883e2bfa36c304",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "universal"): (
+        "06c5ac84fd0212f70b97942eb1fc2010c6a608c4007ce19838734ef614dc7596",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "count"): (
+        "29ea4f6f6619c60300006f29b6e63be3aa04ed6f5fb66e8ba827948f995c0d50",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "cones"): (
+        "77215c8e87d696ba6c60bec76b18e637938cc0325f3e46ed15798551d3b6a9cd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "cones-json"): (
+        "f48a199f11b601ec1b7803f51c25f4598713bcf599b3439b184eab9e68ed7ead",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("transport23", "cones-w"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
@@ -143,6 +185,18 @@ GOLDEN = {
     ("curve345", "groebner-w-lex"): (
         "3a1cd6f65e6b803eea5c23ac89a70e083529318ba6a2c897cd8bf8a714177aeb",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "universal"): (
+        "f4294d58f644dce0189862f20938aac5365f448402b1d7bf4226c78f2e5294ff",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "count"): (
+        "d3036e2fe11f2ec0e1c0ea7a9c68aa84a1c1973ff084a77370584403cb83d264",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "cones"): (
+        "2f3c5d03fc38430ef5fc00abcf0df31d38b4f9a5c52d3fba957597bc4c71c38c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "cones-json"): (
+        "4072887b1d16ce35a014ee07c2c9c16adc596173c84dc6ca14fe3afe3abd7dc7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve345", "cones-w"): (
         "01d960dbcbf41fae225840d82b62467d4741f185c25970d3fed155632f063a0d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -170,6 +224,18 @@ GOLDEN = {
     ("hypersimplex4", "groebner-w-lex"): (
         "fd60158765cf521c1899838980454c40729d3029cbc2ede664e4e275b8361b27",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "universal"): (
+        "25f14846c50718ec2a7b2c454ff6f53c83bda4e52b99e748f81afa912e2bc9d4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "count"): (
+        "b11a69a84793e8355e4f27978630a1feb7e05296dfa7b986b90dd2d8749a992b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "cones"): (
+        "4a0c9399b40a5a9f50753d5741faf40accb848eac88b3e8c17625a26b65bbf2b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "cones-json"): (
+        "22714585afdbd229ea958ce06358fd116c8fc7e5f654538f611faf02ff275243",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("hypersimplex4", "cones-w"): (
         "1caef08051165f13e7fae96c2242de5318a2c727ef646cd39c15eda89fe8f2e0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -187,6 +253,84 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("hypersimplex4", "solve-eliminate"): (
         "2fd0f1d43b533995290cb754d69a8b2aa31ee976ed912545ae2c11427453c768",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "groebner"): (
+        "4995125f545622060a067eb612fef9e650a5fd05aac5fb4c75d3dc1b309cb7f4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "groebner-w"): (
+        "608692582168eba15c6857de751c7f5221360a3fae8bf254d2cf02ea4203d710",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "groebner-w-lex"): (
+        "3d796544353988112a98dfcc053aafb6ab9539b19fae88e4f7af52c5c3564d6e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "universal"): (
+        "1a3680ca6c0df45753cee7648dd284e68f85b331579e1d548c063b65f8ef5bc8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "count"): (
+        "3e1d093964fcb7460704458335e977a01eaa8834c57cdc067af66c89f941a6a7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "cones"): (
+        "7b70c0963fd167310df72390542bd314a095a68b8088933aac62e26f02a62dc2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "cones-json"): (
+        "09370f0aa2470db30c770cca014cb4856db793c89f2549e068d05c5d269e5d6b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "cones-w"): (
+        "b1558fabb190c81439820ec9789b720352c9f2274e05c3bf5b21020de45ae1e2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "cones-w-lex"): (
+        "b1558fabb190c81439820ec9789b720352c9f2274e05c3bf5b21020de45ae1e2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9d8ed3e8299bd76dbb42b023794abf19f18845bd30aef8e1e0a9eb0b37d298d3", 3),
+    ("segre222", "triangulate-sq"): (
+        "45c6b5ca3c6b6e57a5840e239e83999593ccc76ad6cc45d4083acc5a25474721",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "solve-reduce"): (
+        "dd6b34792e317bd528e524f9a3a9804de50c5580749d454db916c1a521bfddc0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "solve-eliminate"): (
+        "dd6b34792e317bd528e524f9a3a9804de50c5580749d454db916c1a521bfddc0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "groebner"): (
+        "e20cd885d7b728cefdd6377e3cf9ba6bf860660bc46ff834ae6b0034b67088a2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "groebner-w"): (
+        "182b462214b79d59510adf0936eeaeff3b718bc7175442c0a4528424aaabac78",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "groebner-w-lex"): (
+        "159681db8eadd638a02f6d8bb1225ac9ceb1de2df6cc790023a86072f02a53d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "universal"): (
+        "ad4ba069bdb83d809838eda6e7158e07f28562edc6b5b60d3de5d7a8801ce65a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "count"): (
+        "c853249dfe99ecc132ca6a80b8d061b5f79281e7189214333bc87b3028615ca4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "cones"): (
+        "55c50da019116d2e87624eea9d4666c57e2ea9e517785fc4aa5ff7c70c652ef8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "cones-json"): (
+        "596d5b4b79e0037c9a07b20c17116ddc9d40608dbf87da0408360cc0d22869e7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "cones-w"): (
+        "03cb6124ae6c4ada49a0e4f64c496250dcc9827882f3a5d022cd1b1316595b29",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "cones-w-lex"): (
+        "03cb6124ae6c4ada49a0e4f64c496250dcc9827882f3a5d022cd1b1316595b29",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1c561b97f9bcddc94d5d388927128d7db817b70c8feb604bd61cf1e20ce2584d", 3),
+    ("segre24", "triangulate-sq"): (
+        "986b9435d2793cb541cd2b8384d9cf28145c271edb45d255e7af87de183aa890",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "solve-reduce"): (
+        "581a837fdd9db41141e4561ddf113854e11a2581d8283eabe7513d4a50f56b15",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "solve-eliminate"): (
+        "581a837fdd9db41141e4561ddf113854e11a2581d8283eabe7513d4a50f56b15",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
 }
 

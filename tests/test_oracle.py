@@ -35,6 +35,7 @@ from toricgb.oracle import (
     multi_step_normal_form,
     orient,
     regular_triangulation_every_subset,
+    sign_tree_leaves_every_prefix,
     single_step_normal_form,
     stanley_reisner_by_nonfaces,
     strict_feasible_by_elimination,
@@ -46,6 +47,7 @@ from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import (
     ConfigMatrix,
     _canonical_order,
+    _sign_tree,
     graver,
     normalize_sign,
     saturate_variable,
@@ -171,6 +173,17 @@ def test_universal_gb_matches_every_cell_enumeration():
             assert G == buchberger(gens, term_order(A.n, weight=w)), A.original
         other_first_row += A.original.row(0) != (1,) * A.n
     assert other_first_row >= 10
+
+
+def test_sign_tree_leaves_match_every_prefix_test_seeded():
+    # the walk decides a child sign by the passed-down point, the ray
+    # from it, a stored certificate or refutation, or one program; the
+    # oracle decides every prefix with its own Gordan test, so the
+    # leaves, and their order, must agree; Segre 2x2x2 has 768 leaves
+    segre222 = ConfigMatrix(generate("segre", (2, 2, 2)))
+    for A in [*pointed_configs(random.Random(23), 40), segre222]:
+        _, _, leaves = _sign_tree(A, Budget())
+        assert leaves == sign_tree_leaves_every_prefix(A), A.original
 
 
 def test_groebner_cone_counts_facets_and_lineality():
