@@ -12,13 +12,16 @@ flag switches to a human-readable binomial rendering (1-based variable
 names, no header).
 
 Flags
-    --out, --pretty and --max-degree belong to the subcommands that
-    print a vector block (groebner, graver, circuits, universal); gen
-    takes --out.  --weight is required by solve and fan triangulate,
-    optional on groebner and fan cones, and refused by fan count.
+    Each subcommand, and each fan mode (count, cones, triangulate),
+    declares in build_parser the flags it reads and no others; fan's
+    flags follow its mode.  --out, --pretty and --max-degree belong to
+    the subcommands that print a vector block (groebner, graver,
+    circuits, universal); gen takes --out.  --weight is required by
+    solve and fan triangulate and optional on groebner and fan cones.
     --tiebreak refines a weight order, so it is taken by groebner and
-    fan cones, and only together with --weight.  A flag given where it
-    would be ignored exits 1.
+    fan cones, and only together with --weight.  On fan cones, --weight
+    names one cone, so it excludes --max-graver-bits.  Any other flag
+    gets argparse's refusal, which names it, and exits 1.
 
 Exit codes
     0  success
@@ -125,9 +128,7 @@ def parse_matrix(text) -> IntMatrix:
 
 
 def write_matrix(M: IntMatrix) -> str:
-    lines = [f"{M.nrows} {M.ncols}"]
-    lines += [" ".join(str(x) for x in row) for row in M.entries]
-    return "\n".join(lines) + "\n"
+    return write_vectors(M.entries)
 
 
 def parse_vectors(text, rational: bool = False):
@@ -208,9 +209,7 @@ def _emit_report(report: dict, json_flag: bool):
 # ---------------------------------------------------------------------------
 
 
-def _gen_segre(dims):
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ParseFailure("segre needs at least two positive dimensions")
+def _segre(*dims):
     d = sum(dims)
     offsets = [sum(dims[:k]) for k in range(len(dims))]
     cols = []
@@ -219,25 +218,13 @@ def _gen_segre(dims):
         for off, i in zip(offsets, combo):
             col[off + i] = 1
         cols.append(col)
-    return IntMatrix(tuple(tuple(c[r] for c in cols) for r in range(d)))
+    return IntMatrix(tuple(zip(*cols)))
 
 
-def _gen_hypersimplex2(d):
-    if d < 2:
-        raise ParseFailure("hypersimplex2 needs dimension at least 2")
-    cols = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            col = [0] * d
-            col[i] = col[j] = 1
-            cols.append(col)
-    return IntMatrix(tuple(tuple(c[r] for c in cols) for r in range(d)))
-
-
-def _gen_monomial_curve(exps):
-    if not exps or any(e < 1 for e in exps):
-        raise ParseFailure("monomial-curve needs positive exponents")
-    return IntMatrix((tuple(exps),))
+def _hypersimplex2(d):
+    cols = [[int(r in (i, j)) for r in range(d)]
+            for i in range(d) for j in range(i + 1, d)]
+    return IntMatrix(tuple(zip(*cols)))
 
 
 def tt_graph_edges(s: int, l: int):
@@ -253,9 +240,7 @@ def tt_graph_edges(s: int, l: int):
     return nv, edges
 
 
-def _gen_tt_graph(s, l):
-    if s < 3 or l < 3:
-        raise ParseFailure("tt-graph needs cycle lengths of at least 3")
+def _tt_graph(s, l):
     if l % 2 == 0:
         raise ParseFailure("tt-graph needs an odd attached cycle length")
     nv, edges = tt_graph_edges(s, l)
@@ -266,48 +251,34 @@ def _gen_tt_graph(s, l):
     return IntMatrix(tuple(tuple(r) for r in rows))
 
 
-def _int_params(params, count, kind):
-    if len(params) != count:
-        raise ParseFailure(f"{kind} takes {count} parameter(s)")
-    try:
-        return [int(p) for p in params]
-    except ValueError:
-        raise ParseFailure(f"{kind} parameters must be integers")
+# kind -> (least parameter count, most or None for no bound, least value
+# of each integer parameter or None for a file name, builder); gen's
+# parser takes its choices from here
+GENERATORS = {
+    "segre": (2, None, 1, _segre),
+    "hypersimplex2": (1, 1, 2, _hypersimplex2),
+    "lawrence": (1, 1, None, lambda path: lawrence_lifting(parse_matrix(_read(path)))),
+    "monomial-curve": (1, None, 1, lambda *exps: IntMatrix((exps,))),
+    "tt-graph": (2, 2, 3, _tt_graph),
+    # the r x c transportation polytope's matrix is that of Segre r x c
+    "transport": (2, 2, 1, _segre),
+}
 
 
 def generate(kind: str, params) -> IntMatrix:
-    if kind == "segre":
-        if len(params) < 2:
-            raise ParseFailure("segre takes at least two dimensions")
+    """The matrix of a GENERATORS kind, after one check of its parameters."""
+    least, most, floor, build = GENERATORS[kind]
+    if len(params) < least or most is not None and len(params) > most:
+        count = least if least == most else f"at least {least}"
+        raise ParseFailure(f"{kind} takes {count} parameter(s)")
+    if floor is not None:
         try:
-            dims = [int(p) for p in params]
+            params = [int(p) for p in params]
         except ValueError:
-            raise ParseFailure("segre dimensions must be integers")
-        return _gen_segre(dims)
-    if kind == "hypersimplex2":
-        return _gen_hypersimplex2(_int_params(params, 1, kind)[0])
-    if kind == "lawrence":
-        if len(params) != 1:
-            raise ParseFailure("lawrence takes one matrix file")
-        return lawrence_lifting(parse_matrix(_read(params[0])))
-    if kind == "monomial-curve":
-        if not params:
-            raise ParseFailure("monomial-curve takes exponents")
-        try:
-            exps = [int(p) for p in params]
-        except ValueError:
-            raise ParseFailure("monomial-curve exponents must be integers")
-        return _gen_monomial_curve(exps)
-    if kind == "tt-graph":
-        s, l = _int_params(params, 2, kind)
-        return _gen_tt_graph(s, l)
-    if kind == "transport":
-        r, c = _int_params(params, 2, kind)
-        if r < 1 or c < 1:
-            raise ParseFailure("transport needs positive side lengths")
-        # the r x c transportation polytope's matrix is that of Segre r x c
-        return _gen_segre((r, c))
-    raise ParseFailure(f"unknown generator kind {kind!r}")
+            raise ParseFailure(f"{kind} parameters must be integers")
+        if min(params) < floor:
+            raise ParseFailure(f"{kind} parameters must be at least {floor}")
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +288,16 @@ def generate(kind: str, params) -> IntMatrix:
 
 def _load_config(args) -> ConfigMatrix:
     return ConfigMatrix(parse_matrix(_read(args.matrix)))
+
+
+def _weight_order(args, A: ConfigMatrix):
+    """The --weight and its term order refined by --tiebreak, or (None, None)."""
+    if args.weight is None:
+        if args.tiebreak is not None:
+            raise ParseFailure("--tiebreak needs --weight")
+        return None, None
+    w = _load_weight(args.weight, A.n)
+    return w, term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
 
 
 def _emit_block(args, A: ConfigMatrix, vectors, **extra) -> int:
@@ -334,12 +315,7 @@ def _emit_block(args, A: ConfigMatrix, vectors, **extra) -> int:
 
 def cmd_groebner(args) -> int:
     A = _load_config(args)
-    order = None
-    if args.weight is not None:
-        w = _load_weight(args.weight, A.n)
-        order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
-    elif args.tiebreak is not None:
-        raise ParseFailure("--tiebreak needs --weight")
+    _, order = _weight_order(args, A)
     G = toric_groebner(A, order, Budget(degree=args.max_degree, grading=A.grading))
     return _emit_block(args, A, list(G.vectors),
                        initial_ideal=sorted(_monomial_str(g.lead) for g in G.elements))
@@ -363,14 +339,9 @@ def cmd_circuits(args) -> int:
                        max_true_degree=max((c.true_degree for c in cs), default=0))
 
 
-def _graver_cap(args):
-    # the flag defaults to None so that fan can tell whether it was given
-    return Budget.graver if args.max_graver_bits is None else args.max_graver_bits
-
-
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    budget = _lifted_budget(args, A, graver=_graver_cap(args))
+    budget = _lifted_budget(args, A, graver=args.max_graver_bits)
     ugb, ideals, _, _ = universal_gb(A, budget)
     return _emit_block(args, A, ugb, initial_ideals=len(ideals))
 
@@ -387,8 +358,6 @@ def _parse_rhs(text, d):
 
 def cmd_solve(args) -> int:
     A = _load_config(args)
-    if args.weight is None:
-        raise ParseFailure("solve needs --weight")
     w = _load_weight(args.weight, A.n)
     b = _parse_rhs(args.rhs, A.original.nrows)
     inst = IPInstance(A, w, b)
@@ -405,62 +374,28 @@ def cmd_solve(args) -> int:
     cost = sum(Fraction(wi) * x for wi, x in zip(w, point))
     cost_repr = int(cost) if cost.denominator == 1 else str(cost)
     if args.json:
-        _emit_report(
-            {
-                "command": "solve",
-                "status": "optimal",
-                "point": list(point),
-                "cost": cost_repr,
-            },
-            True,
-        )
+        report = {"command": "solve", "status": "optimal", "point": list(point),
+                  "cost": cost_repr}
+        _emit_report(report, True)
     else:
-        sys.stdout.write(
-            "(" + ",".join(str(x) for x in point) + f") cost {cost_repr}\n"
-        )
+        sys.stdout.write("(" + ",".join(str(x) for x in point) + f") cost {cost_repr}\n")
     return 0
 
 
-def cmd_fan(args) -> int:
+def cmd_fan_count(args) -> int:
+    _, ideals, _, _ = universal_gb(_load_config(args), Budget(graver=args.max_graver_bits))
+    _emit_report({"command": "fan", "initial_ideals": len(ideals)}, args.json)
+    return 0
+
+
+def cmd_fan_cones(args) -> int:
     A = _load_config(args)
-    if args.mode == "count" and args.weight is not None:
-        raise ParseFailure("count mode takes no --weight")
-    if args.tiebreak is not None:
-        if args.mode != "cones":
-            raise ParseFailure(f"{args.mode} mode takes no --tiebreak")
-        if args.weight is None:
-            raise ParseFailure("--tiebreak needs --weight")
-    if args.max_graver_bits is not None:
-        if args.mode == "triangulate":
-            raise ParseFailure("triangulate mode takes no --max-graver-bits")
-        if args.weight is not None:
-            raise ParseFailure("cones mode takes no --max-graver-bits with --weight")
-    if args.mode == "triangulate":
-        if args.weight is None:
-            raise ParseFailure("triangulate mode needs --weight")
-        w = _load_weight(args.weight, A.n)
-        delta = regular_triangulation(A, w)
-        report = {
-            "command": "fan",
-            "facets": [
-                ",".join(str(i + 1) for i in f) for f in delta.facets
-            ],
-        }
-        _emit_report(report, args.json)
-        return 0
-    if args.mode == "cones" and args.weight is not None:
-        # single cone at the given weight; enumeration would be wasteful
-        w = _load_weight(args.weight, A.n)
-        order = term_order(A.n, weight=w, tiebreak=args.tiebreak or "degrevlex")
-        G = toric_groebner(A, order)
-        witnesses = [(groebner_cone(G), tuple(w))]
+    w, order = _weight_order(args, A)
+    if order is None:
+        witnesses = groebner_fan(A, Budget(graver=args.max_graver_bits))
     else:
-        budget = Budget(graver=_graver_cap(args))
-        if args.mode == "count":
-            _, ideals, _, _ = universal_gb(A, budget)
-            _emit_report({"command": "fan", "initial_ideals": len(ideals)}, args.json)
-            return 0
-        witnesses = groebner_fan(A, budget)
+        # single cone at the given weight; enumeration would be wasteful
+        witnesses = [(groebner_cone(toric_groebner(A, order)), w)]
     cones = [
         {"facets": cone.facet_count, "witness": ",".join(str(x) for x in w)}
         for cone, w in witnesses
@@ -473,9 +408,16 @@ def cmd_fan(args) -> int:
     return 0
 
 
+def cmd_fan_triangulate(args) -> int:
+    A = _load_config(args)
+    delta = regular_triangulation(A, _load_weight(args.weight, A.n))
+    facets = [",".join(str(i + 1) for i in f) for f in delta.facets]
+    _emit_report({"command": "fan", "facets": facets}, args.json)
+    return 0
+
+
 def cmd_gen(args) -> int:
-    M = generate(args.kind, args.params)
-    _write(args.out, write_matrix(M))
+    _write(args.out, write_matrix(generate(args.kind, args.params)))
     return 0
 
 
@@ -496,6 +438,7 @@ def _cap(text) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, in which each subcommand and fan mode declares its flags."""
     top = argparse.ArgumentParser(
         prog="toricgb",
         description="Exact toric ideal computations: Gröbner, Graver and "
@@ -504,11 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, weight=False):
-        p.add_argument("matrix", help="configuration MatrixFile")
-        if weight:
-            p.add_argument("--weight", help="weight VectorListFile (one row)")
-        p.add_argument("--json", action="store_true", help="JSON report")
+    def weight(p, required=False):
+        p.add_argument("--weight", required=required, help="weight VectorListFile (one row)")
+
+    def needs_weight(p):
+        weight(p, required=True)
+
+    def tiebreak(p):
+        p.add_argument(
+            "--tiebreak",
+            choices=("degrevlex", "lex"),
+            help="tie-break order refining --weight (default degrevlex)",
+        )
 
     def vector_block(p):
         p.add_argument("--out", help="output path (default: stdout)")
@@ -522,38 +472,31 @@ def build_parser() -> argparse.ArgumentParser:
             help="largest degree of any element computed (default: unlimited)",
         )
 
-    def tiebreak(p):
-        p.add_argument(
-            "--tiebreak",
-            choices=("degrevlex", "lex"),
-            default=None,
-            help="tie-break order refining --weight (default degrevlex)",
-        )
-
     def graver_cap(p):
         p.add_argument(
             "--max-graver-bits",
             type=_cap,
-            default=None,
+            default=Budget.graver,
             help=f"Graver size cap for sign enumeration (default {Budget.graver})",
         )
 
-    p = sub.add_parser("groebner", help="reduced Gröbner basis")
-    common(p, weight=True)
-    tiebreak(p)
-    vector_block(p)
-    for name, text in (("graver", "Graver basis"),
-                       ("circuits", "circuits with true degrees")):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        vector_block(p)
-    p = sub.add_parser("universal", help="universal Gröbner basis")
-    common(p)
-    vector_block(p)
-    graver_cap(p)
+    def command(parent, name, run, text, *flags):
+        p = parent.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("matrix", help="configuration MatrixFile")
+        p.add_argument("--json", action="store_true", help="JSON report")
+        for flag in flags:
+            flag(p)
+        return p
 
-    p = sub.add_parser("solve", help="integer program over a fiber")
-    common(p, weight=True)
+    command(sub, "groebner", cmd_groebner, "reduced Gröbner basis",
+            weight, tiebreak, vector_block)
+    command(sub, "graver", cmd_graver, "Graver basis", vector_block)
+    command(sub, "circuits", cmd_circuits, "circuits with true degrees", vector_block)
+    command(sub, "universal", cmd_universal, "universal Gröbner basis",
+            vector_block, graver_cap)
+
+    p = command(sub, "solve", cmd_solve, "integer program over a fiber", needs_weight)
     p.add_argument("--rhs", required=True, help="right-hand side, comma separated")
     p.add_argument(
         "--max-fiber",
@@ -569,24 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="normal-form reduction or the elimination pipeline",
     )
 
-    p = sub.add_parser("fan", help="Gröbner fan and triangulations")
-    p.add_argument("mode", choices=("count", "cones", "triangulate"))
-    common(p, weight=True)
-    tiebreak(p)
-    graver_cap(p)
+    modes = sub.add_parser("fan", help="Gröbner fan and triangulations").add_subparsers(
+        dest="mode", required=True)
+    command(modes, "count", cmd_fan_count, "number of initial ideals", graver_cap)
+    p = command(modes, "cones", cmd_fan_cones, "facet count and witness of each cone",
+                tiebreak)
+    # a weight names one cone, so no sign enumeration runs for the cap to limit
+    one_or_all = p.add_mutually_exclusive_group()
+    weight(one_or_all)
+    graver_cap(one_or_all)
+    command(modes, "triangulate", cmd_fan_triangulate, "regular triangulation at a weight",
+            needs_weight)
 
     p = sub.add_parser("gen", help="write a generated configuration")
-    p.add_argument(
-        "kind",
-        choices=(
-            "segre",
-            "hypersimplex2",
-            "lawrence",
-            "monomial-curve",
-            "tt-graph",
-            "transport",
-        ),
-    )
+    p.set_defaults(run=cmd_gen)
+    p.add_argument("kind", choices=GENERATORS)
     p.add_argument("params", nargs="*", help="generator parameters")
     p.add_argument("--out", help="output path (default: stdout)")
     return top
@@ -596,16 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 _LIMIT_FLAGS = {"degree": "--max-degree", "graver": "--max-graver-bits",
                 "nodes": "--max-fiber", "pairs": "--max-fiber"}
 
-_DISPATCH = {
-    "groebner": cmd_groebner,
-    "graver": cmd_graver,
-    "circuits": cmd_circuits,
-    "universal": cmd_universal,
-    "solve": cmd_solve,
-    "fan": cmd_fan,
-    "gen": cmd_gen,
-}
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -614,7 +544,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ParseFailure as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

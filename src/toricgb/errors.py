@@ -52,7 +52,7 @@ class LimitExceeded(ToricError):
         self.guard, self.limit, self.reached = guard, limit, reached
 
 
-class NegativeEntries(ToricError):
+class NegativeEntries(GuardViolated):
     """A nonnegative matrix or vector was required."""
 
 

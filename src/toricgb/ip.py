@@ -52,11 +52,11 @@ class IPInstance:
 
 
 def _nonneg_guard(M):
+    """Refuse a matrix with a negative entry or a zero column."""
+    if any(x < 0 for row in M.entries for x in row):
+        raise NegativeEntries("matrix has a negative entry")
     for i in range(M.ncols):
-        col = M.col(i)
-        if any(x < 0 for x in col):
-            raise GuardViolated("matrix has a negative entry")
-        if not any(col):
+        if not any(M.col(i)):
             raise GuardViolated(f"column {i} is zero")
 
 
@@ -238,11 +238,7 @@ def solve_ip_elimination(inst: IPInstance, budget: Budget = Budget(),
     budget = budget if max_pairs is None else replace(budget, pairs=max_pairs)
     A = inst.A
     M = A.original
-    if any(x < 0 for row in M.entries for x in row):
-        raise NegativeEntries("elimination pipeline needs a nonnegative matrix")
-    for i in range(M.ncols):
-        if not any(M.col(i)):
-            raise NotPointed(f"column {i} is zero")
+    _nonneg_guard(M)
     if any(x < 0 for x in inst.b):
         return None  # a nonnegative matrix maps x >= 0 to b >= 0
     d, n = A.d, A.n

@@ -155,7 +155,7 @@ class ConfigMatrix:
         return f"ConfigMatrix({self.d}x{self.n}, pointed={self.pointed})"
 
 
-def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget(), *,
+def saturate_variable(gens, i: int, degrees, budget: Budget = Budget(), *,
                       saturated=()):
     """Generators of (ideal of gens) : x_i^infinity, as lattice vectors.
 
@@ -166,7 +166,7 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget(), *,
     shared factor, so their binomials generate an ideal between that
     saturation and the lattice ideal of the lattice of gens.  The
     generators must be homogeneous for `degrees` (any lattice of kernel
-    vectors of a graded configuration is); default all-ones.
+    vectors of a graded configuration is).
 
     The ideal of gens need not be saturated, so the run skips no pair
     for sharing a variable, but its saturation is saturated in x_i and
@@ -177,9 +177,7 @@ def saturate_variable(gens, i: int, degrees=None, budget: Budget = Budget(), *,
     gens = [tuple(v) for v in gens]
     if not gens:
         return []
-    n = len(gens[0])
-    gamma = tuple(degrees) if degrees is not None else (1,) * n
-    return _groebner(gens, weighted_revlex(gamma, cheapest=i), budget,
+    return _groebner(gens, weighted_revlex(tuple(degrees), cheapest=i), budget,
                      saturated={i, *saturated}).vectors()
 
 

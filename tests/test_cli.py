@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from toricgb.cli import (
+    generate,
     main,
     parse_matrix,
     parse_vectors,
@@ -229,17 +230,19 @@ def test_graver_size_cap_only_where_the_enumeration_runs(twisted, tmp_path, caps
         rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
         assert rc == 4
         assert "capped at 4" in err
+    w = wfile(tmp_path, [3, 0, 1, 7])
     for argv in (["groebner", twisted], ["graver", twisted],
-                 ["circuits", twisted], ["solve", twisted, "--rhs", "1,1"]):
+                 ["circuits", twisted], ["solve", twisted, "--weight", w, "--rhs", "1,1"]):
         rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
         assert rc == 1
         assert "unrecognized arguments: --max-graver-bits" in err
     # with --weight, fan enumerates nothing, so it refuses the cap
-    w = wfile(tmp_path, [3, 0, 1, 7])
-    for mode in ("triangulate", "cones"):
+    for mode, message in (("triangulate", "unrecognized arguments: --max-graver-bits"),
+                          ("cones", "argument --max-graver-bits: not allowed with "
+                                    "argument --weight")):
         rc, _, err = run(capsys, ["fan", mode, twisted, "--weight", w, "--max-graver-bits", "4"])
         assert rc == 1
-        assert "takes no --max-graver-bits" in err
+        assert message in err
         assert run(capsys, ["fan", mode, twisted, "--weight", w])[0] == 0
 
 
@@ -405,7 +408,7 @@ def test_fan_count_rejects_weight(twisted, tmp_path, capsys):
     rc, out, err = run(capsys, ["fan", "count", twisted, "--weight", w])
     assert rc == 1
     assert out == ""
-    assert "takes no --weight" in err
+    assert "unrecognized arguments: --weight" in err
 
 
 def test_fan_cones_enumerates_all_cells(twisted, capsys):
@@ -494,10 +497,66 @@ def test_fan_triangulate_rejects_the_uncovered_square(tmp_path, capsys):
 def test_fan_triangulate_needs_weight(twisted, capsys):
     rc, _, err = run(capsys, ["fan", "triangulate", twisted])
     assert rc == 1
-    assert "needs --weight" in err
+    assert "the following arguments are required: --weight" in err
 
 
 # -- flags taken only where they are read ----------------------------------
+
+
+# each parser as a valid argv, {m} standing for the matrix file and {w}
+# for a weight file, with the flags it declares
+PARSERS = {
+    ("groebner", "{m}"): {"--json", "--weight", "--tiebreak", "--out", "--pretty",
+                          "--max-degree"},
+    ("graver", "{m}"): {"--json", "--out", "--pretty", "--max-degree"},
+    ("circuits", "{m}"): {"--json", "--out", "--pretty", "--max-degree"},
+    ("universal", "{m}"): {"--json", "--out", "--pretty", "--max-degree", "--max-graver-bits"},
+    ("solve", "{m}", "--weight", "{w}", "--rhs", "4,5"): {"--json", "--weight", "--rhs",
+                                                          "--max-fiber", "--method"},
+    ("fan", "count", "{m}"): {"--json", "--max-graver-bits"},
+    ("fan", "cones", "{m}"): {"--json", "--weight", "--tiebreak", "--max-graver-bits"},
+    ("fan", "triangulate", "{m}", "--weight", "{w}"): {"--json", "--weight"},
+    ("gen", "segre", "2", "2"): {"--out"},
+}
+
+# every flag of the command line, with a value it takes; {o} is a path
+# that no refused run may write
+FLAGS = {"--json": (), "--pretty": (), "--weight": ("{w}",), "--tiebreak": ("lex",),
+         "--out": ("{o}",), "--max-degree": ("3",), "--max-graver-bits": ("9",),
+         "--max-fiber": ("5",), "--rhs": ("4,5",), "--method": ("reduce",)}
+
+REFUSALS = [(head + (flag, *FLAGS[flag]), f"unrecognized arguments: {flag}")
+            for head, declared in PARSERS.items() for flag in FLAGS if flag not in declared]
+REFUSALS += [
+    (("fan", "cones", "{m}", "--weight", "{w}", "--max-graver-bits", "9"),
+     "argument --max-graver-bits: not allowed with argument --weight"),
+    (("fan", "cones", "{m}", "--max-graver-bits", "9", "--weight", "{w}"),
+     "argument --weight: not allowed with argument --max-graver-bits"),
+    (("solve", "{m}", "--rhs", "4,5"), "the following arguments are required: --weight"),
+    (("fan", "triangulate", "{m}"), "the following arguments are required: --weight"),
+    (("fan", "{m}"), "argument mode: invalid choice"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=["-".join(w.strip("{-}") for w in argv) for argv, _ in REFUSALS])
+def test_each_parser_refuses_every_flag_it_does_not_declare(twisted, tmp_path, capsys,
+                                                            argv, message):
+    words = {"m": twisted, "w": wfile(tmp_path, [1, 0, 0, 1]), "o": str(tmp_path / "o.txt")}
+    rc, out, err = run(capsys, [word.format(**words) for word in argv])
+    assert (rc, out) == (1, "")
+    assert message in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("parser", [
+    (), ("groebner",), ("graver",), ("circuits",), ("universal",), ("solve",), ("fan",),
+    ("fan", "count"), ("fan", "cones"), ("fan", "triangulate"), ("gen",),
+], ids=lambda parser: " ".join(parser) or "toricgb")
+def test_each_parser_prints_its_help(capsys, parser):
+    rc, out, err = run(capsys, [*parser, "--help"])
+    assert (rc, err) == (0, "")
+    assert out.startswith(" ".join(("usage: toricgb", *parser)))
 
 
 def test_report_only_subcommands_refuse_vector_flags(twisted, tmp_path, capsys):
@@ -523,15 +582,15 @@ def test_solve_refuses_tiebreak_and_needs_weight(twisted, tmp_path, capsys):
     assert "unrecognized arguments: --tiebreak" in err
     rc, out, err = run(capsys, ["solve", twisted, "--rhs", "4,5"])
     assert rc == 1 and out == ""
-    assert "solve needs --weight" in err
+    assert "the following arguments are required: --weight" in err
 
 
 def test_tiebreak_only_refines_a_weight(twisted, tmp_path, capsys):
     w = wfile(tmp_path, [1, 0, 0, 1])
     for argv, message in (
-        (["fan", "count", twisted], "count mode takes no --tiebreak"),
+        (["fan", "count", twisted], "unrecognized arguments: --tiebreak"),
         (["fan", "triangulate", twisted, "--weight", w],
-         "triangulate mode takes no --tiebreak"),
+         "unrecognized arguments: --tiebreak"),
         (["fan", "cones", twisted], "--tiebreak needs --weight"),
         (["groebner", twisted], "--tiebreak needs --weight"),
     ):
@@ -614,6 +673,26 @@ def test_gen_bad_parameters(capsys):
     rc, _, err = run(capsys, ["gen", "transport", "2"])
     assert rc == 1
     assert "takes 2 parameter" in err
+
+
+@pytest.mark.parametrize("gen, message", [
+    (("segre", "2"), "segre takes at least 2 parameter(s)"),
+    (("segre", "2", "0"), "segre parameters must be at least 1"),
+    (("hypersimplex2", "1"), "hypersimplex2 parameters must be at least 2"),
+    (("hypersimplex2", "4", "5"), "hypersimplex2 takes 1 parameter(s)"),
+    (("monomial-curve",), "monomial-curve takes at least 1 parameter(s)"),
+    (("monomial-curve", "3", "x"), "monomial-curve parameters must be integers"),
+    (("tt-graph", "3", "2"), "tt-graph parameters must be at least 3"),
+    (("transport", "2", "3", "4"), "transport takes 2 parameter(s)"),
+    (("lawrence",), "lawrence takes 1 parameter(s)"),
+    (("lawrence", "/nonexistent/path.mat"), "cannot read"),
+])
+def test_each_generator_checks_its_parameters_once(capsys, gen, message):
+    with pytest.raises(ParseFailure, match=re.escape(message)):
+        generate(*gen[:1], gen[1:])
+    rc, out, err = run(capsys, ["gen", *gen])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {message}")
 
 
 # -- golden outputs ---------------------------------------------------------

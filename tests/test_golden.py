@@ -25,6 +25,10 @@ INPUTS = {
     "hypersimplex4": ("hypersimplex2", "4"),
     "segre222": ("segre", "2", "2", "2"),
     "segre24": ("segre", "2", "4"),
+    "curve3_7_8_11": ("monomial-curve", "3", "7", "8", "11"),
+    "ttgraph33": ("tt-graph", "3", "3"),
+    # {segre23} stands for the matrix file of that input
+    "lawrence23": ("lawrence", "{segre23}"),
 }
 
 
@@ -44,6 +48,8 @@ COMMANDS = {
     "groebner": ("groebner", "{m}"),
     "groebner-w": ("groebner", "{m}", "--weight", "{w}"),
     "groebner-w-lex": ("groebner", "{m}", "--weight", "{w}", "--tiebreak", "lex"),
+    "graver": ("graver", "{m}"),
+    "circuits": ("circuits", "{m}"),
     "universal": ("universal", "{m}"),
     "count": ("fan", "count", "{m}"),
     "cones": ("fan", "cones", "{m}"),
@@ -332,6 +338,183 @@ GOLDEN = {
     ("segre24", "solve-eliminate"): (
         "581a837fdd9db41141e4561ddf113854e11a2581d8283eabe7513d4a50f56b15",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "graver"): (
+        "0436fced2452e283107016080fd9d3a09ae1b3af6224d8450dab7b7dca43de6e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre23", "circuits"): (
+        "e29b9e1d62c840225c5a63c6387bc77d4a3690e796bff27423894079f9747654",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "graver"): (
+        "0add49f387edb881b623b2de1c2dae3d764c8b4fceec35aa9b807d9ca0aec451",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre33", "circuits"): (
+        "18388bf821640b53cf7f5e9e5bc799c2682a2ed1e958481f8b8c8744740f4a4f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "graver"): (
+        "0436fced2452e283107016080fd9d3a09ae1b3af6224d8450dab7b7dca43de6e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("transport23", "circuits"): (
+        "e29b9e1d62c840225c5a63c6387bc77d4a3690e796bff27423894079f9747654",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "graver"): (
+        "083f7e31854ff502593e995bfd6833e6a0d2751f8cdc5b307c888f961e83d558",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve345", "circuits"): (
+        "c1f01af52f653bcd3a15a1fd7190a362e1ddd49f7150635aabea408228587ecf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "graver"): (
+        "c7168ddf5811be56cb39b9ab13fb52c86143733618efc68e1aa0fb69990bef14",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex4", "circuits"): (
+        "708acc6edbd460da5888137809bcd2e06afba3fec475dfd7c2db044506a28fc1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "graver"): (
+        "8ee7a0a82046e27ea4f297d2bbddc56a063400330d9595eaad178e22b9e0e966",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre222", "circuits"): (
+        "37144e0d261799b8f50f93a705d5d198f0a62212af073df43a28a4068e6bb45c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "graver"): (
+        "82621dabeb8520fc8e69933737c5eb3400eb79b64be6cdd8119c430dd30e880e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre24", "circuits"): (
+        "0d4248e8201a8af800dee843f3e4f9d1cf184382f23156a0751a96652e321f1c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "groebner"): (
+        "699f1c8702ec61c958e521be3333bb001750735b8d87ef4b874717b8e86fe631",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "groebner-w"): (
+        "2dd5929dea35820e7c130494acc1ba287eac1f6698e731db28d8d1c19c51d8dc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "groebner-w-lex"): (
+        "2dd5929dea35820e7c130494acc1ba287eac1f6698e731db28d8d1c19c51d8dc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "graver"): (
+        "f9d8e835144f441c3136c392c475d0208d8f83f715264e3df39b19376f0b9a87",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "circuits"): (
+        "2ab94d698a686b7318f1ad45fc93f7bfc196f2d294261dae28daaa30cd18b1b7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "universal"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+    ("curve3_7_8_11", "count"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+    ("curve3_7_8_11", "cones"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+    ("curve3_7_8_11", "cones-json"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+    ("curve3_7_8_11", "cones-w"): (
+        "ad701423f01803a58392f55e1e6abf0e85f9fe1467d235b18ddf60467ffe67ca",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "cones-w-lex"): (
+        "ad701423f01803a58392f55e1e6abf0e85f9fe1467d235b18ddf60467ffe67ca",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "triangulate-w"): (
+        "db2e74417912c53528d1f9b90c2f1a295adb18bc6953a09d0572016aa94b520d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "triangulate-sq"): (
+        "db2e74417912c53528d1f9b90c2f1a295adb18bc6953a09d0572016aa94b520d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "solve-reduce"): (
+        "612b3f9b3b03a4df2304a497d368b9ccf3a9c5604d4d44a509f08126ca9e2ba9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("curve3_7_8_11", "solve-eliminate"): (
+        "612b3f9b3b03a4df2304a497d368b9ccf3a9c5604d4d44a509f08126ca9e2ba9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "groebner"): (
+        "1b6fd9fb38b21248da61c3c284a70e6736cf111522c2656a7d0b4f0e73188b52",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "groebner-w"): (
+        "ef004b0b7a20d811ed23df6b549bd78db31682a2f641133e5347d67c788d5767",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "groebner-w-lex"): (
+        "ef004b0b7a20d811ed23df6b549bd78db31682a2f641133e5347d67c788d5767",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "graver"): (
+        "9743590add53ff2fafa5139b9f65f7b4dcd5405ddfb53c9251c81d39bfa382f1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "circuits"): (
+        "43ee4ab147cd9f898693fe4c861f5190f2300d00b87b48ec0e47eedc283cda61",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "universal"): (
+        "90e373ab25e0cc30fd3c3e65c391a1c1d56c2701cc71fcf7096c011c9fcebb8a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "count"): (
+        "608f7c97c98d3f62f5c13c54136716b3643de2f166e2b5da1950c1afba52cf95",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "cones"): (
+        "999c543baf681ee5a98322b9a759550d17e622160f81c7562aec22c4ce17809a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "cones-json"): (
+        "032412191845a902d433562fe41c24c25db060f3a14d9c8f8d6984513495f9dc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "cones-w"): (
+        "f40d3986939c376506f12b8cd9f7401665b11e7865d0d4c9f1a5afb118fb1325",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "cones-w-lex"): (
+        "f40d3986939c376506f12b8cd9f7401665b11e7865d0d4c9f1a5afb118fb1325",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "triangulate-w"): (
+        "739179d310fe1b9fcb1bebde253107706d108e58bbab72b4415a3cf9de86aceb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "triangulate-sq"): (
+        "739179d310fe1b9fcb1bebde253107706d108e58bbab72b4415a3cf9de86aceb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "solve-reduce"): (
+        "76212c76b629c3b8fc6a1722a09af4fd100cb290fc0cfd779e062fdf41457a87",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("ttgraph33", "solve-eliminate"): (
+        "76212c76b629c3b8fc6a1722a09af4fd100cb290fc0cfd779e062fdf41457a87",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "groebner"): (
+        "ceffbd78c6ca1ec631a36f020a02d18377dbb8e7758d053afbd0b8d089075e2a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "groebner-w"): (
+        "387b5c64f5e969ee2c52c72b5868f6cdf6e4cff3b2837ec0c58416e473e03e14",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "groebner-w-lex"): (
+        "387b5c64f5e969ee2c52c72b5868f6cdf6e4cff3b2837ec0c58416e473e03e14",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "graver"): (
+        "1985621e915e8ab45bce77111fb2cebe38baf0d9dd6e4420838c11b2aa3ea2ed",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "circuits"): (
+        "a864f01c61dd7da8edbbb9caafb5113e7ba69240c1e1d2207915b8f6260e99bc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "universal"): (
+        "a44a763ce5851a707b606aa625f43c9ca76b9c99b377ca0073b4f4cbb638e3b3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "count"): (
+        "29ea4f6f6619c60300006f29b6e63be3aa04ed6f5fb66e8ba827948f995c0d50",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "cones"): (
+        "0dc3ae7bd1bc4d8e4a01c4dae09a7ecbad1a3946c570c013edbbdb6e2bc6050e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "cones-json"): (
+        "787e35135aa9462f5ab6ef0f5b16ed070831d38b1a2d7f876d4ecc06d8732927",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "cones-w"): (
+        "dc2b2310c2bb16efc71589af237b8aaa50d1230c25389651412547f0542b491d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "cones-w-lex"): (
+        "dc2b2310c2bb16efc71589af237b8aaa50d1230c25389651412547f0542b491d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "triangulate-w"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "83b7eceb4b0dda7b19b7ac5e3731e2df211883542da301e0f5191d4596283276", 3),
+    ("lawrence23", "triangulate-sq"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e2786a84d9e5108092ce9d8af8bf2f4202b784631ccea44daf150e8e39c87aaa", 3),
+    ("lawrence23", "solve-reduce"): (
+        "1be5ed30b63b97bfc3e19577d44fb37aa3f6f9163819903bd5d2d1dd64374d9b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence23", "solve-eliminate"): (
+        "1be5ed30b63b97bfc3e19577d44fb37aa3f6f9163819903bd5d2d1dd64374d9b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
 }
 
 # gen arguments -> (stdout SHA-256, stderr SHA-256, exit code)
@@ -360,6 +543,27 @@ GEN_GOLDEN = {
     ("transport", "3", "3"): (
         "7f3a6612968528a1d914d1f3bbdb7af03b7aaf4e45f0c59e144ca815550d15cc",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("monomial-curve", "3", "4", "5"): (
+        "2bc9e46431e405db50bb9374d95eda0830bd5249006db5bf90b3cbbe21e4b428",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("hypersimplex2", "4"): (
+        "44dfc52e3ec019c15f07795ea0f08c801f6836307b2958acaa944fa94d6ab090",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre", "2", "2", "2"): (
+        "40dcc5eea0b4c7ec8abee3a541e52af9e8bf70d03b0b8a8a72c417d39b618542",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("segre", "2", "4"): (
+        "2086cc98e4c9ee1062b56074a2ef6a3d691ac58c2c871bbbd9750b2658a22134",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("monomial-curve", "3", "7", "8", "11"): (
+        "c9c2eec87ff3248dc21fba7e2a6c85759ef96638aea7fa9f147b2d5436fe86f2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("tt-graph", "3", "3"): (
+        "d03218197177434adb6847ca6628679abcfb908e44ff3e4a09ef666988cc5c9a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("lawrence", "{segre23}"): (
+        "8df3cb1455feb4d7a1fcd3a8a73cdee7c380125491ab4df69315d6c5f34652de",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
 }
 
 
@@ -373,13 +577,19 @@ def run(capsys, argv):
     return digest(out.out), digest(out.err), rc
 
 
+def fill(gen, paths):
+    """gen arguments with each {name} replaced by that input's matrix file."""
+    files = {name: words["m"] for name, words in paths.items()}
+    return [word.format(**files) for word in gen]
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     paths = {}
     for name, gen in INPUTS.items():
         mat = root / f"{name}.mat"
-        assert main(["gen", *gen, "--out", str(mat)]) == 0
+        assert main(["gen", *fill(gen, paths), "--out", str(mat)]) == 0
         rows = parse_matrix(mat.read_text()).entries
         n = len(rows[0])
         words = {"m": str(mat), "b": ",".join(str(sum(row)) for row in rows)}
@@ -399,11 +609,11 @@ def test_command_output_is_pinned(inputs, capsys, case):
 
 
 @pytest.mark.parametrize("gen", sorted(GEN_GOLDEN), ids="-".join)
-def test_generated_matrix_is_pinned(capsys, gen):
-    assert run(capsys, ["gen", *gen]) == GEN_GOLDEN[gen]
+def test_generated_matrix_is_pinned(inputs, capsys, gen):
+    assert run(capsys, ["gen", *fill(gen, inputs)]) == GEN_GOLDEN[gen]
 
 
 def test_table_covers_every_case():
     assert set(GOLDEN) == {(i, c) for i in INPUTS for c in COMMANDS}
     assert set(GEN_GOLDEN) == {(kind, str(r), str(c)) for kind in ("segre", "transport")
-                               for r, c in ((1, 1), (2, 3), (3, 2), (3, 3))}
+                               for r, c in ((1, 1), (2, 3), (3, 2), (3, 3))} | set(INPUTS.values())
