@@ -48,6 +48,7 @@ the guard, its limit and how far the work got.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -65,16 +66,17 @@ from .ip import IPInstance, solve_ip, solve_ip_elimination
 from .orders import term_order
 from .toric import (
     ConfigMatrix,
+    _sign_tree,
     circuits,
     graver,
     lawrence_lifting,
     toric_groebner,
-    universal_gb,
 )
 
 
 class ParseFailure(Exception):
-    """Malformed input file or bad generator parameters."""
+    """Malformed input file, bad generator parameters, or a file that
+    cannot be read or written."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +158,11 @@ def _write(path, text: str):
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ParseFailure(f"cannot write {path}: {e.strerror}")
 
 
 def _load_weight(path, n: int):
@@ -342,8 +347,9 @@ def cmd_circuits(args) -> int:
 def cmd_universal(args) -> int:
     A = _load_config(args)
     budget = _lifted_budget(args, A, graver=args.max_graver_bits)
-    ugb, ideals, _, _ = universal_gb(A, budget)
-    return _emit_block(args, A, ugb, initial_ideals=len(ideals))
+    # the walk alone gives both: no witness or basis is built
+    ugb, cells, _ = _sign_tree(A, budget)
+    return _emit_block(args, A, ugb, initial_ideals=len(cells))
 
 
 def _parse_rhs(text, d):
@@ -383,8 +389,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fan_count(args) -> int:
-    _, ideals, _, _ = universal_gb(_load_config(args), Budget(graver=args.max_graver_bits))
-    _emit_report({"command": "fan", "initial_ideals": len(ideals)}, args.json)
+    _, cells, _ = _sign_tree(_load_config(args), Budget(graver=args.max_graver_bits))
+    _emit_report({"command": "fan", "initial_ideals": len(cells)}, args.json)
     return 0
 
 
@@ -437,8 +443,13 @@ def _cap(text) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, in which each subcommand and fan mode declares its flags."""
+    """The parser, in which each subcommand and fan mode declares its flags.
+
+    It is built on the first call and shared by every later one: parsing
+    leaves it unchanged.
+    """
     top = argparse.ArgumentParser(
         prog="toricgb",
         description="Exact toric ideal computations: Gröbner, Graver and "

@@ -36,7 +36,14 @@ from .exactmath import (
     rank,
 )
 from .orders import term_order
-from .toric import ConfigMatrix, MonomialIdeal, _minimal_exponents, _sign_tree, toric_groebner
+from .toric import (
+    ConfigMatrix,
+    MonomialIdeal,
+    _minimal_exponents,
+    _sign_tree,
+    _witness,
+    toric_groebner,
+)
 
 
 @dataclass(frozen=True)
@@ -109,28 +116,23 @@ def groebner_cone(G: GroebnerBasis) -> Cone:
 def groebner_fan(A: ConfigMatrix, budget: Budget = Budget()):
     """(Cone, witness) for each initial ideal, in universal_gb's order.
 
-    The walk of universal_gb keeps the signs of every cell of the Graver
-    arrangement, and each cone's facets are read off them, with no
-    linear program: element i of a basis is a facet exactly when some
-    cell agrees with the basis's signs on every other element and
-    differs on i (the argument is in universal_gb's docstring).  With
-    the cell's signs and the basis's as bitsets, a cell names the facet
-    when the bits where they differ on the basis are that one bit.  The
-    lineality is n minus the rank of the kernel lattice, which every
-    reduced basis spans.  The cones equal groebner_cone of the bases.
+    The walk of universal_gb hands over each cell's oriented basis
+    elements, its facets and its witness program, and this builds the
+    cones and solves the witnesses from them, with no linear program
+    beyond the witnesses: no term order, sorted basis or monomial ideal
+    is built.  Each leaf of the walk knows the cell whose pattern it
+    meets, its home, and element k of a basis is a facet of its cone
+    exactly when some leaf homed there has its k-flip among the leaves
+    (the argument is in universal_gb's docstring).  The lineality is n
+    minus the rank of the kernel lattice, which every reduced basis
+    spans.  The cones equal groebner_cone of the bases.
     """
-    _, cells, leaves = _sign_tree(A, budget)
+    _, cells, _ = _sign_tree(A, budget)
     lineality = A.n - A.kernel_basis().nrows
     fan = []
-    for _, omega, G, index, bits in cells:
-        mask = sum(1 << k for k in index)
-        facets = 0
-        for leaf in leaves:
-            d = (leaf ^ bits) & mask
-            if not d & (d - 1):
-                facets |= d
-        normals = sorted(g.vector for g, k in zip(G.elements, index) if facets >> k & 1)
-        fan.append((Cone(tuple(normals), lineality), omega))
+    for cell in cells:
+        normals = sorted(b.vector for k, b in cell.elements.items() if cell.facets >> k & 1)
+        fan.append((Cone(tuple(normals), lineality), _witness(A, cell)))
     return fan
 
 

@@ -425,6 +425,25 @@ def sign_tree_leaves_every_prefix(A: ConfigMatrix):
             for signs in _cells_every_prefix(coords)]
 
 
+def cone_facets_by_leaf_scan(mask, bits, leaves):
+    """The facets of a Groebner cone, as a bitset, by scanning every leaf.
+
+    (mask, bits) is the cone's sign pattern: the Graver indices of its
+    reduced basis, and those of them that are positive.  Index k is a
+    facet exactly when some leaf agrees with the pattern on every other
+    index and differs on k, that is when the bits where the leaf and the
+    pattern differ on mask are that one bit (the argument is in
+    universal_gb's docstring).  Every leaf is tested against every cone,
+    with no leaf's home read.
+    """
+    facets = 0
+    for leaf in leaves:
+        d = (leaf ^ bits) & mask
+        if not d & (d - 1):
+            facets |= d
+    return facets
+
+
 def universal_gb_every_cell(A: ConfigMatrix):
     """(ugb, initial_ideals, witnesses) with no work shared between cells.
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd, lcm
 from operator import le
+from typing import NamedTuple
 
 from .buchberger import Binomial, GroebnerBasis, _groebner, _Packing
 from .errors import (
@@ -558,15 +559,20 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     ((b | guard) - a) & guard == guard, so both tests of the read-off
     are guard-bit tests on ints, and a proper divisor packs smaller than
     its multiple, so each lead is tested against the smaller minimal
-    ones only.  The binomials of both orientations are built once; the
-    monomial ideal is built from the kept elements only.
+    ones only.  The binomials of both orientations are built once.
 
-    The walk also keeps the bits of every leaf it reaches, skipped or
-    not: one per full-dimensional cell of the arrangement.
-    toricgb.fan.groebner_fan reads each cone's facets off them.  Element
-    i of a basis is a facet of its Groebner cone exactly when some leaf
-    agrees with the basis's pattern on every other element and differs
-    on i:
+    The walk hands each cell only what its signs fix: the sorted minimal
+    leads, the oriented elements by Graver index, the cone's facets and
+    the witness program (see _Cell).  Each caller builds what it prints.
+    This function lifts the witnesses and builds the monomial ideals, the
+    orders (witness, degrevlex) and the sorted bases.  groebner_fan
+    builds cones and witnesses only.  The universal and fan count
+    subcommands read the union and the number of cells, and solve no
+    witness.
+
+    Element i of a basis is a facet of its Groebner cone exactly when
+    some leaf agrees with the basis's pattern on every other element and
+    differs on i:
 
     * The normal v_i is irredundant exactly when some w has v_i . w < 0
       and v_j . w >= 0 for every other j (Farkas).  Adding a small
@@ -582,6 +588,23 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       facets are the normals of those elements.  A reduced basis
       generates I_A, so its vectors span the kernel lattice, and the
       cone's lineality is n minus the lattice's rank.
+
+    The walk reads the facets off the leaves by adjacency, with no scan
+    of every leaf against every cone: i is a facet exactly when some
+    leaf homed in the cell (see the skip test below) has its i-flip,
+    the leaf's bits with bit i flipped, among the leaves.  That is one
+    set lookup per leaf and basis element:
+
+    * Take a generic point of the facet's relative interior.  It lies
+      on Graver wall i only: any other wall through it would contain
+      the facet's hyperplane, and no two Graver vectors are parallel.
+    * So a small ball around it meets exactly two leaves, one on each
+      side of wall i, and they differ in bit i alone.  The one on the
+      cone's side lies in the open cone, so the cell is its home, and
+      the other is its i-flip.
+    * Conversely, the i-flip of a leaf in the open cone agrees with the
+      basis's pattern on every element but i, and differs on i, so i
+      is a facet by the criterion above.
 
     Each piece of work is done once:
 
@@ -630,46 +653,92 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       prefix cone, which c therefore leaves unchanged.  c is not passed
       to the programs below it; the leaf still orients by the full sign
       list.
-    * A cell is skipped when a basis found earlier has every element
-      lead - trail positively oriented by the cell's signs.  The cell
+    * A leaf is skipped when a basis found earlier has every element
+      lead - trail positively oriented by the leaf's signs.  The leaf
       then lies in that basis's open Groebner cone, where it is the
-      reduced basis for every weight.  Every other cell gives a new
-      basis.
+      reduced basis for every weight.  Every other leaf gives a new
+      basis.  Either way the leaf records its home: the cell whose
+      pattern it meets, or the one it founds.  The test tries the
+      previous leaf's home first, since neighbouring leaves often share
+      a cone (147 of the 360 Segre 3x3 leaves).  Open Groebner cones
+      are disjoint and each leaf lies in one, so every leaf meets
+      exactly one pattern, and the order of the tests cannot change
+      the answer.
     * The skip test reads only basis patterns, which the signs fix, so
-      once the walk is done each new cell, in visit order, takes as its
-      witness the point of one ``strict_feasible`` call on its facets:
-      the signs k for which flipping bit k alone gives another leaf.
-      An open cell is the intersection of its facets' open half-spaces,
-      and k is a facet exactly when that flip is a cell (as for the
-      Groebner cone facets above).  ``feasible_witness``'s point depends
-      on the open set alone, so it is that of the full sign pattern.
-      An integer lift makes it a weight.
+      the witness waits until the walk is done.  Each new cell then
+      keeps as its witness program its first leaf's facets in the
+      arrangement: the signs k for which flipping bit k alone gives
+      another leaf.  An open cell is the intersection of its facets'
+      open half-spaces, and k is a facet exactly when that flip is a
+      cell (as for the Groebner cone facets above).  A caller that
+      prints the witness solves it with one ``strict_feasible`` call;
+      ``feasible_witness``'s point depends on the open set alone, so it
+      is that of the full sign pattern.  An integer lift makes it a
+      weight.
     """
     ugb, cells, _ = _sign_tree(A, budget)
-    return ugb, [c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells]
+    n = A.n
+    ideals, witnesses, bases = [], [], []
+    for cell in cells:
+        omega = _witness(A, cell)
+        order = term_order(n, weight=omega, tiebreak="degrevlex")
+        ideals.append(MonomialIdeal(cell.leads, n))
+        witnesses.append(omega)
+        bases.append(GroebnerBasis(order, tuple(
+            sorted(cell.elements.values(), key=lambda b: order.key(b.lead)))))
+    return ugb, ideals, witnesses, bases
+
+
+class _Cell(NamedTuple):
+    """One initial ideal as the walk finds it.
+
+    leads: the minimal generators of the initial ideal, sorted: the
+        leads of the reduced basis, and MonomialIdeal(leads).gens.
+    elements: the reduced basis by Graver index, each element oriented
+        by the cell's signs, in index order.
+    facets: the bitset of the Graver indices whose elements are facets
+        of the Groebner cone.
+    walls: the witness program: the signed kernel coordinates of the
+        first leaf's facets in the arrangement.
+    leaves: the bits of every leaf whose home the cell is, in visit
+        order; the first is the leaf that found it.
+    """
+
+    leads: tuple
+    elements: dict
+    facets: int
+    walls: tuple
+    leaves: list
+
+
+def _witness(A: ConfigMatrix, cell: _Cell):
+    """The cell's weight: the strict_feasible point of its walls, lifted.
+
+    With no Graver vector there is no wall, one cone and the weight 0.
+    """
+    if not cell.walls:
+        return (0,) * A.n
+    return _lift(strict_feasible(cell.walls), A.kernel_basis())
 
 
 def _sign_tree(A: ConfigMatrix, budget: Budget):
     """The walk of universal_gb: (ugb, cells, leaves).
 
-    cells holds (ideal, witness, basis, index, bits) per initial ideal,
-    in universal_gb's order: index is the Graver index of each element
-    of basis, and bits the positive ones among them.  leaves holds the
-    bits of every full-dimensional cell of the arrangement.  Witnesses,
-    orders and sorted bases follow once every leaf is known.
+    cells holds a _Cell per initial ideal, sorted by leads, which is
+    universal_gb's order.  leaves holds the bits of every
+    full-dimensional cell of the arrangement, in visit order.  No
+    witness, order, sorted basis or monomial ideal is built: each
+    caller builds what it prints.
     """
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
     grv = graver(A, budget)
     budget.check("graver", len(grv))
-    n = A.n
     if not grv:
-        omega = (0,) * n
-        order = term_order(n, weight=omega, tiebreak="degrevlex")
-        return [], [(MonomialIdeal((), n), omega, GroebnerBasis(order, ()), (), 0)], [0]
+        return [], [_Cell((), {}, 0, (), [0])], [0]
 
     K = A.kernel_basis()
-    pk = _Packing(n, max(abs(x) for g in grv for x in g).bit_length() + 1)
+    pk = _Packing(A.n, max(abs(x) for g in grv for x in g).bit_length() + 1)
     guard = pk.guard
     # per Graver vector, indexed by its sign bit, negative (0) or
     # positive (1): its kernel coordinates, the binomial it orients to
@@ -686,12 +755,12 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     ugb = set()
     patterns = []  # per basis found: (mask, bits) of its elements
     leaves = []
-    found = []  # per new cell: (pos, its signs, its basis's indices, their bits)
+    found = []  # per new cell: (pos, its basis's Graver indices, its leaves)
+    home = None  # the index in found of the last leaf's cell
 
     def visit(pos):
         # the basis pattern the skip test reads: the signs fix it
-        up = [pos >> k & 1 for k in range(len(grv))]
-        sides = [pq[u] for pq, u in zip(packed, up)]
+        sides = [pq[pos >> k & 1] for k, pq in enumerate(packed)]
         # the minimal generators: a proper divisor packs smaller
         gens = []
         for L in sorted({lead for lead, _ in sides}):
@@ -702,7 +771,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         ugb.update(grv[k] for k in index)
         mask = sum(1 << k for k in index)
         patterns.append((mask, pos & mask))
-        found.append((pos, up, index, pos & mask))
+        found.append((pos, index, []))
 
     # a point y travels as its values over the Graver vectors, y's
     # value at i being coords[i][1] . y, so every sign test reads a
@@ -754,10 +823,17 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     def descend(pos, k, kept, held, P):
         # P holds the values of a point strictly feasible for the k signs
         # of pos; the signs at the depths kept cut out the same open cone
+        nonlocal home
         if k == len(grv):
             leaves.append(pos)
-            if not any(not (pos ^ bits) & mask for mask, bits in patterns):
-                visit(pos)
+            # the cell whose pattern pos meets, the last leaf's tried first
+            if home is None or (pos ^ patterns[home][1]) & patterns[home][0]:
+                home = next((h for h, (mask, bits) in enumerate(patterns)
+                             if not (pos ^ bits) & mask), None)
+                if home is None:
+                    home = len(found)
+                    visit(pos)
+            found[home][2].append(pos)
             return
         points = [child(pos, k, kept, held, P, up) for up in (1, 0)]
         if None not in points:
@@ -769,14 +845,19 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     descend(0, 0, [], 0, [0] * len(grv))
     reached = set(leaves)
     cells = []
-    for pos, up, index, bits in found:
-        omega = _lift(strict_feasible([coords[k][up[k]] for k in range(len(grv))
-                                       if pos ^ 1 << k in reached]), K)
-        order = term_order(n, weight=omega, tiebreak="degrevlex")
-        index = tuple(sorted(index, key=lambda k: order.key(oriented[k][up[k]].lead)))
-        elements = tuple(oriented[k][up[k]] for k in index)
-        ideal = MonomialIdeal([b.lead for b in elements], n)
-        cells.append((ideal, omega, GroebnerBasis(order, elements), index, bits))
-    # every cell found is a new basis (see the skip test), so the ideals differ
-    cells.sort(key=lambda cell: cell[0].gens)
+    for pos, index, homed in found:
+        # k is a facet of the cone exactly when a leaf homed here has its
+        # k-flip among the leaves (see universal_gb)
+        facets = 0
+        for leaf in homed:
+            for k in index:
+                if leaf ^ 1 << k in reached:
+                    facets |= 1 << k
+        elements = {k: oriented[k][pos >> k & 1] for k in index}
+        walls = tuple(coords[k][pos >> k & 1] for k in range(len(grv))
+                      if pos ^ 1 << k in reached)
+        cells.append(_Cell(tuple(sorted(b.lead for b in elements.values())),
+                           elements, facets, walls, homed))
+    # every cell found is a new basis (see the skip test), so the leads differ
+    cells.sort(key=lambda cell: cell.leads)
     return sorted(ugb), cells, leaves

@@ -7,7 +7,10 @@ exercised exactly as a shell user would see them.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -721,6 +724,29 @@ def test_segre33_output_is_pinned(segre33, capsys, command):
 
 
 # -- dispatch ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [("gen", "segre", "2", "2"), ("graver", "{m}")])
+def test_unwritable_out_is_an_error_line(twisted, tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.mat"
+    rc, out, err = run(capsys, [w.format(m=twisted) for w in argv] + ["--out", str(path)])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(twisted, tmp_path, capsys):
+    # main builds its parser once and reuses it, so each call must print
+    # the bytes a process of its own prints, a refusal included
+    w = wfile(tmp_path, [1, 0, 0, 1])
+    calls = [["groebner", twisted, "--weight", w, "--tiebreak", "lex", "--json"],
+             ["fan", "cones", "--json", twisted],
+             ["fan", "count", twisted, "--weight", w],
+             ["graver", twisted, "--pretty"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(toric.__file__).parents[1])}
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "toricgb.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert run(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_help_exits_cleanly(capsys):

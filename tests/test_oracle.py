@@ -28,6 +28,7 @@ from toricgb.fan import (
 from toricgb.ip import IPInstance, _graded_feasible, solve_ip, solve_ip_elimination
 from toricgb.oracle import (
     buchberger_every_pair,
+    cone_facets_by_leaf_scan,
     graded_feasible_every_point,
     graver_bruteforce,
     irreducible_decomposition,
@@ -184,6 +185,27 @@ def test_sign_tree_leaves_match_every_prefix_test_seeded():
     for A in [*pointed_configs(random.Random(23), 40), segre222]:
         _, _, leaves = _sign_tree(A, Budget())
         assert leaves == sign_tree_leaves_every_prefix(A), A.original
+
+
+def test_sign_tree_homes_and_facets_match_the_leaf_scan_seeded():
+    # open Groebner cones are disjoint, so each leaf meets the pattern of
+    # exactly one cell, and the walk must home it there; the facets read
+    # off the k-flips of a cell's own leaves must be those of the scan
+    # over every leaf
+    segre222 = ConfigMatrix(generate("segre", (2, 2, 2)))
+    for A in [*pointed_configs(random.Random(31), 40), segre222]:
+        _, cells, leaves = _sign_tree(A, Budget())
+        patterns = []
+        for cell in cells:
+            mask = sum(1 << k for k in cell.elements)
+            patterns.append((mask, cell.leaves[0] & mask))
+        for leaf in leaves:
+            met = [cell for cell, (mask, bits) in zip(cells, patterns)
+                   if not (leaf ^ bits) & mask]
+            assert len(met) == 1 and leaf in met[0].leaves, A.original
+        assert sorted(leaf for cell in cells for leaf in cell.leaves) == sorted(leaves)
+        for cell, (mask, bits) in zip(cells, patterns):
+            assert cell.facets == cone_facets_by_leaf_scan(mask, bits, leaves), A.original
 
 
 def test_groebner_cone_counts_facets_and_lineality():

@@ -340,6 +340,21 @@ def test_fan_cones_reads_every_facet_off_the_walk(monkeypatch, tmp_path, capsys)
     assert len(programs) <= 100
 
 
+def test_only_printed_witnesses_are_solved(monkeypatch, tmp_path, capsys):
+    # universal and fan count print no witness, so they solve none (108
+    # each when they ran universal_gb); fan cones prints one per cone
+    import toricgb.toric as toric
+
+    path = tmp_path / "segre33.mat"
+    assert main(["gen", "segre", "3", "3", "--out", str(path)]) == 0
+    witnesses = record_calls(monkeypatch, toric, "strict_feasible")
+    for argv, calls in ((["fan", "count"], 0), (["universal"], 0), (["fan", "cones"], 108)):
+        witnesses.clear()
+        assert main([*argv, str(path)]) == 0
+        assert len(witnesses) == calls, argv
+    capsys.readouterr()
+
+
 def test_groebner_cone_makes_no_witness_call(monkeypatch):
     # redundancy is decided by cone_certificate, not feasible_witness
     import toricgb.exactmath as exactmath
