@@ -769,26 +769,3 @@ def _interreduce(pk: _Packing, leads, trails):
         if red.divisor(lead) is None:
             red.append(lead, trail)
     return [(lead, red.reduce_monomial(trail)) for lead, trail in zip(red.leads, red.trails)]
-
-
-def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
-    """Every S-pair of G reduces to zero (post-check for tests)."""
-    def run(width):
-        pk = _Packing(G.order.n, width, G.order)
-        red = _Reducer(pk)
-        for b in G.elements:
-            lead, trail = pk.pack(b.lead), pk.pack(b.trail)
-            red.append(lead, trail, _sub(pk.key(lead), pk.key(trail)))
-        for j, b in enumerate(red.leads):
-            for i, a in enumerate(red.leads[:j]):
-                L = pk.lcm(a, b)
-                p, q = _s_pair(L, red.vecs[i], red.vecs[j], pk.guard)
-                if p == q:
-                    continue
-                kL = pk.key(L)
-                if red.top_reduce(p, q, _sub(kL, red.kvecs[i]),
-                                  _sub(kL, red.kvecs[j])) is not None:
-                    return False
-        return True
-
-    return _widening(run)

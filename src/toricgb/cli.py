@@ -20,7 +20,7 @@ Flags
     solve and fan triangulate and optional on groebner and fan cones.
     --tiebreak refines a weight order, so it is taken by groebner and
     fan cones, and only together with --weight.  On fan cones, --weight
-    names one cone, so it excludes --max-graver-bits.  Any other flag
+    names one cone, so it excludes --max-walk.  Any other flag
     gets argparse's refusal, which names it, and exits 1.
 
 Exit codes
@@ -35,10 +35,10 @@ so a guard stops the work while it runs: --max-degree (degree, in the
 grading of the configuration, of any element computed, default
 unlimited) on groebner, graver, circuits and universal; --max-fiber
 (work budget of solve: search nodes (reduce) or S-pairs (eliminate),
-default 200000) on solve only; --max-graver-bits (Graver size cap for
-sign-pattern enumeration, default 22) on universal, fan count and fan
-cones without --weight only.  Each cap is a nonnegative integer; a
-negative one exits 1.
+default 200000) on solve only; --max-walk (nodes the Groebner-fan walk
+enters in the sign tree of the Graver arrangement, default 100000) on
+universal, fan count and fan cones without --weight only.  Each cap is
+a nonnegative integer; a negative one exits 1.
 universal's only Buchberger runs are graver's, so --max-degree trips on
 both at the same point, read on the Lawrence lifting in the grading
 that gives each lifted element (u, -u) the degree of u.  Exit 4 prints
@@ -51,6 +51,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -346,7 +347,7 @@ def cmd_circuits(args) -> int:
 
 def cmd_universal(args) -> int:
     A = _load_config(args)
-    budget = _lifted_budget(args, A, graver=args.max_graver_bits)
+    budget = _lifted_budget(args, A, walk=args.max_walk)
     # the walk alone gives both: no witness or basis is built
     ugb, cells, _ = _sign_tree(A, budget)
     return _emit_block(args, A, ugb, initial_ideals=len(cells))
@@ -389,7 +390,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fan_count(args) -> int:
-    _, cells, _ = _sign_tree(_load_config(args), Budget(graver=args.max_graver_bits))
+    _, cells, _ = _sign_tree(_load_config(args), Budget(walk=args.max_walk))
     _emit_report({"command": "fan", "initial_ideals": len(cells)}, args.json)
     return 0
 
@@ -398,7 +399,7 @@ def cmd_fan_cones(args) -> int:
     A = _load_config(args)
     w, order = _weight_order(args, A)
     if order is None:
-        witnesses = groebner_fan(A, Budget(graver=args.max_graver_bits))
+        witnesses = groebner_fan(A, Budget(walk=args.max_walk))
     else:
         # single cone at the given weight; enumeration would be wasteful
         witnesses = [(groebner_cone(toric_groebner(A, order)), w)]
@@ -483,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="largest degree of any element computed (default: unlimited)",
         )
 
-    def graver_cap(p):
+    def walk_cap(p):
         p.add_argument(
-            "--max-graver-bits",
+            "--max-walk",
             type=_cap,
-            default=Budget.graver,
-            help=f"Graver size cap for sign enumeration (default {Budget.graver})",
+            default=Budget.walk,
+            help=f"nodes the Gröbner-fan walk may enter (default {Budget.walk})",
         )
 
     def command(parent, name, run, text, *flags):
@@ -505,10 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "graver", cmd_graver, "Graver basis", vector_block)
     command(sub, "circuits", cmd_circuits, "circuits with true degrees", vector_block)
     command(sub, "universal", cmd_universal, "universal Gröbner basis",
-            vector_block, graver_cap)
+            vector_block, walk_cap)
 
     p = command(sub, "solve", cmd_solve, "integer program over a fiber", needs_weight)
     p.add_argument("--rhs", required=True, help="right-hand side, comma separated")
+    # argparse reads a word that starts with "-" as a flag unless the
+    # whole word is one number; a right-hand side such as -1,2 is a value
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument(
         "--max-fiber",
         type=_cap,
@@ -525,13 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     modes = sub.add_parser("fan", help="Gröbner fan and triangulations").add_subparsers(
         dest="mode", required=True)
-    command(modes, "count", cmd_fan_count, "number of initial ideals", graver_cap)
+    command(modes, "count", cmd_fan_count, "number of initial ideals", walk_cap)
     p = command(modes, "cones", cmd_fan_cones, "facet count and witness of each cone",
                 tiebreak)
-    # a weight names one cone, so no sign enumeration runs for the cap to limit
+    # a weight names one cone, so no walk runs for the cap to limit
     one_or_all = p.add_mutually_exclusive_group()
     weight(one_or_all)
-    graver_cap(one_or_all)
+    walk_cap(one_or_all)
     command(modes, "triangulate", cmd_fan_triangulate, "regular triangulation at a weight",
             needs_weight)
 
@@ -544,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the flag that sets each guard a subcommand exposes
-_LIMIT_FLAGS = {"degree": "--max-degree", "graver": "--max-graver-bits",
-                "nodes": "--max-fiber", "pairs": "--max-fiber"}
+_LIMIT_FLAGS = {"degree": "--max-degree", "nodes": "--max-fiber", "pairs": "--max-fiber",
+                "walk": "--max-walk"}
 
 
 def main(argv=None) -> int:

@@ -67,7 +67,7 @@ class Budget:
     points: int | None = 200_000  # fiber points found
     nodes: int | None = None  # nodes of a fiber or IP start-point search
     subsets: int | None = 2_000_000  # candidates counted before a scan
-    graver: int | None = 22  # Graver size for sign-pattern enumeration
+    walk: int | None = 100_000  # sign-tree nodes the Groebner-fan walk enters
 
     def check(self, guard: str, reached):
         limit = getattr(self, guard)

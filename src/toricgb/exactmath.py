@@ -125,10 +125,6 @@ class IntMatrix:
         )
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
 def hnf(M: IntMatrix):
     """Row Hermite normal form.
 

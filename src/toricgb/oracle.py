@@ -15,7 +15,7 @@ a version that scans for minimal non-faces, the integer program's start
 point has a version that walks the whole grading simplex, Cramer's
 rule has a version with one determinant per column, and the
 witness of a system of inequalities has a version by Fourier-Motzkin
-elimination.
+elimination.  A finished basis is checked by reducing every S-pair.
 The main algorithm modules never call into this one.
 """
 
@@ -27,14 +27,24 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .buchberger import Binomial, GroebnerBasis, _groebner, buchberger, s_binomial
+from .buchberger import (
+    Binomial,
+    GroebnerBasis,
+    _groebner,
+    _Packing,
+    _Reducer,
+    _s_pair,
+    _sub,
+    _widening,
+    buchberger,
+    s_binomial,
+)
 from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega, ZeroVector
 from .exactmath import (
     IntMatrix,
     cone_certificate,
     det_bareiss,
     dot,
-    identity_matrix,
     rank,
     solve_affine,
 )
@@ -558,6 +568,29 @@ def buchberger_every_pair(gens, ord):
     return GroebnerBasis(ord, _canonical(_interreduce(elements), ord))
 
 
+def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
+    """Every S-pair of G reduces to zero (post-check for tests)."""
+    def run(width):
+        pk = _Packing(G.order.n, width, G.order)
+        red = _Reducer(pk)
+        for b in G.elements:
+            lead, trail = pk.pack(b.lead), pk.pack(b.trail)
+            red.append(lead, trail, _sub(pk.key(lead), pk.key(trail)))
+        for j, b in enumerate(red.leads):
+            for i, a in enumerate(red.leads[:j]):
+                L = pk.lcm(a, b)
+                p, q = _s_pair(L, red.vecs[i], red.vecs[j], pk.guard)
+                if p == q:
+                    continue
+                kL = pk.key(L)
+                if red.top_reduce(p, q, _sub(kL, red.kvecs[i]),
+                                  _sub(kL, red.kvecs[j])) is not None:
+                    return False
+        return True
+
+    return _widening(run)
+
+
 def toric_generators_every_variable(A: ConfigMatrix):
     """toric_generators with one saturation per variable, in index order.
 
@@ -657,6 +690,10 @@ def _cone_member(cols, facet, j) -> bool:
         return False
     coeffs, _ = sol
     return all(c >= 0 for c in coeffs)
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def _spans_boundary(cols, ridge) -> bool:

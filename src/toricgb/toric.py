@@ -393,18 +393,29 @@ class Circuit:
     true_degree: int
 
 
+def _row_lattice_basis(A: ConfigMatrix) -> IntMatrix:
+    """A basis of the lattice the rows of A.original span.
+
+    The rows ConfigMatrix keeps can span a sublattice of index k > 1,
+    and their maximal minors are then k times those of this basis:
+    minors read here do not depend on how the input's rows are written.
+    """
+    return IntMatrix(tuple(row for row in hnf(A.original)[0].entries if any(row)))
+
+
 def circuits(A: ConfigMatrix, budget: Budget = Budget()):
     """All circuits of A, one per +/- pair, with true degrees.
 
     Each (d+1)-subset S of columns with rank(A_S) = d gives a circuit
-    from the maximal minors of A_S: ker(A_S) is one-dimensional, so the
-    vector is support-minimal.  The true degree of a circuit is taken
-    over every subset that produces it, since the common factor of the
-    minors can differ with the subset when the support is smaller than
-    d+1.  budget.subsets caps the C(n, d+1) subsets scanned, and
-    budget.degree the degree of each circuit as it is found.
+    from the maximal minors of A_S, read on a basis of the row lattice:
+    ker(A_S) is one-dimensional, so the vector is support-minimal.  The
+    true degree of a circuit is taken over every subset that produces
+    it, since the common factor of the minors can differ with the
+    subset when the support is smaller than d+1.  budget.subsets caps
+    the C(n, d+1) subsets scanned, and budget.degree the degree of each
+    circuit as it is found.
     """
-    M = A.matrix
+    M = _row_lattice_basis(A)
     d, n = M.nrows, M.ncols
     budget.check("subsets", comb(n, d + 1))
     all_rows = tuple(range(d))
@@ -435,8 +446,12 @@ def true_degree(c, A: ConfigMatrix, budget: Budget = Budget()) -> int:
 
 
 def degree_bound(A: ConfigMatrix) -> int:
-    """(n - d)(d + 1) D(A): every reduced-GB element has degree below this."""
-    return (A.n - A.d) * (A.d + 1) * max_abs_minor(A.matrix)
+    """(n - d)(d + 1) D(A): every reduced-GB element has degree below this.
+
+    D(A) is the largest absolute maximal minor of a basis of the row
+    lattice, so the bound does not depend on how the rows are written.
+    """
+    return (A.n - A.d) * (A.d + 1) * max_abs_minor(_row_lattice_basis(A))
 
 
 def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
@@ -521,9 +536,10 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     arrangement fixes the orientation of every Groebner basis element,
     so one interior witness per cell reaches every reduced basis.
     Infeasible sign prefixes are pruned, which is the only difference
-    from enumerating all 2^N patterns.  budget.graver caps N.  The budget
-    goes to graver unchanged, and its Lawrence runs are the only
-    Buchberger runs made.
+    from enumerating all 2^N patterns.  budget.walk caps the sign-tree
+    nodes the walk enters, counted as it runs, so a trip names the node
+    past the cap on every machine.  The budget goes to graver unchanged,
+    and its Lawrence runs are the only Buchberger runs made.
 
     Signs are kept as bitsets.  A sign prefix, and each cell, is one int
     with bit k set when Graver vector k is positive there.  A set of
@@ -728,12 +744,12 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     universal_gb's order.  leaves holds the bits of every
     full-dimensional cell of the arrangement, in visit order.  No
     witness, order, sorted basis or monomial ideal is built: each
-    caller builds what it prints.
+    caller builds what it prints.  budget.walk caps the nodes descend
+    enters, the root and every leaf among them.
     """
     if not A.pointed:
         raise NotPointed("universal basis requires a pointed configuration")
     grv = graver(A, budget)
-    budget.check("graver", len(grv))
     if not grv:
         return [], [_Cell((), {}, 0, (), [0])], [0]
 
@@ -757,6 +773,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     leaves = []
     found = []  # per new cell: (pos, its basis's Graver indices, its leaves)
     home = None  # the index in found of the last leaf's cell
+    max_nodes, nodes = budget.walk, 0
 
     def visit(pos):
         # the basis pattern the skip test reads: the signs fix it
@@ -823,7 +840,10 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     def descend(pos, k, kept, held, P):
         # P holds the values of a point strictly feasible for the k signs
         # of pos; the signs at the depths kept cut out the same open cone
-        nonlocal home
+        nonlocal home, nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            budget.check("walk", nodes)
         if k == len(grv):
             leaves.append(pos)
             # the cell whose pattern pos meets, the last leaf's tried first

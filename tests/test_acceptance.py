@@ -438,7 +438,7 @@ def test_criterion_09_basis_inclusions_named(seg33, lawrenceB, seg333):
     assert signed_set(c.vector for c in cs) == signed_set(grv)
 
     LB, lgrv, lcs, _ = lawrenceB
-    lu, _, _, _ = universal_gb(LB, Budget(graver=22))
+    lu, _, _, _ = universal_gb(LB, Budget())
     assert signed_set(c.vector for c in lcs) <= signed_set(lu) <= signed_set(lgrv)
     assert signed_set(lu) == signed_set(lgrv)
 
@@ -461,7 +461,7 @@ def test_criterion_09_basis_inclusions_sweep(homogeneous_sweep):
         assert sc <= sg, A.original.entries
         full += 1
         if A.pointed and A.n <= 5 and len(grv) <= 16:
-            ugb, _, _, _ = universal_gb(A, Budget(graver=22))
+            ugb, _, _, _ = universal_gb(A, Budget())
             su = signed_set(ugb)
             assert sc <= su <= sg, A.original.entries
             with_universal += 1

@@ -6,11 +6,10 @@ from toricgb.buchberger import (
     Binomial,
     buchberger,
     normal_form,
-    passes_buchberger_criterion,
     s_binomial,
 )
 from toricgb.errors import Budget, GuardViolated
-from toricgb.oracle import orient
+from toricgb.oracle import orient, passes_buchberger_criterion
 from toricgb.orders import degrevlex, lex, term_order
 from toricgb.toric import ConfigMatrix, toric_generators
 

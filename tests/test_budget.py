@@ -2,22 +2,25 @@
 
 The last tests read the source: two keep the limits in one Budget
 instead of spreading back into keyword arguments, one keeps every
-parameter read, so that no flag is silently ignored, two keep every
-import in use and at module level, one keeps toric from importing fan,
-which imports it, two keep the reference implementations of
-toricgb.oracle, Fourier-Motzkin elimination among them, out of the
-production modules, and one keeps every function the benchmark's
-tracer wraps in place.
+Budget field checked by some loop and every limit flag declared, one
+keeps every parameter read, so that no flag is silently ignored, two
+keep every import in use and at module level, one keeps toric from
+importing fan, which imports it, two keep the reference
+implementations of toricgb.oracle, Fourier-Motzkin elimination among
+them, out of the production modules, and one keeps every function the
+benchmark's tracer wraps in place.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import toricgb
-from toricgb import toric
+from toricgb import cli, toric
 from toricgb.buchberger import buchberger
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded
@@ -64,8 +67,9 @@ def tripped(run):
     (lambda: solve_ip(IPInstance(FROBENIUS, (1, 0), (23,)), Budget(nodes=3)),
      ("nodes", 3, 4)),
     (lambda: circuits(TWISTED, Budget(subsets=3)), ("subsets", 3, 4)),
-    (lambda: universal_gb(TWISTED, Budget(graver=4)), ("graver", 4, 5)),
-], ids=["elements", "pairs", "degree", "points", "nodes", "subsets", "graver"])
+    # the twisted cubic's walk enters 31 nodes
+    (lambda: universal_gb(TWISTED, Budget(walk=4)), ("walk", 4, 5)),
+], ids=["elements", "pairs", "degree", "points", "nodes", "subsets", "walk"])
 def test_each_field_trips_with_guard_limit_and_reach(run, expected):
     assert tripped(run) == expected
 
@@ -154,6 +158,17 @@ def test_universal_gb_budget_reaches_every_buchberger_run(monkeypatch):
     assert all(args[2].elements == 99 for args in runs)
 
 
+def test_the_walk_guard_trips_in_the_walk():
+    # Segre 2x2x3 has 129 Graver vectors and a walk of more than 788,970
+    # nodes; the guard stops it at the 1,001st, after graver has answered
+    A = ConfigMatrix(generate("segre", ("2", "2", "3")))
+    with pytest.raises(LimitExceeded) as exc:
+        universal_gb(A, Budget(walk=1000))
+    e = exc.value
+    assert (e.guard, e.limit, e.reached) == ("walk", 1000, 1001)
+    assert [entry.name for entry in exc.traceback[-2:]] == ["descend", "check"]
+
+
 def test_start_point_search_takes_the_budget():
     # the fiber search caps its nodes as well as its points
     assert tripped(lambda: fiber(LINE, (100,), Budget(nodes=10)))[:2] == ("nodes", 10)
@@ -188,6 +203,28 @@ def test_no_limit_keyword_outside_the_budget():
                         found.append((path.name, node.name, arg.arg))
     # perfbench/workloads.py still passes max_pairs
     assert found == [("ip.py", "solve_ip_elimination", "max_pairs")]
+
+
+def test_every_guard_is_checked_and_every_limit_flag_is_declared():
+    # a field that no budget.check names, or a flag mapped to a guard
+    # that nothing checks, is a knob that limits no work
+    checked = set()
+    for path in PRODUCTION:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "check"
+                    and getattr(node.func.value, "id", None) == "budget"):
+                checked.add(ast.literal_eval(node.args[0]))
+    fields = {field.name for field in dataclasses.fields(Budget)} - {"grading"}
+    assert checked == fields
+    declared, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            declared.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    assert set(cli._LIMIT_FLAGS) <= fields
+    assert set(cli._LIMIT_FLAGS.values()) <= declared
 
 
 def test_every_parameter_is_read():

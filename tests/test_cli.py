@@ -226,33 +226,53 @@ def test_universal_of_twisted_cubic(twisted, capsys):
     assert "initial_ideals: 8" in out
 
 
-def test_graver_size_cap_only_where_the_enumeration_runs(twisted, tmp_path, capsys):
-    # the twisted cubic has 5 Graver elements
+def test_walk_cap_only_where_the_walk_runs(twisted, tmp_path, capsys):
+    # the twisted cubic's walk enters 31 nodes
     for argv in (["universal", twisted], ["fan", "count", twisted],
                  ["fan", "cones", twisted]):
-        rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
-        assert rc == 4
-        assert "capped at 4" in err
+        rc, out, err = run(capsys, argv + ["--max-walk", "4"])
+        assert (rc, out) == (4, "")
+        assert err == "error: walk guard exceeded: reached 5, capped at 4 (--max-walk)\n"
+        assert run(capsys, argv + ["--max-walk", "31"])[0] == 0
     w = wfile(tmp_path, [3, 0, 1, 7])
     for argv in (["groebner", twisted], ["graver", twisted],
                  ["circuits", twisted], ["solve", twisted, "--weight", w, "--rhs", "1,1"]):
-        rc, _, err = run(capsys, argv + ["--max-graver-bits", "4"])
+        rc, _, err = run(capsys, argv + ["--max-walk", "4"])
         assert rc == 1
-        assert "unrecognized arguments: --max-graver-bits" in err
-    # with --weight, fan enumerates nothing, so it refuses the cap
-    for mode, message in (("triangulate", "unrecognized arguments: --max-graver-bits"),
-                          ("cones", "argument --max-graver-bits: not allowed with "
+        assert "unrecognized arguments: --max-walk" in err
+    # with --weight, fan walks nothing, so it refuses the cap
+    for mode, message in (("triangulate", "unrecognized arguments: --max-walk"),
+                          ("cones", "argument --max-walk: not allowed with "
                                     "argument --weight")):
-        rc, _, err = run(capsys, ["fan", mode, twisted, "--weight", w, "--max-graver-bits", "4"])
+        rc, _, err = run(capsys, ["fan", mode, twisted, "--weight", w, "--max-walk", "4"])
         assert rc == 1
         assert message in err
         assert run(capsys, ["fan", mode, twisted, "--weight", w])[0] == 0
 
 
+def test_walk_cap_stops_a_walk_that_would_run_on(tmp_path, capsys):
+    # Segre 2x2x3: 129 Graver vectors, then more than 788,970 nodes
+    segre = str(tmp_path / "segre223.mat")
+    assert main(["gen", "segre", "2", "2", "3", "--out", segre]) == 0
+    rc, out, err = run(capsys, ["universal", segre, "--max-walk", "1000"])
+    assert (rc, out) == (4, "")
+    assert err == "error: walk guard exceeded: reached 1001, capped at 1000 (--max-walk)\n"
+
+
+def test_the_default_walk_cap_admits_a_thirty_vector_arrangement(tmp_path, capsys):
+    # the 30 Graver vectors of hypersimplex2 5 make a walk of 63,567 nodes
+    path = str(tmp_path / "hypersimplex5.mat")
+    assert main(["gen", "hypersimplex2", "5", "--out", path]) == 0
+    rc, out, err = run(capsys, ["fan", "count", path])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5e545a7b874219e6d1a0d1b3d3a58ef1264c24af804c99cae4a59489605b9635")
+
+
 @pytest.mark.parametrize("argv", [
     ["groebner", "{m}", "--max-degree"],
     ["universal", "{m}", "--max-degree"],
-    ["fan", "count", "{m}", "--max-graver-bits"],
+    ["fan", "count", "{m}", "--max-walk"],
     ["solve", "{m}", "--weight", "{w}", "--rhs", "1,0,1,0,0", "--max-fiber"],
 ])
 def test_negative_cap_is_usage_error(tmp_path, capsys, argv):
@@ -366,7 +386,7 @@ def test_prose_defaults_match_the_budget():
     from toricgb.errors import Budget
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    expected = {"--max-fiber": Budget.points, "--max-graver-bits": Budget.graver}
+    expected = {"--max-fiber": Budget.points, "--max-walk": Budget.walk}
     for text in (cli.__doc__, readme):
         flat = " ".join(text.split())
         flags = list(re.finditer(r"--max-[a-z-]+", flat))
@@ -395,6 +415,18 @@ def test_solve_bad_rhs(tmp_path, capsys):
     rc, _, err = run(capsys, ["solve", str(p), "--weight", w, "--rhs", "1,2"])
     assert rc == 1
     assert "right-hand side needs 1" in err
+
+
+def test_solve_reads_a_negative_rhs_as_a_value(tmp_path, capsys):
+    # argparse takes a word such as -1,2 for a flag unless it is told not to
+    w = wfile(tmp_path, [1, 2, 3])
+    for text, rhs, expected in (("2 3\n1 1 1\n0 1 -2\n", "-1,2", (2, "INFEASIBLE\n")),
+                                ("2 3\n0 1 -2\n1 1 1\n", "-2,1", (0, "(0,0,1) cost 3\n"))):
+        p = tmp_path / "neg.mat"
+        p.write_text(text)
+        head = ["solve", str(p), "--weight", w]
+        assert run(capsys, head + ["--rhs", rhs]) == (*expected, "")
+        assert run(capsys, head + [f"--rhs={rhs}"]) == (*expected, "")
 
 
 # -- fan --------------------------------------------------------------------
@@ -513,28 +545,32 @@ PARSERS = {
                           "--max-degree"},
     ("graver", "{m}"): {"--json", "--out", "--pretty", "--max-degree"},
     ("circuits", "{m}"): {"--json", "--out", "--pretty", "--max-degree"},
-    ("universal", "{m}"): {"--json", "--out", "--pretty", "--max-degree", "--max-graver-bits"},
+    ("universal", "{m}"): {"--json", "--out", "--pretty", "--max-degree", "--max-walk"},
     ("solve", "{m}", "--weight", "{w}", "--rhs", "4,5"): {"--json", "--weight", "--rhs",
                                                           "--max-fiber", "--method"},
-    ("fan", "count", "{m}"): {"--json", "--max-graver-bits"},
-    ("fan", "cones", "{m}"): {"--json", "--weight", "--tiebreak", "--max-graver-bits"},
+    ("fan", "count", "{m}"): {"--json", "--max-walk"},
+    ("fan", "cones", "{m}"): {"--json", "--weight", "--tiebreak", "--max-walk"},
     ("fan", "triangulate", "{m}", "--weight", "{w}"): {"--json", "--weight"},
     ("gen", "segre", "2", "2"): {"--out"},
 }
 
 # every flag of the command line, with a value it takes; {o} is a path
-# that no refused run may write
+# that no refused run may write.  --max-graver-bits, the Graver-size cap
+# that --max-walk replaced, is declared by no parser, so each refuses it
 FLAGS = {"--json": (), "--pretty": (), "--weight": ("{w}",), "--tiebreak": ("lex",),
-         "--out": ("{o}",), "--max-degree": ("3",), "--max-graver-bits": ("9",),
-         "--max-fiber": ("5",), "--rhs": ("4,5",), "--method": ("reduce",)}
+         "--out": ("{o}",), "--max-degree": ("3",), "--max-walk": ("9",),
+         "--max-graver-bits": ("9",), "--max-fiber": ("5",), "--rhs": ("4,5",),
+         "--method": ("reduce",)}
 
 REFUSALS = [(head + (flag, *FLAGS[flag]), f"unrecognized arguments: {flag}")
             for head, declared in PARSERS.items() for flag in FLAGS if flag not in declared]
 REFUSALS += [
+    (("fan", "cones", "{m}", "--weight", "{w}", "--max-walk", "9"),
+     "argument --max-walk: not allowed with argument --weight"),
+    (("fan", "cones", "{m}", "--max-walk", "9", "--weight", "{w}"),
+     "argument --weight: not allowed with argument --max-walk"),
     (("fan", "cones", "{m}", "--weight", "{w}", "--max-graver-bits", "9"),
-     "argument --max-graver-bits: not allowed with argument --weight"),
-    (("fan", "cones", "{m}", "--max-graver-bits", "9", "--weight", "{w}"),
-     "argument --weight: not allowed with argument --max-graver-bits"),
+     "unrecognized arguments: --max-graver-bits"),
     (("solve", "{m}", "--rhs", "4,5"), "the following arguments are required: --weight"),
     (("fan", "triangulate", "{m}"), "the following arguments are required: --weight"),
     (("fan", "{m}"), "argument mode: invalid choice"),

@@ -19,7 +19,6 @@ from toricgb.exactmath import (
     dot,
     feasible_witness,
     hnf,
-    identity_matrix,
     is_irredundant,
     kernel_lattice_basis,
     max_abs_minor,
@@ -33,6 +32,7 @@ from toricgb.oracle import (
     _normalize_constraint,
     cramer_by_determinants,
     feasible_witness_by_elimination,
+    identity_matrix,
 )
 
 

@@ -6,7 +6,9 @@ any printed basis, initial ideal, facet count, witness, triangulation,
 integer-program optimum, refusal or generated matrix fails here.  A
 change that moves a digest on purpose says which, and why, in
 CHANGES.md.  Every case runs again on each input with its rows
-rewritten, which must change no byte.
+rewritten by additions, and every case whose command takes negative
+entries runs a third time with rows subtracted as well; neither
+rewrite may change a byte.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 import pytest
 
 from toricgb.cli import generate, main, parse_matrix, write_vectors
+from toricgb.toric import ConfigMatrix, degree_bound
 
 # gen arguments of each input configuration
 INPUTS = {
@@ -443,17 +446,17 @@ GOLDEN = {
         "2ab94d698a686b7318f1ad45fc93f7bfc196f2d294261dae28daaa30cd18b1b7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve3_7_8_11", "universal"): (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+        "52f1a102dcd16ae7a1257cf315bf7e818ce178ca0869d5a19b8d1d858cea3eed",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve3_7_8_11", "count"): (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+        "d69b4ecc279dd93008d8d15aef6115023f57f3c8f757d99de309c3d0d1a89230",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve3_7_8_11", "cones"): (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+        "fe725f8e491962d3cb30b4f51cb6b9ae5bd55a395438fce3ac33eb4e76d9df19",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve3_7_8_11", "cones-json"): (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7b694ded090120a7ab71c981f29d379b4cbe023500c79463c40dd8a1b891ee84", 4),
+        "89b3043cab2b91c06940b4dce0651b9f875a508510415c8bc47bb4b98ad69e64",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     ("curve3_7_8_11", "cones-w"): (
         "ad701423f01803a58392f55e1e6abf0e85f9fe1467d235b18ddf60467ffe67ca",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -673,38 +676,49 @@ def test_command_output_is_pinned(inputs, capsys, case):
     assert run(capsys, argv) == GOLDEN[case]
 
 
-def rewrite_rows(rows, rng):
+def rewrite_rows(rows, rng, subtract=False):
     """The same configuration written with other rows.
 
     Shuffles the rows, adds each of len(rows) drawn rows to another one
-    and appends the sum of two drawn rows, as
-    perfbench/workloads.row_transform does, so the row lattice and the
-    kernel stay the same.  Rows are added, never subtracted, since the
-    elimination route of solve refuses a negative entry.  A one-row
-    matrix has no other row to add to, and may get its double appended.
+    (or, with subtract, adds or subtracts it, by a drawn sign) and
+    appends the sum of two drawn rows, as perfbench/workloads.row_transform
+    does, so the row lattice and the kernel stay the same.  Without
+    subtract no entry turns negative, which the elimination route of
+    solve refuses.  A one-row matrix has no other row to add to, and may
+    get its double appended.
     """
     rows = [list(r) for r in rows]
     rng.shuffle(rows)
     if len(rows) > 1:
         for _ in range(len(rows)):
             i, j = rng.sample(range(len(rows)), 2)
-            rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+            k = rng.choice((-1, 1)) if subtract else 1
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
     i, j = rng.choice(range(len(rows))), rng.choice(range(len(rows)))
     rows.append([a + b for a, b in zip(rows[i], rows[j])])
     return rows
 
 
-@pytest.fixture(scope="module")
-def rewritten(inputs, tmp_path_factory):
+def rewrite_inputs(inputs, root, subtract):
     """inputs, with each matrix file rewritten by rewrite_rows."""
-    root = tmp_path_factory.mktemp("rewritten")
     paths = {}
     for name, words in inputs.items():
-        rows = rewrite_rows(parse_matrix(open(words["m"]).read()).entries, random.Random(name))
+        rows = parse_matrix(open(words["m"]).read()).entries
+        rows = rewrite_rows(rows, random.Random(name), subtract)
         mat = root / f"{name}.mat"
         mat.write_text(write_vectors(rows))
         paths[name] = {**words, "m": str(mat), "b": ",".join(str(sum(r)) for r in rows)}
     return paths
+
+
+@pytest.fixture(scope="module")
+def rewritten(inputs, tmp_path_factory):
+    return rewrite_inputs(inputs, tmp_path_factory.mktemp("rewritten"), subtract=False)
+
+
+@pytest.fixture(scope="module")
+def subtracted(inputs, tmp_path_factory):
+    return rewrite_inputs(inputs, tmp_path_factory.mktemp("subtracted"), subtract=True)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
@@ -714,20 +728,37 @@ def test_rewritten_rows_print_the_same_bytes(rewritten, capsys, case):
     assert run(capsys, argv) == GOLDEN[case]
 
 
-@pytest.mark.xfail(
-    reason="circuits takes true degrees from the minors of the rows ConfigMatrix "
-    "keeps, and rewritten rows can keep a basis of a sublattice of the row lattice",
-    strict=True,
-)
+# the commands that refuse a matrix with a negative entry, by design
+REFUSE_NEGATIVE = {"solve-eliminate"}
+
+
+@pytest.mark.parametrize("case", sorted(c for c in GOLDEN if c[1] not in REFUSE_NEGATIVE),
+                         ids="-".join)
+def test_subtracted_rows_print_the_same_bytes(subtracted, capsys, case):
+    # rows subtracted as well as added give negative entries, in the
+    # matrix and in the right-hand side
+    name, command = case
+    argv = [word.format(**subtracted[name]) for word in COMMANDS[command]]
+    assert run(capsys, argv) == GOLDEN[case]
+
+
 def test_rewritten_rows_keep_the_circuits_true_degrees(tmp_path, capsys):
     # rewrite_rows of the Segre 2x2 matrix under random.Random(0): the three
-    # rows kept span a sublattice of index 3, and the true degree 2 reads 6
+    # rows kept span a sublattice of index 3, on whose minors the true
+    # degree 2 read 6
     rows = generate("segre", ("2", "2")).entries
     paths = []
     for name, written in (("plain", rows), ("rewritten", rewrite_rows(rows, random.Random(0)))):
         paths.append(tmp_path / f"{name}.mat")
         paths[-1].write_text(write_vectors(written))
     assert run(capsys, ["circuits", str(paths[1])]) == run(capsys, ["circuits", str(paths[0])])
+
+
+def test_rewritten_rows_keep_the_degree_bound():
+    # the same rewrite: the minors of the three rows kept would give 12
+    rows = generate("segre", ("2", "2")).entries
+    for written in (rows, rewrite_rows(rows, random.Random(0))):
+        assert degree_bound(ConfigMatrix(written)) == 4
 
 
 @pytest.mark.parametrize("gen", sorted(GEN_GOLDEN), ids="-".join)

@@ -532,8 +532,10 @@ def test_graver_makes_no_repeated_run(monkeypatch):
 
 
 def test_universal_gb_guard():
-    with pytest.raises(LimitExceeded):
-        universal_gb(TWISTED, Budget(graver=2))
+    # the root, a child and a grandchild: the walk trips at its third node
+    with pytest.raises(LimitExceeded) as exc:
+        universal_gb(TWISTED, Budget(walk=2))
+    assert (exc.value.guard, exc.value.reached) == ("walk", 3)
 
 
 def test_normalize_sign():
