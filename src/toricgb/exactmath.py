@@ -11,10 +11,12 @@ is in the cone, cone_support also names the vectors of the combination
 that phase 1 found, so one refutation serves every system that holds
 those vectors.  A question whose answer is a point that gets printed
 or kept (a cell witness, a grading) goes to feasible_witness, which
-fixes one coordinate at a time from the exact bounds of two linear
-programs, each a phase 1 and a phase 2.  Its point is the one
-Fourier-Motzkin elimination with back-substitution gives;
-toricgb.oracle keeps that method as the reference.
+fixes one coordinate at a time from its exact bounds on the slice:
+two linear programs, each a phase 1 and a phase 2, or one on an open
+homogeneous slice, and one Fourier-Motzkin step for the last two
+coordinates.  Its point is the one Fourier-Motzkin elimination with
+back-substitution gives; toricgb.oracle keeps that method as the
+reference.
 """
 
 from __future__ import annotations
@@ -474,6 +476,29 @@ def _choose(lo, up):
     return lo + 1 if up is None else (lo + up) / 2
 
 
+def _ratio_bounds(rows, den):
+    # (lo, up) of x on {x : a * x >= c / den for (a, c) in rows}; a = 0 bounds nothing
+    lo = max((Fraction(c, a * den) for a, c in rows if a > 0), default=None)
+    up = min((Fraction(c, a * den) for a, c in rows if a < 0), default=None)
+    return lo, up
+
+
+def _last_two(pairs, B, den):
+    """(lo, up) of x_0 on {x in Q^2 : p_j . x >= B_j / den}, with no program.
+
+    One Fourier-Motzkin step eliminates x_1: the rows that are 0 in x_1,
+    and each row positive in x_1 combined with each negative one by
+    positive multipliers.  That is the exact projection of the set onto
+    x_0 whenever the set is nonempty.
+    """
+    rows = [(p0, Bj) for (p0, p1), Bj in zip(pairs, B) if not p1]
+    neg = [(p, Bj) for p, Bj in zip(pairs, B) if p[1] < 0]
+    for (p0, p1), Bp in zip(pairs, B):
+        if p1 > 0:
+            rows += [(p1 * q0 - q1 * p0, p1 * Bq - q1 * Bp) for (q0, q1), Bq in neg]
+    return _ratio_bounds(rows, den)
+
+
 def feasible_witness(constraints, n):
     """A rational point satisfying every constraint, or None.
 
@@ -483,22 +508,42 @@ def feasible_witness(constraints, n):
     elimination with back-substitution, as both depend on S alone.  If
     S is nonempty, so is each slice, and a segment from a point of it to
     a point of its closure stays in S short of its end, so lo and up are
-    the optima with every inequality made weak: two _slice_bound
-    programs, or ratios for the last coordinate.  x = X / den over one
+    the optima with every inequality made weak.  x = X / den over one
     denominator, and B_j = den * b_j - a_j[:k] . X.  A final B_j > 0
-    (or = 0 on a strict row) means S is empty.
+    (or = 0 on a strict row) means S is empty, so when S is empty the
+    answer is None whatever x the bounds gave, and each rule below need
+    only be exact when S is nonempty.
+
+    - The last coordinate: lo and up are ratios of the rows.
+    - The last two: one Fourier-Motzkin step in x_{n-1} (_last_two) is
+      the exact projection of the closed slice onto x_{n-2}, so its
+      ratios are the two optima.  One step makes at most m^2/4 rows
+      from m; a second could make about m^4/64, so it stops at one.
+    - Each earlier coordinate: two _slice_bound programs, except on an
+      open homogeneous slice (every row strict, every B_j = 0).  On
+      its closure, a closed cone, lo and up are each 0 or unbounded.
+      Both 0 would put the cone in the hyperplane x_k = 0, but the open
+      slice is nonempty when S is, and a nonempty open set lies in no
+      hyperplane; so when lo = 0, up is unbounded, with no second
+      program.  A weak row breaks this: {x_0 >= 0, -x_0 >= 0,
+      x_1 + x_2 > 0} has lo = up = 0.
     """
     rows = _integer_rows(constraints, n)
+    open_cone = all(strict for _, _, strict in rows)
     X, den = [], 1
     B = [b for _, b, _ in rows]
     for k in range(n):
-        if k < n - 1:
+        if k < n - 2:
             vectors = [a[k:] for a, _, _ in rows]
-            lo, up = (_slice_bound(vectors, n - k, B, den, side) for side in (1, -1))
+            lo = _slice_bound(vectors, n - k, B, den, 1)
+            if open_cone and lo is not None and not any(B):
+                up = None
+            else:
+                up = _slice_bound(vectors, n - k, B, den, -1)
+        elif k == n - 2:
+            lo, up = _last_two([a[k:] for a, _, _ in rows], B, den)
         else:
-            ratios = [(a[k], Fraction(Bj, a[k] * den)) for (a, _, _), Bj in zip(rows, B) if a[k]]
-            lo = max((r for ak, r in ratios if ak > 0), default=None)
-            up = min((r for ak, r in ratios if ak < 0), default=None)
+            lo, up = _ratio_bounds([(a[k], Bj) for (a, _, _), Bj in zip(rows, B)], den)
         x = _choose(lo, up)
         q = lcm(den, x.denominator)
         X = [xi * (q // den) for xi in X] + [x.numerator * (q // x.denominator)]

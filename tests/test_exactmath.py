@@ -382,8 +382,29 @@ def count_choices(monkeypatch):
     return tally
 
 
+def count_last_two(monkeypatch):
+    """Tally the cases of _last_two's elimination step that a call meets."""
+    tally = Counter()
+    real = exactmath._last_two
+
+    def last_two(pairs, B, den):
+        if any(p1 == 0 for _, p1 in pairs):
+            tally["row 0 in x_1"] += 1
+        if any(p1 * q0 == q1 * p0 for p0, p1 in pairs if p1 > 0
+               for q0, q1 in pairs if q1 < 0):
+            tally["combination 0 in x_0"] += 1
+        lo, up = real(pairs, B, den)
+        if lo is None or up is None:
+            tally["a side with no rows"] += 1
+        return lo, up
+
+    monkeypatch.setattr(exactmath, "_last_two", last_two)
+    return tally
+
+
 def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
     tally = count_choices(monkeypatch)
+    last_two = count_last_two(monkeypatch)
     rng = random.Random(2027)
     seen = Counter()
     for _ in range(2000):
@@ -397,6 +418,38 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
                                         "empty")), seen
     assert all(tally[k] >= 200 for k in ("no bound", "one bound", "lo = up",
                                          "midpoint")), tally
+    assert all(last_two[k] >= 300 for k in ("row 0 in x_1", "combination 0 in x_0",
+                                            "a side with no rows")), last_two
+
+
+def pinned_cone(rng, n):
+    """Homogeneous rows, strict or weak, with one row and its weak reverse.
+
+    The pair pins its row's hyperplane, so the solution set has no
+    interior however strict the other rows are: an open-cone rule that
+    forgot the weak rows would call the far side of a coordinate
+    unbounded where the hyperplane bounds it.
+    """
+    cons = [(tuple(rng.randint(-3, 3) for _ in range(n)), 0, rng.random() < 0.5)
+            for _ in range(rng.randint(0, 5))]
+    a = [rng.randint(-2, 2) for _ in range(n)]
+    a[rng.randrange(n)] = rng.choice((-1, 1))
+    for row in (tuple(a), tuple(-x for x in a)):
+        cons.insert(rng.randint(0, len(cons)), (row, 0, False))
+    return cons
+
+
+def test_feasible_witness_matches_fourier_motzkin_on_pinned_cones():
+    # {x_0 >= 0, -x_0 >= 0, x_1 + x_2 > 0} is feasible at (0, 0, 1)
+    assert check_same_witness([((1, 0, 0), 0, False), ((-1, 0, 0), 0, False),
+                               ((0, 1, 1), 0, True)], 3) == (0, 0, 1)
+    rng = random.Random(2029)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        seen[n, check_same_witness(pinned_cone(rng, n), n) is None] += 1
+    assert all(seen[n, False] >= 50 for n in range(1, 7)), seen
+    assert sum(seen[n, True] for n in range(1, 7)) >= 100, seen
 
 
 @st.composite

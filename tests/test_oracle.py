@@ -50,6 +50,8 @@ from toricgb.toric import (
     ConfigMatrix,
     _canonical_order,
     _sign_tree,
+    circuits,
+    degree_bound,
     graver,
     normalize_sign,
     saturate_variable,
@@ -595,6 +597,56 @@ def test_groebner_fan_matches_groebner_cone(A):
         size = None
     assume(size is not None and size <= 12)
     assert_fan_matches_groebner_cone(A)
+
+
+@st.composite
+def rewritten_configs(draw):
+    """A pointed_configs draw, the same rows under a drawn unimodular transform,
+    and integer heights.
+
+    Each step negates a row, swaps two, or adds a multiple of one to
+    another, so the row lattice, and with it the kernel, stays the same.
+    """
+    A = next(pointed_configs(random.Random(draw(st.integers(0, 2**32))), 1))
+    rows = [list(r) for r in A.original.entries]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif draw(st.booleans()):
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            k = draw(st.sampled_from((-2, -1, 1, 2)))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    omega = draw(st.lists(st.integers(0, 9), min_size=A.n, max_size=A.n))
+    return A, ConfigMatrix(rows), omega
+
+
+def grading_free_answers(A, order, omega):
+    _, ideals, witnesses, bases = universal_gb(A)
+    try:
+        triangulation = regular_triangulation(A, omega).facets
+    except NonGenericOmega:
+        triangulation = None
+    return (toric_groebner(A, order).vectors, graver(A), degree_bound(A),
+            [I.gens for I in ideals], witnesses, [G.vectors for G in bases], triangulation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rewritten_configs())
+def test_answers_do_not_depend_on_how_the_rows_are_written(problem):
+    # the grading is the feasibility point of the columns in the rows'
+    # coordinates, so it can move with the rows (see the strict xfail
+    # test_swapped_rows_keep_the_circuits_true_degrees): toric_groebner
+    # runs under one order on both sides, and a circuit's true degree is
+    # compared through the minors' factor, true degree / grading degree
+    A, B, omega = problem
+    order = _canonical_order(A)
+    assert grading_free_answers(A, order, omega) == grading_free_answers(B, order, omega)
+    ca, cb = circuits(A), circuits(B)
+    assert [c.vector for c in ca] == [c.vector for c in cb]
+    assert all(a.true_degree * B.degree(a.vector) == b.true_degree * A.degree(a.vector)
+               for a, b in zip(ca, cb))
 
 
 def seeded_configs(rng):

@@ -300,6 +300,28 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     assert sum(len(args[0]) for args in calls) == 432
 
 
+@pytest.mark.parametrize("dims, programs", [((3, 3), 370), ((2, 2, 2), 270)])
+def test_witnesses_make_a_pinned_number_of_programs(monkeypatch, dims, programs):
+    # each witness lives in R^4: the last two coordinates cost no
+    # program, and an open homogeneous slice whose lower side is bounded
+    # costs one; two programs per coordinate but the last made 648 and 480
+    import toricgb.exactmath as exactmath
+
+    A = ConfigMatrix(generate("segre", dims))
+    calls = record_calls(monkeypatch, exactmath, "_slice_bound")
+    universal_gb(A)
+    assert len(calls) == programs
+
+
+@pytest.mark.xfail(strict=True, reason="the grading is the feasibility point of the "
+                   "columns in the rows' coordinates, so it moves with the rows")
+def test_swapped_rows_keep_the_circuits_true_degrees():
+    # the gradings read (2, 2, 3, 2) and (9, 9, 11, 6), and the true
+    # degrees 18, 12, 18 and 66, 54, 66
+    rows = ((3, 3, 2, 0), (2, 2, 3, 2))
+    assert circuits(ConfigMatrix(rows)) == circuits(ConfigMatrix(rows[::-1]))
+
+
 @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
 def test_universal_gb_witness_is_that_of_the_full_sign_pattern(dims):
     # the witness program holds only the cell's facets, and
