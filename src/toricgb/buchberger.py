@@ -32,12 +32,15 @@ computations", ISSAC 1998).  Each variable owns a field of W bits, and
 the top bit of each field is a guard bit that a monomial keeps clear.
 The fields are laid out along the order's precedence: for a lex
 tie-break the most expensive variable takes the top field, for revlex
-the cheapest does.  Comparing packed ints then compares the tie-break,
-so the order key of a monomial is its weight-row dot products followed
-by the packed int, negated under revlex.  That key is linear, so each
-element caches the key of lead - trail and the engine moves keys by
-subtraction.  The hot operations are a few big-int operations each,
-with G the guard bits and ONES the low bit of every field:
+the cheapest does.  Comparing packed ints then compares the tie-break.
+The order key of a monomial is one int as well: the packed int, negated
+under revlex, plus each weight-row dot product times a scale that
+exceeds the range of everything below that row (see _Packing.key), so
+comparing keys compares the weight rows first and the tie-break last.
+That key is linear, so each element caches the key of lead - trail and
+the engine moves keys by int subtraction.  The hot operations are a few
+big-int operations each, with G the guard bits and ONES the low bit of
+every field:
 
 * x^a divides x^u: ((u | G) - a) & G == G;
 * support: ((u | G) - ONES) & G holds the guard bit of each field where
@@ -210,9 +213,9 @@ class _Packing:
     """The field layout of packed monomials on n variables at width W.
 
     With an order, variable precedence[0] takes the top field under lex
-    and the bottom field under revlex, and key() gives order keys;
-    without one the fields follow the variable indices.  fields(P) gives
-    the field values of P, bottom field first.
+    and the bottom field under revlex, and key() gives order keys as
+    ints; without one the fields follow the variable indices.  fields(P)
+    gives the field values of P, bottom field first.
     """
 
     def __init__(self, n: int, width: int, ord: TermOrder = None):
@@ -230,6 +233,15 @@ class _Packing:
         self.field_of = tuple(sorted(range(n), key=at_field.__getitem__))
         self.rows = () if ord is None else tuple(
             tuple(row[v] for v in at_field) for row in ord.layers)
+        # each row with its scale, built from the last row up: a strict
+        # bound on how far apart the lower rows and the tie-break of two
+        # guard-clear monomials can put their keys (see key).  An all-ones
+        # row, the total degree, is None: its dot product is sum(fs)
+        scaled, spread = [], 1 << (n * width) >> 1
+        for row in reversed(self.rows):
+            scaled.append((None if all(x == 1 for x in row) else row, spread))
+            spread += spread * sum(map(abs, row)) * (self.half - 1)
+        self._scaled = tuple(reversed(scaled))
         code = _STRUCT_CODES.get(width)
         if code:
             layout = struct.Struct(f"<{n}{code}")
@@ -252,12 +264,29 @@ class _Packing:
         fs = self.fields(P)
         return tuple([fs[f] for f in self.field_of])
 
-    def key(self, P) -> tuple:
-        """Order key of the monomial P: the weight rows, then the tie-break."""
-        if not self.rows:
-            return (self.sign * P,)
-        fs = self.fields(P)
-        return tuple([sum(map(mul, row, fs)) for row in self.rows] + [self.sign * P])
+    def key(self, P) -> int:
+        """Order key of the guard-clear monomial P: one int, linear in P.
+
+        K(P) = sum over the weight rows r of S_r * (row_r . fields(P)),
+        plus sign * P, and the ints compare as the order's tuples do.
+        Each field of a guard-clear monomial lies in [0, 2**(W-1)), so
+        sign * P takes values less than 2**(nW-1) apart, and
+        row_r . fields(P) values at most M_r = sum |row_r| * (2**(W-1) - 1)
+        apart, negative weights included.  S_r is a strict bound on the range of the lower part
+        (the rows below r and the tie-break): S_last = 2**(nW-1), then
+        S_(r-1) = S_r * M_r + S_r.  Two monomials whose rows first differ
+        at row r have keys S_r * (difference of at least 1) apart, moved
+        by less than S_r, so the sign is that of row r; when every row
+        agrees it is that of sign * P, the tie-break.  The scales depend
+        on W, and a widened run starts again with a new packing, so no
+        key meets a key of another width.
+        """
+        k = self.sign * P
+        if self.rows:
+            fs = self.fields(P)
+            for row, scale in self._scaled:
+                k += scale * (sum(fs) if row is None else sum(map(mul, row, fs)))
+        return k
 
     def support(self, P) -> int:
         """The guard bits of the fields where P is positive."""
@@ -273,16 +302,12 @@ class _Packing:
         return a ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
 
 
-def _sub(ku, kv):
-    return tuple([x - y for x, y in zip(ku, kv)])
-
-
 class _Reducer:
     """Packed elements lead - trail, and reduction by them.
 
     Each element keeps its vector lead - trail as a signed int, and for
-    top_reduce its kvec = key(lead) - key(trail): one reduction step
-    u -> u - k*(lead - trail) moves the key of u by -k times kvec, so
+    top_reduce its kvec = key(lead) - key(trail), an int: one reduction
+    step u -> u - k*(lead - trail) moves the key of u by -k*kvec, so
     top_reduce follows the key of the side it reduces without computing
     a key again.
     """
@@ -386,7 +411,7 @@ class _Reducer:
             if e is None:
                 return lead, trail, klead, ktrail
             lead, k = step(e, lead)
-            klead = tuple([x - k * y for x, y in zip(klead, kvecs[e])])
+            klead -= k * kvecs[e]
             if lead == trail:
                 return None
             if klead < ktrail:
@@ -491,11 +516,14 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
     The run works on packed monomials (see the module docstring): one
     int per monomial with a W-bit field per variable, laid out along the
     order's precedence, and tuples only for the generators and the
-    result.  An order key is the tuple of weight-row dot products and
-    the packed int (negated under revlex), so it is linear: each
-    element caches key(lead) - key(trail), reductions update keys by
-    subtraction, and an S-pair's two term keys are the lcm's key,
-    computed once for the heap, minus the two cached element keys.
+    result.  An order key is one int, the packed int (negated under
+    revlex) plus each weight-row dot product times its row's scale; a
+    row's scale bounds the range of the rows below it and the tie-break
+    on guard-clear monomials, so the ints compare as the order does.
+    The key is linear: each element caches key(lead) - key(trail),
+    reductions update keys by int subtraction, and an S-pair's two term
+    keys are the lcm's key, computed once for the heap, minus the two
+    cached element keys.
     Fields start at 16 bits; a result that would reach a guard bit
     restarts the run with the width doubled, so the basis, the pairs
     and every guard trip are those of fields wide enough from the start.
@@ -558,11 +586,11 @@ def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
     options exact.
     """
     gens = [g if isinstance(g, Binomial) else tuple(g) for g in gens]
-    return _widening(lambda width: _run(gens, ord, budget, _Packing(ord.n, width, ord),
+    return _widening(lambda width: _run(gens, budget, _Packing(ord.n, width, ord),
                                         prime, monomial, saturated))
 
 
-def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial, saturated):
+def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
     key, guard, ones, W = pk.key, pk.guard, pk.ones, pk.width
     push = heapq.heappush
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
@@ -587,7 +615,7 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial, sa
         if not m:
             return lead, trail, klead, ktrail
         km = key(m)
-        return lead - m, trail - m, _sub(klead, km), _sub(ktrail, km)
+        return lead - m, trail - m, klead - km, ktrail - km
 
     # bit i of near[f] is set when lead i is positive in field f
     near = [0] * pk.n
@@ -696,12 +724,12 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial, sa
     def add(lead, trail, klead, ktrail):
         if max_degree is not None:
             if grading is None:
-                deg = klead[0] if ord.layers else 0
+                deg = sum(map(mul, pk.rows[0], pk.fields(lead))) if pk.rows else 0
             else:
                 deg = dot(grading, pk.unpack(lead))
             if deg > max_degree:
                 budget.check("degree", deg)
-        red.append(lead, trail, _sub(klead, ktrail))
+        red.append(lead, trail, klead - ktrail)
         if max_elements is not None and len(leads) > max_elements:
             budget.check("elements", len(leads))
         update(len(leads) - 1)
@@ -740,7 +768,7 @@ def _run(gens, ord: TermOrder, budget: Budget, pk: _Packing, prime, monomial, sa
         p, q = _s_pair(L, vecs[i], vecs[j], guard)
         if p == q or prime and ((p | guard) - ones) & ((q | guard) - ones) & guard:
             continue
-        kp, kq = _sub(kL, kvecs[i]), _sub(kL, kvecs[j])
+        kp, kq = kL - kvecs[i], kL - kvecs[j]
         if sat_bits:
             p, q, kp, kq = divide(p, q, kp, kq)
         r = red.top_reduce(p, q, kp, kq)

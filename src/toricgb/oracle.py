@@ -34,7 +34,6 @@ from .buchberger import (
     _Packing,
     _Reducer,
     _s_pair,
-    _sub,
     _widening,
     buchberger,
     s_binomial,
@@ -575,7 +574,7 @@ def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
         red = _Reducer(pk)
         for b in G.elements:
             lead, trail = pk.pack(b.lead), pk.pack(b.trail)
-            red.append(lead, trail, _sub(pk.key(lead), pk.key(trail)))
+            red.append(lead, trail, pk.key(lead) - pk.key(trail))
         for j, b in enumerate(red.leads):
             for i, a in enumerate(red.leads[:j]):
                 L = pk.lcm(a, b)
@@ -583,8 +582,7 @@ def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
                 if p == q:
                     continue
                 kL = pk.key(L)
-                if red.top_reduce(p, q, _sub(kL, red.kvecs[i]),
-                                  _sub(kL, red.kvecs[j])) is not None:
+                if red.top_reduce(p, q, kL - red.kvecs[i], kL - red.kvecs[j]) is not None:
                     return False
         return True
 

@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricgb.buchberger import (
     Binomial,
+    _Packing,
     buchberger,
     normal_form,
     s_binomial,
 )
 from toricgb.errors import Budget, GuardViolated
 from toricgb.oracle import orient, passes_buchberger_criterion
-from toricgb.orders import degrevlex, lex, term_order
+from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import ConfigMatrix, toric_generators
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
@@ -133,6 +135,8 @@ def test_empty_generating_set():
     G = buchberger([], degrevlex(3))
     assert len(G) == 0
     assert normal_form((1, 2, 3), G) == (1, 2, 3)
+    # no variables at all: the packing has no fields to scale keys by
+    assert len(buchberger([], degrevlex(0))) == 0
 
 
 def test_pair_budget_trips():
@@ -144,3 +148,80 @@ def test_pair_budget_trips():
     # a generous budget must not interfere with a run that completes
     G = buchberger(gens, degrevlex(4), Budget(pairs=10_000))
     assert len(G) == 3
+
+
+# one order of each kind the engine runs under, three with negative weights
+KEY_ORDERS = [
+    degrevlex(4),
+    degrevlex(4, weight=(3, 0, 1, 2)),
+    degrevlex(4, weight=(2, -3, 0, 1), permutation=(2, 0, 3, 1)),
+    lex(4),
+    lex(4, (3, 1, 0, 2)),
+    weighted_revlex((1, 2, 3, 1), 2),
+    term_order(4, weight=(1, 4, 0, 2), elimination_block=2),
+    term_order(4, weight=(-1, 2, 0, -3), tiebreak="lex", elimination_block=1),
+    term_order(4, weight=(5, -2, 1, 0), permutation=(1, 3, 0, 2)),
+]
+# 128-bit fields have no struct code, so they unpack by shifts
+KEY_WIDTHS = (16, 32, 64, 128)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def extreme_fields(width):
+    """Field values at the ends and the middle of a field's range."""
+    h = 1 << (width - 1)
+    return (0, 1, 2, h // 2 - 1, h // 2, h // 2 + 1, h - 2, h - 1)
+
+
+def assert_int_key_is_the_tuple_key(pk, o, monomials):
+    """pk.key orders the monomials as o.key does, and is linear."""
+    cases = [(u, pk.pack(u), o.key(u)) for u in monomials]
+    for u, P, tu in cases:
+        for v, Q, tv in cases:
+            assert sign(pk.key(P) - pk.key(Q)) == (tu > tv) - (tu < tv), (u, v)
+            if max(map(sum, zip(u, v))) < pk.half:
+                assert pk.key(P + Q) == pk.key(P) + pk.key(Q)
+
+
+@pytest.mark.parametrize("width", KEY_WIDTHS)
+@pytest.mark.parametrize("o", KEY_ORDERS, ids=range(len(KEY_ORDERS)))
+def test_int_key_orders_as_the_tuple_key_seeded(o, width):
+    # single-variable monomials at the ends of the field range are the
+    # pairs where the lower rows and the tie-break pull hardest against
+    # a row that differs by one; random ones fill in between
+    n = o.n
+    values = extreme_fields(width)
+    rng = random.Random(width)
+    monomials = {tuple(c if i == j else 0 for j in range(n)) for c in values for i in range(n)}
+    monomials |= {tuple(rng.choice(values) for _ in range(n)) for _ in range(20)}
+    monomials |= {tuple(rng.randrange(1 << (width - 1)) for _ in range(n)) for _ in range(10)}
+    assert_int_key_is_the_tuple_key(_Packing(n, width, o), o, sorted(monomials))
+
+
+@st.composite
+def key_problems(draw):
+    n = draw(st.integers(1, 5))
+    width = draw(st.sampled_from(KEY_WIDTHS))
+    weight = draw(st.none() | st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    permutation = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(("degrevlex", "lex", "term_order")))
+    if kind == "degrevlex":
+        o = degrevlex(n, weight, permutation)
+    elif kind == "lex":
+        o = lex(n, permutation)
+    else:
+        o = term_order(n, weight, draw(st.sampled_from(("degrevlex", "lex"))),
+                       permutation, draw(st.integers(0, n)))
+    field = st.sampled_from(extreme_fields(width)) | st.integers(0, (1 << (width - 1)) - 1)
+    monomial = st.lists(field, min_size=n, max_size=n).map(tuple)
+    return o, width, draw(st.lists(monomial, min_size=2, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_problems())
+def test_int_key_orders_as_the_tuple_key(problem):
+    o, width, monomials = problem
+    assert_int_key_is_the_tuple_key(_Packing(o.n, width, o), o, monomials)

@@ -26,7 +26,7 @@ from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded
 from toricgb.fan import check_radical_triangulation
 from toricgb.ip import IPInstance, fiber, solve_ip, solve_ip_elimination
-from toricgb.orders import degrevlex
+from toricgb.orders import degrevlex, term_order
 from toricgb.toric import (
     ConfigMatrix,
     circuits,
@@ -122,6 +122,16 @@ def test_the_y_run_measures_the_substituted_degree(monkeypatch):
         budget = Budget(degree=4, grading=grading)
         assert tripped(lambda: toric_generators(A, budget)) == ("degree", 4, 5)
         assert len(runs) == 1
+
+
+def test_degree_without_a_grading_is_the_first_weight_row():
+    # the twisted cubic's basis under (2, -1, 0, 3) refining degrevlex
+    # has leads (0, 1, 0, 1), (1, 0, 1, 0) and (1, 0, 0, 1): total degree
+    # 2 each, but 2, 2 and 5 in the weight row, which the run measures
+    gens = toric_generators(TWISTED)
+    order = term_order(4, weight=(2, -1, 0, 3))
+    assert tripped(lambda: buchberger(gens, order, Budget(degree=2))) == ("degree", 2, 5)
+    assert tripped(lambda: buchberger(gens, order, Budget(degree=-1))) == ("degree", -1, 2)
 
 
 def test_grading_of_the_wrong_length_is_refused():
