@@ -11,11 +11,15 @@ is in the cone, cone_support also names the vectors of the combination
 that phase 1 found, so one refutation serves every system that holds
 those vectors.  A question whose answer is a point that gets printed
 or kept (a cell witness, a grading) goes to feasible_witness, which
-fixes one coordinate at a time from its exact bounds on the slice:
-two linear programs, each a phase 1 and a phase 2, or one on an open
-homogeneous slice, and one Fourier-Motzkin step for the last two
-coordinates.  Its point is the one Fourier-Motzkin elimination with
-back-substitution gives; toricgb.oracle keeps that method as the
+fixes one coordinate at a time from its exact bounds on the slice.
+Fourier-Motzkin steps from the last coordinate up, each taken only
+while it makes no more rows than the input has, give the bounds of
+the coordinates they reach as ratios of their rows, with no program.
+Where the first step would make more, one step on the last two
+coordinates bounds the second-last.  Each coordinate above takes two
+linear programs, each a phase 1 and a phase 2, or one on an open
+homogeneous slice.  Its point is the one Fourier-Motzkin elimination
+with back-substitution gives; toricgb.oracle keeps that method as the
 reference.
 """
 
@@ -24,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
+from operator import mul
 
 from .errors import Budget, DimensionMismatch, RankDeficient, ZeroVector
 
@@ -477,26 +482,53 @@ def _choose(lo, up):
 
 
 def _ratio_bounds(rows, den):
-    # (lo, up) of x on {x : a * x >= c / den for (a, c) in rows}; a = 0 bounds nothing
-    lo = max((Fraction(c, a * den) for a, c in rows if a > 0), default=None)
-    up = min((Fraction(c, a * den) for a, c in rows if a < 0), default=None)
-    return lo, up
+    # (lo, up) of x on {x : a * x >= c / den for (a, c) in rows}; a = 0 bounds nothing.
+    # Each side is kept as a ratio c / a with a > 0 and compared by
+    # cross-multiplication, so only the winners become Fractions.
+    lo = up = None
+    for a, c in rows:
+        if a > 0:
+            if lo is None or c * lo[1] > lo[0] * a:
+                lo = c, a
+        elif a < 0:
+            if up is None or c * up[1] > up[0] * a:  # -c / -a below up
+                up = -c, -a
+    return (None if lo is None else Fraction(lo[0], lo[1] * den),
+            None if up is None else Fraction(up[0], up[1] * den))
+
+
+def _eliminate_last(level, cap):
+    """One Fourier-Motzkin step on rows c . x >= d, or None past cap rows.
+
+    Each row is (c_0, ..., c_k, d).  The step eliminates x_k: it keeps
+    the rows that are 0 in x_k and adds each row positive in x_k
+    combined with each negative one by positive multipliers, divided by
+    the gcd of its entries and right-hand side.  None when that makes
+    more than cap rows.
+    """
+    pos = [r for r in level if r[-2] > 0]
+    neg = [r for r in level if r[-2] < 0]
+    if len(level) - len(pos) - len(neg) + len(pos) * len(neg) > cap:
+        return None
+    out = [r[:-2] + r[-1:] for r in level if not r[-2]]
+    for p in pos:
+        for q in neg:
+            s, t = -q[-2], p[-2]
+            r = [s * x + t * y for x, y in zip(p, q)]
+            del r[-2]
+            g = gcd(*r)
+            out.append(tuple(x // g for x in r) if g > 1 else tuple(r))
+    return out
 
 
 def _last_two(pairs, B, den):
     """(lo, up) of x_0 on {x in Q^2 : p_j . x >= B_j / den}, with no program.
 
-    One Fourier-Motzkin step eliminates x_1: the rows that are 0 in x_1,
-    and each row positive in x_1 combined with each negative one by
-    positive multipliers.  That is the exact projection of the set onto
-    x_0 whenever the set is nonempty.
+    One Fourier-Motzkin step eliminates x_1, whatever its row count.
+    That is the exact projection of the set onto x_0 whenever the set
+    is nonempty, and its rows (a, c) read a * x_0 >= c / den.
     """
-    rows = [(p0, Bj) for (p0, p1), Bj in zip(pairs, B) if not p1]
-    neg = [(p, Bj) for p, Bj in zip(pairs, B) if p[1] < 0]
-    for (p0, p1), Bp in zip(pairs, B):
-        if p1 > 0:
-            rows += [(p1 * q0 - q1 * p0, p1 * Bq - q1 * Bp) for (q0, q1), Bq in neg]
-    return _ratio_bounds(rows, den)
+    return _ratio_bounds(_eliminate_last([(*p, Bj) for p, Bj in zip(pairs, B)], inf), den)
 
 
 def feasible_witness(constraints, n):
@@ -514,14 +546,24 @@ def feasible_witness(constraints, n):
     answer is None whatever x the bounds gave, and each rule below need
     only be exact when S is nonempty.
 
-    - The last coordinate: lo and up are ratios of the rows.
-    - The last two: one Fourier-Motzkin step in x_{n-1} (_last_two) is
-      the exact projection of the closed slice onto x_{n-2}, so its
-      ratios are the two optima.  One step makes at most m^2/4 rows
-      from m; a second could make about m^4/64, so it stops at one.
-    - Each earlier coordinate: two _slice_bound programs, except on an
-      open homogeneous slice (every row strict, every B_j = 0).  On
-      its closure, a closed cone, lo and up are each 0 or unbounded.
+    - A chain of Fourier-Motzkin steps, made once before any coordinate
+      is fixed.  Level n - 1 is the m input rows, every inequality read
+      as weak; level k - 1 eliminates x_k from level k
+      (_eliminate_last).  Each derived row is divided by the gcd of its
+      entries and right-hand side, a positive factor, so coefficients
+      do not double at every step.  Level k is the exact projection of
+      the closed set onto x_0..x_k.  Fixing x_<k commutes with
+      eliminating the later coordinates, since a step reads only their
+      coefficients, so level k with x_<k substituted is the projection
+      of the closed slice, and its ratios are lo and up for x_k.  A
+      step is taken only while its level has at most m rows: one step
+      can make m^2/4 rows from m, and each further one squares that.
+    - The last two, when the first step would pass m rows: _last_two
+      makes that step on the slice, in x_{n-2} and x_{n-1} only, once
+      x_<n-2 is fixed, so its ratios are the two optima for x_{n-2}.
+    - Each coordinate above those: two _slice_bound programs, except
+      on an open homogeneous slice (every row strict, every B_j = 0).
+      On its closure, a closed cone, lo and up are each 0 or unbounded.
       Both 0 would put the cone in the hyperplane x_k = 0, but the open
       slice is nonempty when S is, and a nonempty open set lies in no
       hyperplane; so when lo = 0, up is unbounded, with no second
@@ -530,20 +572,26 @@ def feasible_witness(constraints, n):
     """
     rows = _integer_rows(constraints, n)
     open_cone = all(strict for _, _, strict in rows)
+    low = n - 1
+    levels = [None] * low + [[(*a, b) for a, b, _ in rows]]
+    while low > 0 and (step := _eliminate_last(levels[low], len(rows))) is not None:
+        low -= 1
+        levels[low] = step
     X, den = [], 1
     B = [b for _, b, _ in rows]
     for k in range(n):
-        if k < n - 2:
+        if levels[k] is not None:
+            lo, up = _ratio_bounds(
+                [(r[k], den * r[-1] - sum(map(mul, r[:k], X))) for r in levels[k]], den)
+        elif k == n - 2:
+            lo, up = _last_two([a[k:] for a, _, _ in rows], B, den)
+        else:
             vectors = [a[k:] for a, _, _ in rows]
             lo = _slice_bound(vectors, n - k, B, den, 1)
             if open_cone and lo is not None and not any(B):
                 up = None
             else:
                 up = _slice_bound(vectors, n - k, B, den, -1)
-        elif k == n - 2:
-            lo, up = _last_two([a[k:] for a, _, _ in rows], B, den)
-        else:
-            lo, up = _ratio_bounds([(a[k], Bj) for (a, _, _), Bj in zip(rows, B)], den)
         x = _choose(lo, up)
         q = lcm(den, x.denominator)
         X = [xi * (q // den) for xi in X] + [x.numerator * (q // x.denominator)]

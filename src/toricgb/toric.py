@@ -83,7 +83,9 @@ class ConfigMatrix:
         kept_rows: indices of the surviving rows.
         grading: positive integer degrees (one per column) lying in the
             row space of the matrix, or None when the configuration is
-            not pointed.  The all-ones grading is preferred when valid.
+            not pointed.  The all-ones grading is preferred when valid;
+            any other depends on the row lattice, not on how its rows
+            are written.
     """
 
     def __init__(self, rows):
@@ -116,14 +118,21 @@ class ConfigMatrix:
         return self.grading is not None
 
     def _find_grading(self, kernel):
-        # all-ones is in the row space exactly when it is orthogonal to ker M
-        A = self.matrix
+        """All-ones when it lies in the row space, else a lifted feasibility point.
+
+        All-ones is in the row space exactly when it is orthogonal to
+        ker M.  Otherwise the point is found on the columns of the row
+        lattice's Hermite basis, which does not depend on how the rows
+        are written.  One kept row needs no basis: every positive point
+        lifts to the same primitive multiple of it.
+        """
         if all(sum(row) == 0 for row in kernel):
-            return (1,) * A.ncols
-        y = strict_feasible([A.col(j) for j in range(A.ncols)])
+            return (1,) * self.n
+        M = self.matrix if self.d == 1 else _row_lattice_basis(self)
+        y = strict_feasible([M.col(j) for j in range(M.ncols)])
         if y is None:
             return None
-        return _lift(y, A)
+        return _lift(y, M)
 
     def kernel_basis(self):
         """Rows of a canonical lattice basis of {v : Av = 0}.

@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import random
 import signal
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from toricgb.oracle import (
     feasible_witness_by_elimination,
     identity_matrix,
 )
+from toricgb.toric import ConfigMatrix
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -331,11 +334,12 @@ def check_same_witness(cons, n):
     return got
 
 
-def witness_problem(rng, n):
+def witness_problem(rng, n, most=None):
     """Constraints on Q^n of one of several shapes, and the shape.
 
-    Rows mix strict and weak inequalities.  "cone" rows are homogeneous;
-    "line" rows are all orthogonal to one nonzero vector, so a nonempty
+    There are 1 to `most` drawn rows (7 for n <= 4, else 5).  Rows mix
+    strict and weak inequalities.  "cone" rows are homogeneous; "line"
+    rows are all orthogonal to one nonzero vector, so a nonempty
     solution set has lineality; "slab" adds the weak reverse of its first
     row, which pins one coordinate (lo = up); "empty" adds the reverse of
     a positive combination of rows, pushed past it or made strict, which
@@ -344,7 +348,7 @@ def witness_problem(rng, n):
     """
     shape = rng.choice(["free", "cone", "line", "slab", "empty", "fractions"])
     rows = [[rng.randint(-3, 3) for _ in range(n)]
-            for _ in range(rng.randint(1, 7 if n <= 4 else 5))]
+            for _ in range(rng.randint(1, most or (7 if n <= 4 else 5)))]
     if shape == "line":
         ell = [rng.randint(-2, 2) for _ in range(n)]
         ell[rng.randrange(n)] = rng.choice((-1, 1))
@@ -402,17 +406,82 @@ def count_last_two(monkeypatch):
     return tally
 
 
+def record_routes(monkeypatch):
+    """Record the steps and routes of feasible_witness calls, for routes().
+
+    Each elimination step is checked as it is made: a level it returns
+    has at most cap rows, and every row it derives is primitive.
+    """
+    events = []
+    real_eliminate = exactmath._eliminate_last
+
+    def eliminate(level, cap):
+        out = real_eliminate(level, cap)
+        if out is not None:
+            assert len(out) <= cap, (level, cap)
+            kept = {r[:-2] + r[-1:] for r in level if not r[-2]}
+            assert all(gcd(*r) <= 1 for r in out if r not in kept), level
+        events.append("refused" if out is None else "step")
+        return out
+
+    monkeypatch.setattr(exactmath, "_eliminate_last", eliminate)
+    for name in ("_last_two", "_slice_bound", "_choose"):
+        def wrapper(*args, real=getattr(exactmath, name), name=name):
+            events.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(exactmath, name, wrapper)
+    return events
+
+
+def routes(events, n):
+    """The route that set each coordinate of the last call; clears events.
+
+    "chain" is the ratios on a level the chain derived, "input rows"
+    those on the input rows (the last coordinate), "last two" is
+    _last_two and "simplex" is _slice_bound.  The chain's s steps set
+    x_{n-1-s}, ..., x_{n-2}; they lead the events, and _last_two's own
+    step comes after its name.
+    """
+    steps = sum(e == "step" for e in takewhile(lambda e: e in ("step", "refused"), events))
+    out, segment = [], set()
+    for event in events:
+        if event == "_choose":
+            out.append("simplex" if "_slice_bound" in segment else
+                       "last two" if "_last_two" in segment else
+                       "input rows" if len(out) == n - 1 else "chain")
+            segment = set()
+        else:
+            segment.add(event)
+    assert [k for k, r in enumerate(out) if r == "chain"] == list(range(n - 1 - steps, n - 1))
+    events.clear()
+    return out
+
+
 def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
     tally = count_choices(monkeypatch)
     last_two = count_last_two(monkeypatch)
+    events = record_routes(monkeypatch)
+    route = Counter()
     rng = random.Random(2027)
     seen = Counter()
     for _ in range(2000):
         n = rng.randint(1, 6)
         shape, cons = witness_problem(rng, n)
         point = check_same_witness(cons, n)
+        route.update(routes(events, n))
         seen["empty" if point is None else shape] += 1
         seen[n, point is None] += 1
+    # wider draws, whose first step mostly passes m rows, so that
+    # _last_two meets each of its cases; in half of them no row is
+    # negative in x_{n-2}, so one side of its step has no rows
+    for _ in range(1000):
+        n = rng.randint(2, 3)
+        _, cons = witness_problem(rng, n, most=10)
+        if rng.random() < 0.5:
+            cons = [([*a[:-2], abs(a[-2]), a[-1]], b, strict) for a, b, strict in cons]
+        check_same_witness(cons, n)
+        route.update(routes(events, n))
     assert all(seen[n, empty] >= 40 for n in range(1, 7) for empty in (False, True)), seen
     assert all(seen[k] >= 150 for k in ("free", "cone", "line", "slab", "fractions",
                                         "empty")), seen
@@ -420,6 +489,82 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
                                          "midpoint")), tally
     assert all(last_two[k] >= 300 for k in ("row 0 in x_1", "combination 0 in x_0",
                                             "a side with no rows")), last_two
+    assert all(route[k] >= 300 for k in ("chain", "last two", "simplex")), route
+
+
+# Both sides of the stop rule.  Two rows positive and two negative in x_2
+# make 4 rows from 4, so the step is taken; x_0 + x_2 plus x_0 - x_2 is
+# 2 x_0, stored as x_0 after the gcd step.  A fifth row negative in x_2
+# makes 6 rows from 5, so that step is refused.
+STEP_TO_M_ROWS = [((1, 0, 1), 0, True), ((0, 1, 1), 0, False),
+                  ((1, 0, -1), 0, True), ((0, 1, -1), -2, False)]
+
+
+@pytest.mark.parametrize("cons, expected", [
+    (STEP_TO_M_ROWS, ["chain", "chain", "input rows"]),
+    (STEP_TO_M_ROWS + [((1, 1, -1), -3, False)], ["simplex", "last two", "input rows"]),
+])
+def test_elimination_chain_stops_past_m_rows(monkeypatch, cons, expected):
+    events = record_routes(monkeypatch)
+    assert check_same_witness(cons, 3) is not None
+    assert routes(events, 3) == expected
+
+
+def wide_system(rng):
+    """Up to 40 rows in Q^2..Q^8, feasible by construction, and n.
+
+    Half are open cones like a Gröbner cell's walls: strict homogeneous
+    rows, each oriented positive at one drawn point.  The rest hold at a
+    drawn point with a drawn slack, strict only when the slack is
+    positive.  A drawn share of the entries is 0, so some chains of
+    elimination steps stay within m rows and some stop at once.
+    """
+    n, m = rng.randint(2, 8), rng.randint(8, 40)
+    zero = rng.random()
+    point = [rng.randint(-3, 3) for _ in range(n)]
+    cone = rng.random() < 0.5
+    cons = []
+    for _ in range(m):
+        a = [0 if rng.random() < zero else rng.randint(-3, 3) for _ in range(n)]
+        value = dot(a, point)
+        if cone:
+            if value:
+                cons.append((tuple(a) if value > 0 else tuple(-x for x in a), 0, True))
+        else:
+            slack = rng.randint(0, 3)
+            cons.append((tuple(a), value - slack, slack > 0 and rng.random() < 0.5))
+    return n, cons
+
+
+# A 3-row configuration on 30 columns in Hermite normal form, so it is
+# its own row-lattice basis, whose row space misses the all-ones vector
+WIDE_CONFIG = ((1, 0, 2, 1, 0, 3, 1, 2, 0, 1, 4, 2, 1, 0, 3, 1, 2, 1, 0, 2,
+                1, 3, 0, 1, 2, 1, 0, 4, 1, 2),
+               (0, 1, 1, 0, 2, 1, 3, 0, 2, 1, 0, 1, 2, 3, 1, 0, 1, 2, 3, 0,
+                1, 1, 2, 0, 1, 3, 1, 0, 2, 1),
+               (0, 0, 0, 2, 1, 0, 1, 1, 3, 2, 1, 0, 1, 1, 0, 3, 2, 0, 1, 1,
+                2, 0, 1, 3, 1, 0, 2, 1, 1, 0))
+# sha256 of the points, taken with the witness solver before the chain
+WIDE_DIGEST = "803a9302f0a959aecd541c2299209ec16ec21454c9834682ca69ff2d90b95df8"
+
+
+def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
+    events = record_routes(monkeypatch)
+    route = Counter()
+    digest = hashlib.sha256()
+    rng = random.Random(2031)
+    for _ in range(160):
+        n, cons = wide_system(rng)
+        point = feasible_witness(cons, n)
+        assert point is not None, cons
+        route.update(routes(events, n))
+        digest.update(repr(point).encode())
+    A = ConfigMatrix(WIDE_CONFIG)
+    assert A.grading is not None and A.grading != (1,) * A.n
+    route.update(routes(events, A.d))
+    digest.update(repr(A.grading).encode())
+    assert digest.hexdigest() == WIDE_DIGEST
+    assert all(route[k] >= 50 for k in ("chain", "last two", "simplex")), route
 
 
 def pinned_cone(rng, n):

@@ -622,31 +622,23 @@ def rewritten_configs(draw):
     return A, ConfigMatrix(rows), omega
 
 
-def grading_free_answers(A, order, omega):
+def row_free_answers(A, omega):
     _, ideals, witnesses, bases = universal_gb(A)
     try:
         triangulation = regular_triangulation(A, omega).facets
     except NonGenericOmega:
         triangulation = None
-    return (toric_groebner(A, order).vectors, graver(A), degree_bound(A),
+    return (A.grading, toric_groebner(A).vectors, circuits(A), graver(A), degree_bound(A),
             [I.gens for I in ideals], witnesses, [G.vectors for G in bases], triangulation)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rewritten_configs())
 def test_answers_do_not_depend_on_how_the_rows_are_written(problem):
-    # the grading is the feasibility point of the columns in the rows'
-    # coordinates, so it can move with the rows (see the strict xfail
-    # test_swapped_rows_keep_the_circuits_true_degrees): toric_groebner
-    # runs under one order on both sides, and a circuit's true degree is
-    # compared through the minors' factor, true degree / grading degree
+    # the grading, and with it the circuits' true degrees and
+    # toric_groebner's default order, is read off the row lattice
     A, B, omega = problem
-    order = _canonical_order(A)
-    assert grading_free_answers(A, order, omega) == grading_free_answers(B, order, omega)
-    ca, cb = circuits(A), circuits(B)
-    assert [c.vector for c in ca] == [c.vector for c in cb]
-    assert all(a.true_degree * B.degree(a.vector) == b.true_degree * A.degree(a.vector)
-               for a, b in zip(ca, cb))
+    assert row_free_answers(A, omega) == row_free_answers(B, omega)
 
 
 def seeded_configs(rng):
@@ -942,7 +934,7 @@ def test_start_point_matches_the_simplex_walk_seeded():
     rng = random.Random(41)
     seen = Counter()
     checked = 0
-    while checked < 500:
+    while checked < 600:
         # twice as many lattice draws: a third of them need the search
         kind = ("point", "lattice", "fractional", "lattice", "contradiction")[checked % 5]
         drawn = ip_config(rng.randint, kind == "contradiction" or rng.random() < 0.5)

@@ -16,6 +16,7 @@ from toricgb.errors import (
 )
 from toricgb.exactmath import dot, kernel_lattice_basis, strict_feasible
 from toricgb.fan import groebner_cone
+from toricgb.oracle import strict_feasible_by_elimination
 from toricgb.toric import (
     ConfigMatrix,
     _lift,
@@ -300,11 +301,13 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     assert sum(len(args[0]) for args in calls) == 432
 
 
-@pytest.mark.parametrize("dims, programs", [((3, 3), 370), ((2, 2, 2), 270)])
+@pytest.mark.parametrize("dims, programs", [((3, 3), 0), ((2, 2, 2), 7)])
 def test_witnesses_make_a_pinned_number_of_programs(monkeypatch, dims, programs):
-    # each witness lives in R^4: the last two coordinates cost no
-    # program, and an open homogeneous slice whose lower side is bounded
-    # costs one; two programs per coordinate but the last made 648 and 480
+    # each witness lives in R^4, and a chain of elimination steps bounds
+    # every coordinate it reaches with no program while a step makes at
+    # most m rows; two programs per coordinate but the last made 648 and
+    # 480, and with only the last two coordinates eliminated and an open
+    # homogeneous slice's upper program skipped, 370 and 270
     import toricgb.exactmath as exactmath
 
     A = ConfigMatrix(generate("segre", dims))
@@ -313,12 +316,33 @@ def test_witnesses_make_a_pinned_number_of_programs(monkeypatch, dims, programs)
     assert len(calls) == programs
 
 
-@pytest.mark.xfail(strict=True, reason="the grading is the feasibility point of the "
-                   "columns in the rows' coordinates, so it moves with the rows")
+def test_segre_222_witnesses_still_reach_the_simplex_route(monkeypatch):
+    # some walls of Segre 2x2x2's cells make more than m rows in one
+    # elimination step, so the simplex route bounds a coordinate there;
+    # its point is still the Fourier-Motzkin one
+    import toricgb.exactmath as exactmath
+    import toricgb.toric as toric
+
+    walls = record_calls(monkeypatch, toric, "strict_feasible")
+    universal_gb(ConfigMatrix(generate("segre", (2, 2, 2))))
+    programs = record_calls(monkeypatch, exactmath, "_slice_bound")
+    reached = 0
+    for (vectors,) in walls:
+        before = len(programs)
+        point = strict_feasible(vectors)
+        if len(programs) > before:
+            reached += 1
+            assert point == strict_feasible_by_elimination(vectors), vectors
+    assert reached >= 1
+
+
 def test_swapped_rows_keep_the_circuits_true_degrees():
-    # the gradings read (2, 2, 3, 2) and (9, 9, 11, 6), and the true
-    # degrees 18, 12, 18 and 66, 54, 66
+    # the grading is found on the row lattice's Hermite basis
+    # ((1, 1, 4, 4), (0, 0, 5, 6)), so both orders read (3, 3, 17, 18),
+    # with true degrees 102, 18, 102; found on the rows as written they
+    # read (2, 2, 3, 2) and (9, 9, 11, 6), with 18, 12, 18 and 66, 54, 66
     rows = ((3, 3, 2, 0), (2, 2, 3, 2))
+    assert ConfigMatrix(rows).grading == ConfigMatrix(rows[::-1]).grading == (3, 3, 17, 18)
     assert circuits(ConfigMatrix(rows)) == circuits(ConfigMatrix(rows[::-1]))
 
 
