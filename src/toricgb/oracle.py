@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: kernel vectors come from
 matching monomials with equal image fiber by fiber, Graver membership is
 checked against the definition, initial ideals come from grid sweeps of
 weight vectors or from a Buchberger run in every Graver cell, whose
-cells come from a Gordan test on every sign prefix,
+cells come from a Gordan test on every sign prefix, a cell's basis
+pattern comes from sorting and minimising the oriented Graver leads,
 monomial ideals are decomposed by recursive splitting, Buchberger
 itself has a version with no pair criterion but the coprime-lead skip,
 whose monomial arithmetic is its own and works on exponent tuples, the
@@ -432,6 +433,34 @@ def sign_tree_leaves_every_prefix(A: ConfigMatrix):
     coords = [tuple(dot(row, g) for row in K) for g in graver(A)]
     return [sum(1 << k for k, s in enumerate(signs) if s > 0)
             for signs in _cells_every_prefix(coords)]
+
+
+def basis_pattern_by_minimal_generators(grv, pos):
+    """The basis pattern (mask, bits) of universal_gb's read-off at sign bits pos.
+
+    Graver vector k (of grv, in the walk's order) is oriented positive
+    part leading when bit k of pos is set, else negative part leading.
+    The minimal generators of the ideal of the leads are the leads, in
+    sorted order, that no generator kept before them divides (a proper
+    divisor sorts first).  Element k is in mask when its lead is one of
+    them and none of them divides its trail.  Exponent tuples are
+    compared entry by entry, with no packing and no table.
+    """
+    sides = []
+    for k, g in enumerate(grv):
+        plus, minus = tuple(max(x, 0) for x in g), tuple(max(-x, 0) for x in g)
+        sides.append((plus, minus) if pos >> k & 1 else (minus, plus))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    gens = []
+    for lead in sorted({lead for lead, _ in sides}):
+        if not any(divides(m, lead) for m in gens):
+            gens.append(lead)
+    mask = sum(1 << k for k, (lead, trail) in enumerate(sides)
+               if lead in gens and not any(divides(m, trail) for m in gens))
+    return mask, pos & mask
 
 
 def cone_facets_by_leaf_scan(mask, bits, leaves):

@@ -102,8 +102,8 @@ class ConfigMatrix:
         self.kept_rows = tuple(kept)
         self.matrix = IntMatrix(tuple(M.entries[i] for i in kept))
         self._kernel_rows = U.entries[len(kept):]
+        self._kernel = self._row_lattice = None
         self.grading = self._find_grading(self._kernel_rows)
-        self._kernel = None
 
     @property
     def d(self) -> int:
@@ -128,7 +128,7 @@ class ConfigMatrix:
         """
         if all(sum(row) == 0 for row in kernel):
             return (1,) * self.n
-        M = self.matrix if self.d == 1 else _row_lattice_basis(self)
+        M = self.matrix if self.d == 1 else self.row_lattice_basis()
         y = strict_feasible([M.col(j) for j in range(M.ncols)])
         if y is None:
             return None
@@ -145,6 +145,19 @@ class ConfigMatrix:
             rows = self._kernel_rows
             self._kernel = hnf(IntMatrix(rows))[0] if rows else IntMatrix(())
         return self._kernel
+
+    def row_lattice_basis(self) -> IntMatrix:
+        """A basis of the lattice the rows of original span, computed once.
+
+        The nonzero rows of hnf(original).  The rows kept in matrix can
+        span a sublattice of index k > 1, and their maximal minors are
+        then k times those of this basis: minors read here do not depend
+        on how the input's rows are written.
+        """
+        if self._row_lattice is None:
+            self._row_lattice = IntMatrix(
+                tuple(row for row in hnf(self.original)[0].entries if any(row)))
+        return self._row_lattice
 
     def pivot_columns(self):
         """Columns where a row of kernel_basis() has its leading entry.
@@ -194,16 +207,21 @@ def saturate_variable(gens, i: int, degrees, budget: Budget = Budget(), *,
 def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     """Lattice vectors whose binomials generate the toric ideal of A.
 
-    Kernel lattice basis, then one saturation run, then one Buchberger
-    run under the grading-refined reverse lexicographic order; the
-    output is the reduced Groebner basis for that order, canonically
-    sorted.
+    Kernel lattice basis, then one saturation run (none for a kernel of
+    rank 1), then one Buchberger run under the grading-refined reverse
+    lexicographic order; the output is the reduced Groebner basis for
+    that order, canonically sorted.
 
     Let K be the kernel lattice basis, J_K the ideal of its rows'
     binomials, and T the columns where some row of K is negative (see
-    saturation_columns).  Saturate J_K by the product x^T of their
-    variables: one saturate_variable run when T is a single column,
-    else the run of _saturate_product.  The result generates I_A:
+    saturation_columns).  With one row v, nothing is saturated: J_K is
+    (f) for f = x^(v+) - x^(v-), whose terms have disjoint supports, so
+    no variable divides f, and in the unique factorization domain k[x]
+    f divides g whenever it divides a monomial times g: J_K is already
+    J_K : (x^T)^infinity, which is I_A (below).  With two or more rows,
+    saturate J_K by the product x^T of their variables: one
+    saturate_variable run when T is a single column, else the run of
+    _saturate_product.  The result generates I_A:
 
     * Each row's negative part lies in T, by the definition of T.  (K
       is in Hermite normal form, so the entries above a pivot lie in
@@ -256,6 +274,7 @@ def saturation_columns(A: ConfigMatrix):
     """The columns the saturation run inverts, ascending.
 
     They are the columns where some row of A.kernel_basis() is negative.
+    A kernel of rank 1 makes no run (see toric_generators).
     """
     K = A.kernel_basis().entries
     return tuple(j for j in range(A.n) if any(row[j] < 0 for row in K))
@@ -268,10 +287,9 @@ def _saturated_generators(A: ConfigMatrix, budget: Budget):
     """
     if not A.pointed:
         raise NotPointed("toric generators require a pointed configuration")
-    K = A.kernel_basis()
-    if K.nrows == 0:
-        return []
-    gens = [tuple(r) for r in K.entries]
+    gens = [tuple(r) for r in A.kernel_basis().entries]
+    if len(gens) <= 1:
+        return gens
     T = saturation_columns(A)
     if len(T) == 1:
         return saturate_variable(gens, T[0], A.grading, budget, saturated=range(A.n))
@@ -402,16 +420,6 @@ class Circuit:
     true_degree: int
 
 
-def _row_lattice_basis(A: ConfigMatrix) -> IntMatrix:
-    """A basis of the lattice the rows of A.original span.
-
-    The rows ConfigMatrix keeps can span a sublattice of index k > 1,
-    and their maximal minors are then k times those of this basis:
-    minors read here do not depend on how the input's rows are written.
-    """
-    return IntMatrix(tuple(row for row in hnf(A.original)[0].entries if any(row)))
-
-
 def circuits(A: ConfigMatrix, budget: Budget = Budget()):
     """All circuits of A, one per +/- pair, with true degrees.
 
@@ -424,7 +432,7 @@ def circuits(A: ConfigMatrix, budget: Budget = Budget()):
     the C(n, d+1) subsets scanned, and budget.degree the degree of each
     circuit as it is found.
     """
-    M = _row_lattice_basis(A)
+    M = A.row_lattice_basis()
     d, n = M.nrows, M.ncols
     budget.check("subsets", comb(n, d + 1))
     all_rows = tuple(range(d))
@@ -460,7 +468,7 @@ def degree_bound(A: ConfigMatrix) -> int:
     D(A) is the largest absolute maximal minor of a basis of the row
     lattice, so the bound does not depend on how the rows are written.
     """
-    return (A.n - A.d) * (A.d + 1) * max_abs_minor(_row_lattice_basis(A))
+    return (A.n - A.d) * (A.d + 1) * max_abs_minor(A.row_lattice_basis())
 
 
 def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
@@ -557,7 +565,7 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
     and those of them that are positive.  A prefix pos meets it exactly
     when (pos ^ bits) & mask is 0.
 
-    Each new cell reads its reduced basis G, for the order (witness,
+    Each leaf reads its cell's reduced basis G, for the order (witness,
     degrevlex), off the Graver basis.  Orient every Graver vector by the
     cell's sign, positive part leading, and keep the elements whose lead
     is a minimal generator of the ideal of the oriented leads (no other
@@ -578,13 +586,19 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       lead and different standard trails would make two standard
       monomials equal modulo I_A, so the kept element is that of G.
 
-    The positive and negative parts of each Graver vector are packed
-    once, one field per variable with a guard bit on top, as
-    buchberger._Packing lays them out.  a divides b exactly when
-    ((b | guard) - a) & guard == guard, so both tests of the read-off
-    are guard-bit tests on ints, and a proper divisor packs smaller than
-    its multiple, so each lead is tested against the smaller minimal
-    ones only.  The binomials of both orientations are built once.
+    The read-off makes no divisibility test per cell.  An oriented lead
+    blocks an oriented element when it properly divides the element's
+    lead or divides its trail.  A lead is a minimal generator when no
+    oriented lead properly divides it, and a trail is standard when none
+    divides it (each is a multiple of a minimal generator), so an
+    element is kept exactly when no lead the cell orients blocks it.  A
+    table built once holds, per oriented element, the bitset of the 2N
+    oriented leads that block it, and a cell's pattern is N bit
+    operations on it.  Both parts of each Graver vector are packed, one
+    field per variable with a guard bit on top (buchberger._Packing): a
+    divides b exactly when ((b | guard) - a) & guard == guard, so the
+    table costs 4N^2 guard-bit tests on ints.  The binomials of both
+    orientations are built once.
 
     The walk hands each cell only what its signs fix: the sorted minimal
     leads, the oriented elements by Graver index, the cone's facets and
@@ -616,7 +630,7 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
 
     The walk reads the facets off the leaves by adjacency, with no scan
     of every leaf against every cone: i is a facet exactly when some
-    leaf homed in the cell (see the skip test below) has its i-flip,
+    leaf homed in the cell (see the homes below) has its i-flip,
     the leaf's bits with bit i flipped, among the leaves.  That is one
     set lookup per leaf and basis element:
 
@@ -643,19 +657,21 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       combination of value vectors.  The only dot products left in the
       walk are the values of each program's certificate z, taken once.
       A child sign that y satisfies is feasible with no further test.
-    * Otherwise c . y <= 0, and the ray a * y + c with a > 0 is tried
-      first.  Each kept sign v has v . y > 0, so it is positive on the
-      ray's point exactly when a > -(v . c) / (v . y); let lo be the
-      largest of these bounds, or 0.  c . (a * y + c) = a * (c . y) +
-      c . c is positive for every a when c . y = 0 (c . c > 0), and
-      exactly when a < hi = c . c / -(c . y) when c . y < 0.  So when lo
-      < hi, every a strictly between them gives a point strictly
-      feasible for the child.  The mediant of lo = p / q and hi = c . c
-      / -(c . y), (p + c . c) / (q - c . y), lies strictly between two
-      fractions with positive denominators, and when c . y = 0 it is lo
-      + c . c / q > lo, so the integer point (p + c . c) * y + (q - c .
-      y) * c, a positive multiple of the ray's point there, is passed
-      down.
+    * Otherwise c . y <= 0.  A stored refutation (below) that the
+      prefix meets proves the child empty, and a ray point would prove
+      it not, so at most one applies: the refutations are read first.
+      Then the ray a * y + c with a > 0 is tried.  Each kept sign v has
+      v . y > 0, so it is positive on the ray's point exactly when
+      a > -(v . c) / (v . y); let lo be the largest of these bounds, or
+      0.  c . (a * y + c) = a * (c . y) + c . c is positive for every a
+      when c . y = 0 (c . c > 0), and exactly when a < hi = c . c /
+      -(c . y) when c . y < 0.  So when lo < hi, every a strictly
+      between them gives a point strictly feasible for the child.  The
+      mediant of lo = p / q and hi = c . c / -(c . y), (p + c . c) /
+      (q - c . y), lies strictly between two fractions with positive
+      denominators, and when c . y = 0 it is lo + c . c / q > lo, so
+      the integer point (p + c . c) * y + (q - c . y) * c, a positive
+      multiple of the ray's point there, is passed down.
     * When the ray fails, with the prefix strictly feasible, the child
       is feasible exactly when -c is not a nonnegative combination of
       the prefix, which ``cone_support`` decides.  Its certificate z has
@@ -670,7 +686,7 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       -c a nonnegative combination of the prefix vectors in S.  Every
       node at the same depth whose signs agree with this one on S has
       the same combination, so its child c is empty too: S is stored
-      for (depth, sign) and checked before any later program there.
+      for (depth, sign) and read before the ray at any later node there.
     * Both children of a node are decided before either is descended
       into, +1 then -1, so cells are visited in the same order.  When
       only child c is feasible, -c is refuted: c is a nonnegative
@@ -678,20 +694,15 @@ def universal_gb(A: ConfigMatrix, budget: Budget = Budget()):
       prefix cone, which c therefore leaves unchanged.  c is not passed
       to the programs below it; the leaf still orients by the full sign
       list.
-    * A leaf is skipped when a basis found earlier has every element
-      lead - trail positively oriented by the leaf's signs.  The leaf
-      then lies in that basis's open Groebner cone, where it is the
-      reduced basis for every weight.  Every other leaf gives a new
-      basis.  Either way the leaf records its home: the cell whose
-      pattern it meets, or the one it founds.  The test tries the
-      previous leaf's home first, since neighbouring leaves often share
-      a cone (147 of the 360 Segre 3x3 leaves).  Open Groebner cones
-      are disjoint and each leaf lies in one, so every leaf meets
-      exactly one pattern, and the order of the tests cannot change
-      the answer.
-    * The skip test reads only basis patterns, which the signs fix, so
-      the witness waits until the walk is done.  Each new cell then
-      keeps as its witness program its first leaf's facets in the
+    * Every leaf reads its basis pattern off the table and finds its
+      home, the cell with that pattern, by one dict lookup; a pattern
+      not yet met founds a new cell.  Each leaf lies in one open
+      Groebner cone, whose reduced basis it reads off for every weight
+      there, and distinct cones have distinct bases, so the leaves of a
+      cone share its pattern and only its first leaf founds it.
+    * The homes read only basis patterns, which the signs fix, so the
+      witness waits until the walk is done.  Each new cell then keeps
+      as its witness program its first leaf's facets in the
       arrangement: the signs k for which flipping bit k alone gives
       another leaf.  An open cell is the intersection of its facets'
       open half-spaces, and k is a facet exactly when that flip is a
@@ -776,28 +787,21 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         minus = Binomial(plus.trail, plus.lead)
         oriented.append((minus, plus))
         packed.append(tuple((pk.pack(b.lead), pk.pack(b.trail)) for b in (minus, plus)))
+    # per Graver vector and sign bit, the oriented leads that block its
+    # element, bit l for l's positive lead and bit N + l for its negative
+    # one: those that properly divide its lead or divide its trail
+    N = len(grv)
+    leads = [pq[1][0] for pq in packed] + [pq[0][0] for pq in packed]
+    blocked = [tuple(sum(1 << l for l, M in enumerate(leads)
+                         if ((trail | guard) - M) & guard == guard
+                         or M != lead and ((lead | guard) - M) & guard == guard)
+                     for lead, trail in pq) for pq in packed]
 
     ugb = set()
-    patterns = []  # per basis found: (mask, bits) of its elements
     leaves = []
     found = []  # per new cell: (pos, its basis's Graver indices, its leaves)
-    home = None  # the index in found of the last leaf's cell
+    homes = {}  # basis pattern (mask, bits) -> the index in found of its cell
     max_nodes, nodes = budget.walk, 0
-
-    def visit(pos):
-        # the basis pattern the skip test reads: the signs fix it
-        sides = [pq[pos >> k & 1] for k, pq in enumerate(packed)]
-        # the minimal generators: a proper divisor packs smaller
-        gens = []
-        for L in sorted({lead for lead, _ in sides}):
-            if not any(((L | guard) - M) & guard == guard for M in gens):
-                gens.append(L)
-        index = [k for k, (lead, trail) in enumerate(sides) if lead in gens
-                 and not any(((trail | guard) - M) & guard == guard for M in gens)]
-        ugb.update(grv[k] for k in index)
-        mask = sum(1 << k for k in index)
-        patterns.append((mask, pos & mask))
-        found.append((pos, index, []))
 
     # a point y travels as its values over the Graver vectors, y's
     # value at i being coords[i][1] . y, so every sign test reads a
@@ -813,6 +817,9 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
         cp = s * P[k]
         if cp > 0:
             return P
+        # a stored refutation and a ray point never both apply: refutations first
+        if any(not (pos ^ bits) & mask for mask, bits in refuted.get((k, up), ())):
+            return None
         # the ray a * y + c: each kept sign v bounds a > -(v . c) / (v . y)
         # from below, and c . y < 0 bounds a < c . c / -(c . y) from above
         G = gram[k]
@@ -827,8 +834,6 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
             # the mediant of lo / den and cc / -cp lies strictly between
             a, b = lo + cc, (den - cp) * s
             return [a * x + b * g for x, g in zip(P, G)]
-        if any(not (pos ^ bits) & mask for mask, bits in refuted.get((k, up), ())):
-            return None
         for Z, plus, minus in proved:
             # z weakly satisfies every kept sign and strictly favours c
             if (plus if up else minus) >> k & 1 and not held & (pos & minus | ~pos & plus):
@@ -849,19 +854,21 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
     def descend(pos, k, kept, held, P):
         # P holds the values of a point strictly feasible for the k signs
         # of pos; the signs at the depths kept cut out the same open cone
-        nonlocal home, nodes
+        nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             budget.check("walk", nodes)
-        if k == len(grv):
+        if k == N:
             leaves.append(pos)
-            # the cell whose pattern pos meets, the last leaf's tried first
-            if home is None or (pos ^ patterns[home][1]) & patterns[home][0]:
-                home = next((h for h, (mask, bits) in enumerate(patterns)
-                             if not (pos ^ bits) & mask), None)
-                if home is None:
-                    home = len(found)
-                    visit(pos)
+            # the basis pattern: the elements no lead oriented by pos blocks
+            oriented_leads = pos | ((1 << N) - 1 ^ pos) << N
+            mask = sum(1 << i for i, b in enumerate(blocked)
+                       if not b[pos >> i & 1] & oriented_leads)
+            home = homes.setdefault((mask, pos & mask), len(found))
+            if home == len(found):
+                index = [i for i in range(N) if mask >> i & 1]
+                ugb.update(grv[i] for i in index)
+                found.append((pos, index, []))
             found[home][2].append(pos)
             return
         points = [child(pos, k, kept, held, P, up) for up in (1, 0)]
@@ -871,7 +878,7 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
             if p is not None:
                 descend(pos | up << k, k + 1, kept, held, p)
 
-    descend(0, 0, [], 0, [0] * len(grv))
+    descend(0, 0, [], 0, [0] * N)
     reached = set(leaves)
     cells = []
     for pos, index, homed in found:
@@ -883,10 +890,10 @@ def _sign_tree(A: ConfigMatrix, budget: Budget):
                 if leaf ^ 1 << k in reached:
                     facets |= 1 << k
         elements = {k: oriented[k][pos >> k & 1] for k in index}
-        walls = tuple(coords[k][pos >> k & 1] for k in range(len(grv))
+        walls = tuple(coords[k][pos >> k & 1] for k in range(N)
                       if pos ^ 1 << k in reached)
         cells.append(_Cell(tuple(sorted(b.lead for b in elements.values())),
                            elements, facets, walls, homed))
-    # every cell found is a new basis (see the skip test), so the leads differ
+    # every cell found is a new basis (see the homes), so the leads differ
     cells.sort(key=lambda cell: cell.leads)
     return sorted(ugb), cells, leaves

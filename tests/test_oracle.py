@@ -27,6 +27,7 @@ from toricgb.fan import (
 )
 from toricgb.ip import IPInstance, _graded_feasible, solve_ip, solve_ip_elimination
 from toricgb.oracle import (
+    basis_pattern_by_minimal_generators,
     buchberger_every_pair,
     cone_facets_by_leaf_scan,
     graded_feasible_every_point,
@@ -209,6 +210,34 @@ def test_sign_tree_homes_and_facets_match_the_leaf_scan_seeded():
         assert sorted(leaf for cell in cells for leaf in cell.leaves) == sorted(leaves)
         for cell, (mask, bits) in zip(cells, patterns):
             assert cell.facets == cone_facets_by_leaf_scan(mask, bits, leaves), A.original
+
+
+def assert_leaves_read_off_their_cells(A):
+    """Every leaf reads off the pattern of the cell it is homed in.
+
+    A leaf's home is the cell keyed by the pattern the table reads off
+    there, so the cell's pattern (its elements, oriented by its first
+    leaf) is the table's read-off at each of its leaves, and the oracle's
+    sort-and-minimise rule must give it too.  Returns the leaf count.
+    """
+    grv = graver(A)
+    _, cells, leaves = _sign_tree(A, Budget())
+    assert sorted(leaf for cell in cells for leaf in cell.leaves) == sorted(leaves)
+    for cell in cells:
+        mask = sum(1 << k for k in cell.elements)
+        for leaf in cell.leaves:
+            assert basis_pattern_by_minimal_generators(grv, leaf) == (
+                mask, cell.leaves[0] & mask), (A.original, leaf)
+    return len(leaves)
+
+
+def test_sign_tree_reads_every_leaf_pattern_off_the_table_seeded():
+    # every leaf, not only the first of each cell: Segre 2x2x2 has 768
+    # leaves in 80 cells
+    segre222 = ConfigMatrix(generate("segre", (2, 2, 2)))
+    counts = [assert_leaves_read_off_their_cells(A)
+              for A in [*pointed_configs(random.Random(37), 40), segre222]]
+    assert counts[-1] == 768 and sum(counts) >= 1000, counts
 
 
 def test_groebner_cone_counts_facets_and_lineality():
@@ -565,9 +594,9 @@ def small_pointed_configs(draw):
 @example(TWISTED, 2)
 def test_toric_generators_match_saturating_every_variable(A, k):
     # the examples: a run through y for two columns under a grading that
-    # is not all-ones (NO_UNIT_PIVOT), a kernel of rank 1 (Segre 2x2,
-    # negative in columns 1 and 2), and a run by one column (the twisted
-    # cubic, negative in column 2 only)
+    # is not all-ones (NO_UNIT_PIVOT), a kernel of rank 1, which makes no
+    # run (Segre 2x2), and a run by one column (the twisted cubic,
+    # negative in column 2 only)
     assert_same_toric_ideal(A, k * max(A.grading))
 
 
@@ -597,6 +626,17 @@ def test_groebner_fan_matches_groebner_cone(A):
         size = None
     assume(size is not None and size <= 12)
     assert_fan_matches_groebner_cone(A)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_pointed_configs())
+def test_sign_tree_reads_every_leaf_pattern_off_the_table(A):
+    try:
+        size = len(graver(A, Budget(degree=20)))
+    except LimitExceeded:
+        size = None
+    assume(size is not None and size <= 12)
+    assert_leaves_read_off_their_cells(A)
 
 
 @st.composite
@@ -641,11 +681,11 @@ def test_answers_do_not_depend_on_how_the_rows_are_written(problem):
     assert row_free_answers(A, omega) == row_free_answers(B, omega)
 
 
-def seeded_configs(rng):
-    """300 pointed configurations with a kernel, and every draw made for them."""
+def seeded_configs(rng, count=300):
+    """count pointed configurations with a kernel, and every draw made for them."""
     draws = [NO_UNIT_PIVOT]
     checked = [ConfigMatrix(NO_UNIT_PIVOT)]
-    while len(checked) < 300:
+    while len(checked) < count:
         d = rng.randint(1, 3)
         n = rng.randint(d + 1, 6)
         ones = d > 1 and rng.random() < 0.3
@@ -684,19 +724,28 @@ def test_toric_generators_match_saturating_every_variable_seeded():
 
 
 def test_toric_generators_saturate_once_over_the_negative_columns_seeded(monkeypatch):
-    # one saturation run per configuration with a kernel, inverting
-    # exactly the columns where a kernel basis row is negative: a second
-    # run, or a column too many or too few, shows here
-    checked, _ = seeded_configs(random.Random(29))
+    # one saturation run per configuration with a kernel of rank 2 or
+    # more, inverting exactly the columns where a kernel basis row is
+    # negative: a second run, or a column too many or too few, shows
+    # here; 500 draws, since the rank-1 kernels among them make no run
+    checked, _ = seeded_configs(random.Random(29), 500)
     sizes = Counter()
     for A in checked:
         K = A.kernel_basis().entries
         T = tuple(j for j in range(A.n) if any(row[j] < 0 for row in K))
         runs = saturations(monkeypatch, A)
-        assert runs == [T[0] if len(T) == 1 else T], A.original
-        sizes[len(T) >= 2] += 1
+        if len(K) == 1:
+            # the binomial of one row is divisible by no variable, so its
+            # ideal is already saturated: the row itself generates I_A
+            assert runs == [], A.original
+            assert toric._saturated_generators(A, Budget()) == [K[0]], A.original
+            sizes["rank 1"] += 1
+        else:
+            assert runs == [T[0] if len(T) == 1 else T], A.original
+            sizes[len(T) >= 2] += 1
         monkeypatch.undo()
     assert min(sizes[False], sizes[True]) >= 100, sizes
+    assert sizes["rank 1"] >= 100, sizes
     # with no kernel there is nothing to saturate
     assert saturations(monkeypatch, ConfigMatrix(((1, 0), (0, 1)))) == []
 

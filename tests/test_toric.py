@@ -293,8 +293,9 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
     # support repeats; testing both signs of every visited prefix makes
     # 2,694, 1,405 before the supports were stored, 489 before the
     # points on a hyperplane were moved off it, and 414 (342 of them
-    # feasibility proofs) before the ray and the certificates
-    assert len(programs) <= 100
+    # feasibility proofs) before the ray and the certificates; reading
+    # the stored refutations before the ray changes no program
+    assert len(programs) == 100
     # each witness is solved on its cell's facets only, about 4 per cell;
     # the full patterns have 15 each, and the signs the walk kept for
     # the cell made 996
@@ -334,6 +335,20 @@ def test_segre_222_witnesses_still_reach_the_simplex_route(monkeypatch):
             reached += 1
             assert point == strict_feasible_by_elimination(vectors), vectors
     assert reached >= 1
+
+
+def test_row_lattice_basis_is_computed_once(monkeypatch):
+    # the grading, circuits and degree_bound all read the one basis the
+    # matrix keeps: one hnf for the kept rows and one for the row
+    # lattice, where computing the basis at each call made 5
+    import toricgb.toric as toric
+
+    calls = record_calls(monkeypatch, toric, "hnf")
+    A = ConfigMatrix(((3, 3, 2, 0), (2, 2, 3, 2)))
+    circuits(A)
+    degree_bound(A)
+    circuits(A)
+    assert len(calls) == 2
 
 
 def test_swapped_rows_keep_the_circuits_true_degrees():
@@ -383,7 +398,7 @@ def test_fan_cones_reads_every_facet_off_the_walk(monkeypatch, tmp_path, capsys)
     assert certificates == []
     assert len(witnesses) == 108
     # 414 before the ray test and the stored feasibility certificates
-    assert len(programs) <= 100
+    assert len(programs) == 100
 
 
 def test_only_printed_witnesses_are_solved(monkeypatch, tmp_path, capsys):
