@@ -20,7 +20,9 @@ coordinates bounds the second-last.  Each coordinate above takes two
 linear programs, each a phase 1 and a phase 2, or one on an open
 homogeneous slice.  Its point is the one Fourier-Motzkin elimination
 with back-substitution gives; toricgb.oracle keeps that method as the
-reference.
+reference.  The point is carried as integers X over one positive
+denominator den, and each bound as an integer ratio, so the only
+Fractions feasible_witness builds are those of the point it returns.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def primitive(v):
 def clear_to_ints(values):
     """The values times the least positive integer that makes them integral."""
     values = tuple(values)
-    if all(type(x) is int for x in values):
+    if {*map(type, values)} <= {int}:
         return values
     fracs = [Fraction(x) for x in values]
     scale = lcm(*(f.denominator for f in fracs))
@@ -438,21 +440,23 @@ def cone_support(c, vectors):
 
 
 def _integer_rows(constraints, n):
-    # each constraint times the positive lcm of its denominators
-    rows = []
-    for a, b, strict in constraints:
+    # each constraint (a, b, strict) as the row (*a, b) times the
+    # positive lcm of its denominators, and the strict flags
+    rows, strict = [], []
+    for a, b, s in constraints:
         if len(a) != n:
             raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
-        *a, b = clear_to_ints((*a, b))
-        rows.append((tuple(a), b, bool(strict)))
-    return rows
+        rows.append(clear_to_ints((*a, b)))
+        strict.append(bool(s))
+    return rows, strict
 
 
 def _slice_bound(vectors, n, B, den, side):
     """min of side * y_0 subject to v_j . y >= B_j / den, times side.
 
     Solved as its dual, max B . lam / den subject to lam >= 0 and
-    sum_j lam_j v_j = side * e_0 in Q^n; None when that is infeasible or
+    sum_j lam_j v_j = side * e_0 in Q^n.  The bound is an integer ratio
+    (p, q) with q > 0, or None when the dual is infeasible or
     unbounded.  Phase 1 carries the phase-2 cost row along.  At its
     optimum every feasible lam is 0 where the reduced cost is positive,
     so phase 2 leaves those columns out and the artificials stay at 0.
@@ -468,23 +472,32 @@ def _slice_bound(vectors, n, B, den, side):
     if costs[0][-1]:
         return None
     if len(costs) == 1:
-        return Fraction(0)
+        return 0, 1
     allowed = [j for j in range(m) if not costs[0][j]]
     del costs[0]
     D = _simplex(rows, costs, basis, D, allowed)
-    return None if D is None else side * Fraction(costs[0][-1], D * den)
+    return None if D is None else (side * costs[0][-1], D * den)
 
 
 def _choose(lo, up):
+    # 0, lo + 1, up - 1 or the midpoint of integer ratios (p, q), q > 0,
+    # as one reduced ratio
     if lo is None:
-        return Fraction(0) if up is None else up - 1
-    return lo + 1 if up is None else (lo + up) / 2
+        if up is None:
+            return 0, 1
+        p, q = up[0] - up[1], up[1]
+    elif up is None:
+        p, q = lo[0] + lo[1], lo[1]
+    else:
+        p, q = lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1]
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _ratio_bounds(rows, den):
     # (lo, up) of x on {x : a * x >= c / den for (a, c) in rows}; a = 0 bounds nothing.
     # Each side is kept as a ratio c / a with a > 0 and compared by
-    # cross-multiplication, so only the winners become Fractions.
+    # cross-multiplication; the winners come back as c / (a * den).
     lo = up = None
     for a, c in rows:
         if a > 0:
@@ -493,8 +506,8 @@ def _ratio_bounds(rows, den):
         elif a < 0:
             if up is None or c * up[1] > up[0] * a:  # -c / -a below up
                 up = -c, -a
-    return (None if lo is None else Fraction(lo[0], lo[1] * den),
-            None if up is None else Fraction(up[0], up[1] * den))
+    return (None if lo is None else (lo[0], lo[1] * den),
+            None if up is None else (up[0], up[1] * den))
 
 
 def _eliminate_last(level, cap):
@@ -506,18 +519,24 @@ def _eliminate_last(level, cap):
     the gcd of its entries and right-hand side.  None when that makes
     more than cap rows.
     """
-    pos = [r for r in level if r[-2] > 0]
-    neg = [r for r in level if r[-2] < 0]
-    if len(level) - len(pos) - len(neg) + len(pos) * len(neg) > cap:
+    pos, neg, out = [], [], []
+    for r in level:
+        if r[-2] > 0:
+            pos.append(r)
+        elif r[-2] < 0:
+            neg.append(r)
+        else:
+            out.append(r[:-2] + r[-1:])
+    if len(out) + len(pos) * len(neg) > cap:
         return None
-    out = [r[:-2] + r[-1:] for r in level if not r[-2]]
     for p in pos:
+        t = p[-2]
         for q in neg:
-            s, t = -q[-2], p[-2]
+            s = -q[-2]
             r = [s * x + t * y for x, y in zip(p, q)]
             del r[-2]
             g = gcd(*r)
-            out.append(tuple(x // g for x in r) if g > 1 else tuple(r))
+            out.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
     return out
 
 
@@ -526,7 +545,8 @@ def _last_two(pairs, B, den):
 
     One Fourier-Motzkin step eliminates x_1, whatever its row count.
     That is the exact projection of the set onto x_0 whenever the set
-    is nonempty, and its rows (a, c) read a * x_0 >= c / den.
+    is nonempty, and its rows (a, c) read a * x_0 >= c / den.  Each
+    bound is an integer ratio, as _ratio_bounds gives it.
     """
     return _ratio_bounds(_eliminate_last([(*p, Bj) for p, Bj in zip(pairs, B)], inf), den)
 
@@ -540,11 +560,19 @@ def feasible_witness(constraints, n):
     elimination with back-substitution, as both depend on S alone.  If
     S is nonempty, so is each slice, and a segment from a point of it to
     a point of its closure stays in S short of its end, so lo and up are
-    the optima with every inequality made weak.  x = X / den over one
-    denominator, and B_j = den * b_j - a_j[:k] . X.  A final B_j > 0
-    (or = 0 on a strict row) means S is empty, so when S is empty the
-    answer is None whatever x the bounds gave, and each rule below need
-    only be exact when S is nonempty.
+    the optima with every inequality made weak.
+
+    The point is carried in integers, x = X / den over one positive
+    denominator den, and each row as integers (a_j, b_j), the input
+    times the lcm of its denominators.  Each bound below is an integer
+    ratio (p, q) with q > 0, and _choose makes x_k one reduced ratio
+    p / q; den then moves to lcm(den, q) and X is scaled to match.
+    Fractions are built only of the returned point, so it is the point
+    the same rules give over Fractions.  With x_<k fixed, row j reads
+    a_j[k:] . x[k:] >= B_j / den with B_j = den * b_j - a_j[:k] . X.  A
+    final B_j > 0 (or = 0 on a strict row) means S is empty, so when S
+    is empty the answer is None whatever x the bounds gave, and each
+    rule below need only be exact when S is nonempty.
 
     - A chain of Fourier-Motzkin steps, made once before any coordinate
       is fixed.  Level n - 1 is the m input rows, every inequality read
@@ -570,36 +598,40 @@ def feasible_witness(constraints, n):
       program.  A weak row breaks this: {x_0 >= 0, -x_0 >= 0,
       x_1 + x_2 > 0} has lo = up = 0.
     """
-    rows = _integer_rows(constraints, n)
-    open_cone = all(strict for _, _, strict in rows)
+    rows, strict = _integer_rows(constraints, n)
     low = n - 1
-    levels = [None] * low + [[(*a, b) for a, b, _ in rows]]
+    levels = [None] * low + [rows]
     while low > 0 and (step := _eliminate_last(levels[low], len(rows))) is not None:
         low -= 1
         levels[low] = step
     X, den = [], 1
-    B = [b for _, b, _ in rows]
     for k in range(n):
+        # a row r of a level or of the input reads r[:k] . X with X of length k
         if levels[k] is not None:
             lo, up = _ratio_bounds(
-                [(r[k], den * r[-1] - sum(map(mul, r[:k], X))) for r in levels[k]], den)
-        elif k == n - 2:
-            lo, up = _last_two([a[k:] for a, _, _ in rows], B, den)
+                [(r[k], den * r[-1] - sum(map(mul, r, X))) for r in levels[k] if r[k]], den)
         else:
-            vectors = [a[k:] for a, _, _ in rows]
-            lo = _slice_bound(vectors, n - k, B, den, 1)
-            if open_cone and lo is not None and not any(B):
-                up = None
+            B = [den * r[-1] - sum(map(mul, r, X)) for r in rows]
+            vectors = [r[k:-1] for r in rows]
+            if k == n - 2:
+                lo, up = _last_two(vectors, B, den)
             else:
-                up = _slice_bound(vectors, n - k, B, den, -1)
-        x = _choose(lo, up)
-        q = lcm(den, x.denominator)
-        X = [xi * (q // den) for xi in X] + [x.numerator * (q // x.denominator)]
-        B = [Bj * (q // den) - a[k] * X[k] for Bj, (a, _, _) in zip(B, rows)]
-        den = q
-    if any(Bj > 0 or strict and Bj == 0 for Bj, (_, _, strict) in zip(B, rows)):
-        return None
-    return tuple(Fraction(xi, den) for xi in X)
+                lo = _slice_bound(vectors, n - k, B, den, 1)
+                if lo is not None and all(strict) and not any(B):
+                    up = None
+                else:
+                    up = _slice_bound(vectors, n - k, B, den, -1)
+        p, q = _choose(lo, up)
+        scale = lcm(den, q) // den
+        if scale > 1:
+            X = [x * scale for x in X]
+            den *= scale
+        X.append(p * (den // q))
+    for r, s in zip(rows, strict):
+        B = den * r[-1] - sum(map(mul, r, X))
+        if B > 0 or s and B == 0:
+            return None
+    return tuple(Fraction(x, den) for x in X)
 
 
 def strict_feasible(vectors):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import le
+from operator import le, mul
 from typing import NamedTuple
 
 from .buchberger import Binomial, GroebnerBasis, _groebner, _Packing
@@ -67,9 +67,9 @@ def _lift(y, M: IntMatrix):
     y is a row of Fractions.  With y = X / den over one denominator,
     y M = X M / den, and that integer is den / gcd(den, X M).
     """
-    den = lcm(*(x.denominator for x in y))
+    den = lcm(*[x.denominator for x in y])
     X = [x.numerator * (den // x.denominator) for x in y]
-    w = [sum(x * m for x, m in zip(X, column)) for column in zip(*M.entries)]
+    w = [sum(map(mul, X, column)) for column in zip(*M.entries)]
     g = gcd(den, *w)
     return tuple(v // g for v in w)
 

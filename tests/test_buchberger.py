@@ -13,7 +13,7 @@ from toricgb.buchberger import (
 from toricgb.errors import Budget, GuardViolated
 from toricgb.oracle import orient, passes_buchberger_criterion
 from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
-from toricgb.toric import ConfigMatrix, toric_generators
+from toricgb.toric import ConfigMatrix, toric_generators, toric_groebner
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 
@@ -96,6 +96,26 @@ def test_two_points_of_a_fiber_share_a_normal_form():
     v = (1, 3, 0, 0)
     assert TWISTED.matrix.mulvec(u) == TWISTED.matrix.mulvec(v)
     assert normal_form(u, G) == normal_form(v, G)
+
+
+# A basis {z^49488 - x y^2, y^4 - x y^2 z^49487} for the kernel of
+# (2, 98975, 4) would let two elements alternate one step at a time, so
+# z^k would take about k / 49 steps.  No reduced basis under
+# weighted_revlex(grading, cheapest) is that basis: with cheapest x, y
+# or z, z^(10^7) reduces in 1, 2 and 0 multi-steps.
+@pytest.mark.parametrize("cheapest, steps", [(0, 1), (1, 2), (2, 0)])
+def test_normal_form_of_a_high_power_takes_few_steps(monkeypatch, cheapest, steps):
+    import toricgb.buchberger as engine
+
+    A = ConfigMatrix(((2, 98975, 4),))
+    G = toric_groebner(A, weighted_revlex(A.grading, cheapest=cheapest))
+    calls = []
+    real = engine._Reducer._step
+    monkeypatch.setattr(engine._Reducer, "_step",
+                        lambda self, e, u: calls.append(e) or real(self, e, u))
+    nf = normal_form((0, 0, 10**7), G)
+    assert not any(divides(g.lead, nf) for g in G.elements)
+    assert len(calls) == steps <= 2
 
 
 def test_normal_form_rejects_negative_exponents():

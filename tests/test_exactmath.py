@@ -372,14 +372,17 @@ def witness_problem(rng, n, most=None):
 
 
 def count_choices(monkeypatch):
-    """Tally how feasible_witness sets each coordinate, by its interval."""
+    """Tally how feasible_witness sets each coordinate, by its interval.
+
+    Each bound is an integer ratio (p, q) with q > 0.
+    """
     tally = Counter()
     real = exactmath._choose
 
     def choose(lo, up):
         tally["no bound" if lo is None and up is None else
               "one bound" if lo is None or up is None else
-              "lo = up" if lo == up else "midpoint"] += 1
+              "lo = up" if lo[0] * up[1] == up[0] * lo[1] else "midpoint"] += 1
         return real(lo, up)
 
     monkeypatch.setattr(exactmath, "_choose", choose)

@@ -50,6 +50,7 @@ from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import (
     ConfigMatrix,
     _canonical_order,
+    _lift,
     _sign_tree,
     circuits,
     degree_bound,
@@ -62,7 +63,7 @@ from toricgb.toric import (
     universal_gb,
 )
 
-from test_toric import saturations
+from test_toric import record_calls, saturations
 
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
 
@@ -626,6 +627,30 @@ def test_groebner_fan_matches_groebner_cone(A):
         size = None
     assume(size is not None and size <= 12)
     assert_fan_matches_groebner_cone(A)
+
+
+def test_printed_weights_are_the_fourier_motzkin_points_seeded(monkeypatch):
+    # groebner_fan prints each cell's weight as the lift of
+    # feasible_witness's point on the cell's walls, so on every cell it
+    # must be the lift of the elimination oracle's point there; some
+    # Segre 2x2x2 walls make more rows in one step than they have, so
+    # the sweep reaches _slice_bound as well as the chain; 402 cells
+    import toricgb.exactmath as exactmath
+
+    programs = record_calls(monkeypatch, exactmath, "_slice_bound")
+    named = [ConfigMatrix(generate(kind, params)) for kind, params in
+             (("segre", (2, 2, 2)), ("segre", (2, 4)), ("hypersimplex2", (4,)))]
+    cells_seen = 0
+    for A in [*named, *pointed_configs(random.Random(41), 40)]:
+        K = A.kernel_basis()
+        _, cells, _ = _sign_tree(A, Budget())
+        fan = groebner_fan(A)
+        assert len(fan) == len(cells), A.original
+        for (_, w), cell in zip(fan, cells):
+            assert w == _lift(strict_feasible_by_elimination(cell.walls), K), (
+                A.original, cell.walls)
+        cells_seen += len(cells)
+    assert programs and cells_seen >= 400, (len(programs), cells_seen)
 
 
 @settings(max_examples=50, deadline=None)

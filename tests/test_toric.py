@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -15,11 +16,13 @@ from toricgb.errors import (
     NotPointed,
 )
 from toricgb.exactmath import dot, kernel_lattice_basis, strict_feasible
-from toricgb.fan import groebner_cone
+from toricgb.fan import groebner_cone, groebner_fan
 from toricgb.oracle import strict_feasible_by_elimination
 from toricgb.toric import (
     ConfigMatrix,
     _lift,
+    _sign_tree,
+    _witness,
     circuits,
     degree_bound,
     graver,
@@ -335,6 +338,63 @@ def test_segre_222_witnesses_still_reach_the_simplex_route(monkeypatch):
             reached += 1
             assert point == strict_feasible_by_elimination(vectors), vectors
     assert reached >= 1
+
+
+def test_witnesses_build_fractions_only_for_their_points(monkeypatch):
+    # feasible_witness carries its point as integers over one positive
+    # denominator and makes Fractions only of the point it returns:
+    # 4 per witness of Segre 3x3, where bounds and choices made as
+    # Fractions built 1,112
+    import toricgb.exactmath as exactmath
+
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    A = ConfigMatrix(generate("segre", (3, 3)))
+    monkeypatch.setattr(exactmath, "Fraction", Counting)
+    assert len(groebner_fan(A)) == 108
+    assert len(built) == 432
+
+
+def walk_counter(entered):
+    """A Budget that caps no walk and records each node count it checks."""
+
+    class Counting(Budget):
+        def check(self, guard, reached):
+            if guard == "walk":
+                entered.append(reached)
+            else:
+                super().check(guard, reached)
+
+    return Counting(walk=0)
+
+
+@pytest.mark.parametrize("kind, params, nodes, leaves, programs, slices", [
+    ("segre", (2, 2, 2), 4_519, 768, 243, 7),
+    ("hypersimplex2", (5,), 63_567, 8_640, 750, 118),
+    ("monomial-curve", (3, 7, 8, 11), 20_925, 1_296, 1_240, 0),
+])
+def test_sign_tree_work_on_wider_arrangements(monkeypatch, kind, params, nodes, leaves,
+                                              programs, slices):
+    # the nodes the walk enters, its leaves and its cone_support
+    # programs, and the _slice_bound programs of the cells' witnesses;
+    # Segre 3x3 pins its own in the tests above
+    import toricgb.exactmath as exactmath
+    import toricgb.toric as toric
+
+    A = ConfigMatrix(generate(kind, params))
+    entered = []
+    calls = record_calls(monkeypatch, toric, "cone_support")
+    _, cells, found = _sign_tree(A, walk_counter(entered))
+    assert (entered[-1], len(found), len(calls)) == (nodes, leaves, programs)
+    calls = record_calls(monkeypatch, exactmath, "_slice_bound")
+    for cell in cells:
+        _witness(A, cell)
+    assert len(calls) == slices
 
 
 def test_row_lattice_basis_is_computed_once(monkeypatch):
