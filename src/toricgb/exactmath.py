@@ -12,17 +12,18 @@ that phase 1 found, so one refutation serves every system that holds
 those vectors.  A question whose answer is a point that gets printed
 or kept (a cell witness, a grading) goes to feasible_witness, which
 fixes one coordinate at a time from its exact bounds on the slice.
-Fourier-Motzkin steps from the last coordinate up, each taken only
-while it makes no more rows than the input has, give the bounds of
+Fourier-Motzkin steps from the last coordinate up give the bounds of
 the coordinates they reach as ratios of their rows, with no program.
-Where the first step would make more, one step on the last two
-coordinates bounds the second-last.  Each coordinate above takes two
-linear programs, each a phase 1 and a phase 2, or one on an open
-homogeneous slice.  Its point is the one Fourier-Motzkin elimination
-with back-substitution gives; toricgb.oracle keeps that method as the
-reference.  The point is carried as integers X over one positive
-denominator den, and each bound as an integer ratio, so the only
-Fractions feasible_witness builds are those of the point it returns.
+The first step is always taken: from m rows it makes at most m^2/4,
+once, which is what bounding x_{n-2} on any slice takes.  Each later
+step is taken only while it makes at most m rows.  Each coordinate
+above the chain takes two linear programs, each a phase 1 and a
+phase 2, or one on an open homogeneous slice.  Its point is the one
+Fourier-Motzkin elimination with back-substitution gives;
+toricgb.oracle keeps that method as the reference.  The point is
+carried as integers X over one positive denominator den, and each
+bound as an integer ratio, so the only Fractions feasible_witness
+builds are those of the point it returns.
 """
 
 from __future__ import annotations
@@ -540,17 +541,6 @@ def _eliminate_last(level, cap):
     return out
 
 
-def _last_two(pairs, B, den):
-    """(lo, up) of x_0 on {x in Q^2 : p_j . x >= B_j / den}, with no program.
-
-    One Fourier-Motzkin step eliminates x_1, whatever its row count.
-    That is the exact projection of the set onto x_0 whenever the set
-    is nonempty, and its rows (a, c) read a * x_0 >= c / den.  Each
-    bound is an integer ratio, as _ratio_bounds gives it.
-    """
-    return _ratio_bounds(_eliminate_last([(*p, Bj) for p, Bj in zip(pairs, B)], inf), den)
-
-
 def feasible_witness(constraints, n):
     """A rational point satisfying every constraint, or None.
 
@@ -583,13 +573,13 @@ def feasible_witness(constraints, n):
       the closed set onto x_0..x_k.  Fixing x_<k commutes with
       eliminating the later coordinates, since a step reads only their
       coefficients, so level k with x_<k substituted is the projection
-      of the closed slice, and its ratios are lo and up for x_k.  A
-      step is taken only while its level has at most m rows: one step
-      can make m^2/4 rows from m, and each further one squares that.
-    - The last two, when the first step would pass m rows: _last_two
-      makes that step on the slice, in x_{n-2} and x_{n-1} only, once
-      x_<n-2 is fixed, so its ratios are the two optima for x_{n-2}.
-    - Each coordinate above those: two _slice_bound programs, except
+      of the closed slice, and its ratios are lo and up for x_k.  The
+      first step is always taken, so level n - 2 always exists: from m
+      rows it makes at most m^2/4, once, as many as the same step on
+      any slice would make to bound x_{n-2}.  Each later step is taken
+      only while its level has at most m rows, since each further step
+      could square the count.
+    - Each coordinate above the chain: two _slice_bound programs, except
       on an open homogeneous slice (every row strict, every B_j = 0).
       On its closure, a closed cone, lo and up are each 0 or unbounded.
       Both 0 would put the cone in the hyperplane x_k = 0, but the open
@@ -601,9 +591,11 @@ def feasible_witness(constraints, n):
     rows, strict = _integer_rows(constraints, n)
     low = n - 1
     levels = [None] * low + [rows]
-    while low > 0 and (step := _eliminate_last(levels[low], len(rows))) is not None:
+    cap = inf
+    while low > 0 and (step := _eliminate_last(levels[low], cap)) is not None:
         low -= 1
         levels[low] = step
+        cap = len(rows)
     X, den = [], 1
     for k in range(n):
         # a row r of a level or of the input reads r[:k] . X with X of length k
@@ -613,14 +605,11 @@ def feasible_witness(constraints, n):
         else:
             B = [den * r[-1] - sum(map(mul, r, X)) for r in rows]
             vectors = [r[k:-1] for r in rows]
-            if k == n - 2:
-                lo, up = _last_two(vectors, B, den)
+            lo = _slice_bound(vectors, n - k, B, den, 1)
+            if lo is not None and all(strict) and not any(B):
+                up = None
             else:
-                lo = _slice_bound(vectors, n - k, B, den, 1)
-                if lo is not None and all(strict) and not any(B):
-                    up = None
-                else:
-                    up = _slice_bound(vectors, n - k, B, den, -1)
+                up = _slice_bound(vectors, n - k, B, den, -1)
         p, q = _choose(lo, up)
         scale = lcm(den, q) // den
         if scale > 1:

@@ -21,7 +21,6 @@ from .buchberger import GroebnerBasis
 from .errors import (
     Budget,
     DimensionMismatch,
-    LimitExceeded,
     NonGenericOmega,
     RankDeficient,
     ToricError,
@@ -244,10 +243,8 @@ def assoc_primes_monomial(I: MonomialIdeal, budget: Budget = Budget()):
     (I : m) equal to the prime generated by {x_i : i in sigma}.  Witness
     exponents never need to exceed the largest generator exponent in each
     variable, so the grid below is exhaustive; budget.subsets caps its
-    size, and I may have at most 12 variables.
+    size as it is counted.
     """
-    if I.n > 12:
-        raise LimitExceeded("variables", 12, I.n)
     if I.is_zero:
         return []
     bounds = [max(g[i] for g in I.gens) for i in range(I.n)]

@@ -269,8 +269,8 @@ def test_every_limit_is_raised_with_its_three_fields():
             assert call is not None and len(call.args) == 3 and not call.keywords, (
                 path.name, node.lineno)
             sites.append(path.name)
-    # Budget.check, and the fixed 12-variable guard of assoc_primes_monomial
-    assert sorted(sites) == ["errors.py", "fan.py"]
+    # Budget.check alone
+    assert sorted(sites) == ["errors.py"]
 
 
 def test_every_imported_name_is_used():

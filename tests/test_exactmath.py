@@ -5,7 +5,7 @@ import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, takewhile
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,23 +389,30 @@ def count_choices(monkeypatch):
     return tally
 
 
-def count_last_two(monkeypatch):
-    """Tally the cases of _last_two's elimination step that a call meets."""
+def count_first_step(monkeypatch):
+    """Tally the cases of the chain's first elimination step, one per call.
+
+    The first step is the one made with no cap: it eliminates x_{n-1}
+    from the input rows, whatever the row count it makes.
+    """
     tally = Counter()
-    real = exactmath._last_two
+    real = exactmath._eliminate_last
 
-    def last_two(pairs, B, den):
-        if any(p1 == 0 for _, p1 in pairs):
-            tally["row 0 in x_1"] += 1
-        if any(p1 * q0 == q1 * p0 for p0, p1 in pairs if p1 > 0
-               for q0, q1 in pairs if q1 < 0):
-            tally["combination 0 in x_0"] += 1
-        lo, up = real(pairs, B, den)
-        if lo is None or up is None:
-            tally["a side with no rows"] += 1
-        return lo, up
+    def eliminate(level, cap):
+        out = real(level, cap)
+        if cap == inf:
+            if any(r[-2] == 0 for r in level):
+                tally["row 0 in x_{n-1}"] += 1
+            if any(p[-2] * q[-3] == q[-2] * p[-3] for p in level if p[-2] > 0
+                   for q in level if q[-2] < 0):
+                tally["combination 0 in x_{n-2}"] += 1
+            if not any(r[-2] > 0 for r in out) or not any(r[-2] < 0 for r in out):
+                tally["a side of x_{n-2} with no rows"] += 1
+            if len(out) > len(level):
+                tally["more than m rows"] += 1
+        return out
 
-    monkeypatch.setattr(exactmath, "_last_two", last_two)
+    monkeypatch.setattr(exactmath, "_eliminate_last", eliminate)
     return tally
 
 
@@ -428,7 +435,7 @@ def record_routes(monkeypatch):
         return out
 
     monkeypatch.setattr(exactmath, "_eliminate_last", eliminate)
-    for name in ("_last_two", "_slice_bound", "_choose"):
+    for name in ("_slice_bound", "_choose"):
         def wrapper(*args, real=getattr(exactmath, name), name=name):
             events.append(name)
             return real(*args)
@@ -441,17 +448,15 @@ def routes(events, n):
     """The route that set each coordinate of the last call; clears events.
 
     "chain" is the ratios on a level the chain derived, "input rows"
-    those on the input rows (the last coordinate), "last two" is
-    _last_two and "simplex" is _slice_bound.  The chain's s steps set
-    x_{n-1-s}, ..., x_{n-2}; they lead the events, and _last_two's own
-    step comes after its name.
+    those on the input rows (the last coordinate) and "simplex" is
+    _slice_bound.  The chain's s steps set x_{n-1-s}, ..., x_{n-2}; they
+    lead the events.
     """
     steps = sum(e == "step" for e in takewhile(lambda e: e in ("step", "refused"), events))
     out, segment = [], set()
     for event in events:
         if event == "_choose":
             out.append("simplex" if "_slice_bound" in segment else
-                       "last two" if "_last_two" in segment else
                        "input rows" if len(out) == n - 1 else "chain")
             segment = set()
         else:
@@ -463,7 +468,7 @@ def routes(events, n):
 
 def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
     tally = count_choices(monkeypatch)
-    last_two = count_last_two(monkeypatch)
+    first = count_first_step(monkeypatch)
     events = record_routes(monkeypatch)
     route = Counter()
     rng = random.Random(2027)
@@ -475,9 +480,9 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
         route.update(routes(events, n))
         seen["empty" if point is None else shape] += 1
         seen[n, point is None] += 1
-    # wider draws, whose first step mostly passes m rows, so that
-    # _last_two meets each of its cases; in half of them no row is
-    # negative in x_{n-2}, so one side of its step has no rows
+    # wider draws, whose first step mostly passes m rows; in half of
+    # them no row is negative in x_{n-2}, so one side of the level that
+    # step makes has no rows
     for _ in range(1000):
         n = rng.randint(2, 3)
         _, cons = witness_problem(rng, n, most=10)
@@ -490,22 +495,29 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
                                         "empty")), seen
     assert all(tally[k] >= 200 for k in ("no bound", "one bound", "lo = up",
                                          "midpoint")), tally
-    assert all(last_two[k] >= 300 for k in ("row 0 in x_1", "combination 0 in x_0",
-                                            "a side with no rows")), last_two
-    assert all(route[k] >= 300 for k in ("chain", "last two", "simplex")), route
+    assert all(first[k] >= 300 for k in ("row 0 in x_{n-1}", "combination 0 in x_{n-2}",
+                                         "a side of x_{n-2} with no rows")), first
+    assert all(route[k] >= 300 for k in ("chain", "simplex")), route
 
 
 # Both sides of the stop rule.  Two rows positive and two negative in x_2
-# make 4 rows from 4, so the step is taken; x_0 + x_2 plus x_0 - x_2 is
-# 2 x_0, stored as x_0 after the gcd step.  A fifth row negative in x_2
-# makes 6 rows from 5, so that step is refused.
+# make 4 rows from 4; x_0 + x_2 plus x_0 - x_2 is 2 x_0, stored as x_0
+# after the gcd step.  A fifth row negative in x_2 makes 6 rows from 5,
+# but the first step is always taken, and its 6 rows make 1 in the
+# next.  Six rows, four positive and two negative in x_2, make 8
+# rows from 6, and the step on those 8 would make more than 6, so it is
+# refused and x_0 takes the simplex route.
 STEP_TO_M_ROWS = [((1, 0, 1), 0, True), ((0, 1, 1), 0, False),
                   ((1, 0, -1), 0, True), ((0, 1, -1), -2, False)]
+SECOND_STEP_REFUSED = [((2, 2, -1), 0, False), ((1, -1, 1), -3, False),
+                       ((2, -2, 1), 0, False), ((-1, 1, -1), -2, False),
+                       ((-2, 2, 1), 0, False), ((1, -1, 1), 0, False)]
 
 
 @pytest.mark.parametrize("cons, expected", [
     (STEP_TO_M_ROWS, ["chain", "chain", "input rows"]),
-    (STEP_TO_M_ROWS + [((1, 1, -1), -3, False)], ["simplex", "last two", "input rows"]),
+    (STEP_TO_M_ROWS + [((1, 1, -1), -3, False)], ["chain", "chain", "input rows"]),
+    (SECOND_STEP_REFUSED, ["simplex", "chain", "input rows"]),
 ])
 def test_elimination_chain_stops_past_m_rows(monkeypatch, cons, expected):
     events = record_routes(monkeypatch)
@@ -552,6 +564,7 @@ WIDE_DIGEST = "803a9302f0a959aecd541c2299209ec16ec21454c9834682ca69ff2d90b95df8"
 
 
 def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
+    first = count_first_step(monkeypatch)
     events = record_routes(monkeypatch)
     route = Counter()
     digest = hashlib.sha256()
@@ -567,7 +580,8 @@ def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
     route.update(routes(events, A.d))
     digest.update(repr(A.grading).encode())
     assert digest.hexdigest() == WIDE_DIGEST
-    assert all(route[k] >= 50 for k in ("chain", "last two", "simplex")), route
+    assert all(route[k] >= 50 for k in ("chain", "simplex")), route
+    assert first["more than m rows"] >= 50, first
 
 
 def pinned_cone(rng, n):

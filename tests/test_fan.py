@@ -217,9 +217,14 @@ def test_associated_primes_of_small_ideals():
     assert assoc_primes_monomial(MonomialIdeal([], 2)) == []
 
 
-def test_associated_primes_variable_guard():
-    with pytest.raises(LimitExceeded):
-        assoc_primes_monomial(MonomialIdeal([(1,) * 13], 13))
+def test_associated_primes_are_capped_by_the_subsets_budget():
+    # no fixed cap on the variables: the 2^13 grid of x_0 ... x_12 is
+    # counted against budget.subsets as it grows
+    I = MonomialIdeal([(1,) * 13], 13)
+    assert assoc_primes_monomial(I) == [(i,) for i in range(13)]
+    with pytest.raises(LimitExceeded) as info:
+        assoc_primes_monomial(I, Budget(subsets=1000))
+    assert info.value.guard == "subsets"
 
 
 def test_chain_property_holds_for_toric_initial_ideal():

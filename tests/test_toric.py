@@ -308,8 +308,9 @@ def test_universal_gb_makes_one_witness_call_per_basis(monkeypatch):
 @pytest.mark.parametrize("dims, programs", [((3, 3), 0), ((2, 2, 2), 7)])
 def test_witnesses_make_a_pinned_number_of_programs(monkeypatch, dims, programs):
     # each witness lives in R^4, and a chain of elimination steps bounds
-    # every coordinate it reaches with no program while a step makes at
-    # most m rows; two programs per coordinate but the last made 648 and
+    # every coordinate it reaches with no program: the first step is
+    # always taken, and each later one while it makes at most m rows;
+    # two programs per coordinate but the last made 648 and
     # 480, and with only the last two coordinates eliminated and an open
     # homogeneous slice's upper program skipped, 370 and 270
     import toricgb.exactmath as exactmath
@@ -321,7 +322,7 @@ def test_witnesses_make_a_pinned_number_of_programs(monkeypatch, dims, programs)
 
 
 def test_segre_222_witnesses_still_reach_the_simplex_route(monkeypatch):
-    # some walls of Segre 2x2x2's cells make more than m rows in one
+    # some walls of Segre 2x2x2's cells make more than m rows in a later
     # elimination step, so the simplex route bounds a coordinate there;
     # its point is still the Fourier-Motzkin one
     import toricgb.exactmath as exactmath
@@ -373,16 +374,22 @@ def walk_counter(entered):
     return Counting(walk=0)
 
 
+# the elimination steps that the cells' witnesses make and refuse
+WITNESS_STEPS = {"segre": (236, 2), "hypersimplex2": (345, 24), "monomial-curve": (268, 0)}
+
+
 @pytest.mark.parametrize("kind, params, nodes, leaves, programs, slices", [
     ("segre", (2, 2, 2), 4_519, 768, 243, 7),
-    ("hypersimplex2", (5,), 63_567, 8_640, 750, 118),
+    ("hypersimplex2", (5,), 63_567, 8_640, 750, 108),
     ("monomial-curve", (3, 7, 8, 11), 20_925, 1_296, 1_240, 0),
 ])
 def test_sign_tree_work_on_wider_arrangements(monkeypatch, kind, params, nodes, leaves,
                                               programs, slices):
     # the nodes the walk enters, its leaves and its cone_support
-    # programs, and the _slice_bound programs of the cells' witnesses;
-    # Segre 3x3 pins its own in the tests above
+    # programs, and the cells' witnesses' _slice_bound programs and
+    # elimination steps; Segre 3x3 pins its own in the tests above.
+    # hypersimplex2 5 made 118 programs when a first step past m rows
+    # was left to the slice of x_{n-2}
     import toricgb.exactmath as exactmath
     import toricgb.toric as toric
 
@@ -392,9 +399,18 @@ def test_sign_tree_work_on_wider_arrangements(monkeypatch, kind, params, nodes, 
     _, cells, found = _sign_tree(A, walk_counter(entered))
     assert (entered[-1], len(found), len(calls)) == (nodes, leaves, programs)
     calls = record_calls(monkeypatch, exactmath, "_slice_bound")
+    made = []
+
+    def eliminate(level, cap, real=exactmath._eliminate_last):
+        out = real(level, cap)
+        made.append(out is not None)
+        return out
+
+    monkeypatch.setattr(exactmath, "_eliminate_last", eliminate)
     for cell in cells:
         _witness(A, cell)
     assert len(calls) == slices
+    assert (made.count(True), made.count(False)) == WITNESS_STEPS[kind]
 
 
 def test_row_lattice_basis_is_computed_once(monkeypatch):
