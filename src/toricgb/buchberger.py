@@ -292,12 +292,8 @@ class _Packing:
         """The guard bits of the fields where P is positive."""
         return ((P | self.guard) - self.ones) & self.guard
 
-    def lcm(self, a, b) -> int:
-        # the guard bits of the fields where a >= b, widened to field masks
-        ge = ((a | self.guard) - b) & self.guard
-        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
-
     def gcd(self, a, b) -> int:
+        # the guard bits of the fields where a >= b, widened to field masks
         ge = ((a | self.guard) - b) & self.guard
         return a ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
 
@@ -451,21 +447,18 @@ def normal_form(u, G):
     return _widening(run)
 
 
-def s_binomial(f: Binomial, g: Binomial, ord: TermOrder, kp=None, kq=None):
+def s_binomial(f: Binomial, g: Binomial, ord: TermOrder):
     """Honest S-pair: both terms under lcm(lead f, lead g); None when zero.
 
     The terms are p = L - (f.lead - f.trail) and q = L - (g.lead - g.trail)
-    for L the lcm.  kp and kq are their order keys when the caller already
-    has them; without them ord.key is called.
+    for L the lcm, oriented by ord.key.
     """
     L = tuple(max(a, c) for a, c in zip(f.lead, g.lead))
     p = tuple(l - a + b for l, a, b in zip(L, f.lead, f.trail))
     q = tuple(l - c + d for l, c, d in zip(L, g.lead, g.trail))
     if p == q:
         return None
-    if kp is None or kq is None:
-        kp, kq = ord.key(p), ord.key(q)
-    if kp > kq:
+    if ord.key(p) > ord.key(q):
         return Binomial(p, q)
     return Binomial(q, p)
 

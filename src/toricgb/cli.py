@@ -134,9 +134,8 @@ def write_matrix(M: IntMatrix) -> str:
     return write_vectors(M.entries)
 
 
-def parse_vectors(text, rational: bool = False):
-    value = Fraction if rational else int
-    return _parse_grid(text, "vector list", value)
+def parse_vectors(text):
+    return _parse_grid(text, "vector list", Fraction)
 
 
 def write_vectors(vectors) -> str:
@@ -167,7 +166,7 @@ def _write(path, text: str):
 
 
 def _load_weight(path, n: int):
-    rows = parse_vectors(_read(path), rational=True)
+    rows = parse_vectors(_read(path))
     if len(rows) != 1 or len(rows[0]) != n:
         raise ParseFailure(f"weight file must hold one row of {n} entries")
     return tuple(rows[0])

@@ -3,17 +3,18 @@
 Everything in this module is pure Python over ``int`` and
 ``fractions.Fraction``; no floats anywhere.
 
-Polyhedral questions all go to one exact simplex method on a
-fraction-free integer tableau.  A yes/no question (is c in the cone of
+Yes/no polyhedral questions go to one exact simplex method on a
+fraction-free integer tableau.  Such a question (is c in the cone of
 these vectors? is this inequality redundant?) is a phase 1, which
 cone_certificate runs and answers with a Farkas certificate.  When c
 is in the cone, cone_support also names the vectors of the combination
 that phase 1 found, so one refutation serves every system that holds
 those vectors.  A question whose answer is a point that gets printed
 or kept (a cell witness, a grading) goes to feasible_witness, which
-fixes one coordinate at a time from its exact bounds on the slice.
-Fourier-Motzkin steps from the last coordinate up give the bounds of
-the coordinates they reach as ratios of their rows, with no program.
+fixes one coordinate at a time from its exact bounds on the slice,
+and takes those bounds from a Fourier-Motzkin chain first.  Its steps
+from the last coordinate up give the bounds of the coordinates they
+reach as ratios of their rows, with no program.
 The first step is always taken: from m rows it makes at most m^2/4,
 once, which is what bounding x_{n-2} on any slice takes.  Each later
 step is taken only while it makes at most m rows.  Each coordinate
@@ -249,25 +250,19 @@ def cramer(M: IntMatrix, columns):
     return sign * prev, [[sign * row[c] for row in a] for c in range(n, n + len(columns))]
 
 
-def max_abs_minor(M: IntMatrix, k=None, budget: Budget = Budget()) -> int:
-    """Largest absolute value of a k x k minor of M.
+def max_abs_minor(M: IntMatrix, budget: Budget = Budget()) -> int:
+    """Largest absolute value of a maximal minor of M.
 
-    With k omitted, k is the number of rows and M must have full row
-    rank, so the result is positive.  Enumerates all row/column subsets;
-    budget.subsets refuses inputs where that count is larger.
+    M must have full row rank, so the result is positive.  Enumerates
+    the column subsets of size M.nrows; budget.subsets refuses inputs
+    with more of them.
     """
-    if k is None:
-        k = M.nrows
-        if rank(M) < k:
-            raise RankDeficient("maximal minors of a rank-deficient matrix are all 0")
-    if k < 0 or k > M.nrows or k > M.ncols:
-        raise DimensionMismatch(f"no {k} x {k} minors in a {M.nrows} x {M.ncols} matrix")
-    budget.check("subsets", comb(M.nrows, k) * comb(M.ncols, k))
-    best = 0
-    for rsub in combinations(range(M.nrows), k):
-        for csub in combinations(range(M.ncols), k):
-            best = max(best, abs(det_bareiss(M.submatrix(rsub, csub))))
-    return best
+    k = M.nrows
+    if rank(M) < k:
+        raise RankDeficient("maximal minors of a rank-deficient matrix are all 0")
+    budget.check("subsets", comb(M.ncols, k))
+    return max(abs(det_bareiss(M.submatrix(range(k), cols)))
+               for cols in combinations(range(M.ncols), k))
 
 
 def kernel_lattice_basis(A: IntMatrix) -> IntMatrix:

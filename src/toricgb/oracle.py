@@ -596,6 +596,13 @@ def buchberger_every_pair(gens, ord):
     return GroebnerBasis(ord, _canonical(_interreduce(elements), ord))
 
 
+def _packed_lcm(pk: _Packing, a, b) -> int:
+    """lcm of the guard-clear packed monomials a and b, field by field."""
+    # the guard bits of the fields where a >= b, widened to field masks
+    ge = ((a | pk.guard) - b) & pk.guard
+    return b ^ ((a ^ b) & (ge - (ge >> (pk.width - 1))))
+
+
 def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
     """Every S-pair of G reduces to zero (post-check for tests)."""
     def run(width):
@@ -606,7 +613,7 @@ def passes_buchberger_criterion(G: GroebnerBasis) -> bool:
             red.append(lead, trail, pk.key(lead) - pk.key(trail))
         for j, b in enumerate(red.leads):
             for i, a in enumerate(red.leads[:j]):
-                L = pk.lcm(a, b)
+                L = _packed_lcm(pk, a, b)
                 p, q = _s_pair(L, red.vecs[i], red.vecs[j], pk.guard)
                 if p == q:
                     continue

@@ -2,8 +2,9 @@
 
 An order is a stack of integer weight rows, read top-down, refined by a
 final lexicographic or reverse-lexicographic tie-break along a
-precedence permutation.  The public constructors expose the two
-families used throughout the package:
+precedence permutation.  term_order builds every such order from a
+weight row, a tie-break and an elimination block; the two families
+used throughout the package are shorthands of it:
 
 * ``lex``: straight lexicographic along the permutation.
 * ``degrevlex``: weight row (optional), then total degree, then reverse
@@ -63,8 +64,7 @@ class TermOrder:
 
 def lex(n: int, permutation=None) -> TermOrder:
     """Pure lexicographic order; permutation lists variables expensive-first."""
-    perm = tuple(permutation) if permutation is not None else tuple(range(n))
-    return TermOrder(n, (), "lex", perm)
+    return term_order(n, tiebreak="lex", permutation=permutation)
 
 
 def degrevlex(n: int, weight=None, permutation=None) -> TermOrder:
@@ -73,12 +73,7 @@ def degrevlex(n: int, weight=None, permutation=None) -> TermOrder:
     With a weight row, monomials are compared by weight first, then by
     total degree, then by the revlex rule.
     """
-    perm = tuple(permutation) if permutation is not None else tuple(range(n))
-    layers = []
-    if weight is not None:
-        layers.append(clear_to_ints(weight))
-    layers.append((1,) * n)
-    return TermOrder(n, tuple(layers), "revlex", perm)
+    return term_order(n, weight=weight, permutation=permutation)
 
 
 def term_order(n: int, weight=None, tiebreak: str = "degrevlex",

@@ -7,8 +7,9 @@ keeps every parameter read, so that no flag is silently ignored, two
 keep every import in use and at module level, one keeps toric from
 importing fan, which imports it, two keep the reference
 implementations of toricgb.oracle, Fourier-Motzkin elimination among
-them, out of the production modules, and one keeps every function the
-benchmark's tracer wraps in place.
+them, out of the production modules, one keeps every function the
+benchmark's tracer wraps in place, and one keeps every private
+function and private-class method called from production code.
 """
 
 import argparse
@@ -360,3 +361,36 @@ def test_every_traced_function_exists():
         if owner is None:
             missing.append((module, attr))
     assert len(traced) >= 20 and missing == []
+
+
+def test_every_private_function_has_a_production_caller():
+    # a private helper that only the oracle or the tests call is dead
+    # weight in the engine; it belongs in toricgb.oracle
+    trees = {path.name: ast.parse(path.read_text()) for path in PRODUCTION}
+    named, read = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    checked, unused, anywhere = 0, [], named | read
+    for name, tree in trees.items():
+        # a method of a private class is used when read as an attribute
+        methods = {id(method): f"{node.name}.{method.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                   for method in node.body if isinstance(method, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            if id(node) in methods:
+                used = node.name in read
+            elif node.name.startswith("_"):
+                used = node.name in anywhere
+            else:
+                continue
+            checked += 1
+            if not used:
+                unused.append((name, methods.get(id(node), node.name)))
+    assert checked > 40 and unused == []

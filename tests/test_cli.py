@@ -66,7 +66,7 @@ def test_matrix_round_trip():
 
 def test_vector_list_round_trip_with_rationals():
     rows = [(Fraction(1, 2), Fraction(-3), Fraction(7, 3))]
-    parsed = parse_vectors(write_vectors(rows), rational=True)
+    parsed = parse_vectors(write_vectors(rows))
     assert parsed == [tuple(rows[0])]
 
 

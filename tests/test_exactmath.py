@@ -230,7 +230,7 @@ def test_max_abs_minor():
     ]
     assert max_abs_minor(M) == max(vals) == 6
     with pytest.raises(LimitExceeded):
-        max_abs_minor(random_matrix(random.Random(0), 12, 24), k=6, budget=Budget(subsets=10))
+        max_abs_minor(random_matrix(random.Random(0), 12, 24), budget=Budget(subsets=10))
 
 
 def test_solve_affine_particular_plus_nullspace():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,29 @@ def test_lex_permutation_reorders_precedence():
     assert o.key((5, 0, 0)) < o.key((0, 0, 1))
 
 
+def test_lex_and_degrevlex_are_term_order_shorthands_seeded():
+    # the layers and precedence are built in term_order alone; each
+    # shorthand must give the very order term_order gives
+    rng = random.Random(33)
+    draws = {
+        "none": lambda n: None,
+        "int": lambda n: tuple(rng.randint(0, 9) for _ in range(n)),
+        "negative": lambda n: tuple(rng.randint(-9, 9) for _ in range(n)),
+        "fraction": lambda n: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                    for _ in range(n)),
+    }
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        p = None if rng.random() < 0.3 else rng.sample(range(n), n)
+        kind = rng.choice(sorted(draws))
+        w = draws[kind](n)
+        seen.add((kind, p is None))
+        assert lex(n, p) == term_order(n, tiebreak="lex", permutation=p)
+        assert degrevlex(n, w, p) == term_order(n, weight=w, permutation=p)
+    assert len(seen) == 2 * len(draws)
+
+
 def test_degrevlex_classic_comparison():
     # same total degree: revlex prefers the monomial missing the cheap end
     o = degrevlex(3)
@@ -45,8 +69,6 @@ def test_weight_layer_dominates():
 
 
 def test_rational_weights_cleared():
-    from fractions import Fraction
-
     o = term_order(2, weight=(Fraction(1, 2), Fraction(1, 3)))
     assert o.layers[0] == (3, 2)
     assert term_order(3, weight=(Fraction(-3, 4), 2, 0)).layers[0] == (-3, 8, 0)
