@@ -3,23 +3,26 @@
 Everything in this module is pure Python over ``int`` and
 ``fractions.Fraction``; no floats anywhere.
 
-Yes/no polyhedral questions go to one exact simplex method on a
-fraction-free integer tableau.  Such a question (is c in the cone of
-these vectors? is this inequality redundant?) is a phase 1, which
-cone_certificate runs and answers with a Farkas certificate.  When c
-is in the cone, cone_support also names the vectors of the combination
-that phase 1 found, so one refutation serves every system that holds
-those vectors.  A question whose answer is a point that gets printed
-or kept (a cell witness, a grading) goes to feasible_witness, which
-fixes one coordinate at a time from its exact bounds on the slice,
-and takes those bounds from a Fourier-Motzkin chain first.  Its steps
-from the last coordinate up give the bounds of the coordinates they
-reach as ratios of their rows, with no program.
-The first step is always taken: from m rows it makes at most m^2/4,
-once, which is what bounding x_{n-2} on any slice takes.  Each later
-step is taken only while it makes at most m rows.  Each coordinate
-above the chain takes two linear programs, each a phase 1 and a
-phase 2, or one on an open homogeneous slice.  Its point is the one
+Determinants come from cramer: one fraction-free elimination gives
+det(M), and det(M) M^{-1} v for any columns v.
+
+Yes/no polyhedral questions (is c in the cone of these vectors? is
+this inequality redundant?) go to cone_support, the phase 1 of one
+exact simplex method on a fraction-free integer tableau.  It answers
+with a Farkas certificate when c is outside the cone, and otherwise
+names the vectors of the combination that phase 1 found, so one
+refutation serves every system that holds those vectors.  A question
+whose answer is a point that gets printed or kept (a cell witness, a
+grading) asks for a point of an open cone {y : v . y > 0} and goes to
+feasible_witness, which fixes one coordinate at a time from its exact
+bounds on the slice, and takes those bounds from a Fourier-Motzkin
+chain first.  Its steps from the last coordinate up give the bounds
+of the coordinates they reach as ratios of their rows, with no
+program.  The first step is always taken: from m rows it makes at
+most m^2/4, once, which is what bounding y_{n-2} on any slice takes.
+Each later step is taken only while it makes at most m rows.  Each
+coordinate above the chain takes two linear programs, each a phase 1
+and a phase 2, or one on a homogeneous slice.  Its point is the one
 Fourier-Motzkin elimination with back-substitution gives;
 toricgb.oracle keeps that method as the reference.  The point is
 carried as integers X over one positive denominator den, and each
@@ -110,9 +113,6 @@ class IntMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 
@@ -126,14 +126,6 @@ class IntMatrix:
         if self.entries and len(v) != self.ncols:
             raise DimensionMismatch(f"mulvec: {self.ncols} cols vs vector of {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        ot = other.transpose()
-        return IntMatrix(
-            tuple(tuple(dot(r, c) for c in ot.entries) for r in self.entries)
-        )
 
 
 def hnf(M: IntMatrix):
@@ -190,33 +182,8 @@ def rank(M: IntMatrix) -> int:
     return sum(1 for r in H.entries if any(r))
 
 
-def det_bareiss(M: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = M.nrows
-    if n != M.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def cramer(M: IntMatrix, columns):
-    """(det(M), [det(M) * M^{-1} v for v in columns]) for a nonsingular square M.
+    """(det(M), [det(M) * M^{-1} v for v in columns]) for a square M, or (0, None).
 
     Cramer's rule makes entry k of det(M) * M^{-1} v the determinant of
     M with column k replaced by v, so each result is integral and M y = v
@@ -224,8 +191,9 @@ def cramer(M: IntMatrix, columns):
     elimination of [M | columns] gives the determinant and every entry at
     once: each step divides exactly by the previous pivot, and at the end
     every diagonal entry is det(PM), for the row permutation P of the
-    pivot swaps, and each right-hand column is det(PM) * M^{-1} v.
-    RankDeficient when det(M) = 0.
+    pivot swaps, and each right-hand column is det(PM) * M^{-1} v.  A
+    column with no pivot makes M singular, and the answer (0, None).
+    With no columns this is the determinant alone.
     """
     n = M.nrows
     if n != M.ncols or any(len(v) != n for v in columns):
@@ -237,7 +205,7 @@ def cramer(M: IntMatrix, columns):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                raise RankDeficient("cramer of a singular matrix")
+                return 0, None
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot = a[k]
@@ -250,18 +218,18 @@ def cramer(M: IntMatrix, columns):
     return sign * prev, [[sign * row[c] for row in a] for c in range(n, n + len(columns))]
 
 
-def max_abs_minor(M: IntMatrix, budget: Budget = Budget()) -> int:
+def max_abs_minor(M: IntMatrix) -> int:
     """Largest absolute value of a maximal minor of M.
 
     M must have full row rank, so the result is positive.  Enumerates
-    the column subsets of size M.nrows; budget.subsets refuses inputs
-    with more of them.
+    the column subsets of size M.nrows; the default Budget's subsets
+    refuses inputs with more of them.
     """
     k = M.nrows
     if rank(M) < k:
         raise RankDeficient("maximal minors of a rank-deficient matrix are all 0")
-    budget.check("subsets", comb(M.ncols, k))
-    return max(abs(det_bareiss(M.submatrix(range(k), cols)))
+    Budget().check("subsets", comb(M.ncols, k))
+    return max(abs(cramer(M.submatrix(range(k), cols), ())[0])
                for cols in combinations(range(M.ncols), k))
 
 
@@ -331,11 +299,7 @@ def solve_affine(rows, rhs, ncols=None):
 
 
 # ---------------------------------------------------------------------------
-# Linear inequality systems.
-#
-# A constraint is a triple (coeffs, rhs, strict) and means
-#     coeffs . x >  rhs   when strict is true,
-#     coeffs . x >= rhs   otherwise.
+# Cones: membership by the simplex method, open-cone points by elimination.
 # ---------------------------------------------------------------------------
 
 
@@ -384,21 +348,13 @@ def _simplex(rows, costs, basis, D, columns, stop_at_zero=False):
     return D
 
 
-def cone_certificate(c, vectors):
-    """None when c is a nonnegative combination of vectors, else a witness.
-
-    The witness is a primitive integer z with v . z >= 0 for every v and
-    c . z < 0, the certificate of Farkas' lemma that c lies outside the
-    cone of the vectors.  It is the z of cone_support.
-    """
-    return cone_support(c, vectors)[0]
-
-
 def cone_support(c, vectors):
     """(None, S) when c is a nonnegative combination of vectors[S], else (z, None).
 
-    z is cone_certificate's witness.  S is a sorted tuple of at most
-    len(c) indices, and c is a positive combination of vectors[S].
+    z is a primitive integer vector with v . z >= 0 for every v and
+    c . z < 0, the certificate of Farkas' lemma that c lies outside the
+    cone of the vectors.  S is a sorted tuple of at most len(c) indices,
+    and c is a positive combination of vectors[S].
 
     Phase 1 of the simplex method on sum_j lam_j v_j = c, lam >= 0: rows
     with c_i < 0 are negated and one artificial variable per row starts
@@ -433,18 +389,6 @@ def cone_support(c, vectors):
         return None, tuple(sorted(j for j, row in zip(basis, rows) if j < m and row[-1]))
     z = [s * (cost[m + i] - D) for i, s in enumerate(sign)]
     return primitive(z), None
-
-
-def _integer_rows(constraints, n):
-    # each constraint (a, b, strict) as the row (*a, b) times the
-    # positive lcm of its denominators, and the strict flags
-    rows, strict = [], []
-    for a, b, s in constraints:
-        if len(a) != n:
-            raise DimensionMismatch(f"constraint of width {len(a)}, expected {n}")
-        rows.append(clear_to_ints((*a, b)))
-        strict.append(bool(s))
-    return rows, strict
 
 
 def _slice_bound(vectors, n, B, den, side):
@@ -507,83 +451,83 @@ def _ratio_bounds(rows, den):
 
 
 def _eliminate_last(level, cap):
-    """One Fourier-Motzkin step on rows c . x >= d, or None past cap rows.
+    """One Fourier-Motzkin step on rows c . x >= 0, or None past cap rows.
 
-    Each row is (c_0, ..., c_k, d).  The step eliminates x_k: it keeps
-    the rows that are 0 in x_k and adds each row positive in x_k
-    combined with each negative one by positive multipliers, divided by
-    the gcd of its entries and right-hand side.  None when that makes
-    more than cap rows.
+    Each row is (c_0, ..., c_k).  The step eliminates x_k: it keeps the
+    rows that are 0 in x_k and adds each row positive in x_k combined
+    with each negative one by positive multipliers, divided by the gcd
+    of its entries.  None when that makes more than cap rows.
     """
     pos, neg, out = [], [], []
     for r in level:
-        if r[-2] > 0:
+        if r[-1] > 0:
             pos.append(r)
-        elif r[-2] < 0:
+        elif r[-1] < 0:
             neg.append(r)
         else:
-            out.append(r[:-2] + r[-1:])
+            out.append(r[:-1])
     if len(out) + len(pos) * len(neg) > cap:
         return None
     for p in pos:
-        t = p[-2]
+        t = p[-1]
         for q in neg:
-            s = -q[-2]
-            r = [s * x + t * y for x, y in zip(p, q)]
-            del r[-2]
+            s = -q[-1]
+            r = [s * x + t * y for x, y in zip(p[:-1], q)]
             g = gcd(*r)
             out.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
     return out
 
 
-def feasible_witness(constraints, n):
-    """A rational point satisfying every constraint, or None.
+def feasible_witness(vectors, n):
+    """A rational y with v . y > 0 for every v in Q^n, or None.
 
-    With x_<k fixed, x_k is the midpoint of the least and greatest x_k
-    on that slice of the solution set S (lo + 1 or up - 1 when one side
-    is unbounded, 0 when both are): the point of Fourier-Motzkin
-    elimination with back-substitution, as both depend on S alone.  If
-    S is nonempty, so is each slice, and a segment from a point of it to
-    a point of its closure stays in S short of its end, so lo and up are
-    the optima with every inequality made weak.
+    With y_<k fixed, y_k is the midpoint of the least and greatest y_k
+    on that slice of the open cone S = {y : v . y > 0} (lo + 1 or up - 1
+    when one side is unbounded, 0 when both are): the point of
+    Fourier-Motzkin elimination with back-substitution, as both depend
+    on S alone.  If S is nonempty, so is each slice, and a segment from
+    a point of it to a point of its closure stays in S short of its
+    end, so lo and up are the optima on the closure.
 
-    The point is carried in integers, x = X / den over one positive
-    denominator den, and each row as integers (a_j, b_j), the input
-    times the lcm of its denominators.  Each bound below is an integer
-    ratio (p, q) with q > 0, and _choose makes x_k one reduced ratio
-    p / q; den then moves to lcm(den, q) and X is scaled to match.
-    Fractions are built only of the returned point, so it is the point
-    the same rules give over Fractions.  With x_<k fixed, row j reads
-    a_j[k:] . x[k:] >= B_j / den with B_j = den * b_j - a_j[:k] . X.  A
-    final B_j > 0 (or = 0 on a strict row) means S is empty, so when S
-    is empty the answer is None whatever x the bounds gave, and each
-    rule below need only be exact when S is nonempty.
+    The point is carried in integers, y = X / den over one positive
+    denominator den, and each vector as integers a_j, the input times
+    the lcm of its denominators.  Each bound below is an integer ratio
+    (p, q) with q > 0, and _choose makes y_k one reduced ratio p / q;
+    den then moves to lcm(den, q) and X is scaled to match.  Fractions
+    are built only of the returned point, so it is the point the same
+    rules give over Fractions.  With y_<k fixed, row j reads
+    a_j[k:] . y[k:] > B_j / den with B_j = -a_j[:k] . X.  A final
+    B_j >= 0 means S is empty, so when S is empty the answer is None
+    whatever y the bounds gave, and each rule below need only be exact
+    when S is nonempty.
 
     - A chain of Fourier-Motzkin steps, made once before any coordinate
-      is fixed.  Level n - 1 is the m input rows, every inequality read
-      as weak; level k - 1 eliminates x_k from level k
+      is fixed.  Level n - 1 is the m input rows, each read as
+      a_j . y >= 0; level k - 1 eliminates y_k from level k
       (_eliminate_last).  Each derived row is divided by the gcd of its
-      entries and right-hand side, a positive factor, so coefficients
-      do not double at every step.  Level k is the exact projection of
-      the closed set onto x_0..x_k.  Fixing x_<k commutes with
-      eliminating the later coordinates, since a step reads only their
-      coefficients, so level k with x_<k substituted is the projection
-      of the closed slice, and its ratios are lo and up for x_k.  The
-      first step is always taken, so level n - 2 always exists: from m
-      rows it makes at most m^2/4, once, as many as the same step on
-      any slice would make to bound x_{n-2}.  Each later step is taken
-      only while its level has at most m rows, since each further step
-      could square the count.
+      entries, a positive factor, so coefficients do not double at
+      every step.  Level k is the exact projection of the closed cone
+      onto y_0..y_k.  Fixing y_<k commutes with eliminating the later
+      coordinates, since a step reads only their coefficients, so
+      level k with y_<k substituted is the projection of the closed
+      slice, and its ratios are lo and up for y_k.  The first step is
+      always taken, so level n - 2 always exists: from m rows it makes
+      at most m^2/4, once, as many as the same step on any slice would
+      make to bound y_{n-2}.  Each later step is taken only while its
+      level has at most m rows, since each further step could square
+      the count.
     - Each coordinate above the chain: two _slice_bound programs, except
-      on an open homogeneous slice (every row strict, every B_j = 0).
-      On its closure, a closed cone, lo and up are each 0 or unbounded.
-      Both 0 would put the cone in the hyperplane x_k = 0, but the open
-      slice is nonempty when S is, and a nonempty open set lies in no
-      hyperplane; so when lo = 0, up is unbounded, with no second
-      program.  A weak row breaks this: {x_0 >= 0, -x_0 >= 0,
-      x_1 + x_2 > 0} has lo = up = 0.
+      on a homogeneous slice (every B_j = 0).  Its closure is a closed
+      cone, so lo and up are each 0 or unbounded.  Both 0 would put the
+      cone in the hyperplane y_k = 0, but the open slice is nonempty
+      when S is, and a nonempty open set lies in no hyperplane; so when
+      lo = 0, up is unbounded, with no second program.
     """
-    rows, strict = _integer_rows(constraints, n)
+    rows = []
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch(f"vector of width {len(v)}, expected {n}")
+        rows.append(clear_to_ints(v))
     low = n - 1
     levels = [None] * low + [rows]
     cap = inf
@@ -596,39 +540,35 @@ def feasible_witness(constraints, n):
         # a row r of a level or of the input reads r[:k] . X with X of length k
         if levels[k] is not None:
             lo, up = _ratio_bounds(
-                [(r[k], den * r[-1] - sum(map(mul, r, X))) for r in levels[k] if r[k]], den)
+                [(r[k], -sum(map(mul, r, X))) for r in levels[k] if r[k]], den)
         else:
-            B = [den * r[-1] - sum(map(mul, r, X)) for r in rows]
-            vectors = [r[k:-1] for r in rows]
-            lo = _slice_bound(vectors, n - k, B, den, 1)
-            if lo is not None and all(strict) and not any(B):
+            B = [-sum(map(mul, r, X)) for r in rows]
+            sliced = [r[k:] for r in rows]
+            lo = _slice_bound(sliced, n - k, B, den, 1)
+            if lo is not None and not any(B):
                 up = None
             else:
-                up = _slice_bound(vectors, n - k, B, den, -1)
+                up = _slice_bound(sliced, n - k, B, den, -1)
         p, q = _choose(lo, up)
         scale = lcm(den, q) // den
         if scale > 1:
             X = [x * scale for x in X]
             den *= scale
         X.append(p * (den // q))
-    for r, s in zip(rows, strict):
-        B = den * r[-1] - sum(map(mul, r, X))
-        if B > 0 or s and B == 0:
-            return None
+    if any(sum(map(mul, r, X)) <= 0 for r in rows):
+        return None
     return tuple(Fraction(x, den) for x in X)
 
 
 def strict_feasible(vectors):
-    """A rational y with v . y > 0 for every v, or None.
+    """feasible_witness of the vectors, at the width of the first.
 
-    The input is homogeneous: each vector contributes the open constraint
-    v . y > 0.
+    DimensionMismatch when no vector is given.
     """
     vectors = list(vectors)
     if not vectors:
         raise DimensionMismatch("no vectors given")
-    n = len(vectors[0])
-    return feasible_witness([(v, 0, True) for v in vectors], n)
+    return feasible_witness(vectors, len(vectors[0]))
 
 
 def is_irredundant(ineqs, index: int) -> bool:
@@ -636,12 +576,12 @@ def is_irredundant(ineqs, index: int) -> bool:
 
     True iff some w has ineqs[index].w < 0 while g.w >= 0 for every other
     g.  By Farkas' lemma that holds exactly when ineqs[index] is not a
-    nonnegative combination of the others, which cone_certificate
-    decides.  Callers should deduplicate the vectors first: a duplicate
-    row masks its twin and both test as redundant.
+    nonnegative combination of the others, which cone_support decides.
+    Callers should deduplicate the vectors first: a duplicate row masks
+    its twin and both test as redundant.
     """
     vectors = list(ineqs)
     if not vectors:
         raise DimensionMismatch("no inequalities given")
     others = vectors[:index] + vectors[index + 1:]
-    return cone_certificate(vectors[index], others) is not None
+    return cone_support(vectors[index], others)[0] is not None

@@ -22,7 +22,6 @@ from .errors import (
     Budget,
     DimensionMismatch,
     NonGenericOmega,
-    RankDeficient,
     ToricError,
 )
 from .exactmath import (
@@ -165,10 +164,10 @@ def regular_triangulation(A: ConfigMatrix, omega,
     cols = [A.matrix.col(j) for j in range(n)]
     facets = []
     for sigma in itertools.combinations(range(n), d):
-        try:
-            D, (Dy,) = cramer(IntMatrix(tuple(cols[i] for i in sigma)), [[w[i] for i in sigma]])
-        except RankDeficient:
+        D, solved = cramer(IntMatrix(tuple(cols[i] for i in sigma)), [[w[i] for i in sigma]])
+        if not D:
             continue
+        Dy = solved[0]
         sign = 1 if D > 0 else -1
         # |D| * (omega_j - a_j . y) for every column j off sigma
         slack = [

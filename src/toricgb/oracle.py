@@ -14,7 +14,7 @@ regular triangulation has a version that tests every column subset
 for a face and then checks every ridge, the Stanley-Reisner ideal has
 a version that scans for minimal non-faces, the integer program's start
 point has a version that walks the whole grading simplex, Cramer's
-rule has a version with one determinant per column, and the
+rule has a version with one Bareiss determinant per column, and the
 witness of a system of inequalities has a version by Fourier-Motzkin
 elimination.  A finished basis is checked by reducing every S-pair.
 The main algorithm modules never call into this one.
@@ -42,8 +42,7 @@ from .buchberger import (
 from .errors import DimensionMismatch, GuardViolated, LimitExceeded, NonGenericOmega, ZeroVector
 from .exactmath import (
     IntMatrix,
-    cone_certificate,
-    det_bareiss,
+    cone_support,
     dot,
     rank,
     solve_affine,
@@ -288,7 +287,9 @@ def _contains_ideal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
 
 # -- Fourier-Motzkin elimination --------------------------------------------
 #
-# A constraint is a triple (coeffs, rhs, strict), as in exactmath.
+# A constraint is a triple (coeffs, rhs, strict) and means coeffs . x > rhs
+# when strict is true and coeffs . x >= rhs otherwise.  Each vector v
+# of exactmath.feasible_witness is the constraint (v, 0, True).
 
 
 def _normalize_constraint(con, n):
@@ -395,10 +396,10 @@ def _open_cone_nonempty(vectors):
 
     Such a y exists exactly when some (y, t) has v . y - t >= 0 for every
     v and t > 0 (scale y), and by Farkas' lemma that is when -e_t lies
-    outside the cone of the rows (v, -1), which cone_certificate decides.
+    outside the cone of the rows (v, -1), which cone_support decides.
     """
     rows = [(*v, -1) for v in vectors]
-    return cone_certificate((0,) * len(vectors[0]) + (-1,), rows) is not None
+    return cone_support((0,) * len(vectors[0]) + (-1,), rows)[0] is not None
 
 
 def _cells_every_prefix(coords):
@@ -517,6 +518,31 @@ def universal_gb_every_cell(A: ConfigMatrix):
         [MonomialIdeal(gens, n) for gens in ideals],
         [initial[gens] for gens in ideals],
     )
+
+
+def det_bareiss(M: IntMatrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    n = M.nrows
+    if n != M.ncols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in M.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def cramer_by_determinants(M: IntMatrix, v):
@@ -661,7 +687,7 @@ def graded_feasible_every_point(A: ConfigMatrix, b, max_nodes=None):
     bk = tuple(b[i] for i in A.kept_rows)
     for i in range(A.original.nrows):
         if i not in A.kept_rows:
-            y, _ = solve_affine(M.transpose().entries, A.original.row(i), ncols=A.d)
+            y, _ = solve_affine(M.transpose().entries, A.original.entries[i], ncols=A.d)
             if sum(Fraction(yi) * bi for yi, bi in zip(y, bk)) != b[i]:
                 return None
     gamma = A.grading
@@ -702,7 +728,7 @@ def _is_subdivision_face(cols, w, sigma):
     w_i s - a_i . y = 0 on sigma, w_j s - a_j . y + t >= 0 off it,
     s + t >= 0 and t < 0 (take s = 1, or y / s), and by Farkas' lemma
     that is when the unit vector of t lies outside the cone of those
-    rows, which cone_certificate decides.
+    rows, which cone_support decides.
     """
     zero = (0,) * (len(cols[0]) + 1)
     vectors = [zero[1:] + (1, 1)]
@@ -712,7 +738,7 @@ def _is_subdivision_face(cols, w, sigma):
             vectors += [row + (0,), tuple(-x for x in row) + (0,)]
         else:
             vectors.append(row + (1,))
-    return cone_certificate(zero + (1,), vectors) is not None
+    return cone_support(zero + (1,), vectors)[0] is not None
 
 
 def _cone_member(cols, facet, j) -> bool:

@@ -42,7 +42,7 @@ from .errors import (
 from .exactmath import (
     IntMatrix,
     cone_support,
-    det_bareiss,
+    cramer,
     dot,
     hnf,
     max_abs_minor,
@@ -438,7 +438,7 @@ def circuits(A: ConfigMatrix, budget: Budget = Budget()):
     all_rows = tuple(range(d))
     best = {}
     for S in combinations(range(n), d + 1):
-        dets = [det_bareiss(M.submatrix(all_rows, S[:j] + S[j + 1:]))
+        dets = [cramer(M.submatrix(all_rows, S[:j] + S[j + 1:]), ())[0]
                 for j in range(d + 1)]
         if not any(dets):
             continue
@@ -476,7 +476,7 @@ def is_unimodular(A: ConfigMatrix, budget: Budget = Budget()) -> bool:
     M = A.matrix
     budget.check("subsets", comb(M.ncols, M.nrows))
     all_rows = tuple(range(M.nrows))
-    values = {abs(det_bareiss(M.submatrix(all_rows, S)))
+    values = {abs(cramer(M.submatrix(all_rows, S), ())[0])
               for S in combinations(range(M.ncols), M.nrows)}
     return len(values - {0}) == 1
 

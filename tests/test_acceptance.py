@@ -17,7 +17,7 @@ import pytest
 from toricgb.buchberger import buchberger, normal_form
 from toricgb.cli import generate
 from toricgb.errors import Budget, LimitExceeded, NonGenericOmega, ToricError
-from toricgb.exactmath import IntMatrix, det_bareiss, hnf
+from toricgb.exactmath import IntMatrix, hnf
 from toricgb.fan import (
     MonomialIdeal,
     check_chain_property,
@@ -34,7 +34,7 @@ from toricgb.ip import (
     solve_ip,
     solve_ip_elimination,
 )
-from toricgb.oracle import graver_bruteforce, single_step_normal_form
+from toricgb.oracle import det_bareiss, graver_bruteforce, single_step_normal_form
 from toricgb.orders import term_order
 from toricgb.toric import (
     ConfigMatrix,

@@ -8,8 +8,10 @@ keep every import in use and at module level, one keeps toric from
 importing fan, which imports it, two keep the reference
 implementations of toricgb.oracle, Fourier-Motzkin elimination among
 them, out of the production modules, one keeps every function the
-benchmark's tracer wraps in place, and one keeps every private
-function and private-class method called from production code.
+benchmark's tracer wraps in place, one keeps every private function
+and private-class method called from production code, and one keeps
+every public exactmath function and IntMatrix member called from
+production code or wrapped by the tracer.
 """
 
 import argparse
@@ -394,3 +396,34 @@ def test_every_private_function_has_a_production_caller():
             if not used:
                 unused.append((name, methods.get(id(node), node.name)))
     assert checked > 40 and unused == []
+
+
+def test_every_public_exactmath_function_has_a_production_caller():
+    # exactmath's public functions and IntMatrix's members are used by
+    # production code outside the oracle, or kept only because the
+    # benchmark's tracer wraps them (kernel_lattice_basis, solve_affine)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    traced = {attr for module, attr, _ in ast.literal_eval(next(
+        node.value for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]))
+        if module == "exactmath"}
+    named, read = set(), set()
+    for production in PRODUCTION:
+        for node in ast.walk(ast.parse(production.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    tree = ast.parse((Path(toricgb.__file__).parent / "exactmath.py").read_text())
+    functions = [node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    matrix = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "IntMatrix")
+    members = [name for name in (node.name if isinstance(node, ast.FunctionDef) else node.target.id
+                                 for node in matrix.body
+                                 if isinstance(node, (ast.FunctionDef, ast.AnnAssign)))
+               if not name.startswith("__")]
+    unused = [name for name in functions if name not in named | read | traced]
+    unused += [f"IntMatrix.{name}" for name in members
+               if name not in read and f"IntMatrix.{name}" not in traced]
+    assert len(functions) > 10 and len(members) > 5 and unused == []

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricgb.exactmath as exactmath
-from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, RankDeficient
+from toricgb.errors import DimensionMismatch, LimitExceeded, RankDeficient
 from toricgb.exactmath import (
     IntMatrix,
-    cone_certificate,
     cone_support,
     cramer,
-    det_bareiss,
     dot,
     feasible_witness,
     hnf,
@@ -33,6 +31,7 @@ from toricgb.exactmath import (
 from toricgb.oracle import (
     _normalize_constraint,
     cramer_by_determinants,
+    det_bareiss,
     feasible_witness_by_elimination,
     identity_matrix,
 )
@@ -43,6 +42,10 @@ def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
     return IntMatrix(
         tuple(tuple(rng.randint(lo, hi) for _ in range(ncols)) for _ in range(nrows))
     )
+
+
+def matmul(A, B):
+    return tuple(tuple(dot(r, c) for c in zip(*B.entries)) for r in A.entries)
 
 
 def test_xgcd_bezout():
@@ -70,7 +73,7 @@ def test_matrix_shape_validation():
 def test_matmul_against_identity():
     rng = random.Random(1)
     M = random_matrix(rng, 3, 4)
-    assert identity_matrix(3).mul(M).entries == M.entries
+    assert matmul(identity_matrix(3), M) == M.entries
     assert M.mulvec((1, 0, 0, 0)) == M.col(0)
 
 
@@ -80,7 +83,7 @@ def test_hnf_unimodular_transform():
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         H, U = hnf(M)
         assert abs(det_bareiss(U)) == 1
-        assert U.mul(M).entries == H.entries
+        assert matmul(U, M) == H.entries
         # echelon shape: pivot columns increase strictly, zero rows last
         pivots = []
         for row in H.entries:
@@ -133,35 +136,36 @@ def _det_cofactor(M):
 
 
 def test_det_bareiss_matches_cofactor_expansion():
+    # cramer with no columns is the determinant production reads, and
+    # the oracle's Bareiss elimination is the reference the tests read
     rng = random.Random(5)
     for _ in range(120):
         n = rng.randint(1, 4)
         M = random_matrix(rng, n, n)
-        assert det_bareiss(M) == _det_cofactor(M)
+        assert cramer(M, ())[0] == det_bareiss(M) == _det_cofactor(M)
 
 
 def test_cramer_matches_the_determinant_formula_seeded():
     # one elimination of [M | v_1 ... v_c] against det_bareiss and one
-    # determinant per column and right-hand side, on nonsingular matrices
-    # with zeros that force pivot swaps
+    # determinant per column and right-hand side, on matrices with zeros
+    # that force pivot swaps; a singular one gives (0, None)
     rng = random.Random(29)
-    checked = 0
-    while checked < 400:
+    checked = Counter()
+    while checked[True] < 400:
         n = rng.randint(1, 6)
         M = IntMatrix(tuple(tuple(rng.choice((0, 0, rng.randint(-20, 20))) for _ in range(n))
                             for _ in range(n)))
         det = det_bareiss(M)
-        if det == 0:
-            continue
         columns = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(0, 4))]
-        assert cramer(M, columns) == (det, [cramer_by_determinants(M, v) for v in columns]), (
-            M, columns)
-        checked += 1
+        expected = (det, [cramer_by_determinants(M, v) for v in columns]) if det else (0, None)
+        assert cramer(M, columns) == expected, (M, columns)
+        checked[det != 0] += 1
+    assert checked[False] >= 100, checked
 
 
 def test_cramer_refuses_a_singular_matrix():
-    with pytest.raises(RankDeficient):
-        cramer(IntMatrix(((1, 2), (2, 4))), [(1, 1)])
+    assert cramer(IntMatrix(((1, 2), (2, 4))), [(1, 1)]) == (0, None)
+    assert cramer(IntMatrix(((1, 2), (2, 4))), ()) == (0, None)
     with pytest.raises(DimensionMismatch):
         cramer(IntMatrix(((1, 2, 3), (4, 5, 6))), [(1, 1)])
     with pytest.raises(DimensionMismatch):
@@ -230,7 +234,8 @@ def test_max_abs_minor():
     ]
     assert max_abs_minor(M) == max(vals) == 6
     with pytest.raises(LimitExceeded):
-        max_abs_minor(random_matrix(random.Random(0), 12, 24), budget=Budget(subsets=10))
+        # comb(24, 12) = 2,704,156 column subsets, past the default 2,000,000
+        max_abs_minor(random_matrix(random.Random(0), 12, 24))
 
 
 def test_solve_affine_particular_plus_nullspace():
@@ -255,20 +260,17 @@ def test_solve_affine_empty_system():
 
 
 def test_feasible_witness_orthant():
-    w = feasible_witness([((1, 0), 0, True), ((0, 1), 0, True)], 2)
+    w = feasible_witness([(1, 0), (0, 1)], 2)
     assert w is not None and all(x > 0 for x in w)
 
 
 def test_feasible_witness_infeasible():
-    cons = [((1, 0), 0, True), ((-1, 0), 0, True)]  # x > 0 and -x > 0
-    assert feasible_witness(cons, 2) is None
+    assert feasible_witness([(1, 0), (-1, 0)], 2) is None  # x > 0 and -x > 0
 
 
-def test_feasible_witness_thin_slab():
-    # 5 < x < 5 + 1/1000, exercising rational midpoints
-    cons = [((1,), 5, True), ((-1,), Fraction(-5001, 1000), True)]
-    w = feasible_witness(cons, 1)
-    assert w is not None and 5 < w[0] < Fraction(5001, 1000)
+def test_feasible_witness_refuses_a_vector_of_the_wrong_width():
+    with pytest.raises(DimensionMismatch):
+        feasible_witness([(1, 0), (0, 1, 1)], 2)
 
 
 def test_strict_feasible_positive_combination():
@@ -312,41 +314,46 @@ def test_integer_route_matches_fraction_route(con, q):
 
 
 @given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(constraints(n), min_size=1, max_size=6)))
-def test_feasible_witness_same_point_for_fraction_input(cons):
-    n = len(cons[0][0])
-    assert feasible_witness(cons, n) == feasible_witness(
-        [as_fractions(c) for c in cons], n)
+    lambda n: st.lists(st.tuples(st.lists(small, min_size=n, max_size=n), st.integers(1, 12)),
+                       min_size=1, max_size=6)))
+def test_feasible_witness_same_point_for_fraction_input(drawn):
+    # each vector divided by a positive q leaves the open cone, and so
+    # the point, as it was
+    n = len(drawn[0][0])
+    assert feasible_witness([a for a, _ in drawn], n) == feasible_witness(
+        [[Fraction(x, q) for x in a] for a, q in drawn], n)
 
 
 # -- feasible_witness against Fourier-Motzkin ---------------------------------
 
 
-def check_same_witness(cons, n):
-    """feasible_witness gives the Fourier-Motzkin point, or None with it."""
-    got = feasible_witness(cons, n)
-    assert got == feasible_witness_by_elimination(cons, n), (cons, n, got)
+def check_same_witness(vectors, n):
+    """feasible_witness gives the Fourier-Motzkin point, or None with it.
+
+    The oracle reads each vector v as the strict homogeneous row v . y > 0.
+    """
+    got = feasible_witness(vectors, n)
+    assert got == feasible_witness_by_elimination([(v, 0, True) for v in vectors], n), (
+        vectors, n, got)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
-        for a, b, strict in cons:
-            lhs = sum(Fraction(x) * y for x, y in zip(a, got))
-            assert lhs > b if strict else lhs >= b, (cons, got)
+        for v in vectors:
+            assert sum(Fraction(x) * y for x, y in zip(v, got)) > 0, (vectors, got)
     return got
 
 
 def witness_problem(rng, n, most=None):
-    """Constraints on Q^n of one of several shapes, and the shape.
+    """Vectors in Q^n of one of several shapes, and the shape.
 
-    There are 1 to `most` drawn rows (7 for n <= 4, else 5).  Rows mix
-    strict and weak inequalities.  "cone" rows are homogeneous; "line"
-    rows are all orthogonal to one nonzero vector, so a nonempty
-    solution set has lineality; "slab" adds the weak reverse of its first
-    row, which pins one coordinate (lo = up); "empty" adds the reverse of
-    a positive combination of rows, pushed past it or made strict, which
-    leaves at most that combination's hyperplane; "fractions" hands the
-    rows over as Fractions.
+    There are 1 to `most` drawn vectors (7 for n <= 4, else 5).  Half
+    the time each is oriented positive at one drawn point, as a
+    Groebner cell's walls are, so the open cone is mostly not empty.
+    "line" vectors are all orthogonal to one nonzero vector, so a
+    nonempty open cone has lineality; "empty" adds the negative of a
+    positive combination of them, which leaves the open cone empty;
+    "fractions" hands the vectors over as Fractions.
     """
-    shape = rng.choice(["free", "cone", "line", "slab", "empty", "fractions"])
+    shape = rng.choice(["free", "line", "empty", "fractions"])
     rows = [[rng.randint(-3, 3) for _ in range(n)]
             for _ in range(rng.randint(1, most or (7 if n <= 4 else 5)))]
     if shape == "line":
@@ -354,21 +361,17 @@ def witness_problem(rng, n, most=None):
         ell[rng.randrange(n)] = rng.choice((-1, 1))
         ll = dot(ell, ell)
         rows = [[ll * x - dot(a, ell) * y for x, y in zip(a, ell)] for a in rows]
-    cons = [(tuple(a), 0 if shape == "cone" else rng.randint(-4, 4), rng.random() < 0.5)
-            for a in rows]
-    if shape == "slab":
-        a, b, _ = cons[0]
-        cons[0] = (a, b, False)
-        cons.append((tuple(-x for x in a), -b, False))
-    elif shape == "empty":
-        mu = [rng.randint(1, 2) for _ in cons]
-        a = tuple(-sum(k * c[0][i] for k, c in zip(mu, cons)) for i in range(n))
-        b = -sum(k * c[1] for k, c in zip(mu, cons)) + rng.randint(0, 1)
-        cons.insert(rng.randint(0, len(cons)), (a, b, rng.random() < 0.5))
+    if rng.random() < 0.5:
+        point = [rng.randint(-3, 3) for _ in range(n)]
+        rows = [a if dot(a, point) >= 0 else [-x for x in a] for a in rows]
+    vectors = [tuple(a) for a in rows]
+    if shape == "empty":
+        mu = [rng.randint(1, 2) for _ in vectors]
+        a = tuple(-sum(k * v[i] for k, v in zip(mu, vectors)) for i in range(n))
+        vectors.insert(rng.randint(0, len(vectors)), a)
     elif shape == "fractions":
-        cons = [([Fraction(x, rng.randint(1, 4)) for x in a], Fraction(b, rng.randint(1, 4)),
-                 strict) for a, b, strict in cons]
-    return shape, cons
+        vectors = [[Fraction(x, rng.randint(1, 4)) for x in a] for a in vectors]
+    return shape, vectors
 
 
 def count_choices(monkeypatch):
@@ -401,12 +404,12 @@ def count_first_step(monkeypatch):
     def eliminate(level, cap):
         out = real(level, cap)
         if cap == inf:
-            if any(r[-2] == 0 for r in level):
+            if any(r[-1] == 0 for r in level):
                 tally["row 0 in x_{n-1}"] += 1
-            if any(p[-2] * q[-3] == q[-2] * p[-3] for p in level if p[-2] > 0
-                   for q in level if q[-2] < 0):
+            if any(p[-1] * q[-2] == q[-1] * p[-2] for p in level if p[-1] > 0
+                   for q in level if q[-1] < 0):
                 tally["combination 0 in x_{n-2}"] += 1
-            if not any(r[-2] > 0 for r in out) or not any(r[-2] < 0 for r in out):
+            if not any(r[-1] > 0 for r in out) or not any(r[-1] < 0 for r in out):
                 tally["a side of x_{n-2} with no rows"] += 1
             if len(out) > len(level):
                 tally["more than m rows"] += 1
@@ -429,7 +432,7 @@ def record_routes(monkeypatch):
         out = real_eliminate(level, cap)
         if out is not None:
             assert len(out) <= cap, (level, cap)
-            kept = {r[:-2] + r[-1:] for r in level if not r[-2]}
+            kept = {r[:-1] for r in level if not r[-1]}
             assert all(gcd(*r) <= 1 for r in out if r not in kept), level
         events.append("refused" if out is None else "step")
         return out
@@ -475,8 +478,9 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
     seen = Counter()
     for _ in range(2000):
         n = rng.randint(1, 6)
-        shape, cons = witness_problem(rng, n)
-        point = check_same_witness(cons, n)
+        shape, vectors = witness_problem(rng, n)
+        point = check_same_witness(vectors, n)
+        route["refused"] += events.count("refused")
         route.update(routes(events, n))
         seen["empty" if point is None else shape] += 1
         seen[n, point is None] += 1
@@ -485,38 +489,38 @@ def test_feasible_witness_matches_fourier_motzkin_seeded(monkeypatch):
     # step makes has no rows
     for _ in range(1000):
         n = rng.randint(2, 3)
-        _, cons = witness_problem(rng, n, most=10)
+        _, vectors = witness_problem(rng, n, most=10)
         if rng.random() < 0.5:
-            cons = [([*a[:-2], abs(a[-2]), a[-1]], b, strict) for a, b, strict in cons]
-        check_same_witness(cons, n)
+            vectors = [(*a[:-2], abs(a[-2]), a[-1]) for a in vectors]
+        check_same_witness(vectors, n)
+        route["refused"] += events.count("refused")
         route.update(routes(events, n))
     assert all(seen[n, empty] >= 40 for n in range(1, 7) for empty in (False, True)), seen
-    assert all(seen[k] >= 150 for k in ("free", "cone", "line", "slab", "fractions",
-                                        "empty")), seen
+    assert all(seen[k] >= 150 for k in ("free", "line", "fractions", "empty")), seen
     assert all(tally[k] >= 200 for k in ("no bound", "one bound", "lo = up",
                                          "midpoint")), tally
     assert all(first[k] >= 300 for k in ("row 0 in x_{n-1}", "combination 0 in x_{n-2}",
                                          "a side of x_{n-2} with no rows")), first
     assert all(route[k] >= 300 for k in ("chain", "simplex")), route
+    assert route["refused"] >= 200, route
 
 
-# Both sides of the stop rule.  Two rows positive and two negative in x_2
-# make 4 rows from 4; x_0 + x_2 plus x_0 - x_2 is 2 x_0, stored as x_0
-# after the gcd step.  A fifth row negative in x_2 makes 6 rows from 5,
-# but the first step is always taken, and its 6 rows make 1 in the
-# next.  Six rows, four positive and two negative in x_2, make 8
-# rows from 6, and the step on those 8 would make more than 6, so it is
-# refused and x_0 takes the simplex route.
-STEP_TO_M_ROWS = [((1, 0, 1), 0, True), ((0, 1, 1), 0, False),
-                  ((1, 0, -1), 0, True), ((0, 1, -1), -2, False)]
-SECOND_STEP_REFUSED = [((2, 2, -1), 0, False), ((1, -1, 1), -3, False),
-                       ((2, -2, 1), 0, False), ((-1, 1, -1), -2, False),
-                       ((-2, 2, 1), 0, False), ((1, -1, 1), 0, False)]
+# Both sides of the stop rule.  Two vectors positive and two negative in
+# x_2 make 4 rows from 4; x_0 + x_2 plus x_0 - x_2 is 2 x_0, stored as
+# x_0 after the gcd step.  A fifth vector negative in x_2 makes 6 rows
+# from 5, but the first step is always taken, and its 6 rows make 1 in
+# the next.  Six vectors, four positive and two negative in x_2, make 8
+# rows from 6, two positive, two negative and four 0 in x_1; the step
+# on those 8 would make 8, more than 6, so it is refused and x_0 takes
+# the simplex route.
+STEP_TO_M_ROWS = [(1, 0, 1), (0, 1, 1), (1, 0, -1), (0, 1, -1)]
+SECOND_STEP_REFUSED = [(0, 1, 1), (0, -1, 1), (-1, 0, 1), (-1, 0, 2), (-1, 0, -2),
+                       (-1, 0, -1)]
 
 
 @pytest.mark.parametrize("cons, expected", [
     (STEP_TO_M_ROWS, ["chain", "chain", "input rows"]),
-    (STEP_TO_M_ROWS + [((1, 1, -1), -3, False)], ["chain", "chain", "input rows"]),
+    (STEP_TO_M_ROWS + [(1, 1, -1)], ["chain", "chain", "input rows"]),
     (SECOND_STEP_REFUSED, ["simplex", "chain", "input rows"]),
 ])
 def test_elimination_chain_stops_past_m_rows(monkeypatch, cons, expected):
@@ -526,29 +530,24 @@ def test_elimination_chain_stops_past_m_rows(monkeypatch, cons, expected):
 
 
 def wide_system(rng):
-    """Up to 40 rows in Q^2..Q^8, feasible by construction, and n.
+    """Up to 40 vectors in Q^2..Q^8 with a nonempty open cone, and n.
 
-    Half are open cones like a Gröbner cell's walls: strict homogeneous
-    rows, each oriented positive at one drawn point.  The rest hold at a
-    drawn point with a drawn slack, strict only when the slack is
-    positive.  A drawn share of the entries is 0, so some chains of
-    elimination steps stay within m rows and some stop at once.
+    Like a Groebner cell's walls, each vector is oriented positive at
+    one drawn nonzero point, and a vector orthogonal to it is left out.
+    A drawn share of the entries is 0, so some chains of elimination
+    steps stay within m rows and some stop at once.
     """
     n, m = rng.randint(2, 8), rng.randint(8, 40)
     zero = rng.random()
     point = [rng.randint(-3, 3) for _ in range(n)]
-    cone = rng.random() < 0.5
-    cons = []
+    point[rng.randrange(n)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    vectors = []
     for _ in range(m):
         a = [0 if rng.random() < zero else rng.randint(-3, 3) for _ in range(n)]
         value = dot(a, point)
-        if cone:
-            if value:
-                cons.append((tuple(a) if value > 0 else tuple(-x for x in a), 0, True))
-        else:
-            slack = rng.randint(0, 3)
-            cons.append((tuple(a), value - slack, slack > 0 and rng.random() < 0.5))
-    return n, cons
+        if value:
+            vectors.append(tuple(a) if value > 0 else tuple(-x for x in a))
+    return n, vectors
 
 
 # A 3-row configuration on 30 columns in Hermite normal form, so it is
@@ -559,8 +558,9 @@ WIDE_CONFIG = ((1, 0, 2, 1, 0, 3, 1, 2, 0, 1, 4, 2, 1, 0, 3, 1, 2, 1, 0, 2,
                 1, 1, 2, 0, 1, 3, 1, 0, 2, 1),
                (0, 0, 0, 2, 1, 0, 1, 1, 3, 2, 1, 0, 1, 1, 0, 3, 2, 0, 1, 1,
                 2, 0, 1, 3, 1, 0, 2, 1, 1, 0))
-# sha256 of the points, taken with the witness solver before the chain
-WIDE_DIGEST = "803a9302f0a959aecd541c2299209ec16ec21454c9834682ca69ff2d90b95df8"
+# sha256 of the points, taken with the witness solver that read each
+# vector v as the triple (v, 0, True), before it took vectors
+WIDE_DIGEST = "5ad3c68f3fa88dee08b25d43f32751beeb2ec8a6ba1137b8441f3f12f78f93dd"
 
 
 def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
@@ -570,9 +570,10 @@ def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
     digest = hashlib.sha256()
     rng = random.Random(2031)
     for _ in range(160):
-        n, cons = wide_system(rng)
-        point = feasible_witness(cons, n)
-        assert point is not None, cons
+        n, vectors = wide_system(rng)
+        point = feasible_witness(vectors, n)
+        assert point is not None, vectors
+        route["refused"] += events.count("refused")
         route.update(routes(events, n))
         digest.update(repr(point).encode())
     A = ConfigMatrix(WIDE_CONFIG)
@@ -580,55 +581,25 @@ def test_elimination_chain_stays_within_m_rows_on_wide_systems(monkeypatch):
     route.update(routes(events, A.d))
     digest.update(repr(A.grading).encode())
     assert digest.hexdigest() == WIDE_DIGEST
-    assert all(route[k] >= 50 for k in ("chain", "simplex")), route
+    assert all(route[k] >= 50 for k in ("chain", "simplex", "refused")), route
     assert first["more than m rows"] >= 50, first
-
-
-def pinned_cone(rng, n):
-    """Homogeneous rows, strict or weak, with one row and its weak reverse.
-
-    The pair pins its row's hyperplane, so the solution set has no
-    interior however strict the other rows are: an open-cone rule that
-    forgot the weak rows would call the far side of a coordinate
-    unbounded where the hyperplane bounds it.
-    """
-    cons = [(tuple(rng.randint(-3, 3) for _ in range(n)), 0, rng.random() < 0.5)
-            for _ in range(rng.randint(0, 5))]
-    a = [rng.randint(-2, 2) for _ in range(n)]
-    a[rng.randrange(n)] = rng.choice((-1, 1))
-    for row in (tuple(a), tuple(-x for x in a)):
-        cons.insert(rng.randint(0, len(cons)), (row, 0, False))
-    return cons
-
-
-def test_feasible_witness_matches_fourier_motzkin_on_pinned_cones():
-    # {x_0 >= 0, -x_0 >= 0, x_1 + x_2 > 0} is feasible at (0, 0, 1)
-    assert check_same_witness([((1, 0, 0), 0, False), ((-1, 0, 0), 0, False),
-                               ((0, 1, 1), 0, True)], 3) == (0, 0, 1)
-    rng = random.Random(2029)
-    seen = Counter()
-    for _ in range(1500):
-        n = rng.randint(1, 6)
-        seen[n, check_same_witness(pinned_cone(rng, n), n) is None] += 1
-    assert all(seen[n, False] >= 50 for n in range(1, 7)), seen
-    assert sum(seen[n, True] for n in range(1, 7)) >= 100, seen
 
 
 @st.composite
 def witness_problems(draw):
     n = draw(st.integers(1, 6))
-    shape, cons = witness_problem(random.Random(draw(st.integers(0, 2**32))), n)
-    return n, cons
+    shape, vectors = witness_problem(random.Random(draw(st.integers(0, 2**32))), n)
+    return n, vectors
 
 
 @settings(max_examples=300, deadline=None)
 @given(witness_problems())
 def test_feasible_witness_matches_fourier_motzkin(problem):
-    n, cons = problem
-    check_same_witness(cons, n)
+    n, vectors = problem
+    check_same_witness(vectors, n)
 
 
-# -- cone_certificate against Fourier-Motzkin ---------------------------------
+# -- cone_support against Fourier-Motzkin -------------------------------------
 
 
 @contextlib.contextmanager
@@ -654,9 +625,9 @@ def fm_in_cone(c, vectors):
 
 
 def check_against_fm(c, vectors):
-    """Compare cone_certificate and is_irredundant with the FM decisions."""
+    """Compare cone_support's certificate and is_irredundant with the FM decisions."""
     with time_limit(10):
-        z = cone_certificate(c, vectors)
+        z = cone_support(c, vectors)[0]
     assert (z is None) == fm_in_cone(c, vectors), (c, vectors, z)
     if z is not None:
         assert all(type(x) is int for x in z)
@@ -705,14 +676,14 @@ def cone_problem(rng, n, m):
 
 
 def test_cone_certificate_small_cases():
-    assert cone_certificate((0, 0), []) is None
-    assert cone_certificate((1, -2), []) == (-1, 1)
-    assert cone_certificate((1, 1), [(1, 0), (0, 1)]) is None
-    assert cone_certificate((2, 3), [(1, 0), (1, 0), (0, 0), (0, 1)]) is None
-    z = cone_certificate((-1, 0), [(1, 0), (0, 1), (0, -1)])
+    assert cone_support((0, 0), [])[0] is None
+    assert cone_support((1, -2), [])[0] == (-1, 1)
+    assert cone_support((1, 1), [(1, 0), (0, 1)])[0] is None
+    assert cone_support((2, 3), [(1, 0), (1, 0), (0, 0), (0, 1)])[0] is None
+    z = cone_support((-1, 0), [(1, 0), (0, 1), (0, -1)])[0]
     assert z == (1, 0)
     with pytest.raises(DimensionMismatch):
-        cone_certificate((1, 0), [(1, 0, 0)])
+        cone_support((1, 0), [(1, 0, 0)])
 
 
 def test_cone_certificate_does_not_cycle():
@@ -746,7 +717,6 @@ def test_cone_support_names_a_positive_combination_seeded():
         n = rng.randint(1, 6)
         c, vectors = cone_problem(rng, n, rng.randint(0, 6 if n <= 4 else 4))
         z, S = cone_support(c, vectors)
-        assert z == cone_certificate(c, vectors)
         if z is not None:
             assert S is None
             continue

@@ -15,7 +15,7 @@ import toricgb.toric as toric
 from toricgb.buchberger import Binomial, buchberger, normal_form
 from toricgb.cli import generate
 from toricgb.errors import Budget, DimensionMismatch, LimitExceeded, NonGenericOmega
-from toricgb.exactmath import IntMatrix, det_bareiss, solve_affine
+from toricgb.exactmath import IntMatrix, solve_affine
 from toricgb.fan import (
     Cone,
     MonomialIdeal,
@@ -30,6 +30,7 @@ from toricgb.oracle import (
     basis_pattern_by_minimal_generators,
     buchberger_every_pair,
     cone_facets_by_leaf_scan,
+    det_bareiss,
     graded_feasible_every_point,
     graver_bruteforce,
     irreducible_decomposition,
@@ -177,7 +178,7 @@ def test_universal_gb_matches_every_cell_enumeration():
         gens = toric_generators(A)
         for w, G in zip(witnesses, bases):
             assert G == buchberger(gens, term_order(A.n, weight=w)), A.original
-        other_first_row += A.original.row(0) != (1,) * A.n
+        other_first_row += A.original.entries[0] != (1,) * A.n
     assert other_first_row >= 10
 
 

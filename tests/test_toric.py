@@ -458,13 +458,14 @@ def test_universal_gb_witness_is_that_of_the_full_sign_pattern(dims):
 def test_fan_cones_reads_every_facet_off_the_walk(monkeypatch, tmp_path, capsys):
     # each cone's facets come from the cells the sign tree reaches, so
     # the walk's own programs and witness calls are all that run (984
-    # cone_certificate programs when groebner_cone tested each cone)
+    # programs when groebner_cone tested each cone); the walk calls
+    # toric's binding of cone_support, and is_irredundant exactmath's
     import toricgb.exactmath as exactmath
     import toricgb.toric as toric
 
     path = tmp_path / "segre33.mat"
     assert main(["gen", "segre", "3", "3", "--out", str(path)]) == 0
-    certificates = record_calls(monkeypatch, exactmath, "cone_certificate")
+    certificates = record_calls(monkeypatch, exactmath, "cone_support")
     witnesses = record_calls(monkeypatch, toric, "strict_feasible")
     programs = record_calls(monkeypatch, toric, "cone_support")
     capsys.readouterr()
@@ -493,7 +494,7 @@ def test_only_printed_witnesses_are_solved(monkeypatch, tmp_path, capsys):
 
 
 def test_groebner_cone_makes_no_witness_call(monkeypatch):
-    # redundancy is decided by cone_certificate, not feasible_witness
+    # redundancy is decided by cone_support, not feasible_witness
     import toricgb.exactmath as exactmath
 
     calls = record_calls(monkeypatch, exactmath, "feasible_witness")
