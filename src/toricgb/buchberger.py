@@ -38,9 +38,14 @@ under revlex, plus each weight-row dot product times a scale that
 exceeds the range of everything below that row (see _Packing.key), so
 comparing keys compares the weight rows first and the tie-break last.
 That key is linear, so each element caches the key of lead - trail and
-the engine moves keys by int subtraction.  The hot operations are a few
-big-int operations each, with G the guard bits and ONES the low bit of
-every field:
+the engine moves keys by int subtraction.  A new pair's lcm is its colon
+plus the new lead, so its heap key is the lead's key plus the colon's.
+The colon is nearly always one variable to a power of two, and so are
+most common factors that a saturation run divides out (see below).  As
+a packed int such a monomial is a power of two, and its key is one
+shift off a table of field keys, with no unpacking.  The hot operations
+are a few big-int operations each, with G the guard bits and ONES the
+low bit of every field:
 
 * x^a divides x^u: ((u | G) - a) & G == G;
 * support: ((u | G) - ONES) & G holds the guard bit of each field where
@@ -139,14 +144,15 @@ Bigatti, La Scala and Robbiano, "Computing toric ideals", JSC 27, 1999).
 Truncation (monomial=(u, grading)): the generators are homogeneous for
 the positive grading, the run returns the normal form of x^u, of degree
 D = grading . u, and a new pair whose lcm has degree above D is not
-queued, so the pairs guard never counts it.  An S-binomial and its
-reductions stay in the degree of its lcm, so every element a pair adds
-has degree at most D, and the argument above, degree by degree, makes
-the elements a Groebner basis in every degree up to D.  Reducing the
-monomial meets only leads of degree at most D, so its normal form is
-the one the full basis gives (Thomas and Weismantel, "Truncated Groebner
-bases for integer programming", AAECC 8, 1997).  The truncated basis
-itself is never handed back.
+queued, so the pairs guard never counts it.  The degree is linear as
+the key is: the lcm's is the new lead's, taken once, plus the colon's.
+An S-binomial and its reductions stay in the degree of its lcm, so
+every element a pair adds has degree at most D, and the argument above,
+degree by degree, makes the elements a Groebner basis in every degree
+up to D.  Reducing the monomial meets only leads of degree at most D,
+so its normal form is the one the full basis gives (Thomas and
+Weismantel, "Truncated Groebner bases for integer programming", AAECC
+8, 1997).  The truncated basis itself is never handed back.
 """
 
 from __future__ import annotations
@@ -242,6 +248,12 @@ class _Packing:
             scaled.append((None if all(x == 1 for x in row) else row, spread))
             spread += spread * sum(map(abs, row)) * (self.half - 1)
         self._scaled = tuple(reversed(scaled))
+        # the key of the monomial 1 in each field: sign times the field's
+        # low bit, plus each row's entry for the field times its scale
+        self._unit = [self.sign << (width * f) for f in range(n)]
+        for row, scale in self._scaled:
+            for f in range(n):
+                self._unit[f] += scale if row is None else scale * row[f]
         code = _STRUCT_CODES.get(width)
         if code:
             layout = struct.Struct(f"<{n}{code}")
@@ -280,7 +292,17 @@ class _Packing:
         agrees it is that of sign * P, the tie-break.  The scales depend
         on W, and a widened run starts again with a new packing, so no
         key meets a key of another width.
+
+        A single-variable monomial whose one field holds 2**e is a power
+        of two, and by linearity its key is 2**e times the key of the
+        monomial 1 in that field.  Those keys are a table built with the
+        packing, so such a key is one shift, with no unpacking.
         """
+        if not P & (P - 1):
+            if not P:
+                return 0
+            f, e = divmod(P.bit_length() - 1, self.width)
+            return self._unit[f] << e
         k = self.sign * P
         if self.rows:
             fs = self.fields(P)
@@ -514,9 +536,12 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
     row's scale bounds the range of the rows below it and the tie-break
     on guard-clear monomials, so the ints compare as the order does.
     The key is linear: each element caches key(lead) - key(trail),
-    reductions update keys by int subtraction, and an S-pair's two term
-    keys are the lcm's key, computed once for the heap, minus the two
-    cached element keys.
+    reductions update keys by int subtraction, a new pair's heap key is
+    the new lead's key plus the key of its colon lcm - lead (nearly
+    always one variable to a power of two, keyed by one shift), and an
+    S-pair's two term keys are that heap key minus the two cached
+    element keys.  The reduced basis is ordered by the leads' keys kept
+    from the run.
     Fields start at 16 bits; a result that would reach a guard bit
     restarts the run with the width doubled, so the basis, the pairs
     and every guard trip are those of fields wide enough from the start.
@@ -594,9 +619,19 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
         fields = pk.fields
         # the grading laid out along the fields, and the degree of x^u
         by_field = tuple(degrees[v] for v in pk.at_field)
+
+        def degree(P):
+            # linear in P, as key is: a power of two is one shifted entry.
+            # P is a lead or a colon, never 0
+            if not P & (P - 1):
+                f, e = divmod(P.bit_length() - 1, W)
+                return by_field[f] << e
+            return sum(map(mul, by_field, fields(P)))
+
         top = sum(map(mul, by_field, fields(start)))
     red = _Reducer(pk)
     leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
+    kleads = []  # the key of each lead
     # the value bits of the fields of the variables the target is
     # saturated in
     top_bits = sum(1 << (W * pk.field_of[v] + W - 1) for v in set(saturated))
@@ -621,7 +656,7 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
     spans = [0] * pk.n
     live = 0
 
-    def update(j):
+    def update(j, klead):
         nonlocal live
         lead = leads[j]
         lg = lead | guard
@@ -695,14 +730,15 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
             else:
                 kept.append((m, i, s))
         kept += singles
+        # lcm = colon + lead, and the degree and the key are linear
         if monomial is not None:
-            kept = [e for e in kept if sum(map(mul, by_field, fields(e[0] + lead))) <= top]
+            room = top - degree(lead)
+            kept = [e for e in kept if degree(e[0]) <= room]
         kept.sort()
         first = len(pairs)
         for tick, (m, i, s) in enumerate(kept, first):
-            L = m + lead
-            pairs.append((i, j, L))
-            push(queue, (key(L), tick))
+            pairs.append((i, j, m + lead))
+            push(queue, (klead + key(m), tick))
             b = 1 << tick
             while s:
                 t = s & -s
@@ -723,9 +759,10 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
             if deg > max_degree:
                 budget.check("degree", deg)
         red.append(lead, trail, klead - ktrail)
+        kleads.append(klead)
         if max_elements is not None and len(leads) > max_elements:
             budget.check("elements", len(leads))
-        update(len(leads) - 1)
+        update(len(leads) - 1, klead)
 
     seen = set()
     for g in gens:
@@ -770,15 +807,14 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
 
     if monomial is not None:
         return pk.unpack(red.reduce_monomial(start))
-    reduced = _interreduce(pk, leads, red.trails)
-    reduced.sort(key=lambda lt: key(lt[0]))
-    return _Reduced(pk, reduced)
+    return _Reduced(pk, _interreduce(pk, leads, red.trails, kleads))
 
 
-def _interreduce(pk: _Packing, leads, trails):
+def _interreduce(pk: _Packing, leads, trails, kleads):
     """Minimalize and tail-reduce a basis that is already a GB.
 
-    Returns the packed (lead, trail) pairs, each lead distinct.
+    kleads are the keys of the leads.  Returns the packed (lead, trail)
+    pairs in the order of the leads' keys, each lead distinct.
     """
     # sort the packed ints themselves: a divisor has no field above its
     # multiple's and the fields do not carry, so it never packs larger,
@@ -786,7 +822,10 @@ def _interreduce(pk: _Packing, leads, trails):
     # weights included.  Of equal leads the one with the smallest trail
     # is kept, and its trail tail-reduces to the normal form they share
     red = _Reducer(pk)
-    for lead, trail in sorted(zip(leads, trails)):
+    kept = []
+    for lead, trail, klead in sorted(zip(leads, trails, kleads)):
         if red.divisor(lead) is None:
             red.append(lead, trail)
-    return [(lead, red.reduce_monomial(trail)) for lead, trail in zip(red.leads, red.trails)]
+            kept.append((klead, lead, trail))
+    kept.sort()
+    return [(lead, red.reduce_monomial(trail)) for _, lead, trail in kept]

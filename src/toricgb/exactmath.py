@@ -193,7 +193,9 @@ def cramer(M: IntMatrix, columns):
     every diagonal entry is det(PM), for the row permutation P of the
     pivot swaps, and each right-hand column is det(PM) * M^{-1} v.  A
     column with no pivot makes M singular, and the answer (0, None).
-    With no columns this is the determinant alone.
+    With no columns this is the determinant alone, and only the rows
+    below each pivot are eliminated (forward Bareiss): the last pivot is
+    then det(PM).
     """
     n = M.nrows
     if n != M.ncols or any(len(v) != n for v in columns):
@@ -210,8 +212,9 @@ def cramer(M: IntMatrix, columns):
             sign = -sign
         pivot = a[k]
         p = pivot[k]
-        for i, row in enumerate(a):
+        for i in range(k + 1 if not columns else 0, n):
             if i != k:
+                row = a[i]
                 f = row[k]
                 a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot)]
         prev = p

@@ -1,4 +1,7 @@
+import heapq
 import random
+from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,10 @@ from toricgb.buchberger import (
     normal_form,
     s_binomial,
 )
+from toricgb.cli import generate
 from toricgb.errors import Budget, GuardViolated
+from toricgb.exactmath import dot
+from toricgb.ip import IPInstance, solve_ip, solve_ip_elimination
 from toricgb.oracle import orient, passes_buchberger_criterion
 from toricgb.orders import degrevlex, lex, term_order, weighted_revlex
 from toricgb.toric import ConfigMatrix, toric_generators, toric_groebner
@@ -196,6 +202,13 @@ def extreme_fields(width):
     return (0, 1, 2, h // 2 - 1, h // 2, h // 2 + 1, h - 2, h - 1)
 
 
+def general_key(pk, P):
+    """The key formula of _Packing.key, read off every field of P."""
+    fs = pk.fields(P)
+    return pk.sign * P + sum(scale * sum(fs if row is None else map(mul, row, fs))
+                             for row, scale in pk._scaled)
+
+
 def assert_int_key_is_the_tuple_key(pk, o, monomials):
     """pk.key orders the monomials as o.key does, and is linear."""
     cases = [(u, pk.pack(u), o.key(u)) for u in monomials]
@@ -218,7 +231,14 @@ def test_int_key_orders_as_the_tuple_key_seeded(o, width):
     monomials = {tuple(c if i == j else 0 for j in range(n)) for c in values for i in range(n)}
     monomials |= {tuple(rng.choice(values) for _ in range(n)) for _ in range(20)}
     monomials |= {tuple(rng.randrange(1 << (width - 1)) for _ in range(n)) for _ in range(10)}
-    assert_int_key_is_the_tuple_key(_Packing(n, width, o), o, sorted(monomials))
+    pk = _Packing(n, width, o)
+    assert_int_key_is_the_tuple_key(pk, o, sorted(monomials))
+    # a power of two, one field holding 2**e, is keyed off the table of
+    # field keys; every one of them, guard bits included, must give the
+    # general formula's key
+    assert pk.key(0) == 0
+    for b in range(n * width):
+        assert pk.key(1 << b) == general_key(pk, 1 << b), b
 
 
 @st.composite
@@ -245,3 +265,65 @@ def key_problems(draw):
 def test_int_key_orders_as_the_tuple_key(problem):
     o, width, monomials = problem
     assert_int_key_is_the_tuple_key(_Packing(o.n, width, o), o, monomials)
+
+
+def test_every_popped_pair_is_keyed_by_its_lcm_seeded(monkeypatch):
+    # a queued pair's heap key is the new lead's key plus the colon's,
+    # lcm = colon + lead: it must be the key of the lcm _s_pair receives.
+    # A truncated run takes the lcm's degree the same way, so no pair it
+    # pops may have an lcm of degree above that of x^u.  The runs cover
+    # each order of KEY_ORDERS (lex and revlex, negative weights,
+    # elimination blocks), the saturation runs of toric_generators, which
+    # divide out common factors, and the truncated runs of both IP routes
+    import toricgb.buchberger as engine
+
+    runs, popped, checked = [], [], Counter()
+    real_run, real_pop, real_pair = engine._run, heapq.heappop, engine._s_pair
+    case = None
+
+    def run(gens, budget, pk, prime, monomial, saturated):
+        runs.append((pk, monomial))
+        return real_run(gens, budget, pk, prime, monomial, saturated)
+
+    def pop(heap):
+        popped.append(real_pop(heap))
+        return popped[-1]
+
+    def pair(L, vi, vj, guard):
+        pk, monomial = runs[-1]
+        assert popped[-1][0] == pk.key(L) == general_key(pk, L), case
+        if monomial is not None:
+            u, degrees = monomial
+            assert dot(degrees, pk.unpack(L)) <= dot(degrees, u), case
+        checked[case] += 1
+        return real_pair(L, vi, vj, guard)
+
+    monkeypatch.setattr(engine, "_run", run)
+    monkeypatch.setattr(heapq, "heappop", pop)
+    monkeypatch.setattr(engine, "_s_pair", pair)
+    rng = random.Random(35)
+    for index, o in enumerate(KEY_ORDERS):
+        case = f"order {index}"
+        for _ in range(8):
+            # homogeneous for the total degree, so every order terminates
+            gens = []
+            for _ in range(rng.randint(2, 4)):
+                v = [rng.randint(-3, 3) for _ in range(3)]
+                gens.append(v + [-sum(v)])
+            buchberger(gens, o)
+    for params in ((2, 2, 2), (3, 3)):
+        case = "saturation"
+        toric_generators(ConfigMatrix(generate("segre", params)))
+    # seeded afresh: were a colon x_i^(2^e) given the degree of x_i, the
+    # truncated runs of these instances would pop lcms above degree D
+    rng = random.Random(35)
+    for _ in range(6):
+        A = ConfigMatrix(((1, 1, 1, 1, 1), tuple(rng.randint(0, 4) for _ in range(5))))
+        omega = tuple(rng.randint(-3, 5) for _ in range(5))
+        b = A.original.mulvec(tuple(rng.randint(0, 3) for _ in range(5)))
+        case = "truncated"
+        solve_ip(IPInstance(A, omega, b))
+        case = "truncated elimination"
+        solve_ip_elimination(IPInstance(A, omega, b))
+    monkeypatch.undo()
+    assert min(checked.values()) >= 20 and len(checked) == len(KEY_ORDERS) + 3, checked
