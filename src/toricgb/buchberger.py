@@ -61,7 +61,7 @@ as before, but tests only the elements whose lowest and highest lead
 fields lie in the monomial's support; bitsets of element indices, one
 per field, give those candidates in index order.
 
-A run starts with 16-bit fields.  When a result sets a guard bit, or k
+A run starts with 8-bit fields.  When a result sets a guard bit, or k
 steps could grow a field by 2**(W-1) or more (checked before the step),
 the run starts again from its generators with fields twice as wide.
 The run is deterministic, so the restart repeats the same work up to the
@@ -74,14 +74,17 @@ with the run's own reducer, so no Binomial or GroebnerBasis is built
 for the next step to take apart.  Three options of that entry skip work
 that cannot change an answer.
 
-Prime ideals (prime=True): a popped S-pair whose packed terms p and q
-share a variable, support(p) & support(q) != 0, is dropped after
-_s_pair, unreduced.  This is the common-factor criterion for saturated
-lattice ideals (cf. Hemmecke and Malkin, "Computing generating sets of
-lattice ideals and Markov bases of lattices", JSC 44, 2009).  It holds
-for any term order when the ideal I that the generators generate is
-homogeneous for a positive grading and saturated in the variables of
-m = min(p, q), as a prime binomial ideal is in every variable:
+Prime ideals (prime=True): a new pair whose packed terms share a
+variable is dropped when it is made, before it is keyed or queued.  For
+the pair of element i and the new element j with colon m = lcm - lead j
+the terms are p = m + lead j - vec i and q = m + trail j, and the test
+is support(p) & support(q) != 0.  This is the common-factor criterion
+for saturated lattice ideals (cf. Hemmecke and Malkin, "Computing
+generating sets of lattice ideals and Markov bases of lattices", JSC
+44, 2009).  It holds for any term order when the ideal I that the
+generators generate is homogeneous for a positive grading and saturated
+in the variables of m = min(p, q), as a prime binomial ideal is in
+every variable:
 
 * The S-binomial is x^p - x^q = x^m h with h = x^(p-m) - x^(q-m).  I
   is saturated in the variables of m, so h lies in I, and its degree
@@ -96,15 +99,26 @@ m = min(p, q), as a prime binomial ideal is in every variable:
   pair is handled in the degree of its lcm; so G is a Groebner basis
   in each degree once it is one in every lower degree.
 
+The representation is by the final basis, so the proof does not ask
+where the pair stands in the queue or which elements exist when it is
+tested: the pair can go the moment it is made (Gebauer and Moeller
+1988; Bigatti, La Scala and Robbiano, "Computing toric ideals", JSC 27,
+1999).  The test runs on the pairs that the M and F criteria and the
+truncation keep.  A dropped pair still has its lcm-representation, so
+it stands for the pairs M and F dropped in its favour; tested before
+them, it could not, and more pairs would be queued.  A dropped pair is
+never popped, so the pairs guard never counts it.  A term field that
+holds exactly 2**(W-1), its guard bit alone, reads as zero; that can
+only keep the pair, and popping it widens the run.
+
 The unsaturated ideal of a lattice basis, which saturate_variable
 starts from, breaks the first step, so those runs do not pass prime.
-The test comes after _s_pair, so a skipped pair still counts as popped,
-for the pairs guard and for a test that counts the pairs.  Where a
-skipped pair would have reduced to zero, the run goes on as without the
-skip; every pinned canonical run does.  Under an order that does not
-refine the grading, pairs of lower degree can still be queued when a
-pair is popped, its S-binomial can then reduce to a new element, and a
-run that skips it pops fewer pairs later.  The basis is the same.
+Where a dropped pair would have reduced to zero, the run goes on as
+without the criterion; every pinned canonical run does.  Under an order
+that does not refine the grading, pairs of lower degree can still be
+queued when a pair is popped, its S-binomial can then reduce to a new
+element, and a run that drops it pops fewer pairs later.  The basis is
+the same.
 
 Saturated targets (saturated=cols): a saturation run of toricgb.toric
 works under a reverse lexicographic order with x_i cheapest, on
@@ -212,7 +226,7 @@ class _Overflow(Exception):
 
 
 # struct codes of the field widths that unpack in one call
-_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _Packing:
@@ -437,8 +451,8 @@ class _Reducer:
 
 
 def _widening(run):
-    """run(width) at 16 bits, and again at twice the width after each overflow."""
-    width = 16
+    """run(width) at 8 bits, and again at twice the width after each overflow."""
+    width = 8
     while True:
         try:
             return run(width)
@@ -542,7 +556,7 @@ def buchberger(gens, ord: TermOrder, budget: Budget = Budget()) -> GroebnerBasis
     S-pair's two term keys are that heap key minus the two cached
     element keys.  The reduced basis is ordered by the leads' keys kept
     from the run.
-    Fields start at 16 bits; a result that would reach a guard bit
+    Fields start at 8 bits; a result that would reach a guard bit
     restarts the run with the width doubled, so the basis, the pairs
     and every guard trip are those of fields wide enough from the start.
 
@@ -584,7 +598,7 @@ def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
 
     Returns the reduced basis as a _Reduced.  prime=True: the generators
     generate a prime ideal, homogeneous for a positive grading, and the
-    run skips each popped pair whose terms share a variable.
+    run drops each new pair whose terms share a variable.
 
     saturated=cols: the run is a saturation by its cheapest variable
     x_i, under a reverse lexicographic order on generators homogeneous
@@ -630,7 +644,7 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
 
         top = sum(map(mul, by_field, fields(start)))
     red = _Reducer(pk)
-    leads, vecs, kvecs = red.leads, red.vecs, red.kvecs
+    leads, trails, vecs, kvecs = red.leads, red.trails, red.vecs, red.kvecs
     kleads = []  # the key of each lead
     # the value bits of the fields of the variables the target is
     # saturated in
@@ -734,6 +748,13 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
         if monomial is not None:
             room = top - degree(lead)
             kept = [e for e in kept if degree(e[0]) <= room]
+        # prime criterion: drop the pairs whose terms m + lead - vec i
+        # and m + trail share a variable
+        if prime:
+            trail = trails[j]
+            kept = [e for e in kept
+                    if not (((e[0] + lead - vecs[e[1]]) | guard) - ones)
+                    & (((e[0] + trail) | guard) - ones) & guard]
         kept.sort()
         first = len(pairs)
         for tick, (m, i, s) in enumerate(kept, first):
@@ -764,7 +785,9 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
             budget.check("elements", len(leads))
         update(len(leads) - 1, klead)
 
-    seen = set()
+    # every generator is packed before the first reduction, so one too
+    # wide for the fields widens them before any work
+    seen, packed = set(), []
     for g in gens:
         if isinstance(g, Binomial):
             lead, trail = pk.pack(g.lead), pk.pack(g.trail)
@@ -779,6 +802,8 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
         if sides in seen:
             continue
         seen.add(sides)
+        packed.append((lead, trail))
+    for lead, trail in packed:
         r = red.top_reduce(lead, trail, key(lead), key(trail))
         if r is not None:
             add(*divide(*r) if sat_bits else r)
@@ -796,7 +821,7 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
         if max_pairs is not None and popped > max_pairs:
             budget.check("pairs", popped)
         p, q = _s_pair(L, vecs[i], vecs[j], guard)
-        if p == q or prime and ((p | guard) - ones) & ((q | guard) - ones) & guard:
+        if p == q:
             continue
         kp, kq = kL - kvecs[i], kL - kvecs[j]
         if sat_bits:

@@ -61,7 +61,9 @@ class Budget:
     """Work limits of one run; None leaves a guard unlimited."""
 
     elements: int | None = 100_000  # basis size in a Buchberger run
-    pairs: int | None = None  # S-pairs popped in a Buchberger run
+    # S-pairs popped in a Buchberger run; a pair dropped as it is made
+    # is never popped, so it is not counted
+    pairs: int | None = None
     degree: int | None = None  # of an element a Buchberger run adds, or a circuit
     grading: tuple | None = None  # degree is grading . lead; None: the order's top row
     points: int | None = 200_000  # fiber points found

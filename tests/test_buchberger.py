@@ -188,8 +188,9 @@ KEY_ORDERS = [
     term_order(4, weight=(-1, 2, 0, -3), tiebreak="lex", elimination_block=1),
     term_order(4, weight=(5, -2, 1, 0), permutation=(1, 3, 0, 2)),
 ]
-# 128-bit fields have no struct code, so they unpack by shifts
-KEY_WIDTHS = (16, 32, 64, 128)
+# 8 to 64 bits unpack by struct codes B, H, I and Q; 128-bit fields
+# have none, so they unpack by shifts
+KEY_WIDTHS = (8, 16, 32, 64, 128)
 
 
 def sign(x):

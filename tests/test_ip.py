@@ -1,7 +1,6 @@
 """Integer programming: fibers, normal-form optimization, test sets."""
 
 import ast
-import hashlib
 import inspect
 import random
 import time
@@ -27,6 +26,8 @@ from toricgb.ip import (
 )
 from toricgb.orders import term_order
 from toricgb.toric import ConfigMatrix, toric_generators
+
+from test_toric import pair_digest
 
 LINE = ConfigMatrix(((1, 1),))
 TWISTED = ConfigMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
@@ -292,19 +293,19 @@ def elimination_run(monkeypatch, inst):
     monkeypatch.setattr(engine, "_s_pair", pair)
     x = solve_ip_elimination(inst)
     monkeypatch.undo()
-    text = ";".join(",".join(map(str, args[:3])) for args in calls)
-    return x, sizes, len(calls), hashlib.sha256(text.encode()).hexdigest()
+    return x, sizes, len(calls), pair_digest(calls)
 
 
 def test_elimination_has_one_t_variable_per_kept_row(monkeypatch):
-    # SEGRE23 keeps 4 of its 5 rows: 4 + 6 variables and 34 popped
-    # pairs (38 before the run was truncated at the degree of t^b; one
+    # SEGRE23 keeps 4 of its 5 rows: 4 + 6 variables and 20 popped
+    # pairs (34 when the prime criterion was tested as a pair was
+    # popped, 38 before the run was truncated at the degree of t^b; one
     # t variable per input row popped 83)
     inst = IPInstance(SEGRE23, (3, 1, 2, 1, 5, 4), (6, 6, 4, 4, 4))
     x, sizes, pairs, _ = elimination_run(monkeypatch, inst)
     assert x == solve_ip(inst) == (0, 4, 2, 4, 0, 2)
     assert sizes == [SEGRE23.d + SEGRE23.n] == [10]
-    assert pairs == 34
+    assert pairs == 20
     # the same basis serves a right-hand side that misses the dependent row
     moved = IPInstance(SEGRE23, inst.omega, (6, 6, 4, 4, 5))
     assert elimination_run(monkeypatch, moved)[0] is None
@@ -312,12 +313,13 @@ def test_elimination_has_one_t_variable_per_kept_row(monkeypatch):
 
 def test_elimination_on_a_full_rank_matrix_is_unchanged(monkeypatch):
     # TWISTED keeps every row, so its run has one t variable per input
-    # row; the pair count and the pop order pin that run (10 pairs
-    # before the run was truncated at the degree 9 of t^b)
+    # row; the pair count and the pop order pin that run (8 pairs when
+    # the prime criterion was tested as a pair was popped, 10 before the
+    # run was truncated at the degree 9 of t^b)
     inst = IPInstance(TWISTED, (2, 1, 1, 3), (4, 5))
     assert elimination_run(monkeypatch, inst) == (
-        (0, 3, 1, 0), [6], 8,
-        "13593d57495972e9c5382a475a425eab54b488a6e1abb091b37e399e00b5f42f",
+        (0, 3, 1, 0), [6], 3,
+        "2aa864a719ff408292fd96b0423c9cb06b525b8a79028267b736bdf59f99ac5e",
     )
 
 

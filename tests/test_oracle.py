@@ -430,29 +430,31 @@ def packing_widths():
 
 
 def wide_rows(shape, a, big, c):
-    """Three columns, one entry between 2**13 and 2**17.
+    """Three columns, one entry big, between 2**(W-3) and 2**(W+1).
 
-    The kernel lattice basis then has entries near or past 2**15, the
-    most that 16-bit fields hold.  Four columns make bases of thousands
-    of elements under some orders; three stay small.
+    The kernel lattice basis then has entries near or past 2**(W-1),
+    the most that W-bit fields hold.  Runs start at 8-bit fields and
+    double them, so W = 8 and W = 16 test the first two widenings.
+    Four columns make bases of thousands of elements under some orders;
+    three stay small.
     """
     if shape == "one row":
         return ((a, big, c),)
     return ((1, 1, 1), (0, a, big))
 
 
-def assert_same_wide_basis(rows, order):
+def assert_same_wide_basis(rows, order, width=16):
     """The engine's basis of the kernel lattice ideal of rows is the every-pair one.
 
-    Returns whether the run widened its fields, and whether it widened
-    although every generator fit in 16-bit fields.
+    Returns whether the run widened its fields past width bits, and
+    whether it did although every generator fit in width-bit fields.
     """
     gens = ConfigMatrix(rows).kernel_basis().entries
     with time_limit(10), packing_widths() as widths:
         G = buchberger(gens, order)
         assert G.elements == buchberger_every_pair(gens, order).elements, (rows, order)
-    widened = max(widths) > 16
-    return widened, widened and max(abs(x) for v in gens for x in v) < 2 ** 15
+    widened = max(widths) > width
+    return widened, widened and max(abs(x) for v in gens for x in v) < 2 ** (width - 1)
 
 
 @st.composite
@@ -473,20 +475,38 @@ def test_wide_entries_match_every_pair_engine(problem):
     assert_same_wide_basis(*problem)
 
 
-def test_wide_entries_match_every_pair_engine_seeded():
-    rng = random.Random(23)
+def count_wide_bases_seeded(seed, width):
+    """800 seeded problems of wide_rows at width W, each checked by assert_same_wide_basis.
+
+    Returns the runs that widened past W bits, by order kind, and under
+    "after the generators fit" those that did with every generator
+    inside W-bit fields.
+    """
+    rng = random.Random(seed)
     widened = Counter()
     for count in range(800):
         kind = ORDER_KINDS[count % len(ORDER_KINDS)]
         shape = ("one row", "two rows")[count // 4 % 2]
-        rows = wide_rows(shape, rng.randint(1, 5), rng.randint(2 ** 13, 2 ** 17),
-                         rng.randint(1, 5))
+        rows = wide_rows(shape, rng.randint(1, 5),
+                         rng.randint(2 ** (width - 3), 2 ** (width + 1)), rng.randint(1, 5))
         order = order_of_kind(
             kind, tuple(rng.randint(-5, 5) for _ in range(3)), rng.sample(range(3), 3),
             rng.randrange(3), rng.choice(("degrevlex", "lex")), ConfigMatrix(rows).grading)
-        run, late = assert_same_wide_basis(rows, order)
+        run, late = assert_same_wide_basis(rows, order, width)
         widened[kind] += run
         widened["after the generators fit"] += late
+    return widened
+
+
+def test_wide_entries_match_every_pair_engine_seeded():
+    widened = count_wide_bases_seeded(23, 16)
+    assert all(widened[kind] >= 60 for kind in ORDER_KINDS), widened
+    assert widened["after the generators fit"] >= 12, widened
+
+
+def test_entries_past_8_bits_match_every_pair_engine_seeded():
+    # the first rung: 8-bit fields, where a run starts, widened to 16
+    widened = count_wide_bases_seeded(29, 8)
     assert all(widened[kind] >= 60 for kind in ORDER_KINDS), widened
     assert widened["after the generators fit"] >= 12, widened
 
@@ -496,8 +516,8 @@ def test_wide_entries_match_every_pair_engine_seeded():
     ([(-1, -12030, -2, -2), (3, 18372, -18272, 1)], (3, 1, 0, 2)),
 ])
 def test_s_pair_terms_past_the_guard_bit_match_every_pair_engine(gens, precedence):
-    # every generator fits 16-bit fields, but an S-pair term of these lex
-    # runs does not
+    # every generator fits 16-bit fields, the second width a run takes,
+    # but an S-pair term of these lex runs does not
     with packing_widths() as widths:
         assert_same_basis(gens, lex(len(precedence), precedence))
     assert max(widths) > 16
@@ -1037,30 +1057,41 @@ def test_start_point_matches_the_simplex_walk_seeded():
     assert min(seen.values()) >= 60, seen
 
 
-# The runs on prime ideals skip each popped pair whose two terms share a
-# variable; buchberger, the every-pair engine and the oracle's saturation
-# by every variable skip none.
+# The runs on prime ideals drop each pair whose two terms share a
+# variable when they make it; buchberger, the every-pair engine and the
+# oracle's saturation by every variable drop none.
 
 
 def count_prime_skips(monkeypatch):
-    """Count the pairs popped in runs with prime=True, and those skipped."""
+    """Tally the pairs of the runs with prime=True, each made again without it.
+
+    The run without prime pops "popped" pairs, "shared" of them with
+    terms that share a variable: the pairs the criterion stands for.
+    The prime run pops "prime popped" pairs, "prime shared" of them with
+    terms that share a variable, which it should have dropped.
+    """
     tally = Counter()
     real_run, real_pair = engine._groebner, engine._s_pair
-    prime = []
+    tallied = []
 
     def run(*args, **kwargs):
-        prime.append(kwargs.get("prime", False))
+        if not kwargs.get("prime"):
+            return real_run(*args, **kwargs)
+        tallied.append("")
         try:
+            real_run(*args, **{**kwargs, "prime": False})
+            tallied[-1] = "prime "
             return real_run(*args, **kwargs)
         finally:
-            prime.pop()
+            tallied.pop()
 
     def pair(L, vi, vj, guard):
         p, q = real_pair(L, vi, vj, guard)
-        if prime and prime[-1]:
+        if tallied:
             ones = guard >> ((guard & -guard).bit_length() - 1)
-            tally["popped"] += 1
-            tally["skipped"] += p != q and bool(((p | guard) - ones) & ((q | guard) - ones) & guard)
+            tally[tallied[-1] + "popped"] += 1
+            tally[tallied[-1] + "shared"] += p != q and bool(
+                ((p | guard) - ones) & ((q | guard) - ones) & guard)
         return p, q
 
     for module in (engine, toric, ip):
@@ -1132,9 +1163,11 @@ def test_prime_runs_match_runs_without_the_skip_seeded(monkeypatch):
         seen["elimination"] += assert_prime_runs_match(*problem)
         seen["checked"] += 1
     assert seen["elimination"] >= 200, seen
-    # the skip fires on more than half of the pairs the prime runs pop
-    # (2,541 of 4,524)
-    assert 2 * tally["skipped"] > tally["popped"], tally
+    # the criterion stands for more than half of the pairs the runs
+    # without it pop (6,662 of 11,511), and no pair a prime run pops
+    # (1,814) has terms that share a variable
+    assert 2 * tally["shared"] > tally["popped"], tally
+    assert tally["prime popped"] and not tally["prime shared"], tally
 
 
 def test_the_skip_needs_a_saturated_ideal():

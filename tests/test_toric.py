@@ -555,24 +555,42 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
 
 # (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
 POPPED_PAIRS = (
-    ("segre", (3, 3), 42,
-     "0c22eb7329a825c51ecdb8d5655b6c354f03b6e567c024f55b9ecaf717e2f002"),
-    ("segre", (2, 2, 3), 191,
-     "14ba43b1cefec38a6ab2d33cd7df4b6fd3d1560b737f54cb1b41e422b0c71897"),
-    ("segre", (3, 3, 3), 3796,
-     "e5750f2ebada0dea253cfdb989dd43976f601e1c1896581fe51daa7e31be87f0"),
-    ("hypersimplex2", (7,), 3615,
-     "e970c1af25d8b7f0c419a690d5e5a7f067d2cb698af6282574404ca325949950"),
-    ("monomial-curve", (3, 7, 8, 11), 49,
-     "7ccdf3364956afd6573a60b406bc3394a726042e96102e57076e73ccec9d818a"),
+    ("segre", (3, 3), 30,
+     "6c7c7d1f6cb7feccceb3fc78b59414b3d561a04da205316b3f18998fb1df3bd8"),
+    ("segre", (2, 2, 3), 122,
+     "b3e6b09c63f93d2ffee71aa962b3ac3236ebd40158cca8afb39b0af0787f8932"),
+    ("segre", (3, 3, 3), 2896,
+     "2a026c181875019250a84bc7104fee638eb55ba5ef2e0b8b8a2fd4f7ecb8eb1c"),
+    ("hypersimplex2", (7,), 3130,
+     "2d6edd7f4ac18ed0270df95e6f0f40ae2c22bca7276cd2d1521044e30371d7a1"),
+    ("monomial-curve", (3, 7, 8, 11), 42,
+     "63129bb3d9e7d524ad37999da603a640c8422da87e451cdd5c7c2b9f0a719033"),
 )
 
 
+def pair_digest(calls):
+    """SHA-256 of the pairs _s_pair received, in order.
+
+    Each call (L, vi, vj, guard) is hashed as the field tuples of L,
+    L - vi and L - vj, with the field width W read off the guard's
+    lowest bit: the digest pins the pair sequence, whatever the width.
+    """
+    lines = []
+    for L, vi, vj, guard in calls:
+        W = (guard & -guard).bit_length()
+        mask, shifts = (1 << W) - 1, range(0, guard.bit_length(), W)
+        lines.append(";".join(",".join(str(P >> s & mask) for s in shifts)
+                              for P in (L, L - vi, L - vj)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_toric_generators_s_pair_count(monkeypatch):
-    # S-pairs popped after the Gebauer-Moeller criteria, over every run,
-    # and the order they are popped in: the digest runs over each pair's
-    # packed lcm and the packed vectors of its two elements, since pairs
-    # with one lcm can swap places without changing the lcms.  One
+    # S-pairs popped after the Gebauer-Moeller and prime criteria, over
+    # every run, and the order they are popped in: the digest runs over
+    # each pair's lcm and its two terms, since pairs with one lcm can
+    # swap places without changing the lcms.  Testing the prime
+    # criterion when a pair was popped rather than when it was made
+    # popped 42, 191, 3,796, 3,615 and 49 pairs.  One
     # saturation per column without a leading entry made 104, 511 and
     # 15,169 pairs on the three Segre inputs.  Saturation runs that
     # carry every common factor whole made 66, 280, 6,917, 8,060 and 60
@@ -587,8 +605,7 @@ def test_toric_generators_s_pair_count(monkeypatch):
         calls = record_calls(monkeypatch, engine, "_s_pair")
         toric_generators(ConfigMatrix(generate(kind, params)))
         assert len(calls) == pairs, params
-        text = ";".join(",".join(map(str, args[:3])) for args in calls)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, params
+        assert pair_digest(calls) == digest, params
         monkeypatch.undo()
 
 
@@ -600,8 +617,9 @@ def test_order_keys_that_unpack_a_monomial(monkeypatch):
     # ordered by the leads' keys kept from the run.  Keying every lcm
     # whole and sorting the basis by fresh keys unpacked 4,566 monomials
     # in toric_groebner on Segre 3x3x3 and 417 in graver on Segre 3x3;
-    # the keys of the popped pairs, with their pop order, are pinned by
-    # POPPED_PAIRS
+    # testing the prime criterion as a pair was popped, which keyed the
+    # pairs it dropped, unpacked 262 in graver.  The keys of the popped
+    # pairs, with their pop order, are pinned by POPPED_PAIRS
     import toricgb.buchberger as engine
 
     unpacked = []
@@ -617,7 +635,7 @@ def test_order_keys_that_unpack_a_monomial(monkeypatch):
     assert len(unpacked) == 427
     unpacked.clear()
     graver(ConfigMatrix(generate("segre", (3, 3))))
-    assert len(unpacked) == 262
+    assert len(unpacked) == 240
 
 
 def record_calls(monkeypatch, module, name):
