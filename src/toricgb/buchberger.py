@@ -71,7 +71,7 @@ wider fields give.
 The package's own callers enter through _groebner, which keeps the run
 packed to the end: it hands back packed pairs, or reduces one monomial
 with the run's own reducer, so no Binomial or GroebnerBasis is built
-for the next step to take apart.  Three options of that entry skip work
+for the next step to take apart.  Four options of that entry skip work
 that cannot change an answer.
 
 Prime ideals (prime=True): a new pair whose packed terms share a
@@ -167,6 +167,33 @@ up to D.  Reducing the monomial meets only leads of degree at most D,
 so its normal form is the one the full basis gives (Thomas and
 Weismantel, "Truncated Groebner bases for integer programming", AAECC
 8, 1997).  The truncated basis itself is never handed back.
+
+Floor (floor=(grading, D)): the generators generate an ideal I,
+homogeneous for the positive grading, and are a Groebner basis of it in
+every degree below D under the run's order.  A new pair whose lcm has
+degree below D is dropped when it is made, before it is keyed or
+queued, so the pairs guard never counts it; the degree is taken as the
+truncation takes it.
+
+* The run adds an element for each generator before it pops a pair,
+  and each generator's lead is divisible by the lead of one of them: it
+  is top-reduced by the earlier ones, or added as it is.  So from the
+  first pair on, the leads of the basis generate in(I) in every degree
+  below D.
+* The S-binomial of a dropped pair lies in I, in the degree of its lcm,
+  below D.  It therefore reduces to zero by the basis of any moment,
+  each step with a lead below the lcm: an lcm-representation, by the
+  final basis as well.  As for the prime criterion, the pair can go the
+  moment it is made, and it goes after M, F and the truncation, so it
+  stands for the pairs M and F dropped in its favour.
+* Popped, the pair would have reduced to zero and added nothing.  So
+  the run adds the same elements in the same order as without the
+  floor, and the degree and elements guards trip where they did.
+
+toricgb.toric gives the floor to the canonical run that follows a
+saturation through a new variable y under the all-ones grading, with D
+= deg y; _canonical_floor there proves the generators a Groebner basis
+below D.  On Segre 3x3x3 that run pops 0 pairs where it popped 820.
 """
 
 from __future__ import annotations
@@ -593,7 +620,7 @@ class _Reduced:
 
 
 def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
-               monomial=None, saturated=()):
+               monomial=None, saturated=(), floor=None):
     """The Buchberger run of buchberger, kept packed: the package's own entry.
 
     Returns the reduced basis as a _Reduced.  prime=True: the generators
@@ -614,24 +641,28 @@ def _groebner(gens, ord: TermOrder, budget: Budget = Budget(), *, prime=False,
     and it reduces u with its own reducer: the normal form by any
     Groebner basis is the same, so the basis is not interreduced.  u is
     packed as the run starts, so an exponent too wide for the fields
-    widens them before any work.  The module docstring proves the three
-    options exact.
+    widens them before any work.
+
+    floor=(grading, D): the generators are homogeneous for the positive
+    grading and a Groebner basis of their ideal in every degree below D,
+    and the run queues no pair whose lcm has a degree below D.  No
+    caller passes it with monomial, whose grading it would take.  The
+    module docstring proves the four options exact.
     """
     gens = [g if isinstance(g, Binomial) else tuple(g) for g in gens]
     return _widening(lambda width: _run(gens, budget, _Packing(ord.n, width, ord),
-                                        prime, monomial, saturated))
+                                        prime, monomial, saturated, floor))
 
 
-def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
+def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated, floor):
     key, guard, ones, W = pk.key, pk.guard, pk.ones, pk.width
     push = heapq.heappush
     max_elements, max_degree, max_pairs = budget.elements, budget.degree, budget.pairs
     grading = budget.grading
-    if monomial is not None:
-        u, degrees = monomial
-        start = pk.pack(u)
+    if monomial is not None or floor is not None:
+        degrees = monomial[1] if monomial is not None else floor[0]
         fields = pk.fields
-        # the grading laid out along the fields, and the degree of x^u
+        # the grading laid out along the fields
         by_field = tuple(degrees[v] for v in pk.at_field)
 
         def degree(P):
@@ -642,6 +673,8 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
                 return by_field[f] << e
             return sum(map(mul, by_field, fields(P)))
 
+    if monomial is not None:
+        start = pk.pack(monomial[0])
         top = sum(map(mul, by_field, fields(start)))
     red = _Reducer(pk)
     leads, trails, vecs, kvecs = red.leads, red.trails, red.vecs, red.kvecs
@@ -755,6 +788,10 @@ def _run(gens, budget: Budget, pk: _Packing, prime, monomial, saturated):
             kept = [e for e in kept
                     if not (((e[0] + lead - vecs[e[1]]) | guard) - ones)
                     & (((e[0] + trail) | guard) - ones) & guard]
+        # floor: drop the pairs whose lcm has degree below floor[1]
+        if floor is not None:
+            low = floor[1] - degree(lead)
+            kept = [e for e in kept if degree(e[0]) >= low]
         kept.sort()
         first = len(pairs)
         for tick, (m, i, s) in enumerate(kept, first):

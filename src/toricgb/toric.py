@@ -256,6 +256,10 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     ideal that holds no monomial is saturated in every variable, so the
     run names them all and divides every binomial by the common factor
     of its terms (the buchberger module proves the answer unchanged).
+    After a run through y under the all-ones grading, the canonical run
+    also drops each pair whose lcm has degree below deg y = |T|: the
+    saturation's output is a Groebner basis of I_A in those degrees
+    already (_canonical_floor), so the pair would reduce to zero.
 
     The output does not depend on how the saturation is made, since the
     canonical run makes the reduced basis, which is unique, but the
@@ -267,7 +271,8 @@ def toric_generators(A: ConfigMatrix, budget: Budget = Budget()):
     gens = _saturated_generators(A, budget)
     if not gens:
         return []
-    return _groebner(gens, _canonical_order(A), budget, prime=True).vectors()
+    return _groebner(gens, _canonical_order(A), budget, prime=True,
+                     floor=_canonical_floor(A)).vectors()
 
 
 def saturation_columns(A: ConfigMatrix):
@@ -353,6 +358,31 @@ def _canonical_order(A: ConfigMatrix) -> TermOrder:
     return degrevlex(A.n, weight=A.grading)
 
 
+def _canonical_floor(A: ConfigMatrix):
+    """The floor option of the canonical run: (A.grading, deg y), or None.
+
+    It applies when A.grading is all-ones and the saturation goes
+    through y, which then has degree |T| for the columns T.  The
+    saturation order, (1, ..., 1, |T|) then revlex with y cheapest, is
+    degrevlex(n) on k[x], and its target is T' = I_A k[x, y] + (y - x^T).
+    Every monomial of degree below |T| is y-free, so T' and I_A, and
+    their initial ideals, agree in those degrees.  The saturation's
+    basis stripped of y is a Groebner basis of T' (Bayer and Stillman),
+    so each minimal generator x^m of in(I_A) of degree below |T| is the
+    lead of a y-free element x^m - x^t of it; no variable divides both
+    terms, as T' is saturated and x^m minimal.  Its vector m - t is the
+    unstripped element's, 0 at y, and the substitution of
+    _saturate_product leaves it as it is.  So the canonical run's
+    generators are a Groebner basis of I_A in every degree below |T|
+    (the buchberger module has the rest).  Under another grading the
+    saturation order differs from the canonical one on k[x].
+    """
+    if A.grading != (1,) * A.n or A.kernel_basis().nrows <= 1:
+        return None
+    T = saturation_columns(A)
+    return (A.grading, len(T)) if len(T) > 1 else None
+
+
 def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
                    budget: Budget = Budget()) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal under ord (or the default).
@@ -362,9 +392,16 @@ def toric_groebner(A: ConfigMatrix, ord: TermOrder = None,
     and under the canonical order it is the basis of toric_generators.
     Those generators generate I_A, which is prime, so the run skips the
     S-pairs whose terms share a variable, as the canonical run does.
+    Under an order equal to the canonical one, passed or not, the run
+    takes the canonical run's floor as well.  Its proof needs the run's
+    order to agree with the saturation order on k[x]
+    (_canonical_floor), so under any other order the run takes none.
     """
-    ord = ord or _canonical_order(A)
-    return _groebner(_saturated_generators(A, budget), ord, budget, prime=True).basis(ord)
+    canonical = _canonical_order(A)
+    ord = ord or canonical
+    floor = _canonical_floor(A) if ord == canonical else None
+    return _groebner(_saturated_generators(A, budget), ord, budget, prime=True,
+                     floor=floor).basis(ord)
 
 
 def lawrence_lifting(M: IntMatrix) -> IntMatrix:

@@ -282,9 +282,9 @@ def test_every_popped_pair_is_keyed_by_its_lcm_seeded(monkeypatch):
     real_run, real_pop, real_pair = engine._run, heapq.heappop, engine._s_pair
     case = None
 
-    def run(gens, budget, pk, prime, monomial, saturated):
+    def run(gens, budget, pk, prime, monomial, *args, **kwargs):
         runs.append((pk, monomial))
-        return real_run(gens, budget, pk, prime, monomial, saturated)
+        return real_run(gens, budget, pk, prime, monomial, *args, **kwargs)
 
     def pop(heap):
         popped.append(real_pop(heap))

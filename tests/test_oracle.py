@@ -1188,6 +1188,101 @@ def test_the_skip_needs_a_saturated_ideal():
     assert engine._groebner(gens, order, prime=True).basis(order) == buchberger(gens, order)
 
 
+# The canonical run of a saturation through y under the all-ones
+# grading drops each pair whose lcm has degree below deg y when it makes
+# it (the floor; toric._canonical_floor and the buchberger module prove
+# it exact).  Two draws pin the edge: on the first, deg y = 2 and a
+# floor of 4 loses an element; on the second, a floor above every lcm,
+# which drops every pair, loses one.
+FLOOR_EDGES = (
+    (((1, 1, 1, 1, 1, 1), (2, 0, 2, 2, 1, 1), (1, 1, 2, 1, 1, 0)), 4),
+    (((1, 1, 1, 1, 1, 1), (0, 0, 2, 1, 3, 1), (0, 3, 3, 2, 1, 0)), 6),
+)
+
+
+def floor_configs(rng, draws=400):
+    """The FLOOR_EDGES configurations, then those of draws seeded draws
+    (at most 3 rows and 7 columns, entries in [0, 3] under an all-ones
+    first row) whose saturation goes through y."""
+    checked = [ConfigMatrix(rows) for rows, _ in FLOOR_EDGES]
+    for _ in range(draws):
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, 7)
+        A = pointed_or_none([[1] * n] + [[rng.randint(0, 3) for _ in range(n)]
+                                         for _ in range(d - 1)])
+        if A is not None and len(A.kernel_basis().entries) > 1 \
+                and len(saturation_columns(A)) > 1:
+            checked.append(A)
+    return checked
+
+
+def test_the_canonical_floor_matches_saturating_every_variable_seeded(monkeypatch):
+    # each canonical run that takes a floor is made again without it.
+    # The floored run must pop the pairs of the other, in order, less
+    # those whose lcm has degree below the floor: so it adds the same
+    # elements in the same order, and its basis is the oracle's
+    real_run, real_pair = engine._groebner, engine._s_pair
+    popped, seen = [], Counter()
+    source = None
+
+    def run(gens, order, budget, **kwargs):
+        floor = kwargs.get("floor")
+        if floor is None:
+            return real_run(gens, order, budget, **kwargs)
+        assert floor[0] == (1,) * order.n and order == degrevlex(order.n), order
+        popped.clear()
+        whole = real_run(gens, order, budget, **{**kwargs, "floor": None}).vectors()
+        every, popped[:] = popped[:], []
+        floored = real_run(gens, order, budget, **kwargs)
+        assert floored.vectors() == whole
+        assert popped == [L for L in every if sum(L) >= floor[1]]
+        seen[source + " floored"] += 1
+        seen[source + " dropped"] += len(popped) < len(every)
+        return floored
+
+    def pair(L, vi, vj, guard):
+        W = (guard & -guard).bit_length()
+        popped.append(tuple(L >> s & ((1 << W) - 1) for s in range(0, guard.bit_length(), W)))
+        return real_pair(L, vi, vj, guard)
+
+    monkeypatch.setattr(toric, "_groebner", run)
+    monkeypatch.setattr(engine, "_s_pair", pair)
+    drawn = [("drawn", A) for A in floor_configs(random.Random(37))]
+    named = [("named", ConfigMatrix(generate(kind, params))) for kind, params in (
+        ("segre", (3, 3)), ("segre", (2, 2, 3)), ("segre", (3, 4)),
+        ("hypersimplex2", (5,)), ("hypersimplex2", (6,)))]
+    for source, A in drawn + named:
+        with time_limit(10):
+            assert toric_generators(A) == toric_generators_every_variable(A), A.original
+        seen[source] += 1
+    # T holds no pivot column, so deg y = |T| <= d <= 3 on the draws, and
+    # an lcm falls below it only for pairs of linear elements: none of
+    # the 169 canonical runs pops such a pair, but a floor raised by 2
+    # changes a basis.  The named inputs have deg y of 3 to 5, and the
+    # floor drops pairs in four of the five (not in hypersimplex2 5)
+    assert seen["drawn floored"] == seen["drawn"] >= 150, seen
+    assert seen["named floored"] == 5 and seen["named dropped"] == 4, seen
+
+
+def test_the_floor_is_exact_but_not_by_much():
+    # the canonical floor is deg y = 2 on both edges and gives the
+    # oracle's basis; the higher floor of FLOOR_EDGES does not
+    for rows, higher in FLOOR_EDGES:
+        A = ConfigMatrix(rows)
+        expected = toric_generators_every_variable(A)
+        gens = toric._saturated_generators(A, Budget())
+        order = _canonical_order(A)
+        assert toric._canonical_floor(A) == ((1,) * 6, 2)
+        assert toric_generators(A) == expected, rows
+
+        def floored(floor):
+            return engine._groebner(gens, order, prime=True,
+                                    floor=((1,) * 6, floor)).vectors()
+
+        assert floored(higher - 1) == expected, rows
+        assert floored(higher) != expected, rows
+
+
 def sublattice_basis(rng, K):
     """Rows spanning a sublattice of index at least 2 in the lattice of rows K."""
     while True:

@@ -555,14 +555,14 @@ def test_non_canonical_toric_groebner_makes_no_canonical_run(monkeypatch):
 
 # (generator, parameters, S-pairs popped, SHA-256 of the pairs in order)
 POPPED_PAIRS = (
-    ("segre", (3, 3), 30,
-     "6c7c7d1f6cb7feccceb3fc78b59414b3d561a04da205316b3f18998fb1df3bd8"),
-    ("segre", (2, 2, 3), 122,
-     "b3e6b09c63f93d2ffee71aa962b3ac3236ebd40158cca8afb39b0af0787f8932"),
-    ("segre", (3, 3, 3), 2896,
-     "2a026c181875019250a84bc7104fee638eb55ba5ef2e0b8b8a2fd4f7ecb8eb1c"),
-    ("hypersimplex2", (7,), 3130,
-     "2d6edd7f4ac18ed0270df95e6f0f40ae2c22bca7276cd2d1521044e30371d7a1"),
+    ("segre", (3, 3), 26,
+     "d903bbd591e8bd839f6f53bd6f882b401fc1d618d01867ce3589f7497a0f01eb"),
+    ("segre", (2, 2, 3), 107,
+     "0b1f19af192e2d78f89063647aa233d59c2572dbfc1cd30830cb0952731aa0c7"),
+    ("segre", (3, 3, 3), 2076,
+     "9c5ea72a1e5c30d8dfc085259a105e6bcadec2d827a5be70872ebe46cf4a5b77"),
+    ("hypersimplex2", (7,), 2902,
+     "c44d182611206ddc4bfe22813d6ea4c8f63406d79758e8688d0cedc3799b4e9c"),
     ("monomial-curve", (3, 7, 8, 11), 42,
      "63129bb3d9e7d524ad37999da603a640c8422da87e451cdd5c7c2b9f0a719033"),
 )
@@ -585,12 +585,16 @@ def pair_digest(calls):
 
 
 def test_toric_generators_s_pair_count(monkeypatch):
-    # S-pairs popped after the Gebauer-Moeller and prime criteria, over
-    # every run, and the order they are popped in: the digest runs over
-    # each pair's lcm and its two terms, since pairs with one lcm can
-    # swap places without changing the lcms.  Testing the prime
-    # criterion when a pair was popped rather than when it was made
-    # popped 42, 191, 3,796, 3,615 and 49 pairs.  One
+    # S-pairs popped after the Gebauer-Moeller and prime criteria and
+    # the floor, over every run, and the order they are popped in: the
+    # digest runs over each pair's lcm and its two terms, since pairs
+    # with one lcm can swap places without changing the lcms.  The four
+    # runs through y under the all-ones grading pop only their
+    # saturations' pairs; the canonical runs popped 4, 15, 820 and 228
+    # more before the floor (30, 122, 2,896 and 3,130 in all).  The
+    # monomial curve has one column to saturate and no floor.  Testing
+    # the prime criterion when a pair was popped rather than when it was
+    # made popped 42, 191, 3,796, 3,615 and 49 pairs.  One
     # saturation per column without a leading entry made 104, 511 and
     # 15,169 pairs on the three Segre inputs.  Saturation runs that
     # carry every common factor whole made 66, 280, 6,917, 8,060 and 60
@@ -606,6 +610,27 @@ def test_toric_generators_s_pair_count(monkeypatch):
         toric_generators(ConfigMatrix(generate(kind, params)))
         assert len(calls) == pairs, params
         assert pair_digest(calls) == digest, params
+        monkeypatch.undo()
+
+
+def test_the_floor_takes_the_canonical_order_and_no_other(monkeypatch):
+    # the canonical run gets its floor when the order equals the
+    # canonical one, whether or not it is passed: the same pairs as
+    # toric_generators.  Under a weight order, as tri and fan cones
+    # --weight run, toric_groebner pops what it popped before the floor
+    import toricgb.buchberger as engine
+    from toricgb.orders import degrevlex, term_order
+
+    A = ConfigMatrix(generate("segre", (3, 3, 3)))
+    canonical = POPPED_PAIRS[2][2:]
+    for order, pairs in (
+            (None, canonical),
+            (degrevlex(27), canonical),
+            (term_order(27, weight=tuple(7 * i % 11 for i in range(27))), (
+                3238, "cfa3f9f3eb103b3ee35c81ae8b29ff76b92518722022aca1aa1a5e8e29bbb34c"))):
+        calls = record_calls(monkeypatch, engine, "_s_pair")
+        toric_groebner(A, order)
+        assert (len(calls), pair_digest(calls)) == pairs, order
         monkeypatch.undo()
 
 
